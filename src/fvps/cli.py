@@ -5,13 +5,18 @@ configuration produces bit-identical output (no timestamps, no seeded
 randomness).  Every run writes a JSON provenance sidecar holding the
 resolved configuration, package version, and the tolerances it applied.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-tolerance failure in --check modes.
+Exit codes, from the EXIT_CODES table: 0 success; 2 configuration,
+validation or file error (any ValueError -- every fvps grid, conjugacy,
+resolution, truncation and step-size error is one -- or an OSError);
+3 numerical failure: a --check tolerance exceeded, or an ArithmeticError
+such as ConditioningError or a failed oracle check.  An error raised
+by the package never ends in a traceback.
 """
 
 import argparse
 import csv
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -19,10 +24,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .errors import GridError, ResolutionError, TruncationError
 from .grids import MomentumGrid, PhaseSpaceGrid
 from .moyal import evolve_even
-from .pairs import penalty_curve
+from .pairs import PenaltyTable, penalty_curve
 from .rotator import RotatorModel, modulation_spectrum, orbit_series
 from .spectrum import chi_factor, energy, eps_factor, purity_rhs
 from .states import ChargeBranchState, gaussian_state, rotator_coherent_state
@@ -31,6 +35,17 @@ from .wigner import EPS_RELATIVISTIC, Moments, moments, wigner_even
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
+
+# Exit code and stderr label of each failure a command may raise, by the
+# class it derives from.  This covers every fvps error: GridError,
+# ConjugacyError, ResolutionError, TruncationError and StepSizeError are
+# ValueErrors; ConditioningError and the oracle checks raise
+# ArithmeticErrors.
+EXIT_CODES = {
+    ValueError: (EXIT_CONFIG, "validation error"),
+    OSError: (EXIT_CONFIG, "file error"),
+    ArithmeticError: (EXIT_TOLERANCE, "numerical error"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +110,21 @@ def effective_mass_ratio(lam: float, p_bar: float = 0.02, t: float = 2.0,
     return p_bar / drift
 
 
+def _pool_map(fn, *iterables, jobs: int = 1) -> list:
+    """list(map(fn, *iterables)), over `jobs` spawned worker processes if jobs > 1.
+
+    fn must be a module-level function: the pool pickles it by name.
+    """
+    if jobs <= 1:
+        return list(map(fn, *iterables))
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
+        return list(pool.map(fn, *iterables))
+
+
 def run_coherent(lams, p_bar: float = 0.02, t: float = 2.0, jobs: int = 1):
     lams = list(lams)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            ratios = list(pool.map(effective_mass_ratio, lams, [p_bar] * len(lams), [t] * len(lams)))
-    else:
-        ratios = [effective_mass_ratio(lam, p_bar, t) for lam in lams]
+    ratios = _pool_map(effective_mass_ratio, lams, [p_bar] * len(lams), [t] * len(lams), jobs=jobs)
     return list(zip(lams, ratios))
 
 
@@ -113,19 +136,16 @@ def run_rotator(b: float, alpha: float, t_max: float, dt: float, n_max: int = 64
     return series, peaks, model
 
 
+def _penalty_row(sigma: float, models) -> tuple:
+    """(sigma, penalty per model): one row of penalty_curve."""
+    return next(penalty_curve([sigma], models).rows())
+
+
 def run_entangle(sigmas, models=("nonrel", "rel"), jobs: int = 1):
-    if jobs > 1:
-        # penalty columns are independent per sigma; fan out row-wise
-        def one(s):
-            return tuple(penalty_curve([s], models).columns[m][0] for m in models)
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, sigmas))
-        table = {m: tuple(r[i] for r in rows) for i, m in enumerate(models)}
-        from .pairs import PenaltyTable
-
-        return PenaltyTable(sigmas=tuple(float(s) for s in sigmas), models=tuple(models), columns=table)
-    return penalty_curve(sigmas, models)
+    # rows are independent per sigma, so they fan out over the pool
+    sigmas = list(sigmas)
+    rows = _pool_map(_penalty_row, sigmas, [models] * len(sigmas), jobs=jobs)
+    return PenaltyTable.from_rows(models, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +431,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (GridError, ResolutionError, TruncationError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except tuple(EXIT_CODES) as exc:
+        code, label = next(v for cls, v in EXIT_CODES.items() if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -299,26 +299,40 @@ def classical_limit_gap(a, b, psgrid: PhaseSpaceGrid, hbars) -> ClassicalLimitRe
 # ---------------------------------------------------------------------------
 
 
+def _shifted_energies(energy_fn, psgrid: PhaseSpaceGrid):
+    """E on the half-step lattice, and where p +- hbar kappa/2 sit in it.
+
+    On a conjugate grid hbar kappa_m / 2 = m dp / 2 for the FFT mode index
+    m, so p_k +- hbar kappa_m / 2 = p_0 + (2k +- m) dp / 2: every shifted
+    momentum is a lattice node, and E is evaluated once per node instead
+    of on 2 n_p n_q pairs.  Returns (e, plus, minus) with
+    e[plus] = E(p + hbar kappa/2) and e[minus] = E(p - hbar kappa/2) as
+    (n_p, n_q) arrays.
+    """
+    psgrid.require_conjugate()
+    n_p, n_q = psgrid.momentum.n_points, psgrid.n_q
+    m = np.fft.ifftshift(np.arange(-(n_q // 2), n_q // 2))  # fftfreq order
+    centre = 2 * np.arange(n_p)[:, None] + n_q // 2
+    lattice = psgrid.p_nodes[0] + 0.5 * psgrid.dp * (np.arange(2 * n_p + n_q) - n_q // 2)
+    return energy_fn(lattice), centre + m, centre - m
+
+
 def propagator_phases(energy_fn, t: float, psgrid: PhaseSpaceGrid, parity: str = "even") -> np.ndarray:
     """Per-(p, kappa) phase factors of the exact evolution.
 
     The propagator itself never sees which theory supplied the initial
     field; the difference between the full and the non-local theory
-    lives entirely in the admissible initial data.
+    lives entirely in the admissible initial data.  Both parities are
+    products of two gathers from one vector exp(-i E t / hbar) on the
+    half-step lattice.
     """
-    hbar = psgrid.hbar
-    _, kap = _mode_frequencies(psgrid)
-    p = psgrid.p_nodes[:, None]
-    shift = 0.5 * hbar * kap[None, :]
-    e_plus = energy_fn(p + shift)
-    e_minus = energy_fn(p - shift)
+    e, plus, minus = _shifted_energies(energy_fn, psgrid)
+    z = np.exp(-1j * e * t / psgrid.hbar)
     if parity == "even":
-        omega = e_plus - e_minus
-    elif parity == "odd":
-        omega = e_plus + e_minus
-    else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return np.exp(-1j * omega * t / hbar)
+        return z[plus] * np.conj(z[minus])
+    if parity == "odd":
+        return z[plus] * z[minus]
+    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
 def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> np.ndarray:
@@ -347,18 +361,12 @@ def bracket_with_energy(energy_fn, w: np.ndarray, psgrid: PhaseSpaceGrid,
     the propagator's t-derivative at t=0 equals this bracket.  For
     kind="anti" the symmetrized product (E*W + W*E)/2 is returned.
     """
-    psgrid.require_conjugate()
-    hbar = psgrid.hbar
-    _, kap = _mode_frequencies(psgrid)
-    p = psgrid.p_nodes[:, None]
-    shift = 0.5 * hbar * kap[None, :]
-    e_plus = energy_fn(p + shift)
-    e_minus = energy_fn(p - shift)
+    e, plus, minus = _shifted_energies(energy_fn, psgrid)
     wk = np.fft.fft(np.asarray(w, dtype=complex), axis=1)
     if kind == "moyal":
-        mult = (e_plus - e_minus) / (1j * hbar)
+        mult = (e[plus] - e[minus]) / (1j * psgrid.hbar)
     elif kind == "anti":
-        mult = 0.5 * (e_plus + e_minus)
+        mult = 0.5 * (e[plus] + e[minus])
     else:
         raise ValueError(f"kind must be 'moyal' or 'anti', got {kind!r}")
     out = np.fft.ifft(wk * mult, axis=1)
@@ -377,12 +385,9 @@ def evolve_timestep_reference(w: np.ndarray, energy_fn, t: float, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    hbar = psgrid.hbar
     dt = t / steps
-    _, kap = _mode_frequencies(psgrid)
-    p = psgrid.p_nodes[:, None]
-    shift = 0.5 * hbar * kap[None, :]
-    max_omega = float(np.abs(energy_fn(p + shift) - energy_fn(p - shift)).max()) / hbar
+    e, plus, minus = _shifted_energies(energy_fn, psgrid)
+    max_omega = float(np.abs(e[plus] - e[minus]).max()) / psgrid.hbar
     if abs(dt) * max_omega > 1.0:
         raise StepSizeError(
             f"dt*max|Delta E|/hbar = {abs(dt) * max_omega:.3g} > 1; "

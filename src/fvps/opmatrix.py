@@ -198,11 +198,6 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(a.mat @ b.mat - b.mat @ a.mat, a.basis)
 
 
-def anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    a.require_same_basis(b)
-    return OperatorMatrix(a.mat @ b.mat + b.mat @ a.mat, a.basis)
-
-
 # ---------------------------------------------------------------------------
 # Charge-branch eigenvectors and kernel reduction
 # ---------------------------------------------------------------------------

@@ -12,13 +12,27 @@ observable content; odd components vanish identically for superselected
 (single-branch) states and exist here as diagnostics.
 
 Discretely, the branch amplitude is first interpolated onto the
-half-step momentum lattice (exact for amplitudes whose position content
-fits the conjugate window), so the correlation offset P runs over all
-multiples of the momentum spacing and the exp(-iPq/hbar) sum is an
-exact quadrature on the conjugate position axis.  Correlation modes with
-|P| > p_max fold when a field is re-expanded over position-axis FFT
-modes (evolution, kernel reconstruction); widening the grid so that
-p_max >~ 9 hbar/sigma + |p_bar| keeps the folded mass below 1e-8.
+half-step momentum lattice by a zero-padded FFT (exact for amplitudes
+whose position content fits the conjugate window), so the correlation
+offset P = j dp runs over all multiples of the momentum spacing, |j| < n,
+and the exp(-iPq/hbar) sum is an exact quadrature on the conjugate
+position axis.  There exp(-i P_j q_m / hbar) = exp(-i P_j q_0 / hbar)
+exp(-2 pi i j m / n): the first factor rides on the lattice amplitudes,
+the offsets fold mod n, and one length-n FFT per momentum row finishes
+the sum -- O(n^2 log n) time and O(n^2) memory for the whole field.
+
+The eps weight is never formed on momentum pairs.  With u = sqrt(E) phi
+and v = phi / sqrt(E) on the lattice, eps phi_a^* phi_b =
+(u_a^* v_b + v_a^* u_b) / 2 and the second term's transform is the
+complex conjugate of the first's, so an even field is Re T[u_a^* v_b];
+chi takes the difference of the two terms instead.  T[u_a^* v_b] itself
+has a genuine imaginary part (the transform of the antisymmetric half of
+the weight), so the discarded imaginary part is not a roundoff residual.
+
+Correlation modes with |P| > p_max fold when a field is re-expanded over
+position-axis FFT modes (evolution, kernel reconstruction); widening the
+grid so that p_max >~ 9 hbar/sigma + |p_bar| keeps the folded mass below
+1e-8.
 
 Second moments may come out negative for strongly localized packets;
 that sign is the physical signature of vacuum structure under strong
@@ -28,14 +42,19 @@ localization and is reported as-is with a warning flag, never clipped.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridError
 from .grids import NATURAL, PhaseSpaceGrid, UnitSystem, fourier_pair, phase_space_quadrature
-from .spectrum import chi_factor, eps_factor, purity_rhs
+from .spectrum import energy, eps_factor, purity_rhs
 from .states import ChargeBranchState
 
 EPS_RELATIVISTIC = "relativistic"
 EPS_UNITY = "unity"
+
+
+def _fine_nodes(psgrid: PhaseSpaceGrid) -> np.ndarray:
+    return -psgrid.momentum.p_max + 0.5 * psgrid.dp * np.arange(2 * psgrid.momentum.n_points)
 
 
 def fine_amplitude(phi: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
@@ -43,55 +62,66 @@ def fine_amplitude(phi: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
 
     Spectral interpolation through the conjugate position axis; exact for
     amplitudes whose position support fits the window, and equal to the
-    input on the even sublattice.
+    input on the even sublattice.  p_kappa q_m splits into a pre-phase on
+    q_m, a post-phase on p_kappa and kappa m pi / n, so the sum over the
+    position samples is a zero-padded length-2n FFT.
     """
     psi = fourier_pair(phi, psgrid, "forward")
     n = psgrid.momentum.n_points
     hbar = psgrid.hbar
-    p_fine = -psgrid.momentum.p_max + 0.5 * psgrid.dp * np.arange(2 * n)
-    phase = np.exp(-1j * p_fine[:, None] * psgrid.q_nodes[None, :] / hbar)
-    return (psgrid.dq / np.sqrt(2 * np.pi * hbar)) * (phase @ psi)
+    pre = np.exp(-1j * psgrid.p_nodes[0] * psgrid.dq * np.arange(n) / hbar)
+    post = np.exp(-1j * _fine_nodes(psgrid) * psgrid.q_nodes[0] / hbar)
+    return (psgrid.dq / np.sqrt(2 * np.pi * hbar)) * post * np.fft.fft(psi * pre, 2 * n)
 
 
-def _correlation(psgrid: PhaseSpaceGrid, bra: np.ndarray, ket: np.ndarray,
-                 kernel: str, units: UnitSystem) -> np.ndarray:
-    """C[k, j] = kernel(p_k + j dp/2, p_k - j dp/2) bra^*(p_k + j dp/2) ket(p_k - j dp/2)."""
-    n = psgrid.momentum.n_points
-    dp = psgrid.dp
-    p = psgrid.p_nodes
-    j = np.arange(-(2 * n - 1), 2 * n)
-    k_fine = 2 * np.arange(n)[:, None]
-    j_idx = j[None, :]
+def _lattice_amplitude(phi: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
+    """Fine amplitude times exp(i a theta), theta = dp q_0 / (2 hbar), at lattice index a.
 
-    bra_f = fine_amplitude(bra, psgrid)
-    ket_f = bra_f if ket is bra else fine_amplitude(ket, psgrid)
-    pad = np.zeros(6 * n, dtype=complex)
-    pad[2 * n : 4 * n] = bra_f
-    bra_shift = pad[2 * n + k_fine + j_idx]
-    pad2 = np.zeros(6 * n, dtype=complex)
-    pad2[2 * n : 4 * n] = ket_f
-    ket_shift = pad2[2 * n + k_fine - j_idx]
-
-    p1 = p[:, None] + 0.5 * j_idx * dp
-    p2 = p[:, None] - 0.5 * j_idx * dp
-    if kernel == EPS_RELATIVISTIC:
-        weight = eps_factor(p1, p2, units)
-    elif kernel == EPS_UNITY:
-        weight = 1.0
-    elif kernel == "chi":
-        weight = chi_factor(p1, p2, units)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    return weight * np.conj(bra_shift) * ket_shift
+    A pair product conj(f[2k+j]) f[2k-j] of these then carries
+    exp(-i P_j q_0 / hbar), the offset-dependent part of the q-transform.
+    """
+    theta = psgrid.dp * psgrid.q_nodes[0] / (2.0 * psgrid.hbar)
+    f = fine_amplitude(phi, psgrid)
+    return f * np.exp(1j * theta * np.arange(f.size))
 
 
-def _transform_matrix(psgrid: PhaseSpaceGrid) -> np.ndarray:
-    """E[j, m] = (dP / 2 pi hbar) exp(-i P_j q_m / hbar), P_j = j dp."""
-    n = psgrid.momentum.n_points
-    j = np.arange(-(2 * n - 1), 2 * n)
-    P = j * psgrid.dp
-    phase = np.exp(-1j * P[:, None] * psgrid.q_nodes[None, :] / psgrid.hbar)
-    return (psgrid.dp / (2.0 * np.pi * psgrid.hbar)) * phase
+def _root_energy(psgrid: PhaseSpaceGrid, units: UnitSystem) -> np.ndarray:
+    return np.sqrt(energy(_fine_nodes(psgrid), units))
+
+
+def _pair_product(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """C[k, j + n] = conj(bra[2k + j]) ket[2k - j] for offsets j in [-n, n).
+
+    bra and ket live on the 2n-node half-step lattice; entries off the
+    lattice are zero.  Since 2j = (2k + j) - (2k - j), every nonzero
+    offset has |j| <= n - 1.  Both factors are strided views of padded
+    copies, so the product is the only (n, 2n) array allocated.
+    """
+    n = bra.size // 2
+
+    def padded(x):
+        out = np.zeros(4 * n, dtype=complex)
+        out[n : 3 * n] = x
+        return out
+
+    # row k of the bra view starts at padded index 2k; the ket is reversed,
+    # so its row k starts at 2n - 1 - 2k and runs backwards through ket
+    rows = sliding_window_view(padded(np.conj(bra)), 2 * n)[: 2 * n : 2]
+    cols = sliding_window_view(padded(ket[::-1]), 2 * n)[2 * n - 1 :: -2]
+    return rows * cols
+
+
+def _q_transform(corr: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
+    """W[k, m] = (dp / 2 pi hbar) sum_j C[k, j] exp(-i j dp q_m / hbar) on pre-phased C.
+
+    With q_m = q_0 + m dq and dp dq n = 2 pi hbar the kernel is
+    exp(-i j dp q_0 / hbar) omega^(j m), omega = exp(-2 pi i / n); the first
+    factor is already in C (see `_lattice_amplitude`), so the offsets fold
+    mod n and one length-n FFT along q finishes the sum.
+    """
+    n = psgrid.n_q
+    folded = corr[:, :n] + corr[:, n:]
+    return (psgrid.dp / (2.0 * np.pi * psgrid.hbar)) * np.fft.fft(folded, axis=1)
 
 
 def _branch_or_raise(state: ChargeBranchState, sign: int) -> np.ndarray:
@@ -114,9 +144,17 @@ def wigner_even(
     theory's distribution).
     """
     phi = _branch_or_raise(state, branch)
-    C = _correlation(psgrid, phi, phi, eps_mode, state.units)
-    W = C @ _transform_matrix(psgrid)
-    return W.real
+    f = _lattice_amplitude(phi, psgrid)
+    if eps_mode == EPS_RELATIVISTIC:
+        # eps = (sqrt(E1/E2) + sqrt(E2/E1)) / 2; the second term's transform
+        # is the complex conjugate of the first's, so W is the real part of one
+        root_e = _root_energy(psgrid, state.units)
+        corr = _pair_product(root_e * f, f / root_e)
+    elif eps_mode == EPS_UNITY:
+        corr = _pair_product(f, f)
+    else:
+        raise ValueError(f"unknown kernel {eps_mode!r}")
+    return _q_transform(corr, psgrid).real
 
 
 def wigner_odd(
@@ -132,10 +170,12 @@ def wigner_odd(
     if state.phi_plus is None or state.phi_minus is None:
         n = psgrid.momentum.n_points
         return np.zeros((n, psgrid.n_q), dtype=complex)
-    bra = state.phi_plus if ordering > 0 else state.phi_minus
-    ket = state.phi_minus if ordering > 0 else state.phi_plus
-    C = _correlation(psgrid, bra, ket, "chi", state.units)
-    return C @ _transform_matrix(psgrid)
+    bra = _lattice_amplitude(state.phi_plus if ordering > 0 else state.phi_minus, psgrid)
+    ket = _lattice_amplitude(state.phi_minus if ordering > 0 else state.phi_plus, psgrid)
+    # chi = (sqrt(E1/E2) - sqrt(E2/E1)) / 2
+    root_e = _root_energy(psgrid, state.units)
+    corr = _pair_product(root_e * bra, ket / root_e) - _pair_product(bra / root_e, root_e * ket)
+    return _q_transform(0.5 * corr, psgrid)
 
 
 @dataclass(frozen=True)
@@ -229,18 +269,21 @@ def moments(w, psgrid: PhaseSpaceGrid) -> Moments:
 def reconstruct_kernel(w: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
     """Invert the q transform: K[c, j] = kernel at (p_c + j dp/2, p_c - j dp/2).
 
-    Rows are midpoint nodes, columns the symmetric half-offset j in
-    [-(n_q-1)/... limited to the resolvable band |j| < n_q/2; entry
-    (c, j) is the two-momentum kernel at p1 = p_c + j dp/2,
-    p2 = p_c - j dp/2.  Larger offsets fold (see module notes) and are
-    only trustworthy when the correlation support fits the window.
+    Rows are midpoint nodes, columns the symmetric offsets j in the
+    resolvable band |j| < n_q/2.  Larger offsets fold (see module notes)
+    and are only trustworthy when the correlation support fits the
+    window.  The sum over q is an inverse FFT: exp(i q_m P_j / hbar) is
+    exp(i q_0 P_j / hbar) times a length-n_q root of unity.
     """
     psgrid.require_conjugate()
     n_q = psgrid.n_q
+    w = np.asarray(w, dtype=complex)
+    if w.shape[-1] != n_q:
+        raise GridError(f"field has {w.shape[-1]} position samples, grid has {n_q}")
     j = np.arange(-(n_q // 2 - 1), n_q // 2)
     P = j * psgrid.dp
-    phase = np.exp(1j * psgrid.q_nodes[:, None] * P[None, :] / psgrid.hbar)
-    return psgrid.dq * (np.asarray(w, dtype=complex) @ phase)
+    modes = n_q * np.fft.ifft(w, axis=-1)
+    return psgrid.dq * modes[..., j % n_q] * np.exp(1j * psgrid.q_nodes[0] * P / psgrid.hbar)
 
 
 @dataclass(frozen=True)
@@ -281,9 +324,10 @@ def purity_check(
     if peak <= 0:
         raise ValueError("kernel vanishes identically; log criterion undefined")
 
-    logmag = np.full_like(mag, -np.inf)
-    np.log(mag, out=logmag, where=mag > 0)
-    phase = np.unwrap(np.unwrap(np.angle(K), axis=0), axis=1)
+    # ln|K| only inside the window: outside it the value never reaches a
+    # windowed stencil, and exact zeros would put -inf into the arithmetic
+    good = mag > window_floor * peak
+    logmag = np.log(mag, out=np.zeros_like(mag), where=good)
 
     def mixed(g, s):
         # d^2/dp1dp2 = [D^2 along midpoints (step s dp) - D^2 along offsets
@@ -293,8 +337,17 @@ def purity_check(
         j_part = g[s:-s, 4 * s :] + g[s:-s, : -4 * s]
         return (c_part - j_part) / (4.0 * (s * dp) ** 2)
 
+    # unit phasors of K inside the window: the stencil on arg K becomes the
+    # argument of a product, so no 2 pi branch cut (and no unwrapping
+    # through the noise outside the window) enters the differences
+    u = np.divide(K, mag, out=np.zeros_like(K), where=good)
+
+    def mixed_phase(s):
+        c_part = u[2 * s :, 2 * s : -2 * s] * u[: -2 * s, 2 * s : -2 * s]
+        j_part = u[s:-s, 4 * s :] * u[s:-s, : -4 * s]
+        return np.angle(c_part * np.conj(j_part)) / (4.0 * (s * dp) ** 2)
+
     def window_mask(s):
-        good = mag > window_floor * peak
         ok = good[2 * s :, 2 * s : -2 * s] & good[: -2 * s, 2 * s : -2 * s]
         ok &= good[s:-s, 4 * s :] & good[s:-s, : -4 * s]
         ok &= good[s:-s, 2 * s : -2 * s]
@@ -315,21 +368,21 @@ def purity_check(
             "cannot evaluate the log criterion"
         )
 
+    # the right-hand side is needed on the window only
+    rows, cols = np.nonzero(mask)
     n_q = psgrid.n_q
     off = np.arange(-(n_q // 2 - 1), n_q // 2)
-    c_grid = psgrid.p_nodes[2 * s : -2 * s, None]
-    j_grid = 0.5 * off[None, 4 * s : -4 * s] * dp
-    p1 = c_grid + j_grid
-    p2 = c_grid - j_grid
-    rhs = purity_rhs(p1, p2, units)
+    centre = psgrid.p_nodes[2 * s : -2 * s][rows]
+    half = 0.5 * off[4 * s : -4 * s][cols] * dp
+    rhs = purity_rhs(centre + half, centre - half, units)
+    lhs = lhs[mask]
 
-    dev = np.abs(lhs - rhs)[mask]
-    phase_curv = np.abs(mixed(phase, s)[inner][mask])
+    phase_curv = np.abs(mixed_phase(s)[inner][mask])
     return PurityReport(
-        max_deviation=float(dev.max()),
-        max_lhs=float(np.abs(lhs[mask]).max()),
-        max_rhs=float(np.abs(rhs[mask]).max()),
-        phase_curvature_max=float(phase_curv.max()) if phase_curv.size else 0.0,
+        max_deviation=float(np.abs(lhs - rhs).max()),
+        max_lhs=float(np.abs(lhs).max()),
+        max_rhs=float(np.abs(rhs).max()),
+        phase_curvature_max=float(phase_curv.max()),
         window_points=int(mask.sum()),
     )
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from fvps import cli, errors
 from fvps.cli import (
+    EXIT_CODES,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_TOLERANCE,
@@ -127,6 +129,13 @@ class TestEntangleCommand:
         assert nonrel == pytest.approx(0.5, abs=1e-10)
         assert rel < nonrel
 
+    def test_worker_pool_matches_serial_bytes(self, tmp_path):
+        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        args = ["entangle", "--sigmas", "0.5,1,2", "--models", "nonrel,rel"]
+        assert main(args + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
+        assert main(args + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
+        assert parallel.read_bytes() == serial.read_bytes()
+
 
 class TestJobsEnvironment:
     def test_env_var_sets_default(self, monkeypatch):
@@ -166,3 +175,34 @@ class TestValidationPropagation:
         code = main(["wigner", "--lambda", "0.001", "--n-points", "128", "--out", str(tmp_path / "w.csv")])
         assert code == EXIT_CONFIG
         assert "validation error" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    def test_every_package_error_has_a_documented_code(self):
+        classes = [
+            obj
+            for obj in vars(errors).values()
+            if isinstance(obj, type) and issubclass(obj, Exception) and not issubclass(obj, Warning)
+        ]
+        assert classes
+        for cls in classes:
+            codes = [code for base, (code, _) in EXIT_CODES.items() if issubclass(cls, base)]
+            assert codes and codes[0] in (EXIT_CONFIG, EXIT_TOLERANCE), cls
+
+    def test_conditioning_error_exits_3_without_traceback(self, tmp_path, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise errors.ConditioningError("sign operator is singular")
+
+        monkeypatch.setattr(cli, "run_rotator", singular)
+        code = main(
+            ["rotator", "--b", "0.5", "--alpha", "3", "--t-max", "10", "--dt", "1", "--out", str(tmp_path / "o.csv")]
+        )
+        assert code == EXIT_TOLERANCE
+        err = capsys.readouterr().err
+        assert "numerical error: sign operator is singular" in err
+        assert "Traceback" not in err
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        code = main(["factors", "--p1", "0", "--p2", "1", "--out", str(tmp_path / "missing" / "f.json")])
+        assert code == EXIT_CONFIG
+        assert "file error" in capsys.readouterr().err

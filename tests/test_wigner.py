@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,22 @@ class TestPurity:
         st = gaussian_state(grid, lam=1.0, q_bar=1.0)
         rep = purity_check(wigner_even(st, +1, ps), ps)
         assert rep.phase_curvature_max < 1e-6
+
+    def test_exact_zeros_outside_window_change_nothing(self):
+        # kernel rows far outside the window become exact zeros; ln 0 must
+        # stay out of the stencils (no RuntimeWarning) and the report must
+        # be the one of the unmodified field
+        grid = MomentumGrid(128, 10.0)
+        ps = PhaseSpaceGrid.conjugate(grid)
+        w = wigner_even(gaussian_state(grid, lam=1.0), +1, ps)
+        w_zeroed = w.copy()
+        w_zeroed[:4] = 0.0
+        assert (reconstruct_kernel(w_zeroed, ps)[:4] == 0).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = purity_check(w_zeroed, ps)
+        assert rep == purity_check(w, ps)
+        assert rep.window_points > 0
 
     def test_vanishing_kernel_raises(self):
         grid = MomentumGrid(64, 7.0)
