@@ -46,6 +46,7 @@ from .opmatrix import (
     branch_vectors,
     build_hamiltonian,
     charge_invariant,
+    charge_invariant_even,
     charge_metric,
     commutator,
     dump_matrix,

@@ -9,8 +9,8 @@ Exit codes, from the EXIT_CODES table: 0 success; 2 configuration,
 validation or file error (any ValueError -- every fvps grid, conjugacy,
 resolution, truncation and step-size error is one -- or an OSError);
 3 numerical failure: a --check tolerance exceeded, or an ArithmeticError
-such as ConditioningError or a failed oracle check.  An error raised
-by the package never ends in a traceback.
+such as ConditioningError.  An error raised by the package never ends in
+a traceback.
 """
 
 import argparse
@@ -39,8 +39,7 @@ EXIT_TOLERANCE = 3
 # Exit code and stderr label of each failure a command may raise, by the
 # class it derives from.  This covers every fvps error: GridError,
 # ConjugacyError, ResolutionError, TruncationError and StepSizeError are
-# ValueErrors; ConditioningError and the oracle checks raise
-# ArithmeticErrors.
+# ValueErrors; ConditioningError is an ArithmeticError.
 EXIT_CODES = {
     ValueError: (EXIT_CONFIG, "validation error"),
     OSError: (EXIT_CONFIG, "file error"),

@@ -10,10 +10,11 @@ Lambda = H (H^2)^(-1/2) splits every operator O into
     odd part   (1/2)(O - Lambda O Lambda)   -- anticommutes with Lambda,
 
 and only even parts are observables under the charge superselection rule.
-Everything here is computed by dense eigendecomposition, which makes this
-module the numerical referee for the closed forms used elsewhere
-(`spectrum.eps_factor` / `chi_factor`, the ladder deformation, the
-Newton-Wigner position).
+The sign operator and the even/odd splits are computed by dense
+eigendecomposition, which makes this module the numerical referee for
+the closed forms used elsewhere (`spectrum.eps_factor` / `chi_factor`,
+the ladder deformation, the Newton-Wigner position, the blockwise
+even part `charge_invariant_even`).
 
 Basis layout: index = branch * M + mode, mode bases are either momentum
 nodes or oscillator levels (optionally tensored with a longitudinal
@@ -193,6 +194,27 @@ def odd_part(op: OperatorMatrix, sign: OperatorMatrix) -> OperatorMatrix:
     )
 
 
+def charge_invariant_even(kernel: np.ndarray, h: OperatorMatrix) -> OperatorMatrix:
+    """even_part(charge_invariant(kernel, h.basis), sign_operator(h)) in closed form.
+
+    H must be mode-diagonal with traceless 2x2 charge blocks H_j, as
+    every `build_hamiltonian` Hamiltonian is.  Then Lambda_j = H_j / E_j
+    with E_j^2 = -det H_j, and the (j, k) charge block of the even part
+    is kernel_jk (1 + Lambda_j Lambda_k) / 2: no eigendecomposition.
+    """
+    kernel = np.asarray(kernel, dtype=complex)
+    if kernel.shape != (h.n_modes, h.n_modes):
+        raise GridError(f"kernel shape {kernel.shape} incompatible with {h.n_modes} modes")
+    blocks = _mode_blocks(h)
+    if np.abs(blocks[:, 0, 0] + blocks[:, 1, 1]).max() > 1e-12 * np.abs(blocks).max():
+        raise GridError("charge_invariant_even requires traceless charge blocks")
+    lam = blocks / np.sqrt(-np.linalg.det(blocks))[:, None, None]
+    even = np.einsum("jsu,kut->sjtk", lam, lam)
+    even += np.eye(2)[:, None, :, None]
+    even *= 0.5 * kernel[None, :, None, :]
+    return OperatorMatrix(even.reshape(h.mat.shape), h.basis)
+
+
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     a.require_same_basis(b)
     return OperatorMatrix(a.mat @ b.mat - b.mat @ a.mat, a.basis)
@@ -201,6 +223,23 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 # ---------------------------------------------------------------------------
 # Charge-branch eigenvectors and kernel reduction
 # ---------------------------------------------------------------------------
+
+
+def _mode_blocks(h: OperatorMatrix) -> np.ndarray:
+    """The 2x2 charge block of every mode, shape (M, 2, 2).
+
+    Raises GridError when H couples different modes; every Hamiltonian
+    this module builds is mode-diagonal.
+    """
+    m = h.n_modes
+    mat = h.mat.reshape(2, m, 2, m)
+    idx = np.arange(m)
+    cross = np.abs(mat)
+    scale = max(cross.max(), 1.0)
+    cross[:, idx, :, idx] = 0.0
+    if cross.max() > 1e-12 * scale:
+        raise GridError("expected a mode-diagonal Hamiltonian")
+    return mat[:, idx, :, idx]
 
 
 def branch_vectors(h: OperatorMatrix):
@@ -214,22 +253,12 @@ def branch_vectors(h: OperatorMatrix):
     branch (eta-norm -1, second component real positive).
     """
     m = h.n_modes
-    mat = h.mat
-    cross = mat.copy()
-    idx = np.arange(m)
-    for blk in ((idx, idx), (idx, idx + m), (idx + m, idx), (idx + m, idx + m)):
-        cross[blk] = 0.0
-    if np.abs(cross).max() > 1e-12 * max(np.abs(mat).max(), 1.0):
-        raise GridError("branch_vectors requires a mode-diagonal Hamiltonian")
-
+    blocks = _mode_blocks(h)
     u_plus = np.zeros((2 * m, m), dtype=complex)
     u_minus = np.zeros((2 * m, m), dtype=complex)
     energies = np.zeros(m)
     for j in range(m):
-        block = np.array(
-            [[mat[j, j], mat[j, m + j]], [mat[m + j, j], mat[m + j, m + j]]]
-        )
-        w, v = np.linalg.eig(block)
+        w, v = np.linalg.eig(blocks[j])
         order = np.argsort(w.real)
         for sgn, col in ((1.0, order[1]), (-1.0, order[0])):
             vec = v[:, col]
@@ -313,18 +342,8 @@ def kernel_relation_check(
 
 def position_kernel(psgrid: PhaseSpaceGrid) -> np.ndarray:
     """Mode-space position matrix F^-1 diag(q) F; Hermitian, spectrum = q nodes."""
-    psgrid.require_conjugate()
-    n = psgrid.momentum.n_points
-    fwd = np.zeros((psgrid.n_q, n), dtype=complex)
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        fwd[:, k] = fourier_pair(e, psgrid, "forward")
-    inv = np.zeros((n, psgrid.n_q), dtype=complex)
-    for mcol in range(psgrid.n_q):
-        e = np.zeros(psgrid.n_q)
-        e[mcol] = 1.0
-        inv[:, mcol] = fourier_pair(e, psgrid, "inverse")
+    fwd = fourier_pair(np.eye(psgrid.momentum.n_points), psgrid, "forward").T
+    inv = fourier_pair(np.eye(psgrid.n_q), psgrid, "inverse").T
     return inv @ (psgrid.q_nodes[:, None] * fwd)
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .grids import NATURAL, MomentumGrid, UnitSystem, quadrature
 from .spectrum import energy
+from .states import displaced_number_state
 
 _COINCIDENT = 1e-9
 
@@ -64,20 +65,10 @@ def _kinetic(p, model: str, units: UnitSystem):
     raise ValueError(f"model must be 'rel' or 'nonrel', got {model!r}")
 
 
-def _hermite_mode(n: int, p, sigma: float, units: UnitSystem):
-    """Momentum-space harmonic mode of width sigma (unnormalized)."""
-    x = sigma * np.asarray(p) / units.hbar
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    return np.polynomial.hermite.hermval(x, coeffs) * np.exp(-0.5 * x**2)
-
-
 def _mode_kinetic(n: int, model: str, sigma: float, units: UnitSystem) -> float:
     grid = _pair_grid(sigma, units)
-    p = grid.nodes
-    phi = _hermite_mode(n, p, sigma, units)
-    norm = quadrature(np.abs(phi) ** 2, grid).real
-    return quadrature(_kinetic(p, model, units) * np.abs(phi) ** 2, grid).real / norm
+    phi = displaced_number_state(n, grid, sigma, units=units).phi_plus
+    return quadrature(_kinetic(grid.nodes, model, units) * np.abs(phi) ** 2, grid).real
 
 
 def pair_energy(pair: PairState, model: str = "rel", units: UnitSystem = NATURAL) -> float:

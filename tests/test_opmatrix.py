@@ -11,6 +11,7 @@ from fvps import (
     build_hamiltonian,
     branch_vectors,
     charge_invariant,
+    charge_invariant_even,
     charge_metric,
     commutator,
     dump_matrix,
@@ -142,6 +143,25 @@ class TestEvenOdd:
         other = charge_invariant(np.eye(16), "other:16")
         with pytest.raises(GridError):
             even_part(other, lam)
+
+    def test_closed_form_even_part_matches_oracle(self, free_setup):
+        _, ps, h, lam = free_setup
+        kernel = position_kernel(ps)
+        dense = even_part(charge_invariant(kernel, h.basis), lam)
+        closed = charge_invariant_even(kernel, h)
+        assert closed.basis == h.basis
+        assert np.abs(closed.mat - dense.mat).max() < 1e-11
+
+    def test_closed_form_even_part_rejects_other_hamiltonians(self, free_setup):
+        _, _, h, _ = free_setup
+        coupled = h.mat.copy()
+        coupled[0, 1] = coupled[1, 0] = 0.5
+        shifted = h.mat + np.eye(128)
+        for mat in (coupled, shifted):
+            with pytest.raises(GridError):
+                charge_invariant_even(np.eye(64), OperatorMatrix(mat, h.basis))
+        with pytest.raises(GridError):
+            charge_invariant_even(np.eye(32), h)
 
 
 class TestNewtonWigner:
