@@ -422,7 +422,7 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         for key, value in file_values.items():
             flag = "--" + key.replace("_", "-")
-            if flag not in argv:
+            if not any(a == flag or a.startswith(flag + "=") for a in argv):
                 argv.extend([flag, value])
     try:
         args = parser.parse_args(argv)

@@ -6,12 +6,23 @@ Two symbol representations coexist:
   is the finite bidifferential series, evaluated exactly on coefficient
   arrays, so canonical identities like q*p = qp + i hbar/2 hold to
   roundoff.
-* Sampled fields of shape (n_p, n_q) (or (2, 2, n_p, n_q) for
-  matrix-valued symbols) use the Fourier-kernel form: plane-wave modes
-  multiply as W_v * W_w = exp((i hbar/2) omega(v, w)) W_{v+w} with
-  omega the symplectic pairing of the mode frequencies.  This is exact
-  for band-limited periodic fields; products of modes beyond the grid
-  band alias, so keep inputs band-limited to half the grid band.
+* Sampled fields of shape (n_p, n_q), or (m, m, n_p, n_q) for matrix
+  symbols of any size m, use the Fourier-kernel form: plane-wave modes
+  multiply as W_v * W_w = exp(-(i hbar/2) omega(v, w)) W_{v+w} with
+  omega(v, w) = kappa_v lambda_w - lambda_v kappa_w the symplectic
+  pairing of the mode frequencies.  The sum over all mode pairs is one
+  batched contraction (`_twisted_convolution`): each q-mode of A is
+  shifted along p by hbar kappa_u / 2 for every output q-mode u in one
+  batched FFT, multiplied by B's q-mode u - v and transformed along p,
+  and the remaining phase is summed over v in one einsum.  Matrix
+  entries contract as A_ik B_kl in the same pass and a scalar field is a
+  1x1 symbol, so both take one code path.  Cost: O(m^2 n_p n_q^2
+  (m + log n_p)) time and O(m^2 n_p n_q^2) memory.  The product's hbar
+  is its own parameter, not the grid's, and the grid need be neither
+  conjugate nor square.  This is exact for band-limited periodic fields;
+  products of modes beyond the grid band alias (the phase is taken at
+  the wrapped output mode), so keep inputs band-limited to half the grid
+  band.
 
 Evolution under a momentum-only Hamiltonian symbol never needs the
 general product: in the position-axis Fourier representation each mode
@@ -162,56 +173,62 @@ def _mode_frequencies(psgrid: PhaseSpaceGrid):
     return lam, kap
 
 
-def _field_star(a: np.ndarray, b: np.ndarray, psgrid: PhaseSpaceGrid, hbar: float,
-                mode_tol: float = 1e-14) -> np.ndarray:
-    """Twisted convolution of the mode coefficients of two scalar fields."""
-    n_p, n_q = psgrid.momentum.n_points, psgrid.n_q
-    if a.shape != (n_p, n_q) or b.shape != (n_p, n_q):
-        raise GridError(f"field shapes {a.shape}, {b.shape} do not match grid ({n_p}, {n_q})")
+def _symbol_stacks(a, b, psgrid: PhaseSpaceGrid):
+    """Both sampled operands as (m, m, n_p, n_q) stacks; a scalar field is 1x1.
+
+    Returns the two stacks and whether the operands were scalar fields.
+    """
+    if isinstance(a, PolySymbol) or isinstance(b, PolySymbol):
+        raise GridError("polynomial symbols multiply with polynomial symbols")
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != b.ndim:
+        raise GridError("matrix symbols multiply with matrix symbols")
+    scalar = a.ndim == 2
+    if scalar:
+        a, b = a[None, None], b[None, None]
+    grid = (psgrid.momentum.n_points, psgrid.n_q)
+    if a.shape != b.shape or a.shape[2:] != grid or a.shape[0] != a.shape[1]:
+        raise GridError(f"symbol shapes {a.shape}, {b.shape} are not (m, m) + grid {grid}")
+    return a, b, scalar
+
+
+def _twisted_convolution(a: np.ndarray, b: np.ndarray, psgrid: PhaseSpaceGrid, hbar: float) -> np.ndarray:
+    """sum_k A_ik * B_kl for (m, m, n_p, n_q) stacks, over all mode pairs at once.
+
+    In mode space (A * B)_u = sum_v a_v b_{u-v} exp(-(i hbar/2) omega(v, u)),
+    using omega(v, u - v) = omega(v, u), with omega taken at the output
+    mode u after the cyclic wrap.  The lambda_v kappa_u half of the phase
+    shifts a's q-mode v along p; the sum over p-modes is then a product
+    in p, and the kappa_v lambda_u half is applied after the p-transform.
+    """
+    n_q = a.shape[-1]
     lam, kap = _mode_frequencies(psgrid)
-    ca = np.fft.fft2(a) / (n_p * n_q)
-    cb = np.fft.fft2(b)  # leave the 1/N in ca only
-    out = np.zeros_like(cb)
-    peak = np.abs(ca).max()
-    active = np.argwhere(np.abs(ca) > mode_tol * peak)
-    half = 0.5 * hbar
-    for av, bv in active:
-        # W_v * W_w = exp(-(i hbar/2) omega(v, w)) W_{v+w} with
-        # omega(v, w) = kappa_v lambda_w - lambda_v kappa_w, and
-        # omega(v, u - v) = omega(v, u) by antisymmetry
-        phase = np.exp(-1j * half * (kap[bv] * lam[:, None] - lam[av] * kap[None, :]))
-        out += ca[av, bv] * phase * np.roll(cb, (av, bv), axis=(0, 1))
-    return np.fft.ifft2(out)
-
-
-def _is_matrix_field(x) -> bool:
-    return isinstance(x, np.ndarray) and x.ndim == 4
+    twist = np.exp(0.5j * hbar * np.multiply.outer(kap, lam))
+    # axes (i, k, v, u, p): a's q-mode v shifted by hbar kappa_u / 2, as a function of p
+    ca = (np.fft.fft2(a) / n_q).swapaxes(-1, -2)[..., :, None, :]
+    shifted = np.fft.ifft(ca * twist, axis=-1)
+    v = np.arange(n_q)
+    columns = np.fft.fft(b, axis=-1).swapaxes(-1, -2)[..., (v[None, :] - v[:, None]) % n_q, :]
+    conv = np.fft.fft(np.einsum("ikvup,klvup->ilvup", shifted, columns), axis=-1)
+    return np.fft.ifft2(np.einsum("ilvup,vp->ilpu", conv, twist.conj()))
 
 
 def star_product(a, b, psgrid: PhaseSpaceGrid | None = None, hbar: float = 1.0):
     """Noncommutative symbol product replacing the pointwise one.
 
     Polynomial symbols multiply exactly; sampled fields (scalar
-    (n_p, n_q) or matrix (2, 2, n_p, n_q)) use the spectral kernel form
+    (n_p, n_q) or matrix (m, m, n_p, n_q)) use the spectral kernel form
     and require the grid.  In the hbar -> 0 limit the result tends to
     the pointwise (matrix) product.
     """
     if isinstance(a, PolySymbol) and isinstance(b, PolySymbol):
         return _poly_star(a, b, hbar)
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
     if psgrid is None:
         raise GridError("sampled-field star product needs the phase-space grid")
-    if _is_matrix_field(a) or _is_matrix_field(b):
-        if not (_is_matrix_field(a) and _is_matrix_field(b)):
-            raise GridError("matrix symbols multiply with matrix symbols")
-        out = np.zeros_like(a)
-        for i in range(2):
-            for l in range(2):
-                for k in range(2):
-                    out[i, l] += _field_star(a[i, k], b[k, l], psgrid, hbar)
-        return out
-    return _field_star(a, b, psgrid, hbar)
+    a, b, scalar = _symbol_stacks(a, b, psgrid)
+    out = _twisted_convolution(a, b, psgrid, hbar)
+    return out[0, 0] if scalar else out
 
 
 def moyal_bracket(a, b, psgrid: PhaseSpaceGrid | None = None, hbar: float = 1.0):
@@ -234,31 +251,18 @@ def anti_moyal_bracket(a, b, psgrid: PhaseSpaceGrid | None = None, hbar: float =
 
 
 def _spectral_derivative(field: np.ndarray, psgrid: PhaseSpaceGrid, axis: int) -> np.ndarray:
+    """d/dp (axis -2) or d/dq (axis -1) of a stack of sampled fields."""
     lam, kap = _mode_frequencies(psgrid)
-    freq = lam if axis == 0 else kap
-    shape = [1, 1]
-    shape[axis] = -1
-    fr = freq.reshape(shape)
-    return np.fft.ifft(1j * fr * np.fft.fft(field, axis=axis), axis=axis)
+    freq = lam[:, None] if axis == -2 else kap
+    return np.fft.ifft(1j * freq * np.fft.fft(field, axis=axis), axis=axis)
 
 
 def poisson_bracket(a, b, psgrid: PhaseSpaceGrid):
     """dA/dq dB/dp - dA/dp dB/dq with matrix ordering preserved."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if _is_matrix_field(a):
-        out = np.zeros_like(a)
-        for i in range(2):
-            for l in range(2):
-                for k in range(2):
-                    out[i, l] += _spectral_derivative(a[i, k], psgrid, 1) * _spectral_derivative(b[k, l], psgrid, 0)
-                    out[i, l] -= _spectral_derivative(a[i, k], psgrid, 0) * _spectral_derivative(b[k, l], psgrid, 1)
-        return out
-    da_q = _spectral_derivative(a, psgrid, 1)
-    da_p = _spectral_derivative(a, psgrid, 0)
-    db_q = _spectral_derivative(b, psgrid, 1)
-    db_p = _spectral_derivative(b, psgrid, 0)
-    return da_q * db_p - da_p * db_q
+    a, b, scalar = _symbol_stacks(a, b, psgrid)
+    da_q, da_p, db_q, db_p = (_spectral_derivative(x, psgrid, axis) for x in (a, b) for axis in (-1, -2))
+    out = np.einsum("ik...,kl...->il...", da_q, db_p) - np.einsum("ik...,kl...->il...", da_p, db_q)
+    return out[0, 0] if scalar else out
 
 
 @dataclass(frozen=True)

@@ -253,31 +253,22 @@ def branch_vectors(h: OperatorMatrix):
     branch (eta-norm -1, second component real positive).
     """
     m = h.n_modes
-    blocks = _mode_blocks(h)
-    u_plus = np.zeros((2 * m, m), dtype=complex)
-    u_minus = np.zeros((2 * m, m), dtype=complex)
-    energies = np.zeros(m)
-    for j in range(m):
-        w, v = np.linalg.eig(blocks[j])
-        order = np.argsort(w.real)
-        for sgn, col in ((1.0, order[1]), (-1.0, order[0])):
-            vec = v[:, col]
-            norm2 = abs(vec[0]) ** 2 - abs(vec[1]) ** 2
-            if sgn * norm2 <= 0:
-                raise ConditioningError(
-                    f"mode {j}: charge norm of branch eigenvector has wrong sign"
-                )
-            vec = vec / np.sqrt(abs(norm2))
-            anchor = vec[0] if sgn > 0 else vec[1]
-            vec = vec * (abs(anchor) / anchor)
-            if sgn > 0:
-                u_plus[j, j] = vec[0]
-                u_plus[m + j, j] = vec[1]
-                energies[j] = w[col].real
-            else:
-                u_minus[j, j] = vec[0]
-                u_minus[m + j, j] = vec[1]
-    return u_plus, u_minus, energies
+    w, v = np.linalg.eig(_mode_blocks(h))
+    order = np.argsort(w.real, axis=1)
+    idx = np.arange(m)
+    # axes (branch, mode, charge component); branch 0 is +, branch 1 is -
+    vecs = np.stack([v[idx, :, order[:, 1]], v[idx, :, order[:, 0]]])
+    norm2 = np.abs(vecs[..., 0]) ** 2 - np.abs(vecs[..., 1]) ** 2
+    wrong = np.flatnonzero((norm2[0] <= 0) | (norm2[1] >= 0))
+    if wrong.size:
+        raise ConditioningError(f"mode {wrong[0]}: charge norm of branch eigenvector has wrong sign")
+    vecs = vecs / np.sqrt(np.abs(norm2))[..., None]
+    anchor = np.stack([vecs[0, :, 0], vecs[1, :, 1]])
+    vecs = vecs * (np.abs(anchor) / anchor)[..., None]
+    u = np.zeros((2, 2 * m, m), dtype=complex)
+    u[:, idx, idx] = vecs[..., 0]
+    u[:, m + idx, idx] = vecs[..., 1]
+    return u[0], u[1], w[idx, order[:, 1]].real
 
 
 def branch_reduce(op: OperatorMatrix, u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:

@@ -160,6 +160,13 @@ class TestConfigFile:
         assert data["p2"] == 0.0
         assert data["eps"] == 1.0
 
+    def test_flag_with_equals_sign_overrides_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p1=0\np2=1.7320508\n")
+        out = tmp_path / "f.json"
+        assert main(["--config", str(cfg), "factors", "--p2=0", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["p2"] == 0.0
+
     def test_bad_config_line_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("p1 0\n")

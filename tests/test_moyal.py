@@ -121,6 +121,24 @@ class TestFieldStar:
         with pytest.raises(GridError):
             star_product(np.ones((16, 16), dtype=complex), np.ones((16, 16), dtype=complex), smallgrid)
 
+    def test_poly_symbol_with_sampled_field(self, smallgrid):
+        with pytest.raises(GridError):
+            star_product(PolySymbol.q(), band2d(1, 32), smallgrid)
+        with pytest.raises(GridError):
+            star_product(band2d(1, 32), PolySymbol.p(), smallgrid)
+
+    def test_three_by_three_symbols_contract_every_entry(self, smallgrid):
+        a = np.array([[band2d(10 + 3 * i + k, 32) for k in range(3)] for i in range(3)])
+        b = np.array([[band2d(20 + 3 * k + l, 32) for l in range(3)] for k in range(3)])
+        star = star_product(a, b, smallgrid, hbar=0.7)
+        pb = poisson_bracket(a, b, smallgrid)
+        for i in range(3):
+            for l in range(3):
+                want_star = sum(star_product(a[i, k], b[k, l], smallgrid, hbar=0.7) for k in range(3))
+                want_pb = sum(poisson_bracket(a[i, k], b[k, l], smallgrid) for k in range(3))
+                assert np.abs(star[i, l] - want_star).max() < 1e-12 * np.abs(want_star).max()
+                assert np.abs(pb[i, l] - want_pb).max() < 1e-12 * np.abs(want_pb).max()
+
 
 class TestClassicalLimitGap:
     hbars = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]

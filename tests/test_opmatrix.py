@@ -250,6 +250,32 @@ class TestKernelRelation:
         assert rep.odd_deviation < 1e-8
 
 
+def loop_branch_vectors(h):
+    """The per-mode loop that `branch_vectors` replaced, as its reference."""
+    m = h.n_modes
+    blocks = h.mat.reshape(2, m, 2, m)[:, np.arange(m), :, np.arange(m)]
+    u_plus = np.zeros((2 * m, m), dtype=complex)
+    u_minus = np.zeros((2 * m, m), dtype=complex)
+    energies = np.zeros(m)
+    for j in range(m):
+        w, v = np.linalg.eig(blocks[j])
+        order = np.argsort(w.real)
+        for sgn, col in ((1.0, order[1]), (-1.0, order[0])):
+            vec = v[:, col]
+            norm2 = abs(vec[0]) ** 2 - abs(vec[1]) ** 2
+            vec = vec / np.sqrt(abs(norm2))
+            anchor = vec[0] if sgn > 0 else vec[1]
+            vec = vec * (abs(anchor) / anchor)
+            if sgn > 0:
+                u_plus[j, j] = vec[0]
+                u_plus[m + j, j] = vec[1]
+                energies[j] = w[col].real
+            else:
+                u_minus[j, j] = vec[0]
+                u_minus[m + j, j] = vec[1]
+    return u_plus, u_minus, energies
+
+
 class TestBranchVectors:
     def test_eta_normalization_and_energy(self):
         grid = MomentumGrid(32, 5.0)
@@ -262,6 +288,29 @@ class TestBranchVectors:
         assert np.abs(gram_m + np.eye(32)).max() < 1e-12
         assert np.abs(energies - energy(grid.nodes)).max() < 1e-12
         assert np.abs(h.mat @ u_plus - u_plus * energies[None, :]).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            build_hamiltonian(EnergyModel.free(), grid=MomentumGrid(128, 10.0)),
+            build_hamiltonian(EnergyModel.free(), grid=MomentumGrid(256, 10.0)),
+            build_hamiltonian(EnergyModel.landau(1.0), n_levels=64),
+        ],
+        ids=["free-128", "free-256", "landau-64"],
+    )
+    def test_bit_identical_to_per_mode_loop(self, h):
+        for got, want in zip(branch_vectors(h), loop_branch_vectors(h)):
+            assert np.array_equal(got, want)
+
+    def test_wrong_sign_names_first_offending_mode(self):
+        e = energy(MomentumGrid(16, 5.0).nodes)
+        upper, lower = e.copy(), -e
+        # modes 3 and 9 put the positive energy on the second charge component
+        for j in (3, 9):
+            upper[j], lower[j] = lower[j], upper[j]
+        h = OperatorMatrix(np.diag(np.concatenate([upper, lower])).astype(complex), "test:16")
+        with pytest.raises(ConditioningError, match="mode 3:"):
+            branch_vectors(h)
 
 
 class TestCommutator:
