@@ -1,4 +1,6 @@
-"""Batch command-line front end: experiment drivers, CSV/JSON emission.
+"""Batch command-line front end: experiment drivers and the files they write.
+
+The file formats themselves live in `fvps.tables`.
 
 Subcommands wrap the library modules into reproducible runs: identical
 configuration produces bit-identical output (no timestamps, no seeded
@@ -14,8 +16,6 @@ a traceback.
 """
 
 import argparse
-import csv
-import json
 import multiprocessing
 import os
 import sys
@@ -30,6 +30,7 @@ from .pairs import PenaltyTable, penalty_curve
 from .rotator import RotatorModel, modulation_spectrum, orbit_series
 from .spectrum import chi_factor, energy, eps_factor, purity_rhs
 from .states import ChargeBranchState, gaussian_state, rotator_coherent_state
+from .tables import write_csv, write_json
 from .wigner import EPS_RELATIVISTIC, Moments, moments, wigner_even
 
 EXIT_OK = 0
@@ -152,37 +153,25 @@ def run_entangle(sigmas, models=("nonrel", "rel"), jobs: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def _write_provenance(path, command: str, config: dict, tolerances: dict | None = None):
-    blob = {
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "tolerances": tolerances or {},
-    }
-    with open(path, "w") as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _sidecar(path) -> str:
-    return str(path) + ".json"
+def _write_provenance(args, tolerances: dict | None = None, **extra):
+    """Write the `<args.out>.json` sidecar: version, command, resolved config, tolerances."""
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config.update(extra)
+    write_json(
+        str(args.out) + ".json",
+        {"version": __version__, "command": args.command, "config": config, "tolerances": tolerances or {}},
+    )
 
 
 def _write_field_csv(path, w, ps, metadata: dict, matrix: bool = False):
-    with open(path, "w", newline="") as fh:
-        for key, value in metadata.items():
-            fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh)
-        if matrix:
-            # contour-ready: first row q nodes, then one row per p node
-            writer.writerow(["p\\q"] + [repr(float(q)) for q in ps.q_nodes])
-            for i, p in enumerate(ps.p_nodes):
-                writer.writerow([repr(float(p))] + [repr(float(x)) for x in w[i]])
-        else:
-            writer.writerow(["q", "p", "W"])
-            for i, p in enumerate(ps.p_nodes):
-                for j, q in enumerate(ps.q_nodes):
-                    writer.writerow([repr(float(q)), repr(float(p)), repr(float(w[i, j]))])
+    q_nodes = list(map(repr, ps.q_nodes.tolist()))
+    p_nodes = list(map(repr, ps.p_nodes.tolist()))
+    if matrix:
+        # contour-ready: first row q nodes, then one row per p node
+        write_csv(path, metadata, ["p\\q"] + q_nodes, ([p] + row for p, row in zip(p_nodes, w.tolist())))
+    else:
+        rows = ((q, p, x) for p, row in zip(p_nodes, w.tolist()) for q, x in zip(q_nodes, row))
+        write_csv(path, metadata, ["q", "p", "W"], rows)
 
 
 def _moments_dict(m: Moments) -> dict:
@@ -207,11 +196,8 @@ def _cmd_factors(args) -> int:
     print(f"chi        = {out['chi']:.10g}")
     print(f"purity_rhs = {out['purity_rhs']:.10g}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(out, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        cfg = {k: v for k, v in vars(args).items() if k != "func"}
-        _write_provenance(_sidecar(args.out), "factors", cfg)
+        write_json(args.out, out)
+        _write_provenance(args)
     return EXIT_OK
 
 
@@ -234,12 +220,8 @@ def _cmd_wigner(args) -> int:
     }
     _write_field_csv(args.out, w, ps, meta, matrix=args.matrix)
     mdict = _moments_dict(m)
-    with open(args.moments_out or (str(args.out) + ".moments.json"), "w") as fh:
-        json.dump(mdict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["lambda_resolved"] = lam
-    _write_provenance(_sidecar(args.out), "wigner", cfg)
+    write_json(args.moments_out or (str(args.out) + ".moments.json"), mdict)
+    _write_provenance(args, lambda_resolved=lam)
     print(f"var_q = {m.var_q:.6g} (negative: {mdict['var_q_negative']})")
     return EXIT_OK
 
@@ -248,11 +230,8 @@ def _cmd_evolve(args) -> int:
     dev = run_evolve_check(args.lam, args.t, n_points=args.n_points)
     print(f"max |spectral - wavefunction| = {dev:.3e}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"lambda": args.lam, "t": args.t, "deviation": dev}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        cfg = {k: v for k, v in vars(args).items() if k != "func"}
-        _write_provenance(_sidecar(args.out), "evolve", cfg, {"check": args.tol})
+        write_json(args.out, {"lambda": args.lam, "t": args.t, "deviation": dev})
+        _write_provenance(args, {"check": args.tol})
     if args.check and dev > args.tol:
         print(f"FAIL: deviation exceeds {args.tol:g}", file=sys.stderr)
         return EXIT_TOLERANCE
@@ -262,14 +241,9 @@ def _cmd_evolve(args) -> int:
 def _cmd_coherent(args) -> int:
     lams = [float(x) for x in args.lambdas.split(",")]
     rows = run_coherent(lams, p_bar=args.p_bar, t=args.t, jobs=args.jobs)
-    with open(args.out, "w", newline="") as fh:
-        fh.write(f"# p_bar={args.p_bar:g}\n# t={args.t:g}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "m_eff_over_m"])
-        for lam, ratio in rows:
-            writer.writerow([repr(float(lam)), repr(float(ratio))])
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_provenance(_sidecar(args.out), "coherent", cfg)
+    meta = {"p_bar": f"{args.p_bar:g}", "t": f"{args.t:g}"}
+    write_csv(args.out, meta, ["lambda", "m_eff_over_m"], (map(float, row) for row in rows))
+    _write_provenance(args)
     for lam, ratio in rows:
         print(f"lambda={lam:g}: m_eff/m = {ratio:.6g}")
     return EXIT_OK
@@ -277,26 +251,13 @@ def _cmd_coherent(args) -> int:
 
 def _cmd_rotator(args) -> int:
     series, peaks, model = run_rotator(args.b, args.alpha, args.t_max, args.dt, n_max=args.n_max)
-    with open(args.out, "w", newline="") as fh:
-        fh.write(f"# b={args.b:g}\n# alpha={args.alpha:g}\n# omega={model.omega:g}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "r", "x", "y"])
-        for row in series.to_rows():
-            writer.writerow([repr(float(v)) for v in row])
-    peaks_path = args.peaks_out or (str(args.out) + ".peaks.json")
-    with open(peaks_path, "w") as fh:
-        json.dump(
-            {
-                "omega": model.omega,
-                "peaks": [{"frequency": p.frequency, "amplitude": p.amplitude} for p in peaks],
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_provenance(_sidecar(args.out), "rotator", cfg)
+    meta = {"b": f"{args.b:g}", "alpha": f"{args.alpha:g}", "omega": f"{model.omega:g}"}
+    write_csv(args.out, meta, ["t", "r", "x", "y"], (map(float, row) for row in series.to_rows()))
+    write_json(
+        args.peaks_out or (str(args.out) + ".peaks.json"),
+        {"omega": model.omega, "peaks": [{"frequency": p.frequency, "amplitude": p.amplitude} for p in peaks]},
+    )
+    _write_provenance(args)
     if peaks:
         print(f"dominant peak: {peaks[0].frequency:.6g} ({peaks[0].frequency / model.omega:.4g} omega)")
     else:
@@ -308,14 +269,9 @@ def _cmd_entangle(args) -> int:
     sigmas = [float(x) for x in args.sigmas.split(",")]
     models = tuple(args.models.split(","))
     table = run_entangle(sigmas, models, jobs=args.jobs)
-    with open(args.out, "w", newline="") as fh:
-        fh.write(f"# models={','.join(models)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["sigma"] + [f"penalty_{m}" for m in models])
-        for row in table.rows():
-            writer.writerow([repr(float(v)) for v in row])
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_provenance(_sidecar(args.out), "entangle", cfg)
+    header = ["sigma"] + [f"penalty_{m}" for m in models]
+    write_csv(args.out, {"models": ",".join(models)}, header, (map(float, row) for row in table.rows()))
+    _write_provenance(args)
     for row in table.rows():
         print("  ".join(f"{v:.6g}" for v in row))
     return EXIT_OK
@@ -394,6 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Config-file values that turn a switch (a flag without a value) on or off.
+SWITCH_ON = ("1", "true", "yes", "on")
+SWITCH_OFF = ("0", "false", "no", "off")
+
+
 def _load_config_file(path) -> dict:
     values = {}
     with open(path) as fh:
@@ -408,22 +369,53 @@ def _load_config_file(path) -> dict:
     return values
 
 
+def _config_path(argv):
+    """The --config value in argv, given as `--config path` or `--config=path`; None if absent."""
+    for i, arg in enumerate(argv):
+        if arg.startswith("--config="):
+            return arg.partition("=")[2]
+        if arg == "--config" and i + 1 < len(argv):
+            return argv[i + 1]
+    return None
+
+
+def _switches(parser, argv) -> set:
+    """Option strings of the zero-argument actions (store_true and kin) of argv's command."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = next((a for a in argv if a in sub.choices), None)
+    actions = sub.choices[command]._actions if command else []
+    return {flag for action in actions if action.nargs == 0 for flag in action.option_strings}
+
+
+def _config_flags(parser, argv) -> list:
+    """Arguments the --config file adds: one per key whose flag argv does not give."""
+    path = _config_path(argv)
+    if path is None:
+        return []
+    switches = _switches(parser, argv)
+    added = []
+    for key, value in _load_config_file(path).items():
+        flag = "--" + key.replace("_", "-")
+        if any(a == flag or a.startswith(flag + "=") for a in argv):
+            continue
+        if flag not in switches:
+            added += [flag, value]
+        elif value.lower() in SWITCH_ON:
+            added.append(flag)
+        elif value.lower() not in SWITCH_OFF:
+            raise ValueError(f"{key}={value}: {flag} is a switch, give one of {'/'.join(SWITCH_ON + SWITCH_OFF)}")
+    return added
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     # config file supplies any flag not given explicitly; explicit flags win
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            cfg_path = argv[idx + 1]
-            file_values = _load_config_file(cfg_path)
-        except (IndexError, OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        for key, value in file_values.items():
-            flag = "--" + key.replace("_", "-")
-            if not any(a == flag or a.startswith(flag + "=") for a in argv):
-                argv.extend([flag, value])
+    try:
+        argv += _config_flags(parser, argv)
+    except (OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

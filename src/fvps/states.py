@@ -9,8 +9,6 @@ physical (superselected) states carry exactly one branch with charge norm
 charge-off-diagonal components.
 """
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +16,7 @@ import numpy as np
 from .errors import ResolutionError, TruncationError
 from .grids import NATURAL, MomentumGrid, UnitSystem, quadrature
 from .spectrum import EnergyModel, deformation_f
+from .tables import write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class ChargeBranchState:
             total += quadrature(np.abs(self.phi_plus) ** 2, self.grid).real
         if self.phi_minus is not None:
             total -= quadrature(np.abs(self.phi_minus) ** 2, self.grid).real
-        return total
+        return float(total)
 
     @property
     def is_physical(self) -> bool:
@@ -249,17 +248,15 @@ def rotator_coherent_state(
 
 def state_to_csv(state: ChargeBranchState, path, metadata: dict | None = None):
     """Write (p, Re phi, Im phi) rows per populated branch with '#' metadata lines."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# charge_norm={state.charge_norm!r}\n")
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["p", "branch", "re_phi", "im_phi"])
-        for sign, phi in ((+1, state.phi_plus), (-1, state.phi_minus)):
-            if phi is None:
-                continue
-            for p, amp in zip(state.grid.nodes, phi):
-                writer.writerow([repr(float(p)), sign, repr(float(amp.real)), repr(float(amp.imag))])
+    nodes = state.grid.nodes.tolist()
+    rows = (
+        (p, sign, re, im)
+        for sign, phi in ((+1, state.phi_plus), (-1, state.phi_minus))
+        if phi is not None
+        for p, re, im in zip(nodes, phi.real.tolist(), phi.imag.tolist())
+    )
+    meta = {"charge_norm": state.charge_norm, **(metadata or {})}
+    write_csv(path, meta, ["p", "branch", "re_phi", "im_phi"], rows)
 
 
 def state_metadata_json(state: ChargeBranchState, path, extra: dict | None = None):
@@ -277,5 +274,4 @@ def state_metadata_json(state: ChargeBranchState, path, extra: dict | None = Non
         },
     }
     meta.update(extra or {})
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    write_json(path, meta)

@@ -1,9 +1,12 @@
+import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fvps import cli, errors
+from fvps import ChargeBranchState, MomentumGrid, cli, errors, gaussian_state
 from fvps.cli import (
     EXIT_CODES,
     EXIT_CONFIG,
@@ -11,8 +14,14 @@ from fvps.cli import (
     EXIT_TOLERANCE,
     main,
     run_coherent,
+    run_entangle,
     run_factors,
+    run_rotator,
+    run_wigner,
 )
+from fvps.states import state_to_csv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestFactorsCommand:
@@ -175,6 +184,46 @@ class TestConfigFile:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "factors"]) == EXIT_CONFIG
 
+    def test_config_given_with_equals_sign(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p1=0\np2=1.7320508\n")
+        out = tmp_path / "f.json"
+        assert main([f"--config={cfg}", "factors", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["p2"] == 1.7320508
+
+    @pytest.mark.parametrize("value", ["1", "true", "YES", "On"])
+    def test_true_switch_from_file(self, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"lambda=1\nn_points=128\nmatrix={value}\n")
+        out = tmp_path / "w.csv"
+        assert main(["--config", str(cfg), "wigner", "--out", str(out)]) == EXIT_OK
+        header = next(l for l in out.read_text().splitlines() if not l.startswith("#"))
+        assert header.startswith("p\\q,")
+
+    @pytest.mark.parametrize("value", ["0", "false", "No", "OFF"])
+    def test_false_switch_from_file(self, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"lambda=1\nn_points=128\nmatrix={value}\n")
+        out = tmp_path / "w.csv"
+        assert main(["--config", str(cfg), "wigner", "--out", str(out)]) == EXIT_OK
+        header = next(l for l in out.read_text().splitlines() if not l.startswith("#"))
+        assert header == "q,p,W"
+
+    def test_check_switch_from_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("check=1\ntol=1e-18\n")
+        argv = ["--config", str(cfg), "evolve", "--lambda", "2", "--t", "5", "--n-points", "256"]
+        assert main(argv) == EXIT_TOLERANCE
+
+    def test_switch_with_other_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("matrix=maybe\n")
+        argv = ["--config", str(cfg), "wigner", "--lambda", "1", "--out", str(tmp_path / "w.csv")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "matrix" in err
+        assert not (tmp_path / "w.csv").exists()
+
 
 class TestValidationPropagation:
     def test_resolution_error_becomes_exit_2(self, tmp_path, capsys):
@@ -213,3 +262,172 @@ class TestExitCodes:
         code = main(["factors", "--p1", "0", "--p2", "1", "--out", str(tmp_path / "missing" / "f.json")])
         assert code == EXIT_CONFIG
         assert "file error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Byte referee.  These are the csv.writer loops the package wrote its tables
+# with before fvps.tables, copied verbatim; the files the package writes now
+# must match them byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def _reference_field_csv(path, w, ps, metadata: dict, matrix: bool = False):
+    with open(path, "w", newline="") as fh:
+        for key, value in metadata.items():
+            fh.write(f"# {key}={value}\n")
+        writer = csv.writer(fh)
+        if matrix:
+            # contour-ready: first row q nodes, then one row per p node
+            writer.writerow(["p\\q"] + [repr(float(q)) for q in ps.q_nodes])
+            for i, p in enumerate(ps.p_nodes):
+                writer.writerow([repr(float(p))] + [repr(float(x)) for x in w[i]])
+        else:
+            writer.writerow(["q", "p", "W"])
+            for i, p in enumerate(ps.p_nodes):
+                for j, q in enumerate(ps.q_nodes):
+                    writer.writerow([repr(float(q)), repr(float(p)), repr(float(w[i, j]))])
+
+
+def _reference_coherent_csv(path, args, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# p_bar={args.p_bar:g}\n# t={args.t:g}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["lambda", "m_eff_over_m"])
+        for lam, ratio in rows:
+            writer.writerow([repr(float(lam)), repr(float(ratio))])
+
+
+def _reference_rotator_csv(path, args, series, model):
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# b={args.b:g}\n# alpha={args.alpha:g}\n# omega={model.omega:g}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["t", "r", "x", "y"])
+        for row in series.to_rows():
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def _reference_entangle_csv(path, models, table):
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# models={','.join(models)}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["sigma"] + [f"penalty_{m}" for m in models])
+        for row in table.rows():
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def _reference_state_csv(state, path, metadata=None):
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# charge_norm={state.charge_norm!r}\n")
+        for key, value in (metadata or {}).items():
+            fh.write(f"# {key}={value}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["p", "branch", "re_phi", "im_phi"])
+        for sign, phi in ((+1, state.phi_plus), (-1, state.phi_minus)):
+            if phi is None:
+                continue
+            for p, amp in zip(state.grid.nodes, phi):
+                writer.writerow([repr(float(p)), sign, repr(float(amp.real)), repr(float(amp.imag))])
+
+
+class TestByteReferee:
+    @pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
+    @pytest.mark.parametrize("eps_mode", ["relativistic", "unity"])
+    def test_wigner(self, tmp_path, eps_mode, matrix):
+        out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
+        argv = ["wigner", "--lambda", "2", "--n-points", "128", "--eps-mode", eps_mode, "--out", str(out)]
+        assert main(argv + ["--matrix"] * matrix) == EXIT_OK
+        w, ps, _ = run_wigner(2.0, n_points=128, eps_mode=eps_mode)
+        meta = {"lambda": "2", "n_points": 128, "p_max": f"{ps.momentum.p_max:g}", "eps_mode": eps_mode}
+        _reference_field_csv(ref, w, ps, meta, matrix=matrix)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_coherent(self, tmp_path):
+        out, ref = tmp_path / "mass.csv", tmp_path / "ref.csv"
+        argv = ["coherent", "--lambdas", "0.5,2", "--p-bar", "0.03", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        args = cli.build_parser().parse_args(argv)
+        _reference_coherent_csv(ref, args, run_coherent([0.5, 2.0], p_bar=0.03))
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::fvps.errors.ResolutionWarning")
+    def test_rotator(self, tmp_path):
+        out, ref = tmp_path / "orbit.csv", tmp_path / "ref.csv"
+        argv = ["rotator", "--b", "0.5", "--alpha", "2", "--t-max", "40", "--dt", "0.5", "--n-max", "32"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        args = cli.build_parser().parse_args(argv + ["--out", str(out)])
+        series, _, model = run_rotator(0.5, 2.0, 40.0, 0.5, n_max=32)
+        _reference_rotator_csv(ref, args, series, model)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_entangle(self, tmp_path):
+        out, ref = tmp_path / "pen.csv", tmp_path / "ref.csv"
+        assert main(["entangle", "--sigmas", "0.3,1,3", "--models", "rel,nonrel", "--out", str(out)]) == EXIT_OK
+        models = ("rel", "nonrel")
+        _reference_entangle_csv(ref, models, run_entangle([0.3, 1.0, 3.0], models))
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("branches", ["plus", "minus", "both"])
+    def test_state_csv(self, tmp_path, branches):
+        grid = MomentumGrid(64, 7.0)
+        phi = gaussian_state(grid, sigma=1.0, p_bar=0.5).phi_plus
+        state = ChargeBranchState(
+            grid,
+            phi_plus=phi if branches != "minus" else None,
+            phi_minus=0.5 * phi.conj() if branches != "plus" else None,
+        )
+        out, ref = tmp_path / "state.csv", tmp_path / "ref.csv"
+        state_to_csv(state, out, metadata={"sigma": 1.0, "note": "x"})
+        _reference_state_csv(state, ref, metadata={"sigma": 1.0, "note": "x"})
+        # the charge_norm line alone differs: it now holds a plain float
+        assert out.read_bytes().split(b"\n", 1)[1] == ref.read_bytes().split(b"\n", 1)[1]
+
+
+# ---------------------------------------------------------------------------
+# The README's commands run as written.
+# ---------------------------------------------------------------------------
+
+# Files each command writes besides --out; each must be named in the README.
+SIDECARS = {
+    "factors": ["<out>.json"],
+    "wigner": ["<out>.json", ".moments.json"],
+    "evolve": ["<out>.json"],
+    "coherent": ["<out>.json"],
+    "rotator": ["<out>.json", ".peaks.json"],
+    "entangle": ["<out>.json"],
+}
+
+
+def _readme_section(title: str) -> str:
+    text = README.read_text()
+    start = text.index(title) + len(title)
+    end = text.find("\n#", start)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def _readme_commands() -> list:
+    block = _readme_section("## Command line")
+    block = block[block.index("```sh") + len("```sh"):]
+    block = block[: block.index("```")]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("fvps ")]
+
+
+@pytest.mark.filterwarnings("ignore::fvps.errors.ResolutionWarning")
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_runs(tmp_path, argv, capsys):
+    argv = list(argv)
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv[i] = str(tmp_path / argv[i])
+    assert main(argv) == EXIT_OK, capsys.readouterr().err
+    if "--out" in argv:
+        out = argv[argv.index("--out") + 1]
+        for name in SIDECARS[argv[0]]:
+            assert Path(out + name.replace("<out>", "")).exists(), name
+
+
+def test_readme_names_every_sidecar():
+    formats = _readme_section("### File formats")
+    assert {argv[0] for argv in _readme_commands()} == set(SIDECARS)
+    for names in SIDECARS.values():
+        for name in names:
+            assert f"`{name}`" in formats, name

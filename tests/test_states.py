@@ -231,6 +231,21 @@ class TestSerialization:
         assert meta["n_points"] == 64
         assert meta["branches"] == [1]
 
+    def test_charge_norm_header_reads_back_as_a_number(self, tmp_path):
+        st = gaussian_state(MomentumGrid(64, 7.0), sigma=1.0)
+        assert type(st.charge_norm) is float
+        csv_path = tmp_path / "state.csv"
+        state_to_csv(st, csv_path)
+        first = csv_path.read_text().splitlines()[0]
+        key, _, value = first.partition("=")
+        assert key == "# charge_norm"
+        assert float(value) == st.charge_norm
+
+    def test_metadata_json_ends_in_newline(self, tmp_path):
+        json_path = tmp_path / "state.json"
+        state_metadata_json(gaussian_state(MomentumGrid(64, 7.0), sigma=1.0), json_path)
+        assert json_path.read_text().endswith("}\n")
+
     def test_mixed_branch_state_not_physical(self):
         grid = MomentumGrid(64, 7.0)
         st = gaussian_state(grid, sigma=1.0)
