@@ -49,10 +49,8 @@ from .opmatrix import (
     charge_invariant_even,
     charge_metric,
     commutator,
-    dump_matrix,
     even_part,
     kernel_relation_check,
-    load_matrix,
     momentum_kernel,
     newton_wigner_matrix,
     odd_part,

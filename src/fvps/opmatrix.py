@@ -26,7 +26,6 @@ sensible oracle.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConditioningError, GridError, ResolutionError
 from .grids import NATURAL, MomentumGrid, PhaseSpaceGrid, UnitSystem, fourier_pair
@@ -168,7 +167,7 @@ def sign_operator(h: OperatorMatrix) -> OperatorMatrix:
     ConditioningError when an eigenvalue sits within 1e-12 of zero
     relative to the spectral radius.
     """
-    w, v = sla.eig(h.mat)
+    w, v = np.linalg.eig(h.mat)
     scale = np.abs(w).max()
     if np.abs(w.real).min() < 1e-12 * scale:
         raise ConditioningError(
@@ -361,21 +360,3 @@ def newton_wigner_matrix(
     curv = units.hbar * units.c**2 * p / (2.0 * energy(p, units) ** 2)
     mat = np.kron(np.eye(2), q) + 1j * np.kron(TAU1, np.diag(curv))
     return OperatorMatrix(mat, momentum_basis_tag(psgrid.momentum))
-
-
-# ---------------------------------------------------------------------------
-# Debug dumps
-# ---------------------------------------------------------------------------
-
-
-def dump_matrix(op: OperatorMatrix, path):
-    """Raw binary dump: row-major little-endian (re, im) float64 pairs."""
-    with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(op.mat, dtype="<c16").tobytes())
-
-
-def load_matrix(path, size: int, basis: str = "loaded") -> OperatorMatrix:
-    data = np.fromfile(path, dtype="<c16")
-    if data.size != size * size:
-        raise GridError(f"file holds {data.size} entries, expected {size * size}")
-    return OperatorMatrix(data.reshape(size, size), basis)

@@ -286,6 +286,12 @@ def reconstruct_kernel(w: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
     return psgrid.dq * modes[..., j % n_q] * np.exp(1j * psgrid.q_nodes[0] * P / psgrid.hbar)
 
 
+def _span(flags: np.ndarray) -> slice:
+    """Smallest slice holding every True entry of a 1-D mask (empty if none)."""
+    idx = np.flatnonzero(flags)
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+
+
 @dataclass(frozen=True)
 class PurityReport:
     """Outcome of the pure-state criterion on a reconstructed kernel."""
@@ -327,6 +333,11 @@ def purity_check(
     # ln|K| only inside the window: outside it the value never reaches a
     # windowed stencil, and exact zeros would put -inf into the arithmetic
     good = mag > window_floor * peak
+    # a stencil is taken only where every one of its points is in the
+    # window, so all the arithmetic fits in the window's bounding box
+    box = tuple(_span(good.any(axis=other)) for other in (1, 0))
+    r0, c0 = box[0].start, box[1].start
+    K, mag, good = K[box], mag[box], good[box]
     logmag = np.log(mag, out=np.zeros_like(mag), where=good)
 
     def mixed(g, s):
@@ -345,7 +356,13 @@ def purity_check(
     def mixed_phase(s):
         c_part = u[2 * s :, 2 * s : -2 * s] * u[: -2 * s, 2 * s : -2 * s]
         j_part = u[s:-s, 4 * s :] * u[s:-s, : -4 * s]
-        return np.angle(c_part * np.conj(j_part)) / (4.0 * (s * dp) ** 2)
+        # conj(j) * c, in place: with fused multiply-adds a complex product
+        # is not bitwise commutative, and numpy's temporary elision turns
+        # `c * conj(j)` into this order on large arrays only; spelling it
+        # out keeps the result independent of the window's size
+        prod = np.conj(j_part)
+        prod *= c_part
+        return np.angle(prod) / (4.0 * (s * dp) ** 2)
 
     def window_mask(s):
         ok = good[2 * s :, 2 * s : -2 * s] & good[: -2 * s, 2 * s : -2 * s]
@@ -372,8 +389,8 @@ def purity_check(
     rows, cols = np.nonzero(mask)
     n_q = psgrid.n_q
     off = np.arange(-(n_q // 2 - 1), n_q // 2)
-    centre = psgrid.p_nodes[2 * s : -2 * s][rows]
-    half = 0.5 * off[4 * s : -4 * s][cols] * dp
+    centre = psgrid.p_nodes[r0 + 2 * s + rows]
+    half = 0.5 * off[c0 + 4 * s + cols] * dp
     rhs = purity_rhs(centre + half, centre - half, units)
     lhs = lhs[mask]
 

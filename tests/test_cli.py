@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -431,3 +434,12 @@ def test_readme_names_every_sidecar():
     for names in SIDECARS.values():
         for name in names:
             assert f"`{name}`" in formats, name
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is not a runtime dependency: a fresh `fvps` process must not pay its import
+    code = "import sys, fvps.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -11,6 +11,10 @@ The sampled star product is refereed by the per-mode loop it replaced
 (one rolled, phased copy of B per active mode of A, looped over matrix
 entries), and the Poisson bracket by its per-entry loop, to 1e-13 of
 the reference's maximum on full-band random symbols.
+
+The purity criterion, which evaluates its stencils on the bounding box
+of the kernel window only, is refereed by the full-array evaluation it
+replaced: every report field must be bit-identical.
 """
 
 import numpy as np
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 
 from fvps import (
     EPS_UNITY,
+    NATURAL,
     ChargeBranchState,
     MomentumGrid,
     PhaseSpaceGrid,
@@ -31,12 +36,15 @@ from fvps import (
     fourier_pair,
     gaussian_state,
     phase_space_quadrature,
+    purity_check,
+    purity_rhs,
     reconstruct_kernel,
     wigner_even,
     wigner_odd,
 )
 from fvps.cli import packet_grid
 from fvps.moyal import moyal_bracket, poisson_bracket, propagator_phases, star_product
+from fvps.wigner import PurityReport
 
 RTOL = 1e-12
 
@@ -243,3 +251,114 @@ def test_star_product_matches_mode_loop(grid_name, size, hbar):
     assert_close(star_product(a, b, ps, hbar), ab, 1e-13)
     assert_close(moyal_bracket(a, b, ps, hbar), (ab - ba) / (1j * hbar), 1e-13)
     assert_close(poisson_bracket(a, b, ps), loop_poisson(a, b, ps), 1e-13)
+
+
+def full_array_purity_check(w, psgrid, units=NATURAL, window_floor=1e-6):
+    """The stencils evaluated on the full n x n kernel."""
+    K = reconstruct_kernel(w, psgrid)
+    dp = psgrid.dp
+    mag = np.abs(K)
+    peak = mag.max()
+    if peak <= 0:
+        raise ValueError("kernel vanishes identically; log criterion undefined")
+
+    # ln|K| only inside the window: outside it the value never reaches a
+    # windowed stencil, and exact zeros would put -inf into the arithmetic
+    good = mag > window_floor * peak
+    logmag = np.log(mag, out=np.zeros_like(mag), where=good)
+
+    def mixed(g, s):
+        # d^2/dp1dp2 = [D^2 along midpoints (step s dp) - D^2 along offsets
+        # (index step 2s = physical step s dp per momentum)] / (4 (s dp)^2);
+        # the -2 g(center) terms cancel between the two stencils.
+        c_part = g[2 * s :, 2 * s : -2 * s] + g[: -2 * s, 2 * s : -2 * s]
+        j_part = g[s:-s, 4 * s :] + g[s:-s, : -4 * s]
+        return (c_part - j_part) / (4.0 * (s * dp) ** 2)
+
+    # unit phasors of K inside the window: the stencil on arg K becomes the
+    # argument of a product, so no 2 pi branch cut (and no unwrapping
+    # through the noise outside the window) enters the differences
+    u = np.divide(K, mag, out=np.zeros_like(K), where=good)
+
+    def mixed_phase(s):
+        c_part = u[2 * s :, 2 * s : -2 * s] * u[: -2 * s, 2 * s : -2 * s]
+        j_part = u[s:-s, 4 * s :] * u[s:-s, : -4 * s]
+        return np.angle(c_part * np.conj(j_part)) / (4.0 * (s * dp) ** 2)
+
+    def window_mask(s):
+        ok = good[2 * s :, 2 * s : -2 * s] & good[: -2 * s, 2 * s : -2 * s]
+        ok &= good[s:-s, 4 * s :] & good[s:-s, : -4 * s]
+        ok &= good[s:-s, 2 * s : -2 * s]
+        return ok
+
+    s = 2
+    lhs_h = mixed(logmag, s)
+    lhs_2h = mixed(logmag, 2 * s)
+    m_h = window_mask(s)
+    m_2h = window_mask(2 * s)
+    # align the step-s and step-2s stencils on the common interior
+    inner = (slice(s, -s), slice(2 * s, -2 * s))
+    lhs = (4.0 * lhs_h[inner] - lhs_2h) / 3.0
+    mask = m_h[inner] & m_2h
+    if not mask.any():
+        raise ValueError(
+            "kernel magnitude below the window floor everywhere; "
+            "cannot evaluate the log criterion"
+        )
+
+    # the right-hand side is needed on the window only
+    rows, cols = np.nonzero(mask)
+    n_q = psgrid.n_q
+    off = np.arange(-(n_q // 2 - 1), n_q // 2)
+    centre = psgrid.p_nodes[2 * s : -2 * s][rows]
+    half = 0.5 * off[4 * s : -4 * s][cols] * dp
+    rhs = purity_rhs(centre + half, centre - half, units)
+    lhs = lhs[mask]
+
+    phase_curv = np.abs(mixed_phase(s)[inner][mask])
+    return PurityReport(
+        max_deviation=float(np.abs(lhs - rhs).max()),
+        max_lhs=float(np.abs(lhs).max()),
+        max_rhs=float(np.abs(rhs).max()),
+        phase_curvature_max=float(phase_curv.max()),
+        window_points=int(mask.sum()),
+    )
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.5, 2.0, 8.0])
+@pytest.mark.parametrize("n", [256, 512, 1024])
+def test_purity_check_matches_full_array(n, lam):
+    # from n = 256 up numpy's temporary elision evaluates the reference's
+    # `c_part * np.conj(j_part)` as conj(j) * c, the order purity_check
+    # spells out; at n <= 128 it does not, and phase_curvature_max (a
+    # ~1e-10 rounding residue there) differs at ~1e-6 relative
+    ps = PhaseSpaceGrid.conjugate(packet_grid(lam, n_points=n))
+    w = wigner_even(gaussian_state(ps.momentum, lam=lam, q_bar=0.3), +1, ps)
+    assert purity_check(w, ps) == full_array_purity_check(w, ps)
+
+
+@pytest.mark.parametrize("window_floor", [1e-9, 1e-6, 1e-5])
+def test_purity_check_matches_full_array_on_a_window_at_the_edge(window_floor):
+    # a two-packet mixture in non-natural units on the narrowest momentum
+    # window the packets allow: the kernel window reaches the outermost
+    # offset columns (relative magnitude ~4e-5 there)
+    ps = PhaseSpaceGrid.conjugate(MomentumGrid(256, 4.6), hbar=UNITS.hbar)
+    w = sum(
+        wigner_even(gaussian_state(ps.momentum, sigma=1.0, p_bar=p_bar, q_bar=q_bar, units=UNITS), +1, ps)
+        for p_bar, q_bar in ((0.3, 1.0), (-0.3, -1.0))
+    )
+    mag = np.abs(reconstruct_kernel(w, ps))
+    assert (mag[:, [0, -1]] > window_floor * mag.max()).any()
+    assert purity_check(w, ps, UNITS, window_floor) == full_array_purity_check(w, ps, UNITS, window_floor)
+
+
+@pytest.mark.parametrize("window_floor", [0.9999, 1.0, 2.0])
+def test_purity_check_below_window_floor_matches_full_array(window_floor):
+    # a window too small for any stencil, and an empty window
+    ps = PhaseSpaceGrid.conjugate(packet_grid(1.0, n_points=128))
+    w = wigner_even(gaussian_state(ps.momentum, lam=1.0), +1, ps)
+    with pytest.raises(ValueError) as want:
+        full_array_purity_check(w, ps, window_floor=window_floor)
+    with pytest.raises(ValueError) as got:
+        purity_check(w, ps, window_floor=window_floor)
+    assert str(got.value) == str(want.value)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from fvps import (
     ConditioningError,
@@ -14,11 +13,9 @@ from fvps import (
     charge_invariant_even,
     charge_metric,
     commutator,
-    dump_matrix,
     energy,
     even_part,
     kernel_relation_check,
-    load_matrix,
     momentum_kernel,
     newton_wigner_matrix,
     odd_part,
@@ -46,7 +43,7 @@ def _gaussian(grid, p_bar=0.0, q_bar=0.0, s=1.0):
 class TestHamiltonian:
     def test_free_spectrum(self, free_setup):
         grid, _, h, _ = free_setup
-        w = np.sort(sla.eigvals(h.mat).real)
+        w = np.sort(np.linalg.eigvals(h.mat).real)
         expect = np.sort(np.concatenate([energy(grid.nodes), -energy(grid.nodes)]))
         assert np.abs(w - expect).max() < 1e-10
 
@@ -56,7 +53,7 @@ class TestHamiltonian:
 
     def test_magnetic_levels(self):
         h = build_hamiltonian(EnergyModel.landau(1.0), n_levels=64)
-        w = np.sort(sla.eigvals(h.mat).real)
+        w = np.sort(np.linalg.eigvals(h.mat).real)
         pos = w[w > 0][:3]
         assert np.abs(pos - [np.sqrt(2), 2.0, np.sqrt(6)]).max() < 1e-8
 
@@ -65,7 +62,7 @@ class TestHamiltonian:
         # pairs (the transverse zero-point shift is ~b)
         grid = MomentumGrid(32, 4.0)
         h_b0 = build_hamiltonian(EnergyModel.landau(1e-30), n_levels=8, pz_grid=grid)
-        w_b0 = np.sort(sla.eigvals(h_b0.mat).real)
+        w_b0 = np.sort(np.linalg.eigvals(h_b0.mat).real)
         pos = np.unique(np.round(w_b0[w_b0 > 0], 9))
         expect = np.unique(np.round(energy(grid.nodes), 9))
         assert np.abs(pos - expect).max() < 1e-8
@@ -325,18 +322,3 @@ class TestCommutator:
         b = charge_invariant(momentum_kernel(grid), h.basis)
         assert np.abs(commutator(a, b).mat + commutator(b, a).mat).max() < 1e-14
 
-
-class TestBinaryDump:
-    def test_round_trip(self, tmp_path, free_setup):
-        _, _, h, _ = free_setup
-        path = tmp_path / "h.bin"
-        dump_matrix(h, path)
-        back = load_matrix(path, h.mat.shape[0], h.basis)
-        assert np.array_equal(back.mat, h.mat)
-
-    def test_layout_is_interleaved_float64(self, tmp_path):
-        op = OperatorMatrix(np.array([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]]), "t:1")
-        path = tmp_path / "m.bin"
-        dump_matrix(op, path)
-        raw = np.fromfile(path, dtype="<f8")
-        assert raw.tolist() == [1, 2, 3, 4, 5, 6, 7, 8]

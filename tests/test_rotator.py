@@ -1,8 +1,8 @@
+import importlib.util
 import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from fvps import (
     GridError,
@@ -15,6 +15,7 @@ from fvps import (
     branch_vectors,
     build_hamiltonian,
     charge_invariant,
+    charge_invariant_even,
     cli,
     commutator,
     deformation_f,
@@ -47,13 +48,19 @@ def _oracle_ladder(model):
     )
 
 
-def _oracle_coupling(model):
-    """Max-entry norm of [A_even, Z_even] with both even parts taken by the dense oracle."""
+def _coupling_kernels(model):
+    """Joint Hamiltonian and the bare ladder and longitudinal position kernels on (level x p_z)."""
     h = build_hamiltonian(model.energy_model, n_levels=model.n_max, pz_grid=model.pz_grid)
-    lam = sign_operator(h)
     z_pz = position_kernel(PhaseSpaceGrid.conjugate(model.pz_grid, model.units.hbar))
     a_mode = np.kron(np.diag(np.sqrt(np.arange(1, model.n_max)), 1), np.eye(model.pz_grid.n_points))
     z_mode = np.kron(np.eye(model.n_max), z_pz)
+    return h, a_mode, z_mode
+
+
+def _oracle_coupling(model):
+    """Max-entry norm of [A_even, Z_even] with both even parts taken by the dense oracle."""
+    h, a_mode, z_mode = _coupling_kernels(model)
+    lam = sign_operator(h)
     a_even = even_part(charge_invariant(a_mode, h.basis), lam)
     z_even = even_part(charge_invariant(z_mode, h.basis), lam)
     return float(np.abs(commutator(a_even, z_even).mat).max())
@@ -253,6 +260,26 @@ class TestTranslationalCoupling:
         with pytest.raises(GridError):
             translational_coupling(RotatorModel(b=1.0, n_max=8))
 
+    @pytest.mark.parametrize("b", [1e-8, 0.5, 1.0])
+    def test_even_parts_have_exact_charge_block_form(self, b):
+        # the half-size commutators rest on [[P, Q], [Q, P]] holding bit for bit
+        h, a_mode, z_mode = _coupling_kernels(RotatorModel(b=b, n_max=16, pz_grid=self.pz))
+        m = h.n_modes
+        for kernel in (a_mode, z_mode):
+            even = charge_invariant_even(kernel, h).mat
+            assert np.array_equal(even[m:, m:], even[:m, :m])
+            assert np.array_equal(even[m:, :m], even[:m, m:])
+
+    @pytest.mark.parametrize("b", [1e-8, 0.5, 1.0])
+    def test_matches_full_size_commutator(self, b):
+        # criterion-9 size (joint dimension 1024); at b = 1e-8 the norm is a
+        # cancellation residue of ~7e-9, so the absolute floor sets the bound there
+        model = RotatorModel(b=b, n_max=16, pz_grid=self.pz)
+        h, a_mode, z_mode = _coupling_kernels(model)
+        full = commutator(charge_invariant_even(a_mode, h), charge_invariant_even(z_mode, h))
+        dense = float(np.abs(full.mat).max())
+        assert translational_coupling(model) == pytest.approx(dense, rel=1e-12, abs=1e-15)
+
 
 class TestClosedFormsAgainstOracle:
     @pytest.mark.parametrize("n_max", [32, 256])
@@ -281,14 +308,17 @@ class TestClosedFormsAgainstOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("dense oracle called on a production path")
 
-        for module, name in [
+        targets = [
             (opmatrix, "sign_operator"),
             (rotator, "sign_operator"),
             (np.linalg, "eig"),
             (np.linalg, "inv"),
-            (scipy.linalg, "eig"),
-            (scipy.linalg, "inv"),
-        ]:
+        ]
+        if importlib.util.find_spec("scipy") is not None:
+            import scipy.linalg
+
+            targets += [(scipy.linalg, "eig"), (scipy.linalg, "inv")]
+        for module, name in targets:
             monkeypatch.setattr(module, name, refuse)
         model = RotatorModel(b=0.5, n_max=32, pz_grid=MomentumGrid(8, 4.0))
         even_ladder(model)
