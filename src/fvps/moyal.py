@@ -32,7 +32,9 @@ kappa evolves by a pure phase,
     odd fields:   exp(-(i/hbar) [E(p + hbar kappa/2) + E(p - hbar kappa/2)] t)
 
 which is exact for arbitrary dispersion E(p) -- the relativistic square
-root with its unbounded derivative order included.  The anti-Moyal
+root with its unbounded derivative order included.  The even phase of
+mode -kappa is the conjugate of that of mode kappa, so a real even field
+evolves through a real FFT along q.  The anti-Moyal
 bracket is normalized as the plain symmetrized product
 [A, B] = (A*B + B*A)/2; with that convention the odd-field equation of
 motion reads dW/dt = -(2i/hbar) [E, W].
@@ -303,7 +305,7 @@ def classical_limit_gap(a, b, psgrid: PhaseSpaceGrid, hbars) -> ClassicalLimitRe
 # ---------------------------------------------------------------------------
 
 
-def _shifted_energies(energy_fn, psgrid: PhaseSpaceGrid):
+def _shifted_energies(energy_fn, psgrid: PhaseSpaceGrid, n_modes: int | None = None):
     """E on the half-step lattice, and where p +- hbar kappa/2 sit in it.
 
     On a conjugate grid hbar kappa_m / 2 = m dp / 2 for the FFT mode index
@@ -311,11 +313,12 @@ def _shifted_energies(energy_fn, psgrid: PhaseSpaceGrid):
     momentum is a lattice node, and E is evaluated once per node instead
     of on 2 n_p n_q pairs.  Returns (e, plus, minus) with
     e[plus] = E(p + hbar kappa/2) and e[minus] = E(p - hbar kappa/2) as
-    (n_p, n_q) arrays.
+    (n_p, n_modes) arrays over the first n_modes FFT-ordered modes (all
+    n_q by default).
     """
     psgrid.require_conjugate()
     n_p, n_q = psgrid.momentum.n_points, psgrid.n_q
-    m = np.fft.ifftshift(np.arange(-(n_q // 2), n_q // 2))  # fftfreq order
+    m = np.fft.ifftshift(np.arange(-(n_q // 2), n_q // 2))[:n_modes]  # fftfreq order
     centre = 2 * np.arange(n_p)[:, None] + n_q // 2
     lattice = psgrid.p_nodes[0] + 0.5 * psgrid.dp * (np.arange(2 * n_p + n_q) - n_q // 2)
     return energy_fn(lattice), centre + m, centre - m
@@ -340,13 +343,34 @@ def propagator_phases(energy_fn, t: float, psgrid: PhaseSpaceGrid, parity: str =
 
 
 def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> np.ndarray:
-    """Evolve a charge-diagonal field: exact, unitary, composes additively in t."""
-    psgrid.require_conjugate()
+    """Evolve a real charge-diagonal (n_p, n_q) field by the exact mode phases.
+
+    The field is real, so its position-axis spectrum is Hermitian and the
+    even phase of mode -kappa is the conjugate of that of mode kappa: one
+    real FFT along q, the phases on its n_q/2 + 1 columns, and the inverse
+    real FFT give the field.  A complex field raises ValueError (a
+    cross-branch field evolves with `evolve_odd`).
+
+    Exact, unitary and additive in t for fields without weight in the
+    unpaired Nyquist column (kappa = -pi/dq).  That column has no partner
+    mode, so the real inverse keeps only the real part of its phase and
+    scales it by cos(omega t), which neither preserves its norm nor
+    composes.  A random real 64 x 64 field (p_max 8) evolved by 2 and
+    then by 3 misses the field evolved by 5 by 0.42 at a maximum of 3.9,
+    and by 1e-14 with its Nyquist column zeroed.  A packet on the window
+    9 hbar/sigma + |p_bar| + 0.5 keeps ~1e-9 of its spectrum there and
+    composes to ~4e-11 of its maximum; at 12 hbar/sigma the column is at
+    roundoff.
+    """
     w = np.asarray(w)
-    wk = np.fft.fft(w, axis=1)
-    wk *= propagator_phases(energy_fn, t, psgrid, "even")
-    out = np.fft.ifft(wk, axis=1)
-    return out.real if np.isrealobj(w) else out
+    if np.iscomplexobj(w):
+        raise ValueError("evolve_even takes a real charge-diagonal field; "
+                         "evolve a complex (cross-branch) field with evolve_odd")
+    e, plus, minus = _shifted_energies(energy_fn, psgrid, psgrid.n_q // 2 + 1)
+    z = np.exp(-1j * e * t / psgrid.hbar)
+    wk = np.fft.rfft(w, axis=1)
+    wk *= z[plus] * np.conj(z[minus])
+    return np.fft.irfft(wk, psgrid.n_q, axis=1)
 
 
 def evolve_odd(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> np.ndarray:

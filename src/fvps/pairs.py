@@ -13,8 +13,9 @@ localized near the Compton length.
 
 Energies are per-pair, rest energy subtracted, computed by momentum-space
 quadrature of the exchange-projected single-particle brackets.  The
-coincident-center fermi case uses the orthogonalized (Gram-Schmidt)
-limit analytically instead of dividing vanishing norms.
+fermi pair is expanded in the orthogonal sum and difference orbitals,
+whose energies never divide vanishing norms, so nearly and exactly
+coincident centers need no special case.
 """
 
 from dataclasses import dataclass
@@ -24,8 +25,6 @@ import numpy as np
 from .grids import NATURAL, MomentumGrid, UnitSystem, quadrature
 from .spectrum import energy
 from .states import displaced_number_state
-
-_COINCIDENT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,33 +73,37 @@ def _mode_kinetic(n: int, model: str, sigma: float, units: UnitSystem) -> float:
 def pair_energy(pair: PairState, model: str = "rel", units: UnitSystem = NATURAL) -> float:
     """Mean kinetic energy of the (anti)symmetrized pair, rest energy removed.
 
-    E_+- = [T_11 + T_22 +- 2 Re(s* T_12)] / (1 +- |s|^2) with s the
-    orbital overlap; exchange-symmetric by construction, and equal to
-    twice the single-packet energy once the packets separate.  Fermi
-    statistics with coincident centers switches to the orthogonalized
-    limit T_0 + T_1 over the local harmonic modes.
+    Bosons: E = [T_11 + T_22 + 2 Re(s* T_12)] / (1 + |s|^2) with s the
+    orbital overlap.  Fermions: the same Slater determinant is built from
+    the orthogonal pair psi_+ = base cos(d p / 2 hbar) and
+    psi_- = base p sinc(d p / 2 pi hbar) -- the sum and the difference of
+    the two orbitals, without their common centre phase and with the
+    difference divided by d / 2 hbar -- so E = sum over +- of
+    <psi|T|psi> / <psi|psi>.  This equals
+    [T_11 + T_22 - 2 Re(s* T_12)] / (1 - |s|^2) but has no 0/0 as d -> 0,
+    is even in d (so exactly exchange-symmetric), and at d = 0 is the
+    orthogonalized limit T_0 + T_1 over the local harmonic modes.  Both
+    tend to twice the single-packet energy once the packets separate.
     """
-    d = pair.separation
-    if pair.statistics == "fermi" and d < _COINCIDENT * pair.sigma:
-        return _mode_kinetic(0, model, pair.sigma, units) + _mode_kinetic(
-            1, model, pair.sigma, units
-        )
     grid = _pair_grid(pair.sigma, units)
     p = grid.nodes
     base = np.exp(-(pair.sigma**2) * p**2 / (2.0 * units.hbar**2))
+    T = _kinetic(p, model, units)
+    if pair.statistics == "fermi":
+        half = pair.separation * p / (2.0 * units.hbar)
+        total = 0.0
+        for psi in (base * np.cos(half), base * p * np.sinc(half / np.pi)):
+            density = psi**2
+            total += quadrature(T * density, grid).real / quadrature(density, grid).real
+        return float(total)
     base = base / np.sqrt(quadrature(np.abs(base) ** 2, grid).real)
     phi1 = base * np.exp(-1j * pair.q1 * p / units.hbar)
     phi2 = base * np.exp(-1j * pair.q2 * p / units.hbar)
-    T = _kinetic(p, model, units)
     t11 = quadrature(T * np.abs(phi1) ** 2, grid).real
     t22 = quadrature(T * np.abs(phi2) ** 2, grid).real
     t12 = quadrature(T * np.conj(phi1) * phi2, grid)
     s = quadrature(np.conj(phi1) * phi2, grid)
-    sign = 1.0 if pair.statistics == "bose" else -1.0
-    overlap2 = abs(s) ** 2
-    return float(
-        (t11 + t22 + sign * 2.0 * (np.conj(s) * t12).real) / (1.0 + sign * overlap2)
-    )
+    return float((t11 + t22 + 2.0 * (np.conj(s) * t12).real) / (1.0 + abs(s) ** 2))
 
 
 def correlation_energy(pair: PairState, model: str = "rel", units: UnitSystem = NATURAL) -> float:

@@ -220,6 +220,16 @@ def wigner_components(
     )
 
 
+def _field(w, psgrid: PhaseSpaceGrid) -> np.ndarray:
+    """`w` as an (n_p, n_q) array; WignerComponents give their total even part."""
+    if isinstance(w, WignerComponents):
+        w = w.even_total
+    w = np.asarray(w)
+    if w.shape != (psgrid.momentum.n_points, psgrid.n_q):
+        raise GridError(f"field shape {w.shape} does not match grid")
+    return w
+
+
 def expectation(symbol, w, psgrid: PhaseSpaceGrid):
     """Mean of a phase-space symbol: integral A(p, q) W(p, q) dp dq.
 
@@ -227,14 +237,10 @@ def expectation(symbol, w, psgrid: PhaseSpaceGrid):
     broadcast over the grid; `w` is a field or WignerComponents (whose
     total even part is used).
     """
-    if isinstance(w, WignerComponents):
-        w = w.even_total
-    w = np.asarray(w)
+    w = _field(w, psgrid)
     if callable(symbol):
         symbol = symbol(psgrid.p_nodes[:, None], psgrid.q_nodes[None, :])
     symbol = np.broadcast_to(np.asarray(symbol), w.shape)
-    if w.shape != (psgrid.momentum.n_points, psgrid.n_q):
-        raise GridError(f"field shape {w.shape} does not match grid")
     return phase_space_quadrature(symbol * w, psgrid)
 
 
@@ -252,12 +258,22 @@ class Moments:
 
 
 def moments(w, psgrid: PhaseSpaceGrid) -> Moments:
-    """First and second phase-space moments; variances reported unclipped."""
-    norm = expectation(1.0, w, psgrid).real
-    mean_q = expectation(lambda p, q: q, w, psgrid).real / norm
-    mean_p = expectation(lambda p, q: p, w, psgrid).real / norm
-    var_q = expectation(lambda p, q: q**2, w, psgrid).real / norm - mean_q**2
-    var_p = expectation(lambda p, q: p**2, w, psgrid).real / norm - mean_p**2
+    """First and second phase-space moments; variances reported unclipped.
+
+    Each of these symbols depends on q or on p alone, so the moments
+    come from the field's two marginals by length-n dot products; the
+    quadrature weight dp dq cancels in each ratio to the norm.  `w` is
+    a field or WignerComponents, as in `expectation`.
+    """
+    w = _field(w, psgrid)
+    p_marginal = w.sum(axis=1)
+    q_marginal = w.sum(axis=0)
+    p, q = psgrid.p_nodes, psgrid.q_nodes
+    norm = p_marginal.sum().real
+    mean_q = (q_marginal @ q).real / norm
+    mean_p = (p_marginal @ p).real / norm
+    var_q = (q_marginal @ q**2).real / norm - mean_q**2
+    var_p = (p_marginal @ p**2).real / norm - mean_p**2
     return Moments(mean_q=mean_q, mean_p=mean_p, var_q=var_q, var_p=var_p)
 
 
@@ -274,16 +290,27 @@ def reconstruct_kernel(w: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
     and are only trustworthy when the correlation support fits the
     window.  The sum over q is an inverse FFT: exp(i q_m P_j / hbar) is
     exp(i q_0 P_j / hbar) times a length-n_q root of unity.
+
+    `w` is a real even field (a complex one raises ValueError), so the
+    half spectrum r of its real FFT along q holds the whole band: the
+    inverse transform's mode j is conj(r[j]) for j >= 0 and r[-j] for
+    j < 0.
     """
     psgrid.require_conjugate()
     n_q = psgrid.n_q
-    w = np.asarray(w, dtype=complex)
+    w = np.asarray(w)
+    if np.iscomplexobj(w):
+        raise ValueError("reconstruct_kernel takes a real even field")
     if w.shape[-1] != n_q:
         raise GridError(f"field has {w.shape[-1]} position samples, grid has {n_q}")
-    j = np.arange(-(n_q // 2 - 1), n_q // 2)
+    half = n_q // 2
+    j = np.arange(-(half - 1), half)
     P = j * psgrid.dp
-    modes = n_q * np.fft.ifft(w, axis=-1)
-    return psgrid.dq * modes[..., j % n_q] * np.exp(1j * psgrid.q_nodes[0] * P / psgrid.hbar)
+    r = np.fft.rfft(w, axis=-1)
+    modes = np.concatenate([r[..., half - 1 : 0 : -1], np.conj(r[..., :half])], axis=-1)
+    modes *= psgrid.dq
+    modes *= np.exp(1j * psgrid.q_nodes[0] * P / psgrid.hbar)
+    return modes
 
 
 def _span(flags: np.ndarray) -> slice:

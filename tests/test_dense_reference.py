@@ -15,6 +15,12 @@ the reference's maximum on full-band random symbols.
 The purity criterion, which evaluates its stencils on the bounding box
 of the kernel window only, is refereed by the full-array evaluation it
 replaced: every report field must be bit-identical.
+
+Even-field evolution, which runs a real FFT over the n/2 + 1 independent
+modes, is refereed by the full complex-FFT propagation it replaced, to
+1e-14 of the field's maximum; `moments`, which works from the two
+marginals, by the five `expectation` integrals it replaced, to 1e-12
+relative or 1e-12 of the grid window's scale.
 """
 
 import numpy as np
@@ -32,19 +38,23 @@ from fvps import (
     chi_factor,
     energy,
     eps_factor,
+    evolve_even,
+    expectation,
     fine_amplitude,
     fourier_pair,
     gaussian_state,
+    moments,
     phase_space_quadrature,
     purity_check,
     purity_rhs,
     reconstruct_kernel,
+    wigner_components,
     wigner_even,
     wigner_odd,
 )
 from fvps.cli import packet_grid
 from fvps.moyal import moyal_bracket, poisson_bracket, propagator_phases, star_product
-from fvps.wigner import PurityReport
+from fvps.wigner import Moments, PurityReport
 
 RTOL = 1e-12
 
@@ -152,6 +162,63 @@ class TestAgainstDenseQuadrature:
         for energy_fn in (lambda p: energy(p, units), lambda p: p**2 / (2 * units.m)):
             want = dense_phases(energy_fn, 2.5, ps, parity)
             assert_close(propagator_phases(energy_fn, 2.5, ps, parity), want)
+
+
+def complex_fft_evolve_even(w, energy_fn, t, psgrid):
+    """Complex FFT along q over all n_q modes; the real part for a real field."""
+    psgrid.require_conjugate()
+    w = np.asarray(w)
+    wk = np.fft.fft(w, axis=1)
+    wk *= propagator_phases(energy_fn, t, psgrid, "even")
+    out = np.fft.ifft(wk, axis=1)
+    return out.real if np.isrealobj(w) else out
+
+
+def expectation_moments(w, psgrid):
+    """One full-field `expectation` integral per moment and one for the norm."""
+    norm = expectation(1.0, w, psgrid).real
+    mean_q = expectation(lambda p, q: q, w, psgrid).real / norm
+    mean_p = expectation(lambda p, q: p, w, psgrid).real / norm
+    var_q = expectation(lambda p, q: q**2, w, psgrid).real / norm - mean_q**2
+    var_p = expectation(lambda p, q: p**2, w, psgrid).real / norm - mean_p**2
+    return Moments(mean_q=mean_q, mean_p=mean_p, var_q=var_q, var_p=var_p)
+
+
+class TestAgainstComplexFFT:
+    @pytest.mark.parametrize("eps_mode", ["relativistic", EPS_UNITY])
+    @pytest.mark.parametrize("t", [-2.5, 0.7, 5.0])
+    def test_evolve_even(self, case, eps_mode, t):
+        ps, state, _, units = case
+        w = wigner_even(state, +1, ps, eps_mode)
+        energy_fn = lambda p: energy(p, units)
+        assert_close(evolve_even(w, energy_fn, t, ps), complex_fft_evolve_even(w, energy_fn, t, ps), 1e-14)
+
+    @pytest.mark.parametrize("lam, p_bar, q_bar", [(0.5, 0.3, -1.2), (2.0, -0.4, 0.7), (8.0, 0.2, 0.1)])
+    def test_moments(self, lam, p_bar, q_bar):
+        ps = PhaseSpaceGrid.conjugate(packet_grid(lam, p_bar, n_points=256))
+        w = wigner_even(gaussian_state(ps.momentum, lam=lam, p_bar=p_bar, q_bar=q_bar), +1, ps)
+        got, want = moments(w, ps), expectation_moments(w, ps)
+        scale = {"mean_q": ps.q_max, "var_q": ps.q_max**2,
+                 "mean_p": ps.momentum.p_max, "var_p": ps.momentum.p_max**2}
+        for name, size in scale.items():
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-12 * size)
+        if lam == 8.0:
+            assert want.var_q < 0
+
+    def test_moments_of_components_use_the_even_total(self, case):
+        ps, _, mixed, _ = case
+        comps = wigner_components(mixed, ps)
+        assert moments(comps, ps) == moments(comps.even_total, ps)
+
+
+@pytest.mark.parametrize("transform, message", [
+    (lambda w, ps: evolve_even(w, energy, 1.0, ps), "evolve_odd"),
+    (lambda w, ps: reconstruct_kernel(w, ps), "real even field"),
+], ids=["evolve_even", "reconstruct_kernel"])
+def test_complex_field_is_rejected(case, transform, message):
+    ps, state, _, _ = case
+    with pytest.raises(ValueError, match=message):
+        transform(wigner_even(state, +1, ps).astype(complex), ps)
 
 
 # packet_grid at n = 128 resolves the packet (dp < hbar / 4 sigma) for

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvps import (
     ChargeBranchState,
@@ -234,6 +236,54 @@ class TestEvolveEven:
             ChargeBranchState(grid, phi_plus=phi_t), +1, ps, eps_mode=EPS_UNITY
         )
         assert np.abs(w_t - w_wave).max() < 1e-8
+
+
+    def test_composition_on_a_random_field_without_nyquist_column(self):
+        # only the unpaired Nyquist column (kappa = -pi/dq) breaks the
+        # group law; with it removed any real field composes
+        ps = PhaseSpaceGrid.conjugate(MomentumGrid(64, 8.0))
+        w0 = np.random.default_rng(0).normal(size=(64, 64))
+        w0 = np.fft.irfft(np.fft.rfft(w0, axis=1)[:, :32], 64, axis=1)
+        w_ab = evolve_even(evolve_even(w0, energy, 2.0, ps), energy, 3.0, ps)
+        assert np.abs(w_ab - evolve_even(w0, energy, 5.0, ps)).max() <= 1e-13 * np.abs(w0).max()
+
+
+# a momentum window of 12 hbar / sigma + |p_bar| + 0.5 leaves the Nyquist
+# column at roundoff (packet_grid's 9 hbar / sigma leaves ~1e-9 of the
+# spectrum there, and composition then holds to ~4e-11 of max |W|); at
+# n = 256 it resolves the packet (dp < hbar / 4 sigma) for lam > 0.05
+packets = dict(lam=st.floats(0.15, 8.0), p_bar=st.floats(-0.5, 0.5), q_bar=st.floats(-1.0, 1.0))
+times = st.floats(-5.0, 5.0)
+
+
+def resolved_packet(lam, p_bar, q_bar):
+    ps = PhaseSpaceGrid.conjugate(MomentumGrid(256, 12.0 * lam + abs(p_bar) + 0.5))
+    return ps, wigner_even(gaussian_state(ps.momentum, lam=lam, p_bar=p_bar, q_bar=q_bar), +1, ps)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(t1=times, t2=times, **packets)
+def test_evolution_composes_in_t(lam, p_bar, q_bar, t1, t2):
+    ps, w0 = resolved_packet(lam, p_bar, q_bar)
+    w_ab = evolve_even(evolve_even(w0, energy, t1, ps), energy, t2, ps)
+    assert np.abs(w_ab - evolve_even(w0, energy, t1 + t2, ps)).max() <= 1e-12 * np.abs(w0).max()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(t=times, **packets)
+def test_evolution_reverses(lam, p_bar, q_bar, t):
+    ps, w0 = resolved_packet(lam, p_bar, q_bar)
+    back = evolve_even(evolve_even(w0, energy, t, ps), energy, -t, ps)
+    assert np.abs(back - w0).max() <= 1e-12 * np.abs(w0).max()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(t=times, **packets)
+def test_evolution_conserves_norm_and_mean_momentum(lam, p_bar, q_bar, t):
+    ps, w0 = resolved_packet(lam, p_bar, q_bar)
+    w_t = evolve_even(w0, energy, t, ps)
+    assert phase_space_quadrature(w_t, ps).real == pytest.approx(phase_space_quadrature(w0, ps).real, abs=1e-12)
+    assert moments(w_t, ps).mean_p == pytest.approx(moments(w0, ps).mean_p, abs=1e-12 * ps.momentum.p_max)
 
 
 class TestEvolveOdd:
