@@ -16,10 +16,7 @@ a traceback.
 """
 
 import argparse
-import multiprocessing
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -65,6 +62,8 @@ def run_factors(p1: float, p2: float) -> dict:
 
 def packet_grid(lam: float, p_bar: float = 0.0, n_points: int = 512) -> MomentumGrid:
     """Momentum window wide enough for spectral round trips of a lam-packet."""
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
     sigma = 1.0 / lam
     p_max = 9.0 / sigma + abs(p_bar) + 0.5
     return MomentumGrid(n_points, p_max)
@@ -101,6 +100,8 @@ def effective_mass_ratio(lam: float, p_bar: float = 0.02, t: float = 2.0,
     relativistic momenta into the velocity average no matter how small
     p_bar is, so the ratio grows with lam even at crawling speeds.
     """
+    if not 0.0 < abs(t) < np.inf:
+        raise ValueError(f"t must be finite and nonzero, got {t}")
     grid = packet_grid(lam, p_bar, n_points)
     ps = PhaseSpaceGrid.conjugate(grid)
     state = gaussian_state(grid, lam=lam, p_bar=p_bar)
@@ -110,22 +111,8 @@ def effective_mass_ratio(lam: float, p_bar: float = 0.02, t: float = 2.0,
     return p_bar / drift
 
 
-def _pool_map(fn, *iterables, jobs: int = 1) -> list:
-    """list(map(fn, *iterables)), over `jobs` spawned worker processes if jobs > 1.
-
-    fn must be a module-level function: the pool pickles it by name.
-    """
-    if jobs <= 1:
-        return list(map(fn, *iterables))
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-        return list(pool.map(fn, *iterables))
-
-
-def run_coherent(lams, p_bar: float = 0.02, t: float = 2.0, jobs: int = 1):
-    lams = list(lams)
-    ratios = _pool_map(effective_mass_ratio, lams, [p_bar] * len(lams), [t] * len(lams), jobs=jobs)
-    return list(zip(lams, ratios))
+def run_coherent(lams, p_bar: float = 0.02, t: float = 2.0):
+    return [(lam, effective_mass_ratio(lam, p_bar, t)) for lam in lams]
 
 
 def run_rotator(b: float, alpha: float, t_max: float, dt: float, n_max: int = 64):
@@ -136,16 +123,8 @@ def run_rotator(b: float, alpha: float, t_max: float, dt: float, n_max: int = 64
     return series, peaks, model
 
 
-def _penalty_row(sigma: float, models) -> tuple:
-    """(sigma, penalty per model): one row of penalty_curve."""
-    return next(penalty_curve([sigma], models).rows())
-
-
-def run_entangle(sigmas, models=("nonrel", "rel"), jobs: int = 1):
-    # rows are independent per sigma, so they fan out over the pool
-    sigmas = list(sigmas)
-    rows = _pool_map(_penalty_row, sigmas, [models] * len(sigmas), jobs=jobs)
-    return PenaltyTable.from_rows(models, rows)
+def run_entangle(sigmas, models=("nonrel", "rel")) -> PenaltyTable:
+    return penalty_curve(sigmas, models)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +219,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_coherent(args) -> int:
     lams = [float(x) for x in args.lambdas.split(",")]
-    rows = run_coherent(lams, p_bar=args.p_bar, t=args.t, jobs=args.jobs)
+    rows = run_coherent(lams, p_bar=args.p_bar, t=args.t)
     meta = {"p_bar": f"{args.p_bar:g}", "t": f"{args.t:g}"}
     write_csv(args.out, meta, ["lambda", "m_eff_over_m"], (map(float, row) for row in rows))
     _write_provenance(args)
@@ -268,7 +247,7 @@ def _cmd_rotator(args) -> int:
 def _cmd_entangle(args) -> int:
     sigmas = [float(x) for x in args.sigmas.split(",")]
     models = tuple(args.models.split(","))
-    table = run_entangle(sigmas, models, jobs=args.jobs)
+    table = run_entangle(sigmas, models)
     header = ["sigma"] + [f"penalty_{m}" for m in models]
     write_csv(args.out, {"models": ",".join(models)}, header, (map(float, row) for row in table.rows()))
     _write_provenance(args)
@@ -280,13 +259,6 @@ def _cmd_entangle(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument plumbing
 # ---------------------------------------------------------------------------
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("FVPS_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--lambdas", default="0.05,0.5,1,2,4")
     c.add_argument("--p-bar", type=float, default=0.02)
     c.add_argument("--t", type=float, default=2.0)
-    c.add_argument("--jobs", type=int, default=_default_jobs())
     c.add_argument("--out", required=True)
     c.set_defaults(func=_cmd_coherent)
 
@@ -343,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     n = sub.add_parser("entangle", help="Fermi overlap-penalty table")
     n.add_argument("--sigmas", "--sigma", dest="sigmas", default="1.0")
     n.add_argument("--models", default="nonrel,rel")
-    n.add_argument("--jobs", type=int, default=_default_jobs())
     n.add_argument("--out", required=True)
     n.set_defaults(func=_cmd_entangle)
 

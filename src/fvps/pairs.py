@@ -129,14 +129,6 @@ class PenaltyTable:
     models: tuple
     columns: dict
 
-    @classmethod
-    def from_rows(cls, models, rows) -> "PenaltyTable":
-        """Inverse of `rows`: each row is (sigma, penalty per model)."""
-        rows = list(rows)
-        models = tuple(models)
-        columns = {m: tuple(r[i + 1] for r in rows) for i, m in enumerate(models)}
-        return cls(sigmas=tuple(r[0] for r in rows), models=models, columns=columns)
-
     def rows(self):
         for i, s in enumerate(self.sigmas):
             yield (s,) + tuple(self.columns[m][i] for m in self.models)
@@ -145,8 +137,8 @@ class PenaltyTable:
 def penalty_curve(sigmas, models=("nonrel", "rel"), units: UnitSystem = NATURAL) -> PenaltyTable:
     """Overlap penalty vs packet width for each kinetic model."""
     sigmas = tuple(float(s) for s in sigmas)
-    if any(s <= 0 for s in sigmas):
-        raise ValueError("all sigma values must be positive")
-    return PenaltyTable.from_rows(
-        models, [(s,) + tuple(overlap_penalty(s, m, units) for m in models) for s in sigmas]
-    )
+    models = tuple(models)
+    if not all(0.0 < s < np.inf for s in sigmas):
+        raise ValueError(f"all sigma values must be finite and positive, got {sigmas}")
+    columns = {m: tuple(overlap_penalty(s, m, units) for s in sigmas) for m in models}
+    return PenaltyTable(sigmas=sigmas, models=models, columns=columns)

@@ -117,10 +117,13 @@ def _q_transform(corr: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
     With q_m = q_0 + m dq and dp dq n = 2 pi hbar the kernel is
     exp(-i j dp q_0 / hbar) omega^(j m), omega = exp(-2 pi i / n); the first
     factor is already in C (see `_lattice_amplitude`), so the offsets fold
-    mod n and one length-n FFT along q finishes the sum.
+    mod n and one length-n FFT along q finishes the sum.  The fold goes
+    into C's first n columns, overwriting C, so the transform allocates
+    one (n_p, n) complex array fewer.
     """
     n = psgrid.n_q
-    folded = corr[:, :n] + corr[:, n:]
+    folded = corr[:, :n]
+    folded += corr[:, n:]
     return (psgrid.dp / (2.0 * np.pi * psgrid.hbar)) * np.fft.fft(folded, axis=1)
 
 

@@ -111,11 +111,6 @@ class TestCoherentCommand:
         assert ratios[0.5] < ratios[2.0]
         assert ratios[2.0] > 1.5
 
-    def test_worker_pool_matches_serial(self):
-        serial = run_coherent([0.5, 1.0], jobs=1)
-        parallel = run_coherent([0.5, 1.0], jobs=2)
-        assert serial == parallel
-
 
 class TestRotatorCommand:
     def test_orbit_and_peaks(self, tmp_path):
@@ -141,24 +136,33 @@ class TestEntangleCommand:
         assert nonrel == pytest.approx(0.5, abs=1e-10)
         assert rel < nonrel
 
-    def test_worker_pool_matches_serial_bytes(self, tmp_path):
-        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        args = ["entangle", "--sigmas", "0.5,1,2", "--models", "nonrel,rel"]
-        assert main(args + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
-        assert main(args + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
-        assert parallel.read_bytes() == serial.read_bytes()
 
+class TestSweepsRunInProcess:
+    """Sweeps have one serial path: there is no --jobs flag and no FVPS_JOBS variable."""
 
-class TestJobsEnvironment:
-    def test_env_var_sets_default(self, monkeypatch):
-        from fvps.cli import _default_jobs
+    @pytest.mark.parametrize("command", ["coherent", "entangle"])
+    def test_jobs_flag_exits_2(self, tmp_path, command, capsys):
+        out = tmp_path / "out.csv"
+        assert main([command, "--jobs", "2", "--out", str(out)]) == EXIT_CONFIG
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not out.exists()
 
-        monkeypatch.setenv("FVPS_JOBS", "3")
-        assert _default_jobs() == 3
-        monkeypatch.setenv("FVPS_JOBS", "not-a-number")
-        assert _default_jobs() == 1
-        monkeypatch.delenv("FVPS_JOBS")
-        assert _default_jobs() == 1
+    def test_jobs_in_config_file_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs=2\n")
+        out = tmp_path / "out.csv"
+        assert main(["--config", str(cfg), "entangle", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_fvps_jobs_environment_leaves_sidecar_unchanged(self, tmp_path, monkeypatch):
+        out = tmp_path / "pen.csv"
+        sidecar = Path(str(out) + ".json")
+        argv = ["entangle", "--sigmas", "0.5,1", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        plain = sidecar.read_bytes()
+        monkeypatch.setenv("FVPS_JOBS", "2")
+        assert main(argv) == EXIT_OK
+        assert sidecar.read_bytes() == plain
 
 
 class TestConfigFile:
@@ -234,6 +238,25 @@ class TestValidationPropagation:
         code = main(["wigner", "--lambda", "0.001", "--n-points", "128", "--out", str(tmp_path / "w.csv")])
         assert code == EXIT_CONFIG
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wigner", "--lambda", "0"],
+            ["wigner", "--lambda", "inf"],
+            ["evolve", "--lambda", "0", "--t", "1"],
+            ["coherent", "--lambdas", "0"],
+            ["coherent", "--lambdas", "1", "--t", "0"],
+            ["entangle", "--sigmas", "nan"],
+        ],
+        ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+    )
+    def test_bad_sweep_input_exits_2(self, tmp_path, argv, capsys):
+        out = tmp_path / ("out.json" if argv[0] == "evolve" else "out.csv")
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "validation error" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -436,9 +459,11 @@ def test_readme_names_every_sidecar():
             assert f"`{name}`" in formats, name
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is not a runtime dependency: a fresh `fvps` process must not pay its import
-    code = "import sys, fvps.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+@pytest.mark.parametrize("module", ["scipy", "multiprocessing", "concurrent"])
+def test_cli_import_leaves_module_unloaded(module):
+    # scipy is not a runtime dependency and sweeps run in-process: a fresh
+    # `fvps` process must not pay for importing scipy or a process pool
+    code = f"import sys, fvps.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {module!r}))"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
