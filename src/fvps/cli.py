@@ -99,6 +99,12 @@ def effective_mass_ratio(lam: float, p_bar: float = 0.02, t: float = 2.0,
     mean defines the effective inertia.  Strong localization feeds
     relativistic momenta into the velocity average no matter how small
     p_bar is, so the ratio grows with lam even at crawling speeds.
+
+    The drift comes from two position means that differ by about
+    p_bar t = 0.04 at the defaults, so roundoff in the moments is
+    amplified about 100-fold in the ratio:
+    any numerically equivalent change to the transform, `moments` or
+    `evolve_even` moves its trailing digits (and those of `mass.csv`).
     """
     if not 0.0 < abs(t) < np.inf:
         raise ValueError(f"t must be finite and nonzero, got {t}")

@@ -5,6 +5,16 @@ Everything downstream integrates over momentum with a periodic Riemann sum
 for smooth decaying integrands.  The momentum->position transform uses the
 kernel exp(-i p q / hbar) so that phase-space correlation integrals built
 later reproduce their continuum definitions without stray signs.
+
+The transform is a centred DFT.  A conjugate grid has p_0 = -n dp / 2,
+q_0 = -n dq / 2 and dq dp n = 2 pi hbar, so
+
+    p_k q_m / hbar = n pi / 2 - k pi - m pi + 2 pi k m / n,
+
+and since n is a power of two >= 8 the constant phase exp(i n pi / 2) is
+1: every phase that the grid's offset adds to the plain DFT is a sign
+(-1)^k or (-1)^m, which is what fftshift/ifftshift apply.  No exp ramp
+is evaluated, so nothing picks up roundoff that grows with n.
 """
 
 from dataclasses import dataclass, field
@@ -167,6 +177,22 @@ def phase_space_quadrature(field: np.ndarray, psgrid: PhaseSpaceGrid) -> complex
     return field.sum() * psgrid.dp * psgrid.dq
 
 
+def centred_dft_size(values: np.ndarray, psgrid: PhaseSpaceGrid) -> int:
+    """n of the centred DFT that `values` (n samples on the last axis) take.
+
+    The phases are signs only on conjugate axes of equal length, so
+    anything else raises.
+    """
+    psgrid.require_conjugate()
+    n = psgrid.n_q
+    if psgrid.momentum.n_points != n or np.shape(values)[-1] != n:
+        raise GridError(
+            f"expected {n} samples on a square {psgrid.momentum.n_points} x {n} grid, "
+            f"got {np.shape(values)[-1]}"
+        )
+    return n
+
+
 def fourier_pair(values: np.ndarray, psgrid: PhaseSpaceGrid, direction: str = "forward") -> np.ndarray:
     """Unitary transform between the momentum and position axes.
 
@@ -176,29 +202,17 @@ def fourier_pair(values: np.ndarray, psgrid: PhaseSpaceGrid, direction: str = "f
     The forward sign makes the position operator +i hbar d/dp in the
     momentum representation, which is the orientation the phase-space
     correlation kernel exp(-i P q / hbar) assumes (its p-marginal is then
-    |psi(q)|^2).  Requires conjugate axes; forward o inverse is the
-    identity to machine precision and Parseval holds under the grid
-    quadrature weights.
+    |psi(q)|^2).  Requires conjugate axes of equal length; the sums are
+    centred DFTs (see the module notes), so forward o inverse is the
+    identity to machine precision at every n and Parseval holds under
+    the grid quadrature weights.  Transforms along the last axis.
     """
-    psgrid.require_conjugate()
-    values = np.asarray(values, dtype=complex)
-    n = psgrid.momentum.n_points
-    hbar = psgrid.hbar
-    p0 = psgrid.momentum.nodes[0]
-    q0 = psgrid.q_nodes[0]
-    dp = psgrid.dp
-    dq = psgrid.dq
-
+    n = centred_dft_size(values, psgrid)
+    centred = np.fft.ifftshift(np.asarray(values, dtype=complex), axes=-1)
     if direction == "forward":
-        if values.shape[-1] != n:
-            raise GridError(f"expected momentum samples of length {n}")
-        pre = np.exp(1j * dp * q0 * np.arange(n) / hbar)
-        post = np.exp(1j * p0 * psgrid.q_nodes / hbar)
-        return (dp / np.sqrt(2 * np.pi * hbar)) * post * n * np.fft.ifft(values * pre)
-    if direction == "inverse":
-        if values.shape[-1] != psgrid.n_q:
-            raise GridError(f"expected position samples of length {psgrid.n_q}")
-        pre = np.exp(-1j * p0 * dq * np.arange(psgrid.n_q) / hbar)
-        post = np.exp(-1j * psgrid.momentum.nodes * q0 / hbar)
-        return (dq / np.sqrt(2 * np.pi * hbar)) * post * np.fft.fft(values * pre)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        spectrum = (psgrid.dp * n / np.sqrt(2 * np.pi * psgrid.hbar)) * np.fft.ifft(centred)
+    elif direction == "inverse":
+        spectrum = (psgrid.dq / np.sqrt(2 * np.pi * psgrid.hbar)) * np.fft.fft(centred)
+    else:
+        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    return np.fft.fftshift(spectrum, axes=-1)

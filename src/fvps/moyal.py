@@ -43,6 +43,7 @@ motion reads dW/dt = -(2i/hbar) [E, W].
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder
 
 from .errors import GridError, StepSizeError
 from .grids import PhaseSpaceGrid
@@ -72,20 +73,6 @@ class PolySymbol:
     @classmethod
     def constant(cls, value) -> "PolySymbol":
         return cls(np.array([[value]]))
-
-    def diff_q(self) -> "PolySymbol":
-        c = self.coeffs
-        if c.shape[0] == 1:
-            return PolySymbol(np.zeros((1, 1)))
-        i = np.arange(1, c.shape[0])
-        return PolySymbol(c[1:, :] * i[:, None])
-
-    def diff_p(self) -> "PolySymbol":
-        c = self.coeffs
-        if c.shape[1] == 1:
-            return PolySymbol(np.zeros((1, 1)))
-        j = np.arange(1, c.shape[1])
-        return PolySymbol(c[:, 1:] * j[None, :])
 
     def __mul__(self, other):
         if isinstance(other, PolySymbol):
@@ -133,7 +120,11 @@ class PolySymbol:
 
 
 def _poly_star(a: PolySymbol, b: PolySymbol, hbar: float) -> PolySymbol:
-    """Finite bidifferential series; terminates for polynomials."""
+    """Finite bidifferential series; terminates for polynomials.
+
+    Term n sums (-1)^k C(n, k) (d_q^(n-k) d_p^k a)(d_p^(n-k) d_q^k b);
+    coeffs axis 0 is the q power, axis 1 the p power.
+    """
     from math import comb, factorial
 
     result = a * b
@@ -142,18 +133,10 @@ def _poly_star(a: PolySymbol, b: PolySymbol, hbar: float) -> PolySymbol:
         term = PolySymbol(np.zeros((1, 1)))
         alive = False
         for k in range(n + 1):
-            da = a
-            for _ in range(n - k):
-                da = da.diff_q()
-            for _ in range(k):
-                da = da.diff_p()
+            da = PolySymbol(polyder(polyder(a.coeffs, n - k, axis=0), k, axis=1))
             if da.is_zero:
                 continue
-            db = b
-            for _ in range(n - k):
-                db = db.diff_p()
-            for _ in range(k):
-                db = db.diff_q()
+            db = PolySymbol(polyder(polyder(b.coeffs, n - k, axis=1), k, axis=0))
             if db.is_zero:
                 continue
             alive = True

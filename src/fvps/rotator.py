@@ -225,11 +225,10 @@ def modulation_spectrum(series: OrbitSeries, rel_threshold: float = 1e-8):
     spec = np.abs(np.fft.rfft(detrended))
     freqs = 2.0 * np.pi * np.fft.rfftfreq(len(r), dt)
     floor = rel_threshold * scale * len(r)
-    peaks = []
-    for i in range(1, len(spec) - 1):
-        if spec[i] > spec[i - 1] and spec[i] >= spec[i + 1] and spec[i] > floor:
-            peaks.append(SpectralPeak(frequency=float(freqs[i]), amplitude=float(spec[i])))
-    peaks.sort(key=lambda pk: -pk.amplitude)
+    inner = spec[1:-1]
+    idx = 1 + np.flatnonzero((inner > spec[:-2]) & (inner >= spec[2:]) & (inner > floor))
+    idx = idx[np.argsort(-spec[idx], kind="stable")]
+    peaks = [SpectralPeak(frequency=float(freqs[i]), amplitude=float(spec[i])) for i in idx]
     if peaks:
         lowest = min(pk.frequency for pk in peaks)
         if lowest > 0 and series.times[-1] < 4.0 * 2.0 * np.pi / lowest:

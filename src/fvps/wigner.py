@@ -16,10 +16,13 @@ half-step momentum lattice by a zero-padded FFT (exact for amplitudes
 whose position content fits the conjugate window), so the correlation
 offset P = j dp runs over all multiples of the momentum spacing, |j| < n,
 and the exp(-iPq/hbar) sum is an exact quadrature on the conjugate
-position axis.  There exp(-i P_j q_m / hbar) = exp(-i P_j q_0 / hbar)
-exp(-2 pi i j m / n): the first factor rides on the lattice amplitudes,
-the offsets fold mod n, and one length-n FFT per momentum row finishes
-the sum -- O(n^2 log n) time and O(n^2) memory for the whole field.
+position axis.  On the centred conjugate grid (see `grids`) every phase
+the grid's offset contributes is a sign: exp(-i P_j q_m / hbar) =
+(-1)^j exp(-2 pi i j m / n), and the half-step amplitude at node kappa
+is i^kappa times a plain zero-padded FFT.  Pair products of those plain
+"lattice amplitudes" already carry the (-1)^j, the offsets fold mod n,
+and one length-n FFT per momentum row finishes the sum -- O(n^2 log n)
+time and O(n^2) memory for the whole field.
 
 The eps weight is never formed on momentum pairs.  With u = sqrt(E) phi
 and v = phi / sqrt(E) on the lattice, eps phi_a^* phi_b =
@@ -45,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridError
-from .grids import NATURAL, PhaseSpaceGrid, UnitSystem, fourier_pair, phase_space_quadrature
+from .grids import NATURAL, PhaseSpaceGrid, UnitSystem, centred_dft_size, phase_space_quadrature
 from .spectrum import energy, eps_factor, purity_rhs
 from .states import ChargeBranchState
 
@@ -53,8 +56,7 @@ EPS_RELATIVISTIC = "relativistic"
 EPS_UNITY = "unity"
 
 
-def _fine_nodes(psgrid: PhaseSpaceGrid) -> np.ndarray:
-    return -psgrid.momentum.p_max + 0.5 * psgrid.dp * np.arange(2 * psgrid.momentum.n_points)
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 def fine_amplitude(phi: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
@@ -62,31 +64,34 @@ def fine_amplitude(phi: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
 
     Spectral interpolation through the conjugate position axis; exact for
     amplitudes whose position support fits the window, and equal to the
-    input on the even sublattice.  p_kappa q_m splits into a pre-phase on
-    q_m, a post-phase on p_kappa and kappa m pi / n, so the sum over the
-    position samples is a zero-padded length-2n FFT.
+    input on the even sublattice.  On the centred grid p_kappa q_m / hbar
+    is -kappa pi / 2 - m pi + kappa m pi / n modulo 2 pi, so the value is
+    i^kappa (an exact table entry) times the lattice amplitude.
     """
-    psi = fourier_pair(phi, psgrid, "forward")
-    n = psgrid.momentum.n_points
-    hbar = psgrid.hbar
-    pre = np.exp(-1j * psgrid.p_nodes[0] * psgrid.dq * np.arange(n) / hbar)
-    post = np.exp(-1j * _fine_nodes(psgrid) * psgrid.q_nodes[0] / hbar)
-    return (psgrid.dq / np.sqrt(2 * np.pi * hbar)) * post * np.fft.fft(psi * pre, 2 * n)
+    f = _lattice_amplitude(phi, psgrid)
+    return _I_POWERS[np.arange(2 * psgrid.n_q) % 4] * f
 
 
 def _lattice_amplitude(phi: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
-    """Fine amplitude times exp(i a theta), theta = dp q_0 / (2 hbar), at lattice index a.
+    """fft(ifft((-1)^k phi), 2n): the fine amplitude without its i^kappa.
 
-    A pair product conj(f[2k+j]) f[2k-j] of these then carries
-    exp(-i P_j q_0 / hbar), the offset-dependent part of the q-transform.
+    The position samples are psi_m = (-1)^m (n dp / sqrt(2 pi hbar))
+    ifft((-1)^k phi)_m, and the interpolation's dq / sqrt(2 pi hbar)
+    cancels that prefactor exactly since dq dp n = 2 pi hbar.  A pair
+    product conj(f[2k+j]) f[2k-j] of these amplitudes is the fine one
+    times conj(i^-(2k+j)) i^-(2k-j) = i^(2j) = (-1)^j = exp(-i P_j q_0 / hbar),
+    the offset-dependent part of the q-transform.
     """
-    theta = psgrid.dp * psgrid.q_nodes[0] / (2.0 * psgrid.hbar)
-    f = fine_amplitude(phi, psgrid)
-    return f * np.exp(1j * theta * np.arange(f.size))
+    n = centred_dft_size(phi, psgrid)
+    alternating = np.array(phi, dtype=complex)
+    alternating[..., 1::2] *= -1
+    return np.fft.fft(np.fft.ifft(alternating), 2 * n)
 
 
 def _root_energy(psgrid: PhaseSpaceGrid, units: UnitSystem) -> np.ndarray:
-    return np.sqrt(energy(_fine_nodes(psgrid), units))
+    """sqrt(E) on the half-step lattice p = -p_max + kappa dp/2."""
+    fine = -psgrid.momentum.p_max + 0.5 * psgrid.dp * np.arange(2 * psgrid.momentum.n_points)
+    return np.sqrt(energy(fine, units))
 
 
 def _pair_product(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
@@ -112,14 +117,15 @@ def _pair_product(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
 
 
 def _q_transform(corr: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
-    """W[k, m] = (dp / 2 pi hbar) sum_j C[k, j] exp(-i j dp q_m / hbar) on pre-phased C.
+    """W[k, m] = (dp / 2 pi hbar) sum_j C[k, j] exp(-i j dp q_m / hbar), signs already in C.
 
     With q_m = q_0 + m dq and dp dq n = 2 pi hbar the kernel is
-    exp(-i j dp q_0 / hbar) omega^(j m), omega = exp(-2 pi i / n); the first
-    factor is already in C (see `_lattice_amplitude`), so the offsets fold
-    mod n and one length-n FFT along q finishes the sum.  The fold goes
-    into C's first n columns, overwriting C, so the transform allocates
-    one (n_p, n) complex array fewer.
+    (-1)^j omega^(j m), omega = exp(-2 pi i / n); C is built from lattice
+    amplitudes, whose pair products carry the sign (-1)^j (see
+    `_lattice_amplitude`), so the offsets fold mod n and one length-n
+    FFT along q finishes the sum.  The fold goes into C's first n
+    columns, overwriting C, so the transform allocates one (n_p, n)
+    complex array fewer.
     """
     n = psgrid.n_q
     folded = corr[:, :n]
@@ -152,12 +158,14 @@ def wigner_even(
         # eps = (sqrt(E1/E2) + sqrt(E2/E1)) / 2; the second term's transform
         # is the complex conjugate of the first's, so W is the real part of one
         root_e = _root_energy(psgrid, state.units)
-        corr = _pair_product(root_e * f, f / root_e)
+        bra, ket = root_e * f, f / root_e
     elif eps_mode == EPS_UNITY:
-        corr = _pair_product(f, f)
+        bra = ket = f
     else:
         raise ValueError(f"unknown kernel {eps_mode!r}")
-    return _q_transform(corr, psgrid).real
+    # the pair product is a temporary, freed before the real part is copied
+    # out, so the copy adds nothing to the transform's peak memory
+    return _q_transform(_pair_product(bra, ket), psgrid).real.copy()
 
 
 def wigner_odd(
@@ -291,8 +299,8 @@ def reconstruct_kernel(w: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
     Rows are midpoint nodes, columns the symmetric offsets j in the
     resolvable band |j| < n_q/2.  Larger offsets fold (see module notes)
     and are only trustworthy when the correlation support fits the
-    window.  The sum over q is an inverse FFT: exp(i q_m P_j / hbar) is
-    exp(i q_0 P_j / hbar) times a length-n_q root of unity.
+    window.  The sum over q is an inverse FFT: on the centred conjugate
+    grid exp(i q_m P_j / hbar) is (-1)^j times a length-n_q root of unity.
 
     `w` is a real even field (a complex one raises ValueError), so the
     half spectrum r of its real FFT along q holds the whole band: the
@@ -307,12 +315,12 @@ def reconstruct_kernel(w: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
     if w.shape[-1] != n_q:
         raise GridError(f"field has {w.shape[-1]} position samples, grid has {n_q}")
     half = n_q // 2
-    j = np.arange(-(half - 1), half)
-    P = j * psgrid.dp
     r = np.fft.rfft(w, axis=-1)
     modes = np.concatenate([r[..., half - 1 : 0 : -1], np.conj(r[..., :half])], axis=-1)
     modes *= psgrid.dq
-    modes *= np.exp(1j * psgrid.q_nodes[0] * P / psgrid.hbar)
+    # column c holds offset j = c - (half - 1) with half - 1 odd, so the
+    # odd offsets sit in the even columns
+    modes[..., ::2] *= -1
     return modes
 
 

@@ -21,6 +21,10 @@ modes, is refereed by the full complex-FFT propagation it replaced, to
 1e-14 of the field's maximum; `moments`, which works from the two
 marginals, by the five `expectation` integrals it replaced, to 1e-12
 relative or 1e-12 of the grid window's scale.
+
+The modulation spectrum's vectorised peak search is refereed by the
+per-bin loop and amplitude sort it replaced: the peak lists must be
+equal, frequencies and amplitudes bit for bit.
 """
 
 import numpy as np
@@ -52,7 +56,8 @@ from fvps import (
     wigner_even,
     wigner_odd,
 )
-from fvps.cli import packet_grid
+from fvps.cli import packet_grid, run_rotator
+from fvps.rotator import SpectralPeak
 from fvps.moyal import moyal_bracket, poisson_bracket, propagator_phases, star_product
 from fvps.wigner import Moments, PurityReport
 
@@ -429,3 +434,29 @@ def test_purity_check_below_window_floor_matches_full_array(window_floor):
     with pytest.raises(ValueError) as got:
         purity_check(w, ps, window_floor=window_floor)
     assert str(got.value) == str(want.value)
+
+
+def loop_modulation_peaks(series, rel_threshold=1e-8):
+    r = series.radius
+    dt = series.times[1] - series.times[0]
+    detrended = r - r.mean()
+    scale = np.abs(r).max()
+    if scale == 0 or np.abs(detrended).max() < rel_threshold * scale:
+        return []
+    spec = np.abs(np.fft.rfft(detrended))
+    freqs = 2.0 * np.pi * np.fft.rfftfreq(len(r), dt)
+    floor = rel_threshold * scale * len(r)
+    peaks = []
+    for i in range(1, len(spec) - 1):
+        if spec[i] > spec[i - 1] and spec[i] >= spec[i + 1] and spec[i] > floor:
+            peaks.append(SpectralPeak(frequency=float(freqs[i]), amplitude=float(spec[i])))
+    peaks.sort(key=lambda pk: -pk.amplitude)
+    return peaks
+
+
+@pytest.mark.filterwarnings("ignore::fvps.errors.ResolutionWarning")
+@pytest.mark.parametrize("b, alpha, t_max", [(0.5, 3, 1300), (0.2, 3, 3500), (0.05, 4, 20000)])
+def test_modulation_peaks_match_loop(b, alpha, t_max):
+    series, peaks, _ = run_rotator(b, alpha, t_max, 1.0)
+    assert len(peaks) > 1
+    assert peaks == loop_modulation_peaks(series)

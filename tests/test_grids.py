@@ -106,11 +106,23 @@ class TestFourierPair:
         with pytest.raises(ConjugacyError):
             fourier_pair(np.ones(256), bad)
 
-    def test_round_trip_identity(self):
+    def test_needs_equal_axis_lengths(self):
+        # conjugate, but the centred DFT's phases are signs only on a square grid
+        wide = PhaseSpaceGrid(self.grid, n_q=512, q_max=256 * 2 * np.pi / (512 * self.grid.spacing))
+        assert wide.is_conjugate
+        for direction, length in (("forward", 256), ("inverse", 512)):
+            with pytest.raises(GridError, match="square"):
+                fourier_pair(np.ones(length), wide, direction)
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_round_trip_identity(self, n):
+        # the centred DFT evaluates no phase ramp, so the error stays at a
+        # few ulps instead of growing linearly in n
+        ps = PhaseSpaceGrid.conjugate(MomentumGrid(n, 16.0))
         rng = np.random.default_rng(7)
-        v = rng.normal(size=256) + 1j * rng.normal(size=256)
-        back = fourier_pair(fourier_pair(v, self.ps), self.ps, "inverse")
-        assert np.abs(back - v).max() < 1e-12
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        back = fourier_pair(fourier_pair(v, ps), ps, "inverse")
+        assert np.abs(back - v).max() < 1e-14
 
     def test_parseval(self):
         rng = np.random.default_rng(8)

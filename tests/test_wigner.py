@@ -5,6 +5,7 @@ import pytest
 
 from fvps import (
     ChargeBranchState,
+    ConjugacyError,
     EPS_UNITY,
     MomentumGrid,
     PhaseSpaceGrid,
@@ -22,6 +23,8 @@ from fvps import (
     wigner_even,
     wigner_odd,
 )
+from fvps.cli import packet_grid
+from fvps.wigner import _lattice_amplitude, _pair_product, _q_transform, _root_energy
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +90,36 @@ class TestWignerEven:
         with pytest.raises(ValueError):
             wigner_even(st, -1, ps)
 
+    @pytest.mark.parametrize("eps_mode", ["relativistic", EPS_UNITY])
+    def test_returns_an_owning_contiguous_field(self, packet64, eps_mode):
+        # a `.real` view would keep the twice-as-large complex transform alive
+        _, ps, st = packet64
+        w = wigner_even(st, +1, ps, eps_mode)
+        f = _lattice_amplitude(st.phi_plus, ps)
+        if eps_mode == EPS_UNITY:
+            bra = ket = f
+        else:
+            root_e = _root_energy(ps, st.units)
+            bra, ket = root_e * f, f / root_e
+        assert w.base is None
+        assert w.flags.c_contiguous
+        assert np.array_equal(w, _q_transform(_pair_product(bra, ket), ps).real)
+
+
+class TestFineAmplitude:
+    def test_equals_input_on_even_sublattice(self):
+        # the i^kappa phases are exact table entries, so only the two
+        # FFTs' roundoff remains
+        grid = packet_grid(2.0, 0.0, 1024)
+        st = gaussian_state(grid, lam=2.0)
+        f = fine_amplitude(st.phi_plus, PhaseSpaceGrid.conjugate(grid))
+        assert np.abs(f[::2] - st.phi_plus).max() <= 1e-14 * np.abs(st.phi_plus).max()
+
+    def test_needs_a_conjugate_grid(self, packet64):
+        grid, _, st = packet64
+        with pytest.raises(ConjugacyError):
+            fine_amplitude(st.phi_plus, PhaseSpaceGrid(grid, n_q=64, q_max=1.0))
+
 
 class TestWignerOdd:
     def test_single_branch_vanishes(self, packet64):
@@ -150,6 +183,13 @@ class TestExpectationMoments:
         assert m.var_q == pytest.approx(50.0, rel=0.01)
         assert m.var_p == pytest.approx(0.005, rel=0.01)
         assert not m.negative_variance
+
+    @pytest.mark.parametrize("lam, n", [(8.0, 512), (2.0, 1024)])
+    def test_symmetric_packet_has_zero_mean_momentum(self, lam, n):
+        grid = packet_grid(lam, 0.0, n)
+        ps = PhaseSpaceGrid.conjugate(grid)
+        m = moments(wigner_even(gaussian_state(grid, lam=lam), +1, ps), ps)
+        assert abs(m.mean_p) <= 1e-14 * np.sqrt(m.var_p)
 
     def test_translation_covariance(self):
         grid = MomentumGrid(256, 12.0)
