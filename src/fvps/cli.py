@@ -7,6 +7,12 @@ configuration produces bit-identical output (no timestamps, no seeded
 randomness).  Every run writes a JSON provenance sidecar holding the
 resolved configuration, package version, and the tolerances it applied.
 
+argparse makes every command-line decision.  A `--config` file, given
+before the command, stands for the flags its keys name; they are put
+right after the command, so any flag on the command line comes later and
+wins.  `wigner`, `evolve` and `coherent` build their packet with one
+pipeline, `_packet`.
+
 Exit codes, from the EXIT_CODES table: 0 success; 2 configuration,
 validation or file error (any ValueError -- every fvps grid, conjugacy,
 resolution, truncation and step-size error is one -- or an OSError);
@@ -17,6 +23,7 @@ a traceback.
 
 import argparse
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -69,24 +76,26 @@ def packet_grid(lam: float, p_bar: float = 0.0, n_points: int = 512) -> Momentum
     return MomentumGrid(n_points, p_max)
 
 
+def _packet(lam: float, p_bar: float, n_points: int, eps_mode: str):
+    """A lam-packet on its `packet_grid`: (state, conjugate grid, positive-branch field)."""
+    grid = packet_grid(lam, p_bar, n_points)
+    ps = PhaseSpaceGrid.conjugate(grid)
+    state = gaussian_state(grid, lam=lam, p_bar=p_bar)
+    return state, ps, wigner_even(state, +1, ps, eps_mode)
+
+
 def run_wigner(lam: float, n_points: int = 512, eps_mode: str = EPS_RELATIVISTIC):
     """Build the packet's phase-space field and its moments."""
-    grid = packet_grid(lam, n_points=n_points)
-    ps = PhaseSpaceGrid.conjugate(grid)
-    state = gaussian_state(grid, lam=lam)
-    w = wigner_even(state, +1, ps, eps_mode)
+    _, ps, w = _packet(lam, 0.0, n_points, eps_mode)
     return w, ps, moments(w, ps)
 
 
 def run_evolve_check(lam: float, t: float, n_points: int = 512) -> float:
     """Max-norm gap between the spectral propagator and the amplitude pipeline."""
-    grid = packet_grid(lam, n_points=n_points)
-    ps = PhaseSpaceGrid.conjugate(grid)
-    state = gaussian_state(grid, lam=lam)
-    w0 = wigner_even(state, +1, ps)
+    state, ps, w0 = _packet(lam, 0.0, n_points, EPS_RELATIVISTIC)
     w_prop = evolve_even(w0, lambda p: energy(p), t, ps)
-    phi_t = state.phi_plus * np.exp(-1j * energy(grid.nodes) * t)
-    w_wave = wigner_even(ChargeBranchState(grid, phi_plus=phi_t), +1, ps)
+    phi_t = state.phi_plus * np.exp(-1j * energy(state.grid.nodes) * t)
+    w_wave = wigner_even(ChargeBranchState(state.grid, phi_plus=phi_t), +1, ps)
     return float(np.abs(w_prop - w_wave).max())
 
 
@@ -108,10 +117,7 @@ def effective_mass_ratio(lam: float, p_bar: float = 0.02, t: float = 2.0,
     """
     if not 0.0 < abs(t) < np.inf:
         raise ValueError(f"t must be finite and nonzero, got {t}")
-    grid = packet_grid(lam, p_bar, n_points)
-    ps = PhaseSpaceGrid.conjugate(grid)
-    state = gaussian_state(grid, lam=lam, p_bar=p_bar)
-    w0 = wigner_even(state, +1, ps)
+    _, ps, w0 = _packet(lam, p_bar, n_points, EPS_RELATIVISTIC)
     w1 = evolve_even(w0, lambda p: energy(p), t, ps)
     drift = (moments(w1, ps).mean_q - moments(w0, ps).mean_q) / t
     return p_bar / drift
@@ -160,14 +166,7 @@ def _write_field_csv(path, w, ps, metadata: dict, matrix: bool = False):
 
 
 def _moments_dict(m: Moments) -> dict:
-    return {
-        "mean_q": m.mean_q,
-        "mean_p": m.mean_p,
-        "var_q": m.var_q,
-        "var_p": m.var_p,
-        "var_q_negative": bool(m.var_q < 0),
-        "var_p_negative": bool(m.var_p < 0),
-    }
+    return {**asdict(m), "var_q_negative": bool(m.var_q < 0), "var_p_negative": bool(m.var_p < 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fvps",
         description="Phase-space experiments for relativistic scalar charged particles",
     )
-    parser.add_argument("--config", help="key=value file; command-line flags override it")
+    parser.add_argument("--config", help="key=value file, given before the command; command-line flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     f = sub.add_parser("factors", help="print eps, chi, purity RHS at a momentum pair")
@@ -345,35 +344,17 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _config_path(argv):
-    """The --config value in argv, given as `--config path` or `--config=path`; None if absent."""
-    for i, arg in enumerate(argv):
-        if arg.startswith("--config="):
-            return arg.partition("=")[2]
-        if arg == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-    return None
+def _switches(command: argparse.ArgumentParser) -> set:
+    """Option strings of the command's zero-argument actions (store_true and kin)."""
+    return {flag for action in command._actions if action.nargs == 0 for flag in action.option_strings}
 
 
-def _switches(parser, argv) -> set:
-    """Option strings of the zero-argument actions (store_true and kin) of argv's command."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = next((a for a in argv if a in sub.choices), None)
-    actions = sub.choices[command]._actions if command else []
-    return {flag for action in actions if action.nargs == 0 for flag in action.option_strings}
-
-
-def _config_flags(parser, argv) -> list:
-    """Arguments the --config file adds: one per key whose flag argv does not give."""
-    path = _config_path(argv)
-    if path is None:
-        return []
-    switches = _switches(parser, argv)
+def _config_flags(command: argparse.ArgumentParser, path) -> list:
+    """The arguments a --config file stands for, one flag per key."""
+    switches = _switches(command)
     added = []
     for key, value in _load_config_file(path).items():
         flag = "--" + key.replace("_", "-")
-        if any(a == flag or a.startswith(flag + "=") for a in argv):
-            continue
         if flag not in switches:
             added += [flag, value]
         elif value.lower() in SWITCH_ON:
@@ -383,19 +364,37 @@ def _config_flags(parser, argv) -> list:
     return added
 
 
+def _with_config(parser: argparse.ArgumentParser, argv: list) -> list:
+    """argv with the --config file's flags inserted right after the command.
+
+    --config is read where `parser` accepts it, before the command, so an
+    option after the command (`evolve --c` abbreviates --check) is never
+    taken for it.  argparse keeps the last occurrence of a flag, so every
+    flag given on the command line, abbreviated or not, beats the file.
+    """
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    known, _ = pre.parse_known_args(argv)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = sub.choices.get(known.rest[0]) if known.rest else None
+    if known.config is None or command is None:
+        return argv
+    at = len(argv) - len(known.rest) + 1
+    return argv[:at] + _config_flags(command, known.config) + argv[at:]
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    # config file supplies any flag not given explicitly; explicit flags win
     try:
-        argv += _config_flags(parser, argv)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        argv = _with_config(parser, argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
+    except (OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:

@@ -107,10 +107,10 @@ def deformed_commutator(model: RotatorModel) -> np.ndarray:
     The identity for an undeformed pair; for b > 0 the entries start at
     f(1)^2 and decay toward 1 with n.  The last level is dropped: its
     entry is a truncation artifact (the matrix cannot see A_{n_max,
-    n_max+1}).  A is bidiagonal, so [A, A^dag] is diagonal.
+    n_max+1}).  A is bidiagonal with superdiagonal s, so [A, A^dag] is
+    diagonal with entries s_n^2 - s_(n-1)^2 (s_0 = 0).
     """
-    a, adag = even_ladder(model)
-    return np.diag(a @ adag - adag @ a).real[:-1]
+    return np.diff(_even_superdiagonal(model.energy_model, model.n_max) ** 2, prepend=0.0)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ charge norm of a two-branch object is integral(|phi_+|^2 - |phi_-|^2);
 physical (superselected) states carry exactly one branch with charge norm
 +-1, while mixed-branch states exist only as diagnostics for the
 charge-off-diagonal components.
+
+A Gaussian packet is the n = 0 Hermite-Gaussian: `gaussian_state`
+resolves its width and calls `displaced_number_state`, so one builder
+and one resolution check serve both.
 """
 
 from dataclasses import dataclass
@@ -76,17 +80,18 @@ class CoherentSpec:
         return q_bar, p_bar
 
 
-def _check_resolution(grid: MomentumGrid, sigma: float, p_bar: float, units: UnitSystem):
+def _check_resolution(grid: MomentumGrid, sigma: float, p_bar: float, units: UnitSystem, reach: float):
+    """Require dp < hbar/(4 sigma) and p_max > |p_bar| + reach hbar/sigma."""
     width = units.hbar / sigma
     if grid.spacing >= 0.25 * width:
         raise ResolutionError(
             f"grid spacing {grid.spacing:.4g} too coarse for packet of momentum "
             f"width {width:.4g}; need dp < hbar/(4 sigma) = {0.25 * width:.4g}"
         )
-    if grid.p_max <= abs(p_bar) + 6.0 * width:
+    if grid.p_max <= abs(p_bar) + reach * width:
         raise ResolutionError(
             f"p_max {grid.p_max:.4g} cannot hold packet support; need "
-            f"p_max > |p_bar| + 6 hbar/sigma = {abs(p_bar) + 6 * width:.4g}"
+            f"p_max > |p_bar| + {reach:.4g} hbar/sigma = {abs(p_bar) + reach * width:.4g}"
         )
 
 
@@ -111,20 +116,13 @@ def gaussian_state(
     Width may be given directly as sigma or through the localization
     parameter lam = compton_length / sigma; lam of order 1 and above is
     the strongly localized (relativistic) regime regardless of velocity.
+    The packet is the n = 0 member of `displaced_number_state`.
     """
     if (sigma is None) == (lam is None):
         raise ValueError("give exactly one of sigma or lam")
     if sigma is None:
         sigma = units.compton_length / lam
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    _check_resolution(grid, sigma, p_bar, units)
-    p = grid.nodes
-    phi = np.exp(
-        -(sigma**2) * (p - p_bar) ** 2 / (2.0 * units.hbar**2)
-        - 1j * q_bar * p / units.hbar
-    )
-    return _as_state(grid, phi, branch, units)
+    return displaced_number_state(0, grid, sigma, q_bar, p_bar, branch, units)
 
 
 def free_coherent_state(
@@ -168,23 +166,15 @@ def displaced_number_state(
         raise ValueError(f"sigma must be positive, got {sigma}")
     # support reaches the classical turning point sqrt(2n+1) hbar/sigma
     # plus Gaussian tails; resolution requirement is that of the n=0 width
-    width = units.hbar / sigma
-    if grid.spacing >= 0.25 * width:
-        raise ResolutionError(
-            f"grid spacing {grid.spacing:.4g} too coarse for mode width {width:.4g}"
-        )
-    reach = (np.sqrt(2.0 * n + 1.0) + 5.0) * width
-    if grid.p_max <= abs(p_bar) + reach:
-        raise ResolutionError(
-            f"p_max {grid.p_max:.4g} cannot hold mode support; need "
-            f"p_max > {abs(p_bar) + reach:.4g}"
-        )
+    _check_resolution(grid, sigma, p_bar, units, reach=np.sqrt(2.0 * n + 1.0) + 5.0)
     p = grid.nodes
-    x = sigma * (p - p_bar) / units.hbar
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
-    herm = np.polynomial.hermite.hermval(x, coeffs)
-    phi = herm * np.exp(-0.5 * x**2 - 1j * q_bar * p / units.hbar)
+    herm = np.polynomial.hermite.hermval(sigma * (p - p_bar) / units.hbar, coeffs)
+    phi = herm * np.exp(
+        -(sigma**2) * (p - p_bar) ** 2 / (2.0 * units.hbar**2)
+        - 1j * q_bar * p / units.hbar
+    )
     return _as_state(grid, phi, branch, units)
 
 

@@ -133,6 +133,12 @@ def _q_transform(corr: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
     return (psgrid.dp / (2.0 * np.pi * psgrid.hbar)) * np.fft.fft(folded, axis=1)
 
 
+def _require_same_hbar(state: ChargeBranchState, psgrid: PhaseSpaceGrid):
+    """The grid's conjugacy dq dp n = 2 pi hbar must use the state's hbar."""
+    if psgrid.hbar != state.units.hbar:
+        raise GridError(f"grid is conjugate for hbar = {psgrid.hbar}, state has hbar = {state.units.hbar}")
+
+
 def _branch_or_raise(state: ChargeBranchState, sign: int) -> np.ndarray:
     phi = state.branch(sign)
     if phi is None:
@@ -152,6 +158,7 @@ def wigner_even(
     is the textbook transform of the branch amplitude (the non-local
     theory's distribution).
     """
+    _require_same_hbar(state, psgrid)
     phi = _branch_or_raise(state, branch)
     f = _lattice_amplitude(phi, psgrid)
     if eps_mode == EPS_RELATIVISTIC:
@@ -178,6 +185,7 @@ def wigner_odd(
     ordering=+1 pairs phi_+^* with phi_-; ordering=-1 the reverse.  The
     two orderings are related by W_- = -conj(W_+).
     """
+    _require_same_hbar(state, psgrid)
     if state.phi_plus is None or state.phi_minus is None:
         n = psgrid.momentum.n_points
         return np.zeros((n, psgrid.n_q), dtype=complex)

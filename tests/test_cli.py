@@ -224,6 +224,34 @@ class TestConfigFile:
         argv = ["--config", str(cfg), "evolve", "--lambda", "2", "--t", "5", "--n-points", "256"]
         assert main(argv) == EXIT_TOLERANCE
 
+    def test_abbreviated_config_option_reads_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("matrix=1\n")
+        out = tmp_path / "w.csv"
+        argv = ["--conf", str(cfg), "wigner", "--lambda", "1", "--n-points", "128", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        header = next(l for l in out.read_text().splitlines() if not l.startswith("#"))
+        assert header.startswith("p\\q,")
+
+    def test_abbreviated_flag_overrides_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_points=128\n")
+        out = tmp_path / "w.csv"
+        argv = ["--config", str(cfg), "wigner", "--lambda", "1", "--n-point", "256", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert "# n_points=256\n" in out.read_text()
+
+    def test_config_without_path_exits_2(self, capsys):
+        assert main(["--config"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--config" in err and "Traceback" not in err
+
+    def test_abbreviated_switch_after_command_is_not_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_points=256\n")
+        argv = ["--config", str(cfg), "evolve", "--lambda", "2", "--t", "5", "--c", "--tol", "1e-30"]
+        assert main(argv) == EXIT_TOLERANCE
+
     def test_switch_with_other_value_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("matrix=maybe\n")

@@ -9,6 +9,7 @@ from fvps import (
     PhaseSpaceGrid,
     ResolutionError,
     TruncationError,
+    UnitSystem,
     build_hamiltonian,
     charge_invariant,
     displaced_number_state,
@@ -138,6 +139,16 @@ class TestDisplacedNumber:
             CoherentSpec(alpha=(0.5 + 1j * 0.3) / np.sqrt(2), sigma=1.0), self.grid
         )
         assert np.abs(st0.phi_plus - stc.phi_plus).max() < 1e-12
+
+    @pytest.mark.parametrize("units", [UnitSystem(), UnitSystem(m=1.3, c=0.8, hbar=0.7)], ids=["natural", "scaled"])
+    @pytest.mark.parametrize(
+        "sigma,p_bar,q_bar,branch",
+        [(1.0, 0.0, 0.0, +1), (0.7, 0.3, 0.0, +1), (1.3, 0.0, -1.5, -1), (0.9, -0.4, 0.5, -1)],
+    )
+    def test_gaussian_is_number_state_zero(self, units, sigma, p_bar, q_bar, branch):
+        g = gaussian_state(self.grid, sigma=sigma, p_bar=p_bar, q_bar=q_bar, branch=branch, units=units)
+        n0 = displaced_number_state(0, self.grid, sigma, q_bar, p_bar, branch, units)
+        assert np.array_equal(g.branch(branch), n0.branch(branch))
 
     def test_orthonormal_family(self):
         states = [

@@ -7,6 +7,7 @@ from fvps import (
     ChargeBranchState,
     ConjugacyError,
     EPS_UNITY,
+    GridError,
     MomentumGrid,
     PhaseSpaceGrid,
     eps_factor,
@@ -19,6 +20,7 @@ from fvps import (
     purity_check,
     quadrature,
     reconstruct_kernel,
+    UnitSystem,
     wigner_components,
     wigner_even,
     wigner_odd,
@@ -119,6 +121,21 @@ class TestFineAmplitude:
         grid, _, st = packet64
         with pytest.raises(ConjugacyError):
             fine_amplitude(st.phi_plus, PhaseSpaceGrid(grid, n_q=64, q_max=1.0))
+
+
+def test_grid_for_another_hbar_raises():
+    # at hbar = 0.7 the packet's var_q is 0.487; a grid conjugate for
+    # hbar = 1 used to rescale q silently and report 0.994
+    grid = MomentumGrid(256, 12.0)
+    state = gaussian_state(grid, sigma=1.0, units=UnitSystem(hbar=0.7))
+    for hbar in (1.0, 0.7 + 1e-12):
+        ps = PhaseSpaceGrid.conjugate(grid, hbar=hbar)
+        with pytest.raises(GridError, match="hbar"):
+            wigner_even(state, +1, ps)
+        with pytest.raises(GridError, match="hbar"):
+            wigner_odd(state, +1, ps)
+    ps = PhaseSpaceGrid.conjugate(grid, hbar=0.7)
+    assert moments(wigner_even(state, +1, ps), ps).var_q == pytest.approx(0.487, abs=1e-3)
 
 
 class TestWignerOdd:
