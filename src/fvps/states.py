@@ -121,6 +121,8 @@ def gaussian_state(
     if (sigma is None) == (lam is None):
         raise ValueError("give exactly one of sigma or lam")
     if sigma is None:
+        if not 0.0 < lam < np.inf:
+            raise ValueError(f"lam must be finite and positive, got {lam}")
         sigma = units.compton_length / lam
     return displaced_number_state(0, grid, sigma, q_bar, p_bar, branch, units)
 

@@ -8,14 +8,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fvps import ChargeBranchState, MomentumGrid, cli, errors, gaussian_state
+from fvps import (
+    ChargeBranchState,
+    MomentumGrid,
+    PhaseSpaceGrid,
+    cli,
+    energy,
+    errors,
+    gaussian_state,
+    moyal,
+    wigner,
+)
 from fvps.cli import (
     EXIT_CODES,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_TOLERANCE,
+    effective_mass_ratio,
     main,
+    packet_grid,
     run_coherent,
     run_entangle,
     run_factors,
@@ -100,6 +114,30 @@ class TestEvolveCommand:
         )
         assert code == EXIT_TOLERANCE
 
+    def test_nan_tolerance_fails_the_check(self):
+        argv = ["evolve", "--lambda", "2", "--t", "5", "--n-points", "256", "--check", "--tol", "nan"]
+        assert main(argv) == EXIT_TOLERANCE
+
+    def test_nan_deviation_fails_the_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_evolve_check", lambda *args, **kwargs: float("nan"))
+        assert main(["evolve", "--lambda", "2", "--t", "5", "--check"]) == EXIT_TOLERANCE
+        assert "FAIL" in capsys.readouterr().err
+
+
+def _drift_mass_ratio(lam, p_bar=0.02, t=2.0, n_points=512):
+    """p_bar over the slope of the position mean of the evolved field.
+
+    The estimator `effective_mass_ratio` used before its closed form: it
+    differences two position means about p_bar t apart, so it carries the
+    moments' roundoff amplified about 100-fold.
+    """
+    grid = packet_grid(lam, p_bar, n_points)
+    ps = PhaseSpaceGrid.conjugate(grid)
+    w0 = wigner.wigner_even(gaussian_state(grid, lam=lam, p_bar=p_bar), +1, ps)
+    w1 = moyal.evolve_even(w0, energy, t, ps)
+    drift = (wigner.moments(w1, ps).mean_q - wigner.moments(w0, ps).mean_q) / t
+    return p_bar / drift
+
 
 class TestCoherentCommand:
     def test_effective_mass_table(self, tmp_path):
@@ -110,6 +148,35 @@ class TestCoherentCommand:
         ratios = {float(r[0]): float(r[1]) for r in rows}
         assert ratios[0.5] < ratios[2.0]
         assert ratios[2.0] > 1.5
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0, 2.0, 4.0])
+    def test_matches_evolved_drift(self, lam):
+        # measured gap at n = 512: at most 3.7e-13 relative (lam 0.05), all
+        # of it the drift's roundoff; the bound leaves a ten-fold margin
+        assert effective_mass_ratio(lam, n_points=512) == pytest.approx(_drift_mass_ratio(lam), rel=4e-12)
+
+    def test_builds_no_field(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("coherent built a field, evolved it or took its moments")
+
+        for module, name in [(cli, "wigner_even"), (cli, "evolve_even"), (cli, "moments"),
+                             (wigner, "wigner_even"), (moyal, "evolve_even"), (wigner, "moments")]:
+            monkeypatch.setattr(module, name, refuse)
+        rows = run_coherent([0.05, 0.5, 1.0, 2.0, 4.0])
+        assert all(ratio >= 1.0 for _, ratio in rows)
+        assert main(["coherent", "--out", str(tmp_path / "mass.csv")]) == EXIT_OK
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(lam=st.floats(0.05, 4.0), p_bar=st.floats(0.01, 2.0))
+    def test_ratio_at_least_one_and_even_in_p_bar(self, lam, p_bar):
+        # v(p) = p/E is odd and rises with slope 1/E^3 <= 1 (natural
+        # units), so each pair p_bar +- x of the symmetric packet has mean
+        # velocity at most p_bar.  The grid is not symmetric about 0, so
+        # evenness holds to roundoff: at most 1e-13 relative, measured over
+        # this box at n = 512
+        ratio = effective_mass_ratio(lam, p_bar, n_points=512)
+        assert ratio >= 1.0
+        assert effective_mass_ratio(lam, -p_bar, n_points=512) == pytest.approx(ratio, rel=1e-12)
 
 
 class TestRotatorCommand:
@@ -154,6 +221,20 @@ class TestSweepsRunInProcess:
         cfg.write_text("jobs=2\n")
         out = tmp_path / "out.csv"
         assert main(["--config", str(cfg), "entangle", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_coherent_t_flag_exits_2(self, tmp_path, capsys):
+        # the effective mass is the same at every t, so coherent has no --t
+        out = tmp_path / "mass.csv"
+        assert main(["coherent", "--t", "2", "--out", str(out)]) == EXIT_CONFIG
+        assert "unrecognized arguments: --t 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coherent_t_in_config_file_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t=2\n")
+        out = tmp_path / "mass.csv"
+        assert main(["--config", str(cfg), "coherent", "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
     def test_fvps_jobs_environment_leaves_sidecar_unchanged(self, tmp_path, monkeypatch):
@@ -275,8 +356,11 @@ class TestValidationPropagation:
             ["wigner", "--lambda", "0"],
             ["wigner", "--lambda", "inf"],
             ["evolve", "--lambda", "0", "--t", "1"],
+            ["evolve", "--lambda", "2", "--t", "nan"],
+            ["evolve", "--lambda", "2", "--t", "inf"],
             ["coherent", "--lambdas", "0"],
-            ["coherent", "--lambdas", "1", "--t", "0"],
+            ["coherent", "--p-bar", "0"],
+            ["coherent", "--p-bar", "nan"],
             ["entangle", "--sigmas", "nan"],
         ],
         ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
@@ -346,7 +430,7 @@ def _reference_field_csv(path, w, ps, metadata: dict, matrix: bool = False):
 
 def _reference_coherent_csv(path, args, rows):
     with open(path, "w", newline="") as fh:
-        fh.write(f"# p_bar={args.p_bar:g}\n# t={args.t:g}\n")
+        fh.write(f"# p_bar={args.p_bar:g}\n")
         writer = csv.writer(fh)
         writer.writerow(["lambda", "m_eff_over_m"])
         for lam, ratio in rows:

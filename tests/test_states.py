@@ -79,6 +79,13 @@ class TestGaussianState:
         with pytest.raises(ValueError):
             gaussian_state(grid)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_lambda_is_a_value_error(self, lam):
+        # lam = 0 used to raise ZeroDivisionError, an ArithmeticError the
+        # cli reports as a numerical failure; nan built a nan packet
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            gaussian_state(MomentumGrid(256, 12.0), lam=lam)
+
 
 class TestCoherentState:
     def test_alpha_to_centers(self):
