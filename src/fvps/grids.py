@@ -78,8 +78,8 @@ class MomentumGrid:
             raise GridError(
                 f"n_points must be a power of two >= 8, got {self.n_points}"
             )
-        if self.p_max <= 0:
-            raise GridError(f"p_max must be positive, got {self.p_max}")
+        if not 0.0 < self.p_max < np.inf:
+            raise GridError(f"p_max must be finite and positive, got {self.p_max}")
 
     @property
     def spacing(self) -> float:

@@ -13,8 +13,11 @@ and only even parts are observables under the charge superselection rule.
 The sign operator and the even/odd splits are computed by dense
 eigendecomposition, which makes this module the numerical referee for
 the closed forms used elsewhere (`spectrum.eps_factor` / `chi_factor`,
-the ladder deformation, the Newton-Wigner position, the blockwise
-even part `charge_invariant_even`).
+the ladder deformation, the Newton-Wigner position, the mode-space
+coupling norm `rotator.translational_coupling`).  The blockwise even
+part `charge_invariant_even` is a referee too: the tests check it
+against the dense split and referee the coupling norm with it; no
+production path calls it.
 
 Basis layout: index = branch * M + mode, mode bases are either momentum
 nodes or oscillator levels (optionally tensored with a longitudinal

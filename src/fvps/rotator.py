@@ -18,10 +18,12 @@ so no state is sharp in both; `translational_coupling` measures that
 commutator on the joint basis.
 
 Every Hamiltonian here is a set of independent 2x2 charge blocks, so the
-production paths use closed forms: the ladder from `deformation_f`, and
-even parts from `opmatrix.charge_invariant_even`.  The dense
-doubled-space oracle (`sign_operator`, `even_part`, `branch_reduce`) runs
-only in `orbit_series_matrix_oracle` and the tests, as the referee.
+production paths use closed forms in mode space: the ladder from
+`deformation_f`, and the coupling norm from eps = 1 + delta on the level
+energies.  None builds a doubled-space matrix.  The dense doubled-space
+oracle (`sign_operator`, `even_part`, `branch_reduce`) runs only in
+`orbit_series_matrix_oracle` and the tests, as the referee, and so does
+`opmatrix.charge_invariant_even`.
 """
 
 import warnings
@@ -36,7 +38,6 @@ from .opmatrix import (
     branch_vectors,
     build_hamiltonian,
     charge_invariant,
-    charge_invariant_even,
     even_part,
     position_kernel,
     sign_operator,
@@ -55,8 +56,8 @@ class RotatorModel:
     pz_grid: MomentumGrid | None = None
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError(f"field strength b must be positive, got {self.b}")
+        if not 0.0 < self.b < np.inf:
+            raise ValueError(f"field strength b must be finite and positive, got {self.b}")
         if self.n_max < 2:
             raise ValueError(f"n_max must be >= 2, got {self.n_max}")
 
@@ -284,27 +285,30 @@ def translational_coupling(model: RotatorModel) -> float:
     positions cannot be diagonalized together -- and vanishes in the
     b -> 0 limit where the branch structure loses its n-dependence.
 
-    Every charge block H_j is [[a, b], [-b, -a]], so both even parts have
-    the form [[P, Q], [Q, P]] over the charge index.  U = P + Q and
-    V = P - Q block-diagonalize it: [A, Z] = [[X, Y], [Y, X]] with
-    X, Y = (C_U +- C_V) / 2, where C_U = [U_A, U_Z] and C_V = [V_A, V_Z]
-    are half-size commutators (a quarter of the dense flops).
+    Closed form in mode space, no doubled-space matrix: the charge blocks
+    of the commutator are eps * C and -chi * C entrywise, with
+    C = [eps * A, eps * Z] the commutator of the positive-branch
+    reductions, so the norm is max |eps * C| (eps^2 - chi^2 = 1).  Written
+    as eps = 1 + delta, with
+    delta(E_a, E_b) = (sqrt E_a - sqrt E_b)^2 / (2 sqrt(E_a E_b)), it
+    carries no cancellation.  A = a x 1 and Z = 1 x z act on different factors,
+    so [A, Z] = 0 and only level blocks (l, l+1) of C survive:
+    sqrt(l+1) z_ik [d_i - d_k + dhi_ik - dlo_ik + d_i dhi_ik - dlo_ik d_k],
+    with dlo, dhi the delta within levels l and l+1 and d_i the delta
+    between (l, i) and (l+1, i).
     """
     if model.pz_grid is None:
         raise GridError("translational_coupling needs a RotatorModel with a pz_grid")
-    h = build_hamiltonian(model.energy_model, n_levels=model.n_max, pz_grid=model.pz_grid)
-    psg = PhaseSpaceGrid.conjugate(model.pz_grid, model.units.hbar)
-    z_mode = np.kron(np.eye(model.n_max), position_kernel(psg))
-    a_mode = np.kron(_bare_ladder(model.n_max), np.eye(model.pz_grid.n_points))
-    m = h.n_modes
+    z = position_kernel(PhaseSpaceGrid.conjugate(model.pz_grid, model.units.hbar))
+    levels = np.arange(model.n_max)[:, None]
+    root = np.sqrt(landau_energy(levels, model.pz_grid.nodes, model.energy_model))
+    i, k = root[:, :, None], root[:, None, :]
 
-    def sum_and_difference(kernel):
-        even = charge_invariant_even(kernel, h).mat
-        p, q = even[:m, :m], even[:m, m:]
-        return p + q, p - q
+    def delta(ra, rb):
+        return (ra - rb) ** 2 / (2.0 * ra * rb)
 
-    u_a, v_a = sum_and_difference(a_mode)
-    u_z, v_z = sum_and_difference(z_mode)
-    c_u = u_a @ u_z - u_z @ u_a
-    c_v = v_a @ v_z - v_z @ v_a
-    return float(max(np.abs(c_u + c_v).max(), np.abs(c_u - c_v).max()) / 2.0)
+    d_i, d_k = delta(i[:-1], i[1:]), delta(k[:-1], k[1:])
+    d_lo, d_hi = delta(i[:-1], k[:-1]), delta(i[1:], k[1:])
+    c = z * (d_i - d_k + d_hi - d_lo + d_i * d_hi - d_lo * d_k)
+    eps = 1.0 + delta(i[:-1], k[1:])
+    return float((np.sqrt(levels[1:, :, None]) * np.abs(eps * c)).max())

@@ -47,8 +47,8 @@ class EnergyModel:
     def __post_init__(self):
         if self.kind not in ("free", "landau"):
             raise ValueError(f"kind must be 'free' or 'landau', got {self.kind!r}")
-        if self.b < 0:
-            raise ValueError(f"field strength b must be >= 0, got {self.b}")
+        if not 0.0 <= self.b < np.inf:
+            raise ValueError(f"field strength b must be finite and >= 0, got {self.b}")
 
     @classmethod
     def free(cls, units: UnitSystem = NATURAL) -> "EnergyModel":

@@ -164,8 +164,10 @@ def displaced_number_state(
     """
     if not 0 <= n <= _MAX_HERMITE:
         raise ValueError(f"number-state index must be in [0, {_MAX_HERMITE}], got {n}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if not np.isfinite([q_bar, p_bar]).all():
+        raise ValueError(f"centres must be finite, got q_bar={q_bar}, p_bar={p_bar}")
     # support reaches the classical turning point sqrt(2n+1) hbar/sigma
     # plus Gaussian tails; resolution requirement is that of the n=0 width
     _check_resolution(grid, sigma, p_bar, units, reach=np.sqrt(2.0 * n + 1.0) + 5.0)
@@ -211,6 +213,8 @@ def rotator_coherent_state(
     """
     if n_max < 1 or n_max > 512:
         raise ValueError(f"n_max must be in [1, 512], got {n_max}")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     n = np.arange(1, n_max + 1)
     f = deformation_f(n, model)
     # log-magnitude recursion keeps very large n_max stable

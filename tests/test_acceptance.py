@@ -350,12 +350,18 @@ def test_criterion_9_noncommutativity():
     strong = translational_coupling(RotatorModel(b=1.0, n_max=16, pz_grid=pz))
     weak = translational_coupling(RotatorModel(b=1e-8, n_max=16, pz_grid=pz))
     elapsed = time.time() - t0
+    # soundness, unbounded: the b=1 norm at 64 levels x 128 p_z, and the b=1e-8
+    # norm, which grows with the level count
+    strong_fine = translational_coupling(RotatorModel(b=1.0, n_max=64, pz_grid=MomentumGrid(128, 6.0)))
+    weak_levels = [translational_coupling(RotatorModel(b=1e-8, n_max=n, pz_grid=pz)) for n in (32, 64)]
     ok = strong > 1e-3 and weak < 1e-4 and elapsed < 60.0
     report(
         9,
         ok,
         f"noncommutativity (joint dim 1024): ||[A_even, Z_even]|| {strong:.4f} (>1e-3) "
-        f"at b=1, {weak:.1e} (<1e-4) at b=1e-8, {elapsed:.2f}s",
+        f"at b=1, {weak:.1e} (<1e-4) at b=1e-8, {elapsed:.2f}s; 64 levels x 128 p_z moves "
+        f"the b=1 norm by {abs(strong_fine / strong - 1):.1e}; b=1e-8 norm at 16/32/64 levels "
+        f"{weak:.2e}/{weak_levels[0]:.2e}/{weak_levels[1]:.2e}",
     )
     assert strong > 1e-3
     assert weak < 1e-4

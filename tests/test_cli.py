@@ -362,6 +362,10 @@ class TestValidationPropagation:
             ["coherent", "--p-bar", "0"],
             ["coherent", "--p-bar", "nan"],
             ["entangle", "--sigmas", "nan"],
+            ["rotator", "--b", "nan", "--alpha", "3", "--t-max", "10", "--dt", "1"],
+            ["rotator", "--b", "inf", "--alpha", "3", "--t-max", "10", "--dt", "1"],
+            ["rotator", "--b", "0.5", "--alpha", "nan", "--t-max", "10", "--dt", "1"],
+            ["rotator", "--b", "0.5", "--alpha", "inf", "--t-max", "10", "--dt", "1"],
         ],
         ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
     )

@@ -43,6 +43,11 @@ class TestMomentumGrid:
         with pytest.raises(GridError):
             MomentumGrid(n, 1.0)
 
+    @pytest.mark.parametrize("p_max", [np.nan, np.inf])
+    def test_rejects_non_finite_p_max(self, p_max):
+        with pytest.raises(GridError, match="finite"):
+            MomentumGrid(64, p_max)
+
     def test_default_p_max_covers_tails(self):
         u = UnitSystem()
         assert default_p_max(u, sigma=1.0) == 20.0

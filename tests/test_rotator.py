@@ -66,6 +66,42 @@ def _oracle_coupling(model):
     return float(np.abs(commutator(a_even, z_even).mat).max())
 
 
+def _dense_coupling(model):
+    """Max-entry norm of [A_even, Z_even], both even parts by `charge_invariant_even`, in float64."""
+    h, a_mode, z_mode = _coupling_kernels(model)
+    full = commutator(charge_invariant_even(a_mode, h), charge_invariant_even(z_mode, h))
+    return float(np.abs(full.mat).max())
+
+
+def _extended_precision_coupling(model):
+    """Max-entry norm of [A_even, Z_even] in extended precision, one level block at a time.
+
+    Lambda_j = H_j / sqrt(-det H_j) comes from the charge blocks of
+    `build_hamiltonian`'s matrix and each even block is
+    K_jk (1 + Lambda_j Lambda_k) / 2, all in np.clongdouble.  A_even is
+    block-superdiagonal in level and Z_even block-diagonal, so the
+    commutator lives in the (l, l+1) level blocks.
+    """
+    h, _, _ = _coupling_kernels(model)
+    n_pz, m = model.pz_grid.n_points, h.n_modes
+    idx = np.arange(m)
+    blocks = h.mat.reshape(2, m, 2, m)[:, idx, :, idx].astype(np.clongdouble)
+    det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
+    lam = (blocks / np.sqrt(-det)[:, None, None]).reshape(model.n_max, n_pz, 2, 2)
+    z = position_kernel(PhaseSpaceGrid.conjugate(model.pz_grid, model.units.hbar)).astype(np.clongdouble)
+
+    def even_block(kernel, lam_row, lam_col):
+        halves = 0.5 * kernel[:, :, None, None] * (np.eye(2) + lam_row[:, None] @ lam_col[None, :])
+        return halves.transpose(2, 0, 3, 1).reshape(2 * n_pz, 2 * n_pz)
+
+    norm = np.longdouble(0.0)
+    for level in range(model.n_max - 1):
+        a = even_block(np.sqrt(np.longdouble(level + 1)) * np.eye(n_pz), lam[level], lam[level + 1])
+        comm = a @ even_block(z, lam[level + 1], lam[level + 1]) - even_block(z, lam[level], lam[level]) @ a
+        norm = max(norm, np.abs(comm).max())
+    return float(norm)
+
+
 class TestEvenLadder:
     def test_superdiagonal_ties_to_deformation(self):
         model = RotatorModel(b=1.0, n_max=32)
@@ -262,7 +298,7 @@ class TestTranslationalCoupling:
 
     @pytest.mark.parametrize("b", [1e-8, 0.5, 1.0])
     def test_even_parts_have_exact_charge_block_form(self, b):
-        # the half-size commutators rest on [[P, Q], [Q, P]] holding bit for bit
+        # the mode-space closed form of the coupling rests on this charge-block form
         h, a_mode, z_mode = _coupling_kernels(RotatorModel(b=b, n_max=16, pz_grid=self.pz))
         m = h.n_modes
         for kernel in (a_mode, z_mode):
@@ -270,15 +306,24 @@ class TestTranslationalCoupling:
             assert np.array_equal(even[m:, m:], even[:m, :m])
             assert np.array_equal(even[m:, :m], even[:m, m:])
 
-    @pytest.mark.parametrize("b", [1e-8, 0.5, 1.0])
-    def test_matches_full_size_commutator(self, b):
-        # criterion-9 size (joint dimension 1024); at b = 1e-8 the norm is a
-        # cancellation residue of ~7e-9, so the absolute floor sets the bound there
+    @pytest.mark.parametrize(
+        "b, referee",
+        [(1e-8, _extended_precision_coupling), (0.5, _dense_coupling), (1.0, _dense_coupling)],
+        ids=["1e-08", "0.5", "1.0"],
+    )
+    def test_matches_full_size_commutator(self, b, referee):
+        # criterion-9 size (joint dimension 1024); at b = 1e-8 the norm is ~7e-9
+        # and the float64 dense commutator is itself ~2e-15 from the extended-
+        # precision one, twice the absolute floor, so the latter referees there
         model = RotatorModel(b=b, n_max=16, pz_grid=self.pz)
-        h, a_mode, z_mode = _coupling_kernels(model)
-        full = commutator(charge_invariant_even(a_mode, h), charge_invariant_even(z_mode, h))
-        dense = float(np.abs(full.mat).max())
-        assert translational_coupling(model) == pytest.approx(dense, rel=1e-12, abs=1e-15)
+        assert translational_coupling(model) == pytest.approx(referee(model), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("b", [0.5, 1.0])
+    def test_converged_beyond_the_doubled_space_cap(self, b):
+        # 64 levels x 128 p_z is a doubled dimension of 16384, past MAX_DOUBLED_DIM
+        coarse = translational_coupling(RotatorModel(b=b, n_max=16, pz_grid=self.pz))
+        fine = translational_coupling(RotatorModel(b=b, n_max=64, pz_grid=MomentumGrid(128, 6.0)))
+        assert fine == pytest.approx(coarse, rel=1e-12)
 
 
 class TestClosedFormsAgainstOracle:
@@ -309,17 +354,18 @@ class TestClosedFormsAgainstOracle:
             raise AssertionError("dense oracle called on a production path")
 
         targets = [
-            (opmatrix, "sign_operator"),
-            (rotator, "sign_operator"),
-            (np.linalg, "eig"),
-            (np.linalg, "inv"),
+            (module, name)
+            for module in (opmatrix, rotator)
+            for name in ("sign_operator", "build_hamiltonian", "charge_invariant_even")
         ]
+        targets += [(np.linalg, "eig"), (np.linalg, "inv")]
         if importlib.util.find_spec("scipy") is not None:
             import scipy.linalg
 
             targets += [(scipy.linalg, "eig"), (scipy.linalg, "inv")]
         for module, name in targets:
-            monkeypatch.setattr(module, name, refuse)
+            # raising=False: a name the module does not import is refused all the same
+            monkeypatch.setattr(module, name, refuse, raising=False)
         model = RotatorModel(b=0.5, n_max=32, pz_grid=MomentumGrid(8, 4.0))
         even_ladder(model)
         deformed_commutator(model)

@@ -136,6 +136,11 @@ class TestLandau:
         with pytest.raises(ValueError):
             EnergyModel.landau(-0.5)
 
+    @pytest.mark.parametrize("b", [np.nan, np.inf])
+    def test_rejects_non_finite_field(self, b):
+        with pytest.raises(ValueError, match="finite"):
+            EnergyModel.landau(b)
+
 
 class TestDeformation:
     def test_weak_field_limit(self):

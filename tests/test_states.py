@@ -198,6 +198,13 @@ class TestDisplacedNumber:
         with pytest.raises(ValueError):
             displaced_number_state(13, self.grid, sigma=1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["sigma", "q_bar", "p_bar"])
+    def test_rejects_non_finite_inputs(self, name, value):
+        kwargs = {"sigma": 1.0, "q_bar": 0.0, "p_bar": 0.0, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            displaced_number_state(0, self.grid, **kwargs)
+
 
 class TestRotatorCoherent:
     def test_alpha_zero_is_ground_state(self):
