@@ -14,11 +14,12 @@ wins.  `wigner` and `evolve` build their packet and its field with one
 pipeline, `_packet`; `coherent` needs only the packet's amplitudes.
 
 Exit codes, from the EXIT_CODES table: 0 success; 2 configuration,
-validation or file error (any ValueError -- every fvps grid, conjugacy,
-resolution, truncation and step-size error is one -- or an OSError);
-3 numerical failure: a --check tolerance exceeded, or an ArithmeticError
-such as ConditioningError.  An error raised by the package never ends in
-a traceback.
+validation, file or memory error (any ValueError -- every fvps grid,
+conjugacy, resolution, truncation and step-size error is one -- an
+OSError, or a MemoryError when a size asks for more memory than the
+machine has); 3 numerical failure: a --check tolerance exceeded, or an
+ArithmeticError such as ConditioningError.  An error raised by the
+package never ends in a traceback.
 """
 
 import argparse
@@ -49,6 +50,7 @@ EXIT_CODES = {
     ValueError: (EXIT_CONFIG, "validation error"),
     OSError: (EXIT_CONFIG, "file error"),
     ArithmeticError: (EXIT_TOLERANCE, "numerical error"),
+    MemoryError: (EXIT_CONFIG, "memory error"),
 }
 
 
@@ -58,6 +60,8 @@ EXIT_CODES = {
 
 
 def run_factors(p1: float, p2: float) -> dict:
+    if not np.isfinite([p1, p2]).all():
+        raise ValueError(f"momenta must be finite, got p1={p1}, p2={p2}")
     return {
         "p1": p1,
         "p2": p2,

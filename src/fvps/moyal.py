@@ -2,10 +2,14 @@
 
 Two symbol representations coexist:
 
-* `PolySymbol` holds polynomial coefficients in (q, p).  Its star product
-  is the finite bidifferential series, evaluated exactly on coefficient
-  arrays, so canonical identities like q*p = qp + i hbar/2 hold to
-  roundoff.
+* `PolySymbol` holds polynomial coefficients in (q, p).  The two halves
+  of the Moyal operator, <-d_q ->d_p and <-d_p ->d_q, commute, so the
+  star exponential factorises into one exponential per half and the
+  product of two polynomials is a finite double sum over the two
+  derivative orders, each bounded by the operands' degrees.  It is
+  evaluated exactly on coefficient arrays, each pointwise product being
+  one 1-D convolution, so canonical identities like q*p = qp + i hbar/2
+  hold to roundoff.
 * Sampled fields of shape (n_p, n_q), or (m, m, n_p, n_q) for matrix
   symbols of any size m, use the Fourier-kernel form: plane-wave modes
   multiply as W_v * W_w = exp(-(i hbar/2) omega(v, w)) W_{v+w} with
@@ -41,9 +45,10 @@ motion reads dW/dt = -(2i/hbar) [E, W].
 """
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder
+from numpy.polynomial.polynomial import polyder, polyval2d
 
 from .errors import GridError, StepSizeError
 from .grids import PhaseSpaceGrid
@@ -75,15 +80,15 @@ class PolySymbol:
         return cls(np.array([[value]]))
 
     def __mul__(self, other):
-        if isinstance(other, PolySymbol):
-            a, b = self.coeffs, other.coeffs
-            out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1), dtype=complex)
-            for i in range(a.shape[0]):
-                for j in range(a.shape[1]):
-                    if a[i, j] != 0:
-                        out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
-            return PolySymbol(out)
-        return PolySymbol(self.coeffs * other)
+        if not isinstance(other, PolySymbol):
+            return PolySymbol(self.coeffs * other)
+        # with both padded to the product's width W, a[i, j] b[k, l] lands
+        # at flat index (i + k) W + (j + l), and j + l < W never carries
+        # into the next row: one 1-D convolution is the 2-D product
+        a, b = self.coeffs, other.coeffs
+        rows, width = a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1
+        flat = np.convolve(*(np.pad(c, ((0, 0), (0, width - c.shape[1]))).ravel() for c in (a, b)))
+        return PolySymbol(flat[: rows * width].reshape(rows, width))
 
     __rmul__ = __mul__
 
@@ -101,50 +106,34 @@ class PolySymbol:
     def __sub__(self, other):
         return self + (-1.0) * other
 
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.coeffs)
-
     def evaluate(self, p, q):
         """Evaluate on broadcastable arrays of momenta and positions."""
-        acc = 0.0
-        for i in range(self.coeffs.shape[0]):
-            for j in range(self.coeffs.shape[1]):
-                c = self.coeffs[i, j]
-                if c != 0:
-                    acc = acc + c * np.asarray(q) ** i * np.asarray(p) ** j
-        return acc
+        return polyval2d(*np.broadcast_arrays(q, p), self.coeffs)
 
     def sample(self, psgrid: PhaseSpaceGrid):
         return self.evaluate(psgrid.p_nodes[:, None], psgrid.q_nodes[None, :])
 
 
 def _poly_star(a: PolySymbol, b: PolySymbol, hbar: float) -> PolySymbol:
-    """Finite bidifferential series; terminates for polynomials.
+    """Factorised Moyal series; finite for polynomials.
 
-    Term n sums (-1)^k C(n, k) (d_q^(n-k) d_p^k a)(d_p^(n-k) d_q^k b);
-    coeffs axis 0 is the q power, axis 1 the p power.
+    The two halves of the bidifferential operator commute, so the star
+    exponential splits into exp(i hbar/2 <-d_q ->d_p) exp(-i hbar/2 <-d_p ->d_q):
+    the sum over r, s of (i hbar/2)^(r+s) (-1)^s / (r! s!) times
+    (d_q^r d_p^s a)(d_q^s d_p^r b).  So r runs up to the smaller of a's q
+    degree and b's p degree, s up to the smaller of a's p degree and b's
+    q degree; every other term is zero.  coeffs axis 0 is the q power,
+    axis 1 the p power.
     """
-    from math import comb, factorial
-
-    result = a * b
-    n = 1
-    while True:
-        term = PolySymbol(np.zeros((1, 1)))
-        alive = False
-        for k in range(n + 1):
-            da = PolySymbol(polyder(polyder(a.coeffs, n - k, axis=0), k, axis=1))
-            if da.is_zero:
-                continue
-            db = PolySymbol(polyder(polyder(b.coeffs, n - k, axis=1), k, axis=0))
-            if db.is_zero:
-                continue
-            alive = True
-            term = term + ((-1) ** k * comb(n, k)) * (da * db)
-        if not alive:
-            return result
-        result = result + ((1j * hbar / 2) ** n / factorial(n)) * term
-        n += 1
+    a, b = a.coeffs, b.coeffs
+    terms = (
+        ((0.5j * hbar) ** (r + s) * (-1) ** s / (factorial(r) * factorial(s)))
+        * PolySymbol(polyder(polyder(a, r, axis=0), s, axis=1))
+        * PolySymbol(polyder(polyder(b, s, axis=0), r, axis=1))
+        for r in range(min(a.shape[0], b.shape[1]))
+        for s in range(min(a.shape[1], b.shape[0]))
+    )
+    return sum(terms, PolySymbol.constant(0.0))
 
 
 # ---------------------------------------------------------------------------

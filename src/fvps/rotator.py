@@ -144,8 +144,8 @@ def orbit_series(
     dt must resolve the fundamental spacing (>= 8 samples per cyclotron
     period).
     """
-    if dt <= 0 or t_max <= dt:
-        raise ValueError("need 0 < dt < t_max")
+    if not 0.0 < dt < t_max < np.inf:
+        raise ValueError(f"need finite 0 < dt < t_max, got dt={dt}, t_max={t_max}")
     u = model.units
     period = 2.0 * np.pi / model.omega
     if dt > period / 8.0:

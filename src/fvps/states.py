@@ -187,17 +187,11 @@ class FockExpansion:
     """Coefficients over the magnetic-problem level basis, truncation-checked."""
 
     coeffs: np.ndarray
-    model: EnergyModel
-    tail_bound: float = 1e-12
 
     def __post_init__(self):
         norm = np.sum(np.abs(self.coeffs) ** 2)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"coefficients not normalized: sum |c|^2 = {norm}")
-
-    @property
-    def n_max(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def rotator_coherent_state(
@@ -234,7 +228,7 @@ def rotator_coherent_state(
             f"increase n_max (try {max(suggested, 2 * n_max)})",
             suggested_size=max(suggested, 2 * n_max),
         )
-    return FockExpansion(coeffs=c, model=model, tail_bound=tail)
+    return FockExpansion(coeffs=c)
 
 
 # ---------------------------------------------------------------------------

@@ -366,11 +366,14 @@ class TestValidationPropagation:
             ["rotator", "--b", "inf", "--alpha", "3", "--t-max", "10", "--dt", "1"],
             ["rotator", "--b", "0.5", "--alpha", "nan", "--t-max", "10", "--dt", "1"],
             ["rotator", "--b", "0.5", "--alpha", "inf", "--t-max", "10", "--dt", "1"],
+            ["factors", "--p1", "nan", "--p2", "1"],
+            ["factors", "--p1", "inf", "--p2", "1"],
+            ["factors", "--p1", "1", "--p2=-inf"],
         ],
         ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
     )
     def test_bad_sweep_input_exits_2(self, tmp_path, argv, capsys):
-        out = tmp_path / ("out.json" if argv[0] == "evolve" else "out.csv")
+        out = tmp_path / ("out.json" if argv[0] in ("evolve", "factors") else "out.csv")
         assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "validation error" in err and "Traceback" not in err
@@ -401,6 +404,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical error: sign operator is singular" in err
         assert "Traceback" not in err
+
+    def test_memory_error_exits_2_without_traceback(self, tmp_path, monkeypatch, capsys):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 128. GiB")
+
+        monkeypatch.setattr(cli, "run_wigner", too_large)
+        out = tmp_path / "w.csv"
+        code = main(["wigner", "--lambda", "1", "--n-points", "65536", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "memory error: Unable to allocate 128. GiB" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         code = main(["factors", "--p1", "0", "--p2", "1", "--out", str(tmp_path / "missing" / "f.json")])

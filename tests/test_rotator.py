@@ -204,6 +204,13 @@ class TestOrbitSeries:
         oracle = orbit_series_matrix_oracle(st, model, times)
         assert np.abs(ser.radius[times.astype(int)] - oracle).max() < 1e-8
 
+    @pytest.mark.parametrize("dt, t_max", [(float("nan"), 100.0), (1.0, float("nan")), (1.0, float("inf"))])
+    def test_non_finite_window_rejected(self, dt, t_max):
+        model = RotatorModel(b=0.5, n_max=32)
+        st = rotator_coherent_state(1.0, model.energy_model, n_max=32)
+        with pytest.raises(ValueError, match=r"need finite 0 < dt < t_max"):
+            orbit_series(st, model, t_max=t_max, dt=dt)
+
     def test_undersampled_dt_rejected(self):
         model = RotatorModel(b=0.5, n_max=32)
         st = rotator_coherent_state(1.0, model.energy_model, n_max=32)
