@@ -35,7 +35,7 @@ from .pairs import PenaltyTable, penalty_curve
 from .rotator import RotatorModel, modulation_spectrum, orbit_series
 from .spectrum import chi_factor, energy, eps_factor, purity_rhs
 from .states import ChargeBranchState, gaussian_state, rotator_coherent_state
-from .tables import write_csv, write_json
+from .tables import write_csv, write_field_csv, write_json
 from .wigner import EPS_RELATIVISTIC, moments, wigner_even
 
 EXIT_OK = 0
@@ -158,17 +158,6 @@ def _write_provenance(args, tolerances: dict | None = None, **extra):
     )
 
 
-def _write_field_csv(path, w, ps, metadata: dict, matrix: bool = False):
-    q_nodes = list(map(repr, ps.q_nodes.tolist()))
-    p_nodes = list(map(repr, ps.p_nodes.tolist()))
-    if matrix:
-        # contour-ready: first row q nodes, then one row per p node
-        write_csv(path, metadata, ["p\\q"] + q_nodes, ([p] + row for p, row in zip(p_nodes, w.tolist())))
-    else:
-        rows = ((q, p, x) for p, row in zip(p_nodes, w.tolist()) for q, x in zip(q_nodes, row))
-        write_csv(path, metadata, ["q", "p", "W"], rows)
-
-
 # ---------------------------------------------------------------------------
 # Command handlers
 # ---------------------------------------------------------------------------
@@ -202,7 +191,7 @@ def _cmd_wigner(args) -> int:
         "p_max": f"{ps.momentum.p_max:g}",
         "eps_mode": args.eps_mode,
     }
-    _write_field_csv(args.out, w, ps, meta, matrix=args.matrix)
+    write_field_csv(args.out, meta, ps.q_nodes, ps.p_nodes, w, matrix=args.matrix)
     mdict = {**asdict(m), "var_q_negative": bool(m.var_q < 0), "var_p_negative": bool(m.var_p < 0)}
     write_json(args.moments_out or (str(args.out) + ".moments.json"), mdict)
     _write_provenance(args, lambda_resolved=lam)
@@ -211,6 +200,8 @@ def _cmd_wigner(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    if not 0.0 <= args.tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {args.tol}")
     dev = run_evolve_check(args.lam, args.t, n_points=args.n_points)
     print(f"max |spectral - wavefunction| = {dev:.3e}")
     if args.out:

@@ -315,20 +315,29 @@ def reconstruct_kernel(w: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
     inverse transform's mode j is conj(r[j]) for j >= 0 and r[-j] for
     j < 0.
     """
+    return _kernel_modes(_half_spectrum(w, psgrid), psgrid.n_q // 2 - 1, psgrid.dq)
+
+
+def _half_spectrum(w, psgrid: PhaseSpaceGrid) -> np.ndarray:
+    """The real FFT along q of the real even field `w`, checked against the grid."""
     psgrid.require_conjugate()
-    n_q = psgrid.n_q
     w = np.asarray(w)
     if np.iscomplexobj(w):
         raise ValueError("reconstruct_kernel takes a real even field")
-    if w.shape[-1] != n_q:
-        raise GridError(f"field has {w.shape[-1]} position samples, grid has {n_q}")
-    half = n_q // 2
-    r = np.fft.rfft(w, axis=-1)
-    modes = np.concatenate([r[..., half - 1 : 0 : -1], np.conj(r[..., :half])], axis=-1)
-    modes *= psgrid.dq
-    # column c holds offset j = c - (half - 1) with half - 1 odd, so the
-    # odd offsets sit in the even columns
-    modes[..., ::2] *= -1
+    if w.shape[-1] != psgrid.n_q:
+        raise GridError(f"field has {w.shape[-1]} position samples, grid has {psgrid.n_q}")
+    return np.fft.rfft(w, axis=-1)
+
+
+def _kernel_modes(r: np.ndarray, j_max: int, dq: float) -> np.ndarray:
+    """Kernel columns for the offsets |j| <= j_max from the half spectrum `r` along q.
+
+    Column c holds offset j = c - j_max: conj(r[j]) for j >= 0 and r[-j]
+    for j < 0, times dq, with the sign (-1)^j of the centred grid.
+    """
+    modes = np.concatenate([r[..., 1 : j_max + 1][..., ::-1], np.conj(r[..., : j_max + 1])], axis=-1)
+    modes *= dq
+    modes[..., (j_max + 1) % 2 :: 2] *= -1
     return modes
 
 
@@ -362,28 +371,34 @@ def purity_check(
 
     Reconstructs the two-momentum kernel, then compares the mixed second
     derivative of ln|K| against -c^4 p1 p2 / (E1 E2 (E1+E2)^2) over the
-    window where |K| exceeds `window_floor` times its maximum.  Central
+    window where |K| exceeds `window_floor` times its maximum.  |K| at
+    offset -j equals |K| at +j bit for bit (the two differ by a conjugate
+    and a sign), so the window's bounding box is found on the half
+    spectrum, |j| <= j_max, and only the box of K is ever built.  Central
     differences with step 2 dp, Richardson-refined with step 4 dp.  For a
     pure state of the full theory the two sides agree; a mixture breaks
     the factorization and fails loudly; forcing eps to 1 (non-local
     theory) drives the left side to zero while the right side stays
     finite.
     """
-    K = reconstruct_kernel(w, psgrid)
+    r = _half_spectrum(w, psgrid)
     dp = psgrid.dp
-    mag = np.abs(K)
-    peak = mag.max()
+    half_mag = np.abs(r[:, : psgrid.n_q // 2] * psgrid.dq)
+    peak = half_mag.max()
     if peak <= 0:
         raise ValueError("kernel vanishes identically; log criterion undefined")
 
+    # a stencil is taken only where every one of its points is in the
+    # window, so all the arithmetic fits in the window's bounding box:
+    # the rows `box` and the offsets |j| <= j_max
+    half_good = half_mag > window_floor * peak
+    box = _span(half_good.any(axis=1))
+    j_max = _span(half_good.any(axis=0)).stop - 1
+    K = _kernel_modes(r[box], j_max, psgrid.dq)
+    mag = np.abs(K)
     # ln|K| only inside the window: outside it the value never reaches a
     # windowed stencil, and exact zeros would put -inf into the arithmetic
     good = mag > window_floor * peak
-    # a stencil is taken only where every one of its points is in the
-    # window, so all the arithmetic fits in the window's bounding box
-    box = tuple(_span(good.any(axis=other)) for other in (1, 0))
-    r0, c0 = box[0].start, box[1].start
-    K, mag, good = K[box], mag[box], good[box]
     logmag = np.log(mag, out=np.zeros_like(mag), where=good)
 
     def mixed(g, s):
@@ -433,10 +448,8 @@ def purity_check(
 
     # the right-hand side is needed on the window only
     rows, cols = np.nonzero(mask)
-    n_q = psgrid.n_q
-    off = np.arange(-(n_q // 2 - 1), n_q // 2)
-    centre = psgrid.p_nodes[r0 + 2 * s + rows]
-    half = 0.5 * off[c0 + 4 * s + cols] * dp
+    centre = psgrid.p_nodes[box.start + 2 * s + rows]
+    half = 0.5 * (4 * s - j_max + cols) * dp
     rhs = purity_rhs(centre + half, centre - half, units)
     lhs = lhs[mask]
 

@@ -4,7 +4,9 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from fvps import (
     errors,
     gaussian_state,
     moyal,
+    tables,
     wigner,
 )
 from fvps.cli import (
@@ -114,9 +117,17 @@ class TestEvolveCommand:
         )
         assert code == EXIT_TOLERANCE
 
-    def test_nan_tolerance_fails_the_check(self):
-        argv = ["evolve", "--lambda", "2", "--t", "5", "--n-points", "256", "--check", "--tol", "nan"]
-        assert main(argv) == EXIT_TOLERANCE
+    def test_nan_tolerance_fails_the_check(self, tmp_path, capsys):
+        # a tolerance no deviation can meet is a validation error, found
+        # before the check runs, not a failed check
+        out = tmp_path / "e.json"
+        for tol in ("nan", "-1", "inf"):
+            argv = ["evolve", "--lambda", "2", "--t", "5", "--n-points", "256", "--check", "--tol", tol]
+            assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "validation error: tol must be finite and non-negative" in err
+            assert "FAIL" not in err
+            assert not out.exists()
 
     def test_nan_deviation_fails_the_check(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_evolve_check", lambda *args, **kwargs: float("nan"))
@@ -501,6 +512,47 @@ class TestByteReferee:
         _reference_field_csv(ref, w, ps, meta, matrix=matrix)
         assert out.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv", [["--preset", "fig1"], ["--lambda", "4", "--matrix"]], ids=["fig1", "matrix"]
+    )
+    def test_wigner_at_readme_size(self, tmp_path, argv):
+        out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
+        assert main(["wigner", *argv, "--out", str(out)]) == EXIT_OK
+        lam = 8.0 if "fig1" in argv else 4.0
+        w, ps, _ = run_wigner(lam)
+        meta = {"lambda": f"{lam:g}", "n_points": 512, "p_max": f"{ps.momentum.p_max:g}", "eps_mode": "relativistic"}
+        _reference_field_csv(ref, w, ps, meta, matrix="--matrix" in argv)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
+    def test_field_edge_values(self, tmp_path, matrix):
+        # signed zero, the smallest subnormal, both sides of repr's switch
+        # to exponent form (1e-05 / 0.0001, 1e16 / 9999999999999998.0) and
+        # negatives, in the nodes and in the field
+        q = np.array([-0.0, 5e-324, 1e16, -2.5])
+        p = np.array([9999999999999998.0, -1e-05, 0.0001])
+        w = np.array(
+            [[-0.0, 5e-324, 1e-05, 0.0001], [1e16, 9999999999999998.0, -5e-324, -1e-05], [-1e16, 0.1, -1 / 3, 0.0]]
+        )
+        out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
+        tables.write_field_csv(out, {"k": "v"}, q, p, w, matrix=matrix)
+        _reference_field_csv(ref, w, SimpleNamespace(q_nodes=q, p_nodes=p), {"k": "v"}, matrix=matrix)
+        assert out.read_bytes() == ref.read_bytes()
+
+        # every cell reads back to its float bit for bit
+        text = out.read_bytes().decode()
+        assert text.startswith("# k=v\n") and text.endswith("\r\n")
+        header, *lines = text[len("# k=v\n") : -2].split("\r\n")
+        cells = [[float(x) for x in line.split(",")] for line in lines]
+        if matrix:
+            got = [[float(x) for x in header.split(",")[1:]], [row[0] for row in cells], [row[1:] for row in cells]]
+            want = [q, p, w]
+        else:
+            got = np.array(cells).T.reshape(3, *w.shape)
+            want = np.broadcast_arrays(q, p[:, None], w)
+        for g, x in zip(got, want):
+            assert np.array(g).tobytes() == np.ascontiguousarray(x).tobytes()
+
     def test_coherent(self, tmp_path):
         out, ref = tmp_path / "mass.csv", tmp_path / "ref.csv"
         argv = ["coherent", "--lambdas", "0.5,2", "--p-bar", "0.03", "--out", str(out)]
@@ -540,6 +592,20 @@ class TestByteReferee:
         _reference_state_csv(state, ref, metadata={"sigma": 1.0, "note": "x"})
         # the charge_norm line alone differs: it now holds a plain float
         assert out.read_bytes().split(b"\n", 1)[1] == ref.read_bytes().split(b"\n", 1)[1]
+
+
+@pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
+def test_field_writer_memory_stays_linear(tmp_path, matrix):
+    # the writer holds one momentum row of Python floats at a time; the
+    # whole n = 512 field as a list of Python floats alone takes ~8 MB
+    w, ps, _ = run_wigner(8.0)
+    tracemalloc.start()
+    try:
+        tables.write_field_csv(tmp_path / "w.csv", {}, ps.q_nodes, ps.p_nodes, w, matrix=matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 # ---------------------------------------------------------------------------

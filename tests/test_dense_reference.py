@@ -12,9 +12,10 @@ The sampled star product is refereed by the per-mode loop it replaced
 entries), and the Poisson bracket by its per-entry loop, to 1e-13 of
 the reference's maximum on full-band random symbols.
 
-The purity criterion, which evaluates its stencils on the bounding box
-of the kernel window only, is refereed by the full-array evaluation it
-replaced: every report field must be bit-identical.
+The purity criterion, which finds the bounding box of the kernel window
+on the half spectrum and builds and evaluates its stencils on that box
+only, is refereed by the full-array evaluation it replaced, which
+reconstructs the whole kernel: every report field must be bit-identical.
 
 Even-field evolution, which runs a real FFT over the n/2 + 1 independent
 modes, is refereed by the full complex-FFT propagation it replaced, to
@@ -498,6 +499,18 @@ def test_purity_check_matches_full_array(n, lam):
     # ~1e-10 rounding residue there) differs at ~1e-6 relative
     ps = PhaseSpaceGrid.conjugate(packet_grid(lam, n_points=n))
     w = wigner_even(gaussian_state(ps.momentum, lam=lam, q_bar=0.3), +1, ps)
+    assert purity_check(w, ps) == full_array_purity_check(w, ps)
+
+
+@pytest.mark.parametrize("state", ["pure", "mixture"])
+@pytest.mark.parametrize("eps_mode", ["relativistic", "unity"])
+@pytest.mark.parametrize("n", [512, 1024])
+def test_purity_check_matches_full_array_for_each_kernel(n, eps_mode, state):
+    # purity_check never builds the offsets beyond the window; the full
+    # kernel must give the same report for both weights and for a mixture
+    ps = PhaseSpaceGrid.conjugate(packet_grid(1.0, n_points=n))
+    q_bars = [0.3] if state == "pure" else [-1.0, 1.0]
+    w = sum(wigner_even(gaussian_state(ps.momentum, lam=1.0, q_bar=q_bar), +1, ps, eps_mode) for q_bar in q_bars)
     assert purity_check(w, ps) == full_array_purity_check(w, ps)
 
 
