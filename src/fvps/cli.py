@@ -62,13 +62,16 @@ EXIT_CODES = {
 def run_factors(p1: float, p2: float) -> dict:
     if not np.isfinite([p1, p2]).all():
         raise ValueError(f"momenta must be finite, got p1={p1}, p2={p2}")
-    return {
-        "p1": p1,
-        "p2": p2,
-        "eps": float(eps_factor(p1, p2)),
-        "chi": float(chi_factor(p1, p2)),
-        "purity_rhs": float(purity_rhs(p1, p2)),
-    }
+    # |p| >~ 1e77 overflows E1 E2 (E1 + E2)^2: raise (exit 3) rather than
+    # print eps = 0 or purity_rhs = -0 and write NaN into the JSON
+    with np.errstate(over="raise", invalid="raise"):
+        return {
+            "p1": p1,
+            "p2": p2,
+            "eps": float(eps_factor(p1, p2)),
+            "chi": float(chi_factor(p1, p2)),
+            "purity_rhs": float(purity_rhs(p1, p2)),
+        }
 
 
 def packet_grid(lam: float, p_bar: float = 0.0, n_points: int = 512) -> MomentumGrid:

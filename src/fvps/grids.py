@@ -38,8 +38,8 @@ class UnitSystem:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.m <= 0 or self.c <= 0 or self.hbar <= 0:
-            raise ValueError("mass, c, and hbar must all be strictly positive")
+        if not all(0.0 < x < np.inf for x in (self.m, self.c, self.hbar)):
+            raise ValueError(f"mass, c, and hbar must all be finite and positive, got {self.m}, {self.c}, {self.hbar}")
 
     @property
     def mc(self) -> float:
@@ -93,6 +93,17 @@ class MomentumGrid:
         return self.n_points
 
 
+def half_step_lattice(grid: MomentumGrid, pad: int = 0) -> np.ndarray:
+    """Nodes p_0 + kappa dp / 2 for kappa in [-pad, 2 n + pad).
+
+    On a conjugate grid every shifted momentum p_k +- hbar kappa_m / 2 of
+    a pair product or a mode phase is one of these nodes, so E(p +-
+    hbar kappa / 2) is evaluated once per node and gathered.  `pad`
+    extends the lattice past either end by as many half steps.
+    """
+    return -grid.p_max + 0.5 * grid.spacing * np.arange(-pad, 2 * grid.n_points + pad)
+
+
 def default_p_max(units: UnitSystem, sigma: float) -> float:
     """Momentum window capturing relativistic tails of a width-sigma packet."""
     return max(20.0 * units.mc, 10.0 * units.hbar / sigma)
@@ -114,8 +125,10 @@ class PhaseSpaceGrid:
     def __post_init__(self):
         if self.n_q < 8 or not _is_power_of_two(self.n_q):
             raise GridError(f"n_q must be a power of two >= 8, got {self.n_q}")
-        if self.q_max <= 0:
-            raise GridError(f"q_max must be positive, got {self.q_max}")
+        if not 0.0 < self.q_max < np.inf:
+            raise GridError(f"q_max must be finite and positive, got {self.q_max}")
+        if not 0.0 < self.hbar < np.inf:
+            raise GridError(f"hbar must be finite and positive, got {self.hbar}")
 
     @classmethod
     def conjugate(cls, momentum: MomentumGrid, hbar: float = 1.0) -> "PhaseSpaceGrid":

@@ -51,7 +51,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval2d
 
 from .errors import GridError, StepSizeError
-from .grids import PhaseSpaceGrid
+from .grids import PhaseSpaceGrid, half_step_lattice
 
 # ---------------------------------------------------------------------------
 # Polynomial symbols: exact finite star-product algebra
@@ -282,8 +282,9 @@ def _shifted_energies(energy_fn, psgrid: PhaseSpaceGrid, n_modes: int | None = N
 
     On a conjugate grid hbar kappa_m / 2 = m dp / 2 for the FFT mode index
     m, so p_k +- hbar kappa_m / 2 = p_0 + (2k +- m) dp / 2: every shifted
-    momentum is a lattice node, and E is evaluated once per node instead
-    of on 2 n_p n_q pairs.  Returns (e, plus, minus) with
+    momentum is a node of `half_step_lattice` padded by n_q / 2 half steps
+    at either end, and E is evaluated once per node instead of on
+    2 n_p n_q pairs.  Returns (e, plus, minus) with
     e[plus] = E(p + hbar kappa/2) and e[minus] = E(p - hbar kappa/2) as
     (n_p, n_modes) arrays over the first n_modes FFT-ordered modes (all
     n_q by default).
@@ -292,8 +293,7 @@ def _shifted_energies(energy_fn, psgrid: PhaseSpaceGrid, n_modes: int | None = N
     n_p, n_q = psgrid.momentum.n_points, psgrid.n_q
     m = np.fft.ifftshift(np.arange(-(n_q // 2), n_q // 2))[:n_modes]  # fftfreq order
     centre = 2 * np.arange(n_p)[:, None] + n_q // 2
-    lattice = psgrid.p_nodes[0] + 0.5 * psgrid.dp * (np.arange(2 * n_p + n_q) - n_q // 2)
-    return energy_fn(lattice), centre + m, centre - m
+    return energy_fn(half_step_lattice(psgrid.momentum, n_q // 2)), centre + m, centre - m
 
 
 def propagator_phases(energy_fn, t: float, psgrid: PhaseSpaceGrid, parity: str = "even") -> np.ndarray:

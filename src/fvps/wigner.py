@@ -48,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridError
-from .grids import NATURAL, PhaseSpaceGrid, UnitSystem, centred_dft_size, phase_space_quadrature
+from .grids import NATURAL, PhaseSpaceGrid, UnitSystem, centred_dft_size, half_step_lattice, phase_space_quadrature
 from .spectrum import energy, eps_factor, purity_rhs
 from .states import ChargeBranchState
 
@@ -90,8 +90,7 @@ def _lattice_amplitude(phi: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
 
 def _root_energy(psgrid: PhaseSpaceGrid, units: UnitSystem) -> np.ndarray:
     """sqrt(E) on the half-step lattice p = -p_max + kappa dp/2."""
-    fine = -psgrid.momentum.p_max + 0.5 * psgrid.dp * np.arange(2 * psgrid.momentum.n_points)
-    return np.sqrt(energy(fine, units))
+    return np.sqrt(energy(half_step_lattice(psgrid.momentum), units))
 
 
 def _pair_product(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
@@ -375,7 +374,12 @@ def purity_check(
     offset -j equals |K| at +j bit for bit (the two differ by a conjugate
     and a sign), so the window's bounding box is found on the half
     spectrum, |j| <= j_max, and only the box of K is ever built.  Central
-    differences with step 2 dp, Richardson-refined with step 4 dp.  For a
+    differences with step 2 dp, Richardson-refined with step 4 dp, both on
+    one five-point stencil: the midpoint pair c +- s, the offset pair
+    j +- 2s and the centre, at index step s = 2 and 4.  Both steps are
+    evaluated on the common interior the step-4 stencil reaches, 4 rows
+    and 8 offset columns in from the box, and a box with no such interior
+    point in the window raises ValueError.  For a
     pure state of the full theory the two sides agree; a mixture breaks
     the factorization and fails loudly; forcing eps to 1 (non-local
     theory) drives the left side to zero while the right side stays
@@ -401,59 +405,55 @@ def purity_check(
     good = mag > window_floor * peak
     logmag = np.log(mag, out=np.zeros_like(mag), where=good)
 
-    def mixed(g, s):
-        # d^2/dp1dp2 = [D^2 along midpoints (step s dp) - D^2 along offsets
-        # (index step 2s = physical step s dp per momentum)] / (4 (s dp)^2);
-        # the -2 g(center) terms cancel between the two stencils.
-        c_part = g[2 * s :, 2 * s : -2 * s] + g[: -2 * s, 2 * s : -2 * s]
-        j_part = g[s:-s, 4 * s :] + g[s:-s, : -4 * s]
-        return (c_part - j_part) / (4.0 * (s * dp) ** 2)
-
-    # unit phasors of K inside the window: the stencil on arg K becomes the
-    # argument of a product, so no 2 pi branch cut (and no unwrapping
-    # through the noise outside the window) enters the differences
-    u = np.divide(K, mag, out=np.zeros_like(K), where=good)
-
-    def mixed_phase(s):
-        c_part = u[2 * s :, 2 * s : -2 * s] * u[: -2 * s, 2 * s : -2 * s]
-        j_part = u[s:-s, 4 * s :] * u[s:-s, : -4 * s]
-        # conj(j) * c, in place: with fused multiply-adds a complex product
-        # is not bitwise commutative, and numpy's temporary elision turns
-        # `c * conj(j)` into this order on large arrays only; spelling it
-        # out keeps the result independent of the window's size
-        prod = np.conj(j_part)
-        prod *= c_part
-        return np.angle(prod) / (4.0 * (s * dp) ** 2)
-
-    def window_mask(s):
-        ok = good[2 * s :, 2 * s : -2 * s] & good[: -2 * s, 2 * s : -2 * s]
-        ok &= good[s:-s, 4 * s :] & good[s:-s, : -4 * s]
-        ok &= good[s:-s, 2 * s : -2 * s]
-        return ok
-
+    # every stencil point lies within `edge` rows and 2 edge offset columns
+    # of its centre, so all views are taken on the common interior that
+    # the step-2s stencil reaches; each stop is clipped at 0, so a box too
+    # small for that interior gives empty views, never wrapped ones
     s = 2
-    lhs_h = mixed(logmag, s)
-    lhs_2h = mixed(logmag, 2 * s)
-    m_h = window_mask(s)
-    m_2h = window_mask(2 * s)
-    # align the step-s and step-2s stencils on the common interior
-    inner = (slice(s, -s), slice(2 * s, -2 * s))
-    lhs = (4.0 * lhs_h[inner] - lhs_2h) / 3.0
-    mask = m_h[inner] & m_2h
+    edge = 2 * s
+    n_rows, n_cols = K.shape
+
+    def stencil(a, step):
+        """Views c+, c-, j+, j- and the centre of `a`: midpoints +-step, offsets +-2 step."""
+
+        def at(dr, dc):
+            return a[edge + dr : max(n_rows - edge + dr, 0), 2 * edge + dc : max(n_cols - 2 * edge + dc, 0)]
+
+        return at(step, 0), at(-step, 0), at(0, 2 * step), at(0, -2 * step), at(0, 0)
+
+    def mixed(step):
+        # d^2/dp1dp2 = [D^2 along midpoints (h = step dp) - D^2 along offsets
+        # (index step 2 step = physical step h per momentum)] / (4 h^2);
+        # the -2 g(center) terms cancel between the two stencils.
+        c_plus, c_minus, j_plus, j_minus, _ = stencil(logmag, step)
+        return ((c_plus + c_minus) - (j_plus + j_minus)) / (4.0 * (step * dp) ** 2)
+
+    mask = np.logical_and.reduce(stencil(good, s) + stencil(good, 2 * s))
     if not mask.any():
         raise ValueError(
             "kernel magnitude below the window floor everywhere; "
             "cannot evaluate the log criterion"
         )
+    lhs = ((4.0 * mixed(s) - mixed(2 * s)) / 3.0)[mask]
 
     # the right-hand side is needed on the window only
     rows, cols = np.nonzero(mask)
-    centre = psgrid.p_nodes[box.start + 2 * s + rows]
-    half = 0.5 * (4 * s - j_max + cols) * dp
+    centre = psgrid.p_nodes[box.start + edge + rows]
+    half = 0.5 * (2 * edge - j_max + cols) * dp
     rhs = purity_rhs(centre + half, centre - half, units)
-    lhs = lhs[mask]
 
-    phase_curv = np.abs(mixed_phase(s)[inner][mask])
+    # unit phasors of K inside the window: the stencil on arg K becomes the
+    # argument of a product, so no 2 pi branch cut (and no unwrapping
+    # through the noise outside the window) enters the differences
+    u = np.divide(K, mag, out=np.zeros_like(K), where=good)
+    c_plus, c_minus, j_plus, j_minus, _ = stencil(u, s)
+    # conj(j) * c, in place: with fused multiply-adds a complex product
+    # is not bitwise commutative, and numpy's temporary elision turns
+    # `c * conj(j)` into this order on large arrays only; spelling it
+    # out keeps the result independent of the window's size
+    prod = np.conj(j_plus * j_minus)
+    prod *= c_plus * c_minus
+    phase_curv = np.abs(np.angle(prod[mask]) / (4.0 * (s * dp) ** 2))
     return PurityReport(
         max_deviation=float(np.abs(lhs - rhs).max()),
         max_lhs=float(np.abs(lhs).max()),

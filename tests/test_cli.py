@@ -61,6 +61,23 @@ class TestFactorsCommand:
         assert main(["factors", "--p1", "1"]) == EXIT_CONFIG
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["1e77", "1e200"])
+    def test_overflow_exits_3_and_writes_nothing(self, tmp_path, p, capsys):
+        # E1 E2 (E1 + E2)^2 overflows from |p| ~ 1e77: purity_rhs would
+        # read -0, and at 1e200 eps 0 and purity_rhs NaN
+        out = tmp_path / "f.json"
+        assert main(["factors", "--p1", p, "--p2", p, "--out", str(out)]) == EXIT_TOLERANCE
+        err = capsys.readouterr().err
+        assert "numerical error" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_large_momenta_below_overflow(self, tmp_path):
+        out = tmp_path / "f.json"
+        assert main(["factors", "--p1", "1e70", "--p2", "1e70", "--out", str(out)]) == EXIT_OK
+        values = json.loads(out.read_text())
+        assert (values["eps"], values["chi"]) == (1.0, 0.0)
+        assert values["purity_rhs"] == pytest.approx(-2.5e-141, rel=1e-12)
+
     def test_driver_dict(self):
         out = run_factors(0.0, np.sqrt(3.0))
         assert out["eps"] == pytest.approx(3 / (2 * np.sqrt(2)))

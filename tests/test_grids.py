@@ -25,7 +25,9 @@ class TestUnitSystem:
         u = UnitSystem(m=2.0, c=3.0, hbar=1.5)
         assert u.compton_length == pytest.approx(1.5 / 6.0)
 
-    @pytest.mark.parametrize("bad", [dict(m=0), dict(c=-1), dict(hbar=0)])
+    @pytest.mark.parametrize(
+        "bad", [dict(m=0), dict(c=-1), dict(hbar=0), dict(m=np.nan), dict(c=np.inf), dict(hbar=np.nan)]
+    )
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
             UnitSystem(**bad)
@@ -47,6 +49,12 @@ class TestMomentumGrid:
     def test_rejects_non_finite_p_max(self, p_max):
         with pytest.raises(GridError, match="finite"):
             MomentumGrid(64, p_max)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["q_max", "hbar"])
+    def test_phase_space_grid_rejects_non_finite(self, name, value):
+        with pytest.raises(GridError, match="finite"):
+            PhaseSpaceGrid(MomentumGrid(16, 4.0), **{"n_q": 16, "q_max": 4.0, name: value})
 
     def test_default_p_max_covers_tails(self):
         u = UnitSystem()
