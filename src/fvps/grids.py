@@ -40,6 +40,14 @@ class UnitSystem:
     def __post_init__(self):
         if not all(0.0 < x < np.inf for x in (self.m, self.c, self.hbar)):
             raise ValueError(f"mass, c, and hbar must all be finite and positive, got {self.m}, {self.c}, {self.hbar}")
+        try:
+            in_range = all(0.0 < x < np.inf for x in (self.mc, self.mc2, self.compton_length))
+        except (OverflowError, ZeroDivisionError):  # c**2 beyond ~1.3e154; m c underflowing to 0
+            in_range = False
+        if not in_range:
+            raise ValueError(
+                f"m c, m c^2 and hbar/(m c) must be finite and positive, got m={self.m}, c={self.c}, hbar={self.hbar}"
+            )
 
     @property
     def mc(self) -> float:

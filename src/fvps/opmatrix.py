@@ -10,11 +10,14 @@ Lambda = H (H^2)^(-1/2) splits every operator O into
     odd part   (1/2)(O - Lambda O Lambda)   -- anticommutes with Lambda,
 
 and only even parts are observables under the charge superselection rule.
-The sign operator and the even/odd splits are computed by dense
-eigendecomposition, which makes this module the numerical referee for
-the closed forms used elsewhere (`spectrum.eps_factor` / `chi_factor`,
-the ladder deformation, the Newton-Wigner position, the mode-space
-coupling norm `rotator.translational_coupling`).  The blockwise even
+The sign operator is V sign(D) V^-1 from a dense eigendecomposition
+H V = V D, taken by one linear solve on the eigenvectors; V^-1 is never
+formed.  The odd part is the exact complement O - even of the even part,
+so a split forms Lambda O Lambda once.  This makes the module the
+numerical referee for the closed forms used elsewhere
+(`spectrum.eps_factor` / `chi_factor`, the ladder deformation, the
+Newton-Wigner position, the mode-space coupling norm
+`rotator.translational_coupling`).  The blockwise even
 part `charge_invariant_even` is a referee too: the tests check it
 against the dense split and referee the coupling norm with it; no
 production path calls it.
@@ -166,9 +169,11 @@ def build_hamiltonian(
 def sign_operator(h: OperatorMatrix) -> OperatorMatrix:
     """Lambda = H (H^2)^(-1/2) by dense eigendecomposition.
 
-    Lambda^2 = 1 and [Lambda, H] = 0 to roundoff.  Raises
-    ConditioningError when an eigenvalue sits within 1e-12 of zero
-    relative to the spectral radius.
+    With H V = V D, Lambda = V sign(D) V^-1 is the solution of
+    Lambda V = V sign(D), found by one solve on the eigenvectors; V^-1
+    is never formed.  Lambda^2 = 1 and [Lambda, H] = 0 to roundoff.
+    Raises ConditioningError when an eigenvalue sits within 1e-12 of
+    zero relative to the spectral radius.
     """
     w, v = np.linalg.eig(h.mat)
     scale = np.abs(w).max()
@@ -176,7 +181,7 @@ def sign_operator(h: OperatorMatrix) -> OperatorMatrix:
         raise ConditioningError(
             "Hamiltonian has a near-zero eigenvalue; sign operator undefined"
         )
-    lam = (v * np.sign(w.real)[None, :]) @ np.linalg.inv(v)
+    lam = np.linalg.solve(v.T, (v * np.sign(w.real)).T).T
     return OperatorMatrix(lam, h.basis)
 
 
@@ -189,11 +194,12 @@ def even_part(op: OperatorMatrix, sign: OperatorMatrix) -> OperatorMatrix:
 
 
 def odd_part(op: OperatorMatrix, sign: OperatorMatrix) -> OperatorMatrix:
-    """(1/2)(O - Lambda O Lambda); anticommutes with the sign operator."""
-    op.require_same_basis(sign)
-    return OperatorMatrix(
-        0.5 * (op.mat - sign.mat @ op.mat @ sign.mat), op.basis
-    )
+    """(1/2)(O - Lambda O Lambda); anticommutes with the sign operator.
+
+    Taken as the complement O - even_part(O, Lambda), so the even/odd
+    split is defined by one formula.
+    """
+    return OperatorMatrix(op.mat - even_part(op, sign).mat, op.basis)
 
 
 def charge_invariant_even(kernel: np.ndarray, h: OperatorMatrix) -> OperatorMatrix:
@@ -274,9 +280,13 @@ def branch_vectors(h: OperatorMatrix):
 
 
 def branch_reduce(op: OperatorMatrix, u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
-    """Mode-space kernel <left_j| O |right_k> in the eta inner product."""
+    """Mode-space kernel <left_j| O |right_k> in the eta inner product.
+
+    Computed as (eta u_left)^dag O u_right: eta scales the branch vectors,
+    not a copy of the operator.
+    """
     eta = charge_metric(op.n_modes)
-    return u_left.conj().T @ (eta[:, None] * op.mat) @ u_right
+    return (eta[:, None] * u_left).conj().T @ op.mat @ u_right
 
 
 @dataclass(frozen=True)
@@ -299,7 +309,8 @@ def kernel_relation_check(
     eps(E_j, E_k) * kernel; the odd part taken between positive and
     negative branches must be chi(E_j, E_k) * kernel.  Hence
     odd = (chi/eps) * even entrywise: even and odd parts are not
-    independent objects.
+    independent objects.  Lambda O Lambda is formed once, for the even
+    part; the odd part is its complement O - even.
     """
     kernel = np.asarray(kernel, dtype=complex)
     m = h.n_modes
@@ -321,8 +332,9 @@ def kernel_relation_check(
     eps = eps_from_energies(energies[:, None], energies[None, :])
     chi = chi_from_energies(energies[:, None], energies[None, :])
 
-    even_red = branch_reduce(even_part(op, lam), u_plus, u_plus)
-    odd_red = branch_reduce(odd_part(op, lam), u_plus, u_minus)
+    even = even_part(op, lam)
+    even_red = branch_reduce(even, u_plus, u_plus)
+    odd_red = branch_reduce(OperatorMatrix(op.mat - even.mat, op.basis), u_plus, u_minus)
     even_dev = float(np.abs(even_red - eps * kernel).max())
     odd_dev = float(np.abs(odd_red - chi * kernel).max())
     return KernelRelationReport(even_dev, odd_dev, tolerance)

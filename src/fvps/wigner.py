@@ -383,8 +383,11 @@ def purity_check(
     pure state of the full theory the two sides agree; a mixture breaks
     the factorization and fails loudly; forcing eps to 1 (non-local
     theory) drives the left side to zero while the right side stays
-    finite.
+    finite.  `window_floor` must be finite and non-negative: a negative
+    floor admits the exact zeros of K, a NaN one admits nothing.
     """
+    if not 0.0 <= window_floor < np.inf:
+        raise ValueError(f"window_floor must be finite and non-negative, got {window_floor}")
     r = _half_spectrum(w, psgrid)
     dp = psgrid.dp
     half_mag = np.abs(r[:, : psgrid.n_q // 2] * psgrid.dq)

@@ -32,6 +32,16 @@ class TestUnitSystem:
         with pytest.raises(ValueError):
             UnitSystem(**bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(m=1e200, c=1e100), dict(m=1e-200, c=1e200), dict(m=1e-300, c=1e-300), dict(m=1e-10, hbar=1e300)],
+    )
+    def test_rejects_overflowing_products(self, bad):
+        # each of m, c and hbar is finite and positive, but m c, m c^2 or
+        # the Compton length hbar/(m c) is inf or 0
+        with pytest.raises(ValueError, match="must be finite and positive, got m="):
+            UnitSystem(**bad)
+
 
 class TestMomentumGrid:
     def test_nodes_symmetric_up_to_offset(self):

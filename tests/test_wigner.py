@@ -304,6 +304,16 @@ class TestPurity:
         assert rep == purity_check(w, ps)
         assert rep.window_points > 0
 
+    @pytest.mark.parametrize("floor", [-1.0, np.nan, np.inf, 1.0])
+    def test_window_floor_outside_its_range_raises(self, floor):
+        # a negative floor would admit the exact zeros of K (ln 0 in the
+        # stencils) and a NaN one nothing; at 1.0 no point exceeds the floor
+        ps = PhaseSpaceGrid.conjugate(packet_grid(1.0, 0.0, 128))
+        w = wigner_even(gaussian_state(ps.momentum, lam=1.0), +1, ps)
+        cause = "below the window floor" if floor == 1.0 else "finite and non-negative"
+        with pytest.raises(ValueError, match=cause):
+            purity_check(w, ps, window_floor=floor)
+
     def test_vanishing_kernel_raises(self):
         grid = MomentumGrid(64, 7.0)
         ps = PhaseSpaceGrid.conjugate(grid)
