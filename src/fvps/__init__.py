@@ -23,7 +23,6 @@ from .grids import (
     MomentumGrid,
     PhaseSpaceGrid,
     UnitSystem,
-    default_p_max,
     fourier_pair,
     phase_space_quadrature,
     quadrature,

@@ -51,7 +51,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval2d
 
 from .errors import GridError, StepSizeError
-from .grids import PhaseSpaceGrid, half_step_lattice
+from .grids import PhaseSpaceGrid, half_step_lattice, row_blocks
 
 # ---------------------------------------------------------------------------
 # Polynomial symbols: exact finite star-product algebra
@@ -277,23 +277,26 @@ def classical_limit_gap(a, b, psgrid: PhaseSpaceGrid, hbars) -> ClassicalLimitRe
 # ---------------------------------------------------------------------------
 
 
-def _shifted_energies(energy_fn, psgrid: PhaseSpaceGrid, n_modes: int | None = None):
-    """E on the half-step lattice, and where p +- hbar kappa/2 sit in it.
+def _mode_lattice(psgrid: PhaseSpaceGrid, n_modes: int | None = None):
+    """(nodes, centre, m): p_k +- hbar kappa_m / 2 is nodes[centre[k] +- m].
 
     On a conjugate grid hbar kappa_m / 2 = m dp / 2 for the FFT mode index
     m, so p_k +- hbar kappa_m / 2 = p_0 + (2k +- m) dp / 2: every shifted
     momentum is a node of `half_step_lattice` padded by n_q / 2 half steps
     at either end, and E is evaluated once per node instead of on
-    2 n_p n_q pairs.  Returns (e, plus, minus) with
-    e[plus] = E(p + hbar kappa/2) and e[minus] = E(p - hbar kappa/2) as
-    (n_p, n_modes) arrays over the first n_modes FFT-ordered modes (all
-    n_q by default).
+    2 n_p n_q pairs.  centre is an (n_p, 1) column and m holds the first
+    n_modes FFT-ordered mode indices (all n_q by default).
     """
     psgrid.require_conjugate()
     n_p, n_q = psgrid.momentum.n_points, psgrid.n_q
     m = np.fft.ifftshift(np.arange(-(n_q // 2), n_q // 2))[:n_modes]  # fftfreq order
-    centre = 2 * np.arange(n_p)[:, None] + n_q // 2
-    return energy_fn(half_step_lattice(psgrid.momentum, n_q // 2)), centre + m, centre - m
+    return half_step_lattice(psgrid.momentum, n_q // 2), 2 * np.arange(n_p)[:, None] + n_q // 2, m
+
+
+def _shifted_energies(energy_fn, psgrid: PhaseSpaceGrid):
+    """(e, plus, minus): e[plus] = E(p + hbar kappa/2), e[minus] = E(p - hbar kappa/2), (n_p, n_q) each."""
+    nodes, centre, m = _mode_lattice(psgrid)
+    return energy_fn(nodes), centre + m, centre - m
 
 
 def propagator_phases(energy_fn, t: float, psgrid: PhaseSpaceGrid, parity: str = "even") -> np.ndarray:
@@ -320,8 +323,9 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
     The field is real, so its position-axis spectrum is Hermitian and the
     even phase of mode -kappa is the conjugate of that of mode kappa: one
     real FFT along q, the phases on its n_q/2 + 1 columns, and the inverse
-    real FFT give the field.  A complex field raises ValueError (a
-    cross-branch field evolves with `evolve_odd`).
+    real FFT give the field, one block of momentum rows at a time.  A
+    complex field raises ValueError (a cross-branch field evolves with
+    `evolve_odd`), and one whose shape is not the grid's GridError.
 
     Exact, unitary and additive in t for fields without weight in the
     unpaired Nyquist column (kappa = -pi/dq).  That column has no partner
@@ -338,11 +342,16 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
     if np.iscomplexobj(w):
         raise ValueError("evolve_even takes a real charge-diagonal field; "
                          "evolve a complex (cross-branch) field with evolve_odd")
-    e, plus, minus = _shifted_energies(energy_fn, psgrid, psgrid.n_q // 2 + 1)
-    z = np.exp(-1j * e * t / psgrid.hbar)
-    wk = np.fft.rfft(w, axis=1)
-    wk *= z[plus] * np.conj(z[minus])
-    return np.fft.irfft(wk, psgrid.n_q, axis=1)
+    nodes, centre, m = _mode_lattice(psgrid, psgrid.n_q // 2 + 1)
+    if w.shape != (len(centre), psgrid.n_q):
+        raise GridError(f"field shape {w.shape} does not match grid")
+    z = np.exp(-1j * energy_fn(nodes) * t / psgrid.hbar)
+    out = np.empty(w.shape, dtype=np.result_type(w, 1.0))
+    for rows in row_blocks(len(centre)):
+        wk = np.fft.rfft(w[rows], axis=1)
+        wk *= z[centre[rows] + m] * np.conj(z[centre[rows] - m])
+        np.fft.irfft(wk, psgrid.n_q, axis=1, out=out[rows])
+    return out
 
 
 def evolve_odd(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> np.ndarray:

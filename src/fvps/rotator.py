@@ -46,6 +46,10 @@ from .spectrum import EnergyModel, deformation_f, landau_energy
 from .states import FockExpansion
 
 
+# Times per block of `orbit_series`'s phase matrix.
+_TIME_BLOCK = 1024
+
+
 @dataclass(frozen=True)
 class RotatorModel:
     """Field strength, level truncation, and optional longitudinal grid."""
@@ -165,8 +169,12 @@ def orbit_series(
     times = np.arange(0.0, t_max, dt)
     gaps = (energies[1:] - energies[:-1]) / u.hbar
     weights = np.conj(c[:-1]) * c[1:] * super_diag
-    phases = np.exp(-1j * np.outer(times, gaps))
-    amp = phases @ weights
+    # equal blocks of at most _TIME_BLOCK times: the (times, levels) phase
+    # matrix of a long series would otherwise be by far its largest array.
+    # Equal blocks never leave a one-time tail, which numpy would evaluate
+    # as a dot product, differing from a matrix row in the last bit
+    blocks = np.array_split(times, -(-len(times) // _TIME_BLOCK))
+    amp = np.concatenate([np.exp(-1j * np.outer(block, gaps)) @ weights for block in blocks])
     scale = np.sqrt(2.0) * model.ladder_length
     return OrbitSeries(
         times=times,

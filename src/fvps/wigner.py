@@ -22,7 +22,9 @@ the grid's offset contributes is a sign: exp(-i P_j q_m / hbar) =
 is i^kappa times a plain zero-padded FFT.  Pair products of those plain
 "lattice amplitudes" already carry the (-1)^j, the offsets fold mod n,
 and one length-n FFT per momentum row finishes the sum -- O(n^2 log n)
-time and O(n^2) memory for the whole field.
+time.  The rows are built, folded and transformed one block at a time
+(see `grids.row_blocks`), so the memory is the n x n output plus
+O(block n) transient.
 
 The eps weight is never formed on momentum pairs.  With u = sqrt(E) phi
 and v = phi / sqrt(E) on the lattice, eps phi_a^* phi_b =
@@ -48,7 +50,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridError
-from .grids import NATURAL, PhaseSpaceGrid, UnitSystem, centred_dft_size, half_step_lattice, phase_space_quadrature
+from .grids import (
+    NATURAL,
+    PhaseSpaceGrid,
+    UnitSystem,
+    centred_dft_size,
+    half_step_lattice,
+    phase_space_quadrature,
+    row_blocks,
+)
 from .spectrum import energy, eps_factor, purity_rhs
 from .states import ChargeBranchState
 
@@ -93,13 +103,13 @@ def _root_energy(psgrid: PhaseSpaceGrid, units: UnitSystem) -> np.ndarray:
     return np.sqrt(energy(half_step_lattice(psgrid.momentum), units))
 
 
-def _pair_product(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """C[k, j + n] = conj(bra[2k + j]) ket[2k - j] for offsets j in [-n, n).
+def _pair_views(bra: np.ndarray, ket: np.ndarray):
+    """Views R, S with R[k, j + n] S[k, j + n] = conj(bra[2k + j]) ket[2k - j], j in [-n, n).
 
     bra and ket live on the 2n-node half-step lattice; entries off the
     lattice are zero.  Since 2j = (2k + j) - (2k - j), every nonzero
-    offset has |j| <= n - 1.  Both factors are strided views of padded
-    copies, so the product is the only (n, 2n) array allocated.
+    offset has |j| <= n - 1.  Both are (n, 2n) strided views of padded
+    4n-node copies, so no (n, 2n) array is allocated.
     """
     n = bra.size // 2
 
@@ -112,24 +122,44 @@ def _pair_product(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
     # so its row k starts at 2n - 1 - 2k and runs backwards through ket
     rows = sliding_window_view(padded(np.conj(bra)), 2 * n)[: 2 * n : 2]
     cols = sliding_window_view(padded(ket[::-1]), 2 * n)[2 * n - 1 :: -2]
-    return rows * cols
+    return rows, cols
 
 
-def _q_transform(corr: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
+def _q_transform(psgrid: PhaseSpaceGrid, pair: tuple, minus_pair: tuple | None = None) -> np.ndarray:
     """W[k, m] = (dp / 2 pi hbar) sum_j C[k, j] exp(-i j dp q_m / hbar), signs already in C.
 
-    With q_m = q_0 + m dq and dp dq n = 2 pi hbar the kernel is
-    (-1)^j omega^(j m), omega = exp(-2 pi i / n); C is built from lattice
-    amplitudes, whose pair products carry the sign (-1)^j (see
-    `_lattice_amplitude`), so the offsets fold mod n and one length-n
-    FFT along q finishes the sum.  The fold goes into C's first n
-    columns, overwriting C, so the transform allocates one (n_p, n)
-    complex array fewer.
+    C is the pair product of the (bra, ket) `pair`, and the field is
+    real: Re W.  With a `minus_pair`, C is half the pair product of `pair`
+    less that of `minus_pair`, and the field is complex.  With q_m = q_0 + m dq
+    and dp dq n = 2 pi hbar the kernel is (-1)^j omega^(j m),
+    omega = exp(-2 pi i / n); C is built from lattice amplitudes, whose
+    pair products carry the sign (-1)^j (see `_lattice_amplitude`), so
+    the offsets fold mod n and one length-n FFT along q finishes the sum.
+    C is built, folded and transformed one block of momentum rows at a
+    time in one reused buffer, and each block lands in the output.
     """
     n = psgrid.n_q
-    folded = corr[:, :n]
-    folded += corr[:, n:]
-    return (psgrid.dp / (2.0 * np.pi * psgrid.hbar)) * np.fft.fft(folded, axis=1)
+    scale = psgrid.dp / (2.0 * np.pi * psgrid.hbar)
+    bra_rows, ket_cols = _pair_views(*pair)
+    blocks = row_blocks(n)
+    corr = np.empty((blocks[0].stop, 2 * n), dtype=complex)
+    spectrum = np.empty((blocks[0].stop, n), dtype=complex)
+    if minus_pair:
+        minus_rows, minus_cols = _pair_views(*minus_pair)
+        minus_corr = np.empty_like(corr)
+    out = np.empty((n, n), dtype=complex if minus_pair else float)
+    for rows in blocks:
+        c = corr[: rows.stop - rows.start]
+        np.multiply(bra_rows[rows], ket_cols[rows], out=c)
+        if minus_pair:
+            c -= np.multiply(minus_rows[rows], minus_cols[rows], out=minus_corr[: len(c)])
+            np.multiply(0.5, c, out=c)
+        folded = c[:, :n]
+        folded += c[:, n:]
+        f = np.fft.fft(folded, axis=1, out=spectrum[: len(c)])
+        np.multiply(scale, f, out=f)
+        out[rows] = f if minus_pair else f.real
+    return out
 
 
 def _require_same_hbar(state: ChargeBranchState, psgrid: PhaseSpaceGrid):
@@ -169,9 +199,7 @@ def wigner_even(
         bra = ket = f
     else:
         raise ValueError(f"unknown kernel {eps_mode!r}")
-    # the pair product is a temporary, freed before the real part is copied
-    # out, so the copy adds nothing to the transform's peak memory
-    return _q_transform(_pair_product(bra, ket), psgrid).real.copy()
+    return _q_transform(psgrid, (bra, ket))
 
 
 def wigner_odd(
@@ -192,8 +220,7 @@ def wigner_odd(
     ket = _lattice_amplitude(state.phi_minus if ordering > 0 else state.phi_plus, psgrid)
     # chi = (sqrt(E1/E2) - sqrt(E2/E1)) / 2
     root_e = _root_energy(psgrid, state.units)
-    corr = _pair_product(root_e * bra, ket / root_e) - _pair_product(bra / root_e, root_e * ket)
-    return _q_transform(0.5 * corr, psgrid)
+    return _q_transform(psgrid, (root_e * bra, ket / root_e), (bra / root_e, root_e * ket))
 
 
 @dataclass(frozen=True)
@@ -373,13 +400,14 @@ def purity_check(
     window where |K| exceeds `window_floor` times its maximum.  |K| at
     offset -j equals |K| at +j bit for bit (the two differ by a conjugate
     and a sign), so the window's bounding box is found on the half
-    spectrum, |j| <= j_max, and only the box of K is ever built.  Central
-    differences with step 2 dp, Richardson-refined with step 4 dp, both on
-    one five-point stencil: the midpoint pair c +- s, the offset pair
-    j +- 2s and the centre, at index step s = 2 and 4.  Both steps are
-    evaluated on the common interior the step-4 stencil reaches, 4 rows
-    and 8 offset columns in from the box, and a box with no such interior
-    point in the window raises ValueError.  For a
+    spectrum, |j| <= j_max, and only the box of K is ever built, one
+    block of rows at a time.  Central differences with step 2 dp,
+    Richardson-refined with step 4 dp, both on one five-point stencil:
+    the midpoint pair c +- s, the offset pair j +- 2s and the centre, at
+    index step s = 2 and 4.  Both steps are evaluated on the common
+    interior the step-4 stencil reaches, 4 rows and 8 offset columns in
+    from the box, and a box with no such interior point in the window
+    raises ValueError.  For a
     pure state of the full theory the two sides agree; a mixture breaks
     the factorization and fails loudly; forcing eps to 1 (non-local
     theory) drives the left side to zero while the right side stays
@@ -389,80 +417,95 @@ def purity_check(
     if not 0.0 <= window_floor < np.inf:
         raise ValueError(f"window_floor must be finite and non-negative, got {window_floor}")
     r = _half_spectrum(w, psgrid)
-    dp = psgrid.dp
-    half_mag = np.abs(r[:, : psgrid.n_q // 2] * psgrid.dq)
-    peak = half_mag.max()
+    dp, dq = psgrid.dp, psgrid.dq
+    # |K| on the half spectrum, kept only as its row and column maxima:
+    # a row or an offset column holds a window point iff its maximum does
+    row_max = np.empty(len(r))
+    col_max = np.zeros(psgrid.n_q // 2)
+    for rows in row_blocks(len(r)):
+        half_mag = np.abs(r[rows, : psgrid.n_q // 2] * dq)
+        row_max[rows] = half_mag.max(axis=1)
+        np.maximum(col_max, half_mag.max(axis=0), out=col_max)
+    peak = row_max.max()
     if peak <= 0:
         raise ValueError("kernel vanishes identically; log criterion undefined")
 
     # a stencil is taken only where every one of its points is in the
     # window, so all the arithmetic fits in the window's bounding box:
     # the rows `box` and the offsets |j| <= j_max
-    half_good = half_mag > window_floor * peak
-    box = _span(half_good.any(axis=1))
-    j_max = _span(half_good.any(axis=0)).stop - 1
-    K = _kernel_modes(r[box], j_max, psgrid.dq)
-    mag = np.abs(K)
-    # ln|K| only inside the window: outside it the value never reaches a
-    # windowed stencil, and exact zeros would put -inf into the arithmetic
-    good = mag > window_floor * peak
-    logmag = np.log(mag, out=np.zeros_like(mag), where=good)
+    box = _span(row_max > window_floor * peak)
+    j_max = _span(col_max > window_floor * peak).stop - 1
 
     # every stencil point lies within `edge` rows and 2 edge offset columns
     # of its centre, so all views are taken on the common interior that
-    # the step-2s stencil reaches; each stop is clipped at 0, so a box too
-    # small for that interior gives empty views, never wrapped ones
+    # the step-2s stencil reaches; the box is built and evaluated one block
+    # of interior rows at a time, each with `edge` rows of halo either side
     s = 2
     edge = 2 * s
-    n_rows, n_cols = K.shape
 
     def stencil(a, step):
         """Views c+, c-, j+, j- and the centre of `a`: midpoints +-step, offsets +-2 step."""
+        n_rows, n_cols = a.shape
 
         def at(dr, dc):
-            return a[edge + dr : max(n_rows - edge + dr, 0), 2 * edge + dc : max(n_cols - 2 * edge + dc, 0)]
+            return a[edge + dr : n_rows - edge + dr, 2 * edge + dc : n_cols - 2 * edge + dc]
 
         return at(step, 0), at(-step, 0), at(0, 2 * step), at(0, -2 * step), at(0, 0)
 
-    def mixed(step):
+    def mixed(logmag, step):
         # d^2/dp1dp2 = [D^2 along midpoints (h = step dp) - D^2 along offsets
         # (index step 2 step = physical step h per momentum)] / (4 h^2);
         # the -2 g(center) terms cancel between the two stencils.
         c_plus, c_minus, j_plus, j_minus, _ = stencil(logmag, step)
         return ((c_plus + c_minus) - (j_plus + j_minus)) / (4.0 * (step * dp) ** 2)
 
-    mask = np.logical_and.reduce(stencil(good, s) + stencil(good, 2 * s))
-    if not mask.any():
+    # a box without an interior offset column has no stencil centre at all
+    interior = box.stop - box.start - 2 * edge if 2 * j_max + 1 > 4 * edge else 0
+    stats = []
+    for rows in row_blocks(max(interior, 0)):
+        K = _kernel_modes(r[box.start + rows.start : box.start + rows.stop + 2 * edge], j_max, dq)
+        mag = np.abs(K)
+        # ln|K| only inside the window: outside it the value never reaches a
+        # windowed stencil, and exact zeros would put -inf into the arithmetic
+        good = mag > window_floor * peak
+        logmag = np.log(mag, out=np.zeros_like(mag), where=good)
+        mask = np.logical_and.reduce(stencil(good, s) + stencil(good, 2 * s))
+        if not mask.any():
+            continue
+        lhs = ((4.0 * mixed(logmag, s) - mixed(logmag, 2 * s)) / 3.0)[mask]
+
+        # the right-hand side is needed on the window only
+        centres, cols = np.nonzero(mask)
+        centre = psgrid.p_nodes[box.start + edge + rows.start + centres]
+        half = 0.5 * (2 * edge - j_max + cols) * dp
+        rhs = purity_rhs(centre + half, centre - half, units)
+
+        # unit phasors of K inside the window: the stencil on arg K becomes the
+        # argument of a product, so no 2 pi branch cut (and no unwrapping
+        # through the noise outside the window) enters the differences
+        u = np.divide(K, mag, out=np.zeros_like(K), where=good)
+        c_plus, c_minus, j_plus, j_minus, _ = stencil(u, s)
+        # conj(j) * c, in place: with fused multiply-adds a complex product
+        # is not bitwise commutative, and numpy's temporary elision turns
+        # `c * conj(j)` into this order on large arrays only; spelling it
+        # out keeps the result independent of the block's size
+        prod = np.conj(j_plus * j_minus)
+        prod *= c_plus * c_minus
+        phase_curv = np.abs(np.angle(prod[mask]) / (4.0 * (s * dp) ** 2))
+        stats.append((np.abs(lhs - rhs).max(), np.abs(lhs).max(), np.abs(rhs).max(), phase_curv.max(), mask.sum()))
+    if not stats:
         raise ValueError(
             "kernel magnitude below the window floor everywhere; "
             "cannot evaluate the log criterion"
         )
-    lhs = ((4.0 * mixed(s) - mixed(2 * s)) / 3.0)[mask]
-
-    # the right-hand side is needed on the window only
-    rows, cols = np.nonzero(mask)
-    centre = psgrid.p_nodes[box.start + edge + rows]
-    half = 0.5 * (2 * edge - j_max + cols) * dp
-    rhs = purity_rhs(centre + half, centre - half, units)
-
-    # unit phasors of K inside the window: the stencil on arg K becomes the
-    # argument of a product, so no 2 pi branch cut (and no unwrapping
-    # through the noise outside the window) enters the differences
-    u = np.divide(K, mag, out=np.zeros_like(K), where=good)
-    c_plus, c_minus, j_plus, j_minus, _ = stencil(u, s)
-    # conj(j) * c, in place: with fused multiply-adds a complex product
-    # is not bitwise commutative, and numpy's temporary elision turns
-    # `c * conj(j)` into this order on large arrays only; spelling it
-    # out keeps the result independent of the window's size
-    prod = np.conj(j_plus * j_minus)
-    prod *= c_plus * c_minus
-    phase_curv = np.abs(np.angle(prod[mask]) / (4.0 * (s * dp) ** 2))
+    stats = np.array(stats)
+    max_deviation, max_lhs, max_rhs, phase_curvature_max = stats[:, :4].max(axis=0)
     return PurityReport(
-        max_deviation=float(np.abs(lhs - rhs).max()),
-        max_lhs=float(np.abs(lhs).max()),
-        max_rhs=float(np.abs(rhs).max()),
-        phase_curvature_max=float(phase_curv.max()),
-        window_points=int(mask.sum()),
+        max_deviation=float(max_deviation),
+        max_lhs=float(max_lhs),
+        max_rhs=float(max_rhs),
+        phase_curvature_max=float(phase_curvature_max),
+        window_points=int(stats[:, 4].sum()),
     )
 
 

@@ -435,14 +435,14 @@ class TestExitCodes:
 
     def test_memory_error_exits_2_without_traceback(self, tmp_path, monkeypatch, capsys):
         def too_large(*args, **kwargs):
-            raise MemoryError("Unable to allocate 128. GiB")
+            raise MemoryError("Unable to allocate 32.0 GiB")
 
         monkeypatch.setattr(cli, "run_wigner", too_large)
         out = tmp_path / "w.csv"
         code = main(["wigner", "--lambda", "1", "--n-points", "65536", "--out", str(out)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "memory error: Unable to allocate 128. GiB" in err
+        assert "memory error: Unable to allocate 32.0 GiB" in err
         assert "Traceback" not in err
         assert not out.exists()
 

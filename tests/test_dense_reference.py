@@ -12,10 +12,16 @@ The sampled star product is refereed by the per-mode loop it replaced
 entries), and the Poisson bracket by its per-entry loop, to 1e-13 of
 the reference's maximum on full-band random symbols.
 
-The purity criterion, which finds the bounding box of the kernel window
-on the half spectrum and builds and evaluates its stencils on that box
-only, is refereed by the full-array evaluation it replaced, which
-reconstructs the whole kernel: every report field must be bit-identical.
+The transform, the even-field evolution and the purity criterion run
+over blocks of momentum rows.  The first two are refereed by the
+whole-array passes they replaced (one (n, 2n) pair product folded and
+transformed at once; one real FFT of the whole field times the full
+phase array), on grids smaller than, equal to and larger than one row
+block: the fields must be bit-identical.  The purity criterion, which
+finds the bounding box of the kernel window on the half spectrum and
+builds and evaluates its stencils on that box only, is refereed by the
+full-array evaluation it replaced, which reconstructs the whole kernel:
+every report field must be bit-identical.
 
 Even-field evolution, which runs a real FFT over the n/2 + 1 independent
 modes, is refereed by the full complex-FFT propagation it replaced, to
@@ -42,6 +48,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyder
 
 from fvps import (
@@ -72,7 +79,8 @@ from fvps import (
 from fvps.cli import packet_grid, run_rotator
 from fvps.rotator import SpectralPeak
 from fvps.moyal import moyal_bracket, poisson_bracket, propagator_phases, star_product
-from fvps.wigner import Moments, PurityReport
+from fvps.grids import half_step_lattice
+from fvps.wigner import Moments, PurityReport, _lattice_amplitude, _root_energy
 
 RTOL = 1e-12
 
@@ -418,6 +426,111 @@ def test_poly_star_is_associative(hbar):
         assert_close(lhs, rhs, 1e-14)
 
 
+def _pair_product(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """C[k, j + n] = conj(bra[2k + j]) ket[2k - j] for offsets j in [-n, n).
+
+    bra and ket live on the 2n-node half-step lattice; entries off the
+    lattice are zero.  Since 2j = (2k + j) - (2k - j), every nonzero
+    offset has |j| <= n - 1.  Both factors are strided views of padded
+    copies, so the product is the only (n, 2n) array allocated.
+    """
+    n = bra.size // 2
+
+    def padded(x):
+        out = np.zeros(4 * n, dtype=complex)
+        out[n : 3 * n] = x
+        return out
+
+    # row k of the bra view starts at padded index 2k; the ket is reversed,
+    # so its row k starts at 2n - 1 - 2k and runs backwards through ket
+    rows = sliding_window_view(padded(np.conj(bra)), 2 * n)[: 2 * n : 2]
+    cols = sliding_window_view(padded(ket[::-1]), 2 * n)[2 * n - 1 :: -2]
+    return rows * cols
+
+
+def _q_transform(corr: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
+    """W[k, m] = (dp / 2 pi hbar) sum_j C[k, j] exp(-i j dp q_m / hbar), signs already in C.
+
+    With q_m = q_0 + m dq and dp dq n = 2 pi hbar the kernel is
+    (-1)^j omega^(j m), omega = exp(-2 pi i / n); C is built from lattice
+    amplitudes, whose pair products carry the sign (-1)^j (see
+    `_lattice_amplitude`), so the offsets fold mod n and one length-n
+    FFT along q finishes the sum.  The fold goes into C's first n
+    columns, overwriting C, so the transform allocates one (n_p, n)
+    complex array fewer.
+    """
+    n = psgrid.n_q
+    folded = corr[:, :n]
+    folded += corr[:, n:]
+    return (psgrid.dp / (2.0 * np.pi * psgrid.hbar)) * np.fft.fft(folded, axis=1)
+
+
+def full_array_wigner_even(state, psgrid, eps_mode):
+    """The + branch's even field from one (n, 2n) pair product."""
+    f = _lattice_amplitude(state.phi_plus, psgrid)
+    if eps_mode == EPS_UNITY:
+        bra = ket = f
+    else:
+        root_e = _root_energy(psgrid, state.units)
+        bra, ket = root_e * f, f / root_e
+    return _q_transform(_pair_product(bra, ket), psgrid).real
+
+
+def full_array_wigner_odd(state, ordering, psgrid):
+    """The cross-branch field from the difference of two (n, 2n) pair products."""
+    bra = _lattice_amplitude(state.phi_plus if ordering > 0 else state.phi_minus, psgrid)
+    ket = _lattice_amplitude(state.phi_minus if ordering > 0 else state.phi_plus, psgrid)
+    root_e = _root_energy(psgrid, state.units)
+    corr = _pair_product(root_e * bra, ket / root_e) - _pair_product(bra / root_e, root_e * ket)
+    return _q_transform(0.5 * corr, psgrid)
+
+
+def full_array_shifted_energies(energy_fn, psgrid, n_modes=None):
+    """E on the padded half-step lattice and the full (n_p, n_modes) index arrays into it."""
+    psgrid.require_conjugate()
+    n_p, n_q = psgrid.momentum.n_points, psgrid.n_q
+    m = np.fft.ifftshift(np.arange(-(n_q // 2), n_q // 2))[:n_modes]  # fftfreq order
+    centre = 2 * np.arange(n_p)[:, None] + n_q // 2
+    return energy_fn(half_step_lattice(psgrid.momentum, n_q // 2)), centre + m, centre - m
+
+
+def full_array_evolve_even(w, energy_fn, t, psgrid):
+    """One real FFT of the whole field, the full phase array, one inverse."""
+    e, plus, minus = full_array_shifted_energies(energy_fn, psgrid, psgrid.n_q // 2 + 1)
+    z = np.exp(-1j * e * t / psgrid.hbar)
+    wk = np.fft.rfft(w, axis=1)
+    wk *= z[plus] * np.conj(z[minus])
+    return np.fft.irfft(wk, psgrid.n_q, axis=1)
+
+
+def two_branch_state(n):
+    """A two-branch state of smooth random amplitudes on an n-point grid.
+
+    Packets that the grid resolves need n >= 128; these amplitudes exist
+    at every size, so the row-blocked transforms are also refereed on
+    grids smaller than, equal to and larger than one row block.
+    """
+    grid = MomentumGrid(n, 4.0)
+    rng = np.random.default_rng(n)
+    envelope = np.exp(-(grid.nodes**2) / 2)
+    phi_plus, phi_minus = envelope * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+    return ChargeBranchState(grid, phi_plus=phi_plus, phi_minus=phi_minus, units=UNITS)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512, 1024])
+def test_row_blocked_transforms_match_full_array(n):
+    state = two_branch_state(n)
+    ps = PhaseSpaceGrid.conjugate(state.grid, hbar=UNITS.hbar)
+    for eps_mode in ("relativistic", EPS_UNITY):
+        w = wigner_even(state, +1, ps, eps_mode)
+        assert np.array_equal(w, full_array_wigner_even(state, ps, eps_mode))
+        energy_fn = lambda p: energy(p, UNITS)
+        for t in (-2.5, 0.7):
+            assert np.array_equal(evolve_even(w, energy_fn, t, ps), full_array_evolve_even(w, energy_fn, t, ps))
+    for ordering in (+1, -1):
+        assert np.array_equal(wigner_odd(state, ordering, ps), full_array_wigner_odd(state, ordering, ps))
+
+
 def full_array_purity_check(w, psgrid, units=NATURAL, window_floor=1e-6):
     """The stencils evaluated on the full n x n kernel."""
     K = reconstruct_kernel(w, psgrid)
@@ -537,17 +650,21 @@ def purity_outcome(check, *args, **kwargs):
         return str(exc)
 
 
-@pytest.mark.parametrize("window_floor", [0.7, 0.8, 0.9, 0.95, 0.9999, 1.0, 2.0])
+@pytest.mark.parametrize("window_floor", [0.7, 0.8, 0.9, 0.95, 0.9999, 1.0, 2.0, 1e-4, 2e-4, 1e-2, 0.5])
 def test_purity_check_below_window_floor_matches_full_array(window_floor):
     # the window's bounding box shrinks from 9 x 17 at floor 0.7 (a single
     # stencil centre in the window) through 7 x 13, 5 x 9, 3 x 7 and 1 x 1
     # to empty: the smallest box that holds a stencil must give the
-    # referee's report, and every smaller one the referee's error
+    # referee's report, and every smaller one the referee's error.  Below
+    # 0.7 the box's stencil centres span 33, 31, 21 and 3 rows: one row
+    # past a 32-row block, one row short of it, and well inside one block
     ps = PhaseSpaceGrid.conjugate(packet_grid(1.0, n_points=128))
     w = wigner_even(gaussian_state(ps.momentum, lam=1.0), +1, ps)
     want = purity_outcome(full_array_purity_check, w, ps, window_floor=window_floor)
     assert purity_outcome(purity_check, w, ps, window_floor=window_floor) == want
-    if window_floor == 0.7:
+    if window_floor < 0.7:
+        assert want.window_points > 1
+    elif window_floor == 0.7:
         assert want.window_points == 1
     else:
         assert "below the window floor" in want

@@ -9,7 +9,6 @@ from fvps import (
     MomentumGrid,
     PhaseSpaceGrid,
     UnitSystem,
-    default_p_max,
     fourier_pair,
     quadrature,
 )
@@ -65,11 +64,6 @@ class TestMomentumGrid:
     def test_phase_space_grid_rejects_non_finite(self, name, value):
         with pytest.raises(GridError, match="finite"):
             PhaseSpaceGrid(MomentumGrid(16, 4.0), **{"n_q": 16, "q_max": 4.0, name: value})
-
-    def test_default_p_max_covers_tails(self):
-        u = UnitSystem()
-        assert default_p_max(u, sigma=1.0) == 20.0
-        assert default_p_max(u, sigma=0.05) == pytest.approx(200.0)
 
 
 class TestQuadrature:

@@ -195,6 +195,14 @@ class TestEvolveEven:
         w_wave = wigner_even(ChargeBranchState(grid, phi_plus=phi_t), +1, ps)
         assert np.abs(w_prop - w_wave).max() < 1e-8
 
+    @pytest.mark.parametrize("extra_rows, extra_cols", [(1, 0), (-1, 0), (0, 2)])
+    def test_field_of_another_shape_raises(self, packet, extra_rows, extra_cols):
+        # evolved one block of grid rows at a time, rows to spare would be lost
+        _, ps, _, w0 = packet
+        n_p, n_q = w0.shape
+        with pytest.raises(GridError, match="does not match grid"):
+            evolve_even(np.zeros((n_p + extra_rows, n_q + extra_cols)), energy, 1.0, ps)
+
     def test_composition(self, packet):
         _, ps, _, w0 = packet
         w_ab = evolve_even(evolve_even(w0, energy, 2.0, ps), energy, 3.0, ps)

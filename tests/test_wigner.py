@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,9 @@ from fvps import (
     GridError,
     MomentumGrid,
     PhaseSpaceGrid,
+    energy,
     eps_factor,
+    evolve_even,
     expectation,
     fine_amplitude,
     gaussian_state,
@@ -26,7 +29,8 @@ from fvps import (
     wigner_odd,
 )
 from fvps.cli import packet_grid
-from fvps.wigner import _lattice_amplitude, _pair_product, _q_transform, _root_energy
+from fvps.wigner import _lattice_amplitude, _root_energy
+from test_dense_reference import _pair_product, _q_transform
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +323,34 @@ class TestPurity:
         ps = PhaseSpaceGrid.conjugate(grid)
         with pytest.raises(ValueError):
             purity_check(np.zeros((64, 64)), ps)
+
+
+# tracemalloc peaks at n = 1024 (lam = 8, the largest purity window of the
+# benchmark's range), measured as 10.6, 9.5 and 13.8 MB; each bound adds
+# ~15 % margin.  The (n, n) float output alone is 8.4 MB.  The whole-array
+# versions peaked at 50.4, 42.1 and 55.0 MB: the (n, 2n) pair product, the
+# full (n, n/2 + 1) phase and index arrays, and the whole window box of K.
+MEMORY_BOUNDS_MB = {"wigner_even": 12.0, "evolve_even": 11.0, "purity_check": 16.0}
+
+
+def test_phase_space_kernels_memory_stays_row_blocked():
+    ps = PhaseSpaceGrid.conjugate(packet_grid(8.0, 0.3, 1024))
+    st = gaussian_state(ps.momentum, lam=8.0, p_bar=0.3)
+    w = wigner_even(st, +1, ps)
+    kernels = {
+        "wigner_even": lambda: wigner_even(st, +1, ps),
+        "evolve_even": lambda: evolve_even(w, energy, 5.0, ps),
+        "purity_check": lambda: purity_check(w, ps),
+    }
+    peaks = {}
+    for name, kernel in kernels.items():
+        tracemalloc.start()
+        try:
+            kernel()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+    assert all(peaks[name] < bound for name, bound in MEMORY_BOUNDS_MB.items()), peaks
 
 
 class TestInterferenceGain:
