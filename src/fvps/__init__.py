@@ -45,7 +45,6 @@ from .opmatrix import (
     branch_vectors,
     build_hamiltonian,
     charge_invariant,
-    charge_invariant_even,
     charge_metric,
     commutator,
     even_part,
@@ -56,11 +55,10 @@ from .opmatrix import (
     position_kernel,
     sign_operator,
 )
-from .pairs import PairState, correlation_energy, overlap_penalty, pair_energy, penalty_curve
+from .pairs import PairState, overlap_penalty, pair_energy, penalty_curve
 from .rotator import (
     OrbitSeries,
     RotatorModel,
-    collapse_decay_rate,
     deformed_commutator,
     even_ladder,
     modulation_depth,
@@ -91,14 +89,12 @@ from .wigner import (
     EPS_RELATIVISTIC,
     EPS_UNITY,
     Moments,
-    WignerComponents,
     expectation,
     fine_amplitude,
     interference_gain,
     moments,
     purity_check,
     reconstruct_kernel,
-    wigner_components,
     wigner_even,
     wigner_odd,
 )

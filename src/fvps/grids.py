@@ -180,6 +180,14 @@ class PhaseSpaceGrid:
                 f"got {self.dq * self.dp * self.n_q:.6g} vs {2 * np.pi * self.hbar:.6g}"
             )
 
+    def require_field(self, field) -> np.ndarray:
+        """`field` as an array, raising GridError unless its shape is (n_p, n_q)."""
+        field = np.asarray(field)
+        shape = (self.momentum.n_points, self.n_q)
+        if field.shape != shape:
+            raise GridError(f"field shape {field.shape} does not match grid {shape}")
+        return field
+
 
 def quadrature(values: np.ndarray, grid: MomentumGrid) -> complex:
     """Integrate sampled values over the momentum grid.
@@ -196,13 +204,7 @@ def quadrature(values: np.ndarray, grid: MomentumGrid) -> complex:
 
 def phase_space_quadrature(field: np.ndarray, psgrid: PhaseSpaceGrid) -> complex:
     """Integrate a (n_p, n_q) field over dp dq."""
-    field = np.asarray(field)
-    if field.shape != (psgrid.momentum.n_points, psgrid.n_q):
-        raise GridError(
-            f"field shape {field.shape} != grid shape "
-            f"({psgrid.momentum.n_points}, {psgrid.n_q})"
-        )
-    return field.sum() * psgrid.dp * psgrid.dq
+    return psgrid.require_field(field).sum() * psgrid.dp * psgrid.dq
 
 
 def centred_dft_size(values: np.ndarray, psgrid: PhaseSpaceGrid) -> int:

@@ -338,13 +338,11 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
     composes to ~4e-11 of its maximum; at 12 hbar/sigma the column is at
     roundoff.
     """
-    w = np.asarray(w)
+    w = psgrid.require_field(w)
     if np.iscomplexobj(w):
         raise ValueError("evolve_even takes a real charge-diagonal field; "
                          "evolve a complex (cross-branch) field with evolve_odd")
     nodes, centre, m = _mode_lattice(psgrid, psgrid.n_q // 2 + 1)
-    if w.shape != (len(centre), psgrid.n_q):
-        raise GridError(f"field shape {w.shape} does not match grid")
     z = np.exp(-1j * energy_fn(nodes) * t / psgrid.hbar)
     out = np.empty(w.shape, dtype=np.result_type(w, 1.0))
     for rows in row_blocks(len(centre)):
@@ -357,7 +355,7 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
 def evolve_odd(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> np.ndarray:
     """Evolve a cross-branch field; the mode phase carries the sum of energies."""
     psgrid.require_conjugate()
-    wk = np.fft.fft(np.asarray(w, dtype=complex), axis=1)
+    wk = np.fft.fft(np.asarray(psgrid.require_field(w), dtype=complex), axis=1)
     wk *= propagator_phases(energy_fn, t, psgrid, "odd")
     return np.fft.ifft(wk, axis=1)
 
@@ -371,7 +369,7 @@ def bracket_with_energy(energy_fn, w: np.ndarray, psgrid: PhaseSpaceGrid,
     kind="anti" the symmetrized product (E*W + W*E)/2 is returned.
     """
     e, plus, minus = _shifted_energies(energy_fn, psgrid)
-    wk = np.fft.fft(np.asarray(w, dtype=complex), axis=1)
+    wk = np.fft.fft(np.asarray(psgrid.require_field(w), dtype=complex), axis=1)
     if kind == "moyal":
         mult = (e[plus] - e[minus]) / (1j * psgrid.hbar)
     elif kind == "anti":
@@ -402,7 +400,7 @@ def evolve_timestep_reference(w: np.ndarray, energy_fn, t: float, steps: int,
             f"dt*max|Delta E|/hbar = {abs(dt) * max_omega:.3g} > 1; "
             f"need at least {int(np.ceil(abs(t) * max_omega))} steps"
         )
-    field = np.asarray(w, dtype=complex)
+    field = np.asarray(psgrid.require_field(w), dtype=complex)
     bound = 10.0 * max(float(np.abs(field).max()), 1e-300)
     for _ in range(steps):
         k1 = bracket_with_energy(energy_fn, field, psgrid)

@@ -17,10 +17,9 @@ so a split forms Lambda O Lambda once.  This makes the module the
 numerical referee for the closed forms used elsewhere
 (`spectrum.eps_factor` / `chi_factor`, the ladder deformation, the
 Newton-Wigner position, the mode-space coupling norm
-`rotator.translational_coupling`).  The blockwise even
-part `charge_invariant_even` is a referee too: the tests check it
-against the dense split and referee the coupling norm with it; no
-production path calls it.
+`rotator.translational_coupling`).  The tests also hold a blockwise
+even part built from the per-mode 2x2 charge blocks, checked against
+the dense split, as a second referee of the coupling norm.
 
 Basis layout: index = branch * M + mode, mode bases are either momentum
 nodes or oscillator levels (optionally tensored with a longitudinal
@@ -85,12 +84,6 @@ def charge_invariant(kernel: np.ndarray, basis: str) -> OperatorMatrix:
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
         raise GridError(f"kernel must be square, got {kernel.shape}")
     return OperatorMatrix(np.kron(np.eye(2), kernel), basis)
-
-
-def pseudo_hermiticity_defect(op: OperatorMatrix) -> float:
-    """max |H^dag eta - eta H|; zero for a legitimate doubled-space observable."""
-    eta = charge_metric(op.n_modes)
-    return float(np.abs(op.mat.conj().T * eta[None, :] - eta[:, None] * op.mat).max())
 
 
 # ---------------------------------------------------------------------------
@@ -200,27 +193,6 @@ def odd_part(op: OperatorMatrix, sign: OperatorMatrix) -> OperatorMatrix:
     split is defined by one formula.
     """
     return OperatorMatrix(op.mat - even_part(op, sign).mat, op.basis)
-
-
-def charge_invariant_even(kernel: np.ndarray, h: OperatorMatrix) -> OperatorMatrix:
-    """even_part(charge_invariant(kernel, h.basis), sign_operator(h)) in closed form.
-
-    H must be mode-diagonal with traceless 2x2 charge blocks H_j, as
-    every `build_hamiltonian` Hamiltonian is.  Then Lambda_j = H_j / E_j
-    with E_j^2 = -det H_j, and the (j, k) charge block of the even part
-    is kernel_jk (1 + Lambda_j Lambda_k) / 2: no eigendecomposition.
-    """
-    kernel = np.asarray(kernel, dtype=complex)
-    if kernel.shape != (h.n_modes, h.n_modes):
-        raise GridError(f"kernel shape {kernel.shape} incompatible with {h.n_modes} modes")
-    blocks = _mode_blocks(h)
-    if np.abs(blocks[:, 0, 0] + blocks[:, 1, 1]).max() > 1e-12 * np.abs(blocks).max():
-        raise GridError("charge_invariant_even requires traceless charge blocks")
-    lam = blocks / np.sqrt(-np.linalg.det(blocks))[:, None, None]
-    even = np.einsum("jsu,kut->sjtk", lam, lam)
-    even += np.eye(2)[:, None, :, None]
-    even *= 0.5 * kernel[None, :, None, :]
-    return OperatorMatrix(even.reshape(h.mat.shape), h.basis)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

@@ -106,12 +106,6 @@ def pair_energy(pair: PairState, model: str = "rel", units: UnitSystem = NATURAL
     return float((t11 + t22 + 2.0 * (np.conj(s) * t12).real) / (1.0 + abs(s) ** 2))
 
 
-def correlation_energy(pair: PairState, model: str = "rel", units: UnitSystem = NATURAL) -> float:
-    """Exchange-induced excess over two independent packets."""
-    single = _mode_kinetic(0, model, pair.sigma, units)
-    return pair_energy(pair, model, units) - 2.0 * single
-
-
 def overlap_penalty(sigma: float, model: str = "rel", units: UnitSystem = NATURAL) -> float:
     """Fermi energy cost of coincident centers relative to full separation.
 

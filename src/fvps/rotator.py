@@ -22,8 +22,7 @@ production paths use closed forms in mode space: the ladder from
 `deformation_f`, and the coupling norm from eps = 1 + delta on the level
 energies.  None builds a doubled-space matrix.  The dense doubled-space
 oracle (`sign_operator`, `even_part`, `branch_reduce`) runs only in
-`orbit_series_matrix_oracle` and the tests, as the referee, and so does
-`opmatrix.charge_invariant_even`.
+`orbit_series_matrix_oracle` and the tests, as the referee.
 """
 
 import warnings
@@ -255,34 +254,6 @@ def modulation_depth(series: OrbitSeries) -> float:
     if mean == 0:
         return 0.0
     return float((series.radius.max() - series.radius.min()) / mean)
-
-
-def collapse_decay_rate(series: OrbitSeries) -> float:
-    """Gaussian decay rate of the first collapse of the radius envelope.
-
-    Fits r(t) - r_plateau ~ A exp(-(rate t)^2) over the initial descent,
-    with the plateau estimated from the series minimum region.  This is
-    APPARENT damping only: the dephasing that shrinks the coherent orbit
-    amplitude is reversible and the radius revives at later times.
-    """
-    r = series.radius
-    t = series.times
-    i_min = int(np.argmin(r))
-    if i_min < 4:
-        return 0.0
-    plateau = r[i_min]
-    drop = r[0] - plateau
-    if drop <= 1e-10 * max(abs(r[0]), 1e-300):
-        return 0.0
-    # fit down to 10% of the initial excess, well inside the first collapse
-    seg = np.arange(1, i_min + 1)
-    excess = (r[seg] - plateau) / drop
-    seg = seg[excess > 0.1]
-    if len(seg) < 3:
-        return 0.0
-    y = -np.log((r[seg] - plateau) / drop)
-    rate2 = np.polyfit(t[seg] ** 2, y, 1)[0]
-    return float(np.sqrt(max(rate2, 0.0)))
 
 
 def translational_coupling(model: RotatorModel) -> float:

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ResolutionError, TruncationError
 from .grids import NATURAL, MomentumGrid, UnitSystem, quadrature
 from .spectrum import EnergyModel, deformation_f
-from .tables import write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -230,38 +229,3 @@ def rotator_coherent_state(
         )
     return FockExpansion(coeffs=c)
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def state_to_csv(state: ChargeBranchState, path, metadata: dict | None = None):
-    """Write (p, Re phi, Im phi) rows per populated branch with '#' metadata lines."""
-    nodes = state.grid.nodes.tolist()
-    rows = (
-        (p, sign, re, im)
-        for sign, phi in ((+1, state.phi_plus), (-1, state.phi_minus))
-        if phi is not None
-        for p, re, im in zip(nodes, phi.real.tolist(), phi.imag.tolist())
-    )
-    meta = {"charge_norm": state.charge_norm, **(metadata or {})}
-    write_csv(path, meta, ["p", "branch", "re_phi", "im_phi"], rows)
-
-
-def state_metadata_json(state: ChargeBranchState, path, extra: dict | None = None):
-    meta = {
-        "n_points": state.grid.n_points,
-        "p_max": state.grid.p_max,
-        "charge_norm": state.charge_norm,
-        "branches": [
-            s for s, phi in ((+1, state.phi_plus), (-1, state.phi_minus)) if phi is not None
-        ],
-        "units": {
-            "m": state.units.m,
-            "c": state.units.c,
-            "hbar": state.units.hbar,
-        },
-    }
-    meta.update(extra or {})
-    write_json(path, meta)

@@ -223,66 +223,13 @@ def wigner_odd(
     return _q_transform(psgrid, (root_e * bra, ket / root_e), (bra / root_e, root_e * ket))
 
 
-@dataclass(frozen=True)
-class WignerComponents:
-    """The four phase-space fields of a two-branch state on a common grid."""
-
-    psgrid: PhaseSpaceGrid
-    even_plus: np.ndarray | None
-    even_minus: np.ndarray | None
-    odd_plus: np.ndarray
-    odd_minus: np.ndarray
-    eps_mode: str
-    units: UnitSystem
-
-    @property
-    def even_total(self) -> np.ndarray:
-        total = 0.0
-        if self.even_plus is not None:
-            total = total + self.even_plus
-        if self.even_minus is not None:
-            total = total + self.even_minus
-        if isinstance(total, float):
-            raise ValueError("no even component present")
-        return total
-
-
-def wigner_components(
-    state: ChargeBranchState,
-    psgrid: PhaseSpaceGrid,
-    eps_mode: str = EPS_RELATIVISTIC,
-) -> WignerComponents:
-    even_p = wigner_even(state, +1, psgrid, eps_mode) if state.phi_plus is not None else None
-    even_m = wigner_even(state, -1, psgrid, eps_mode) if state.phi_minus is not None else None
-    return WignerComponents(
-        psgrid=psgrid,
-        even_plus=even_p,
-        even_minus=even_m,
-        odd_plus=wigner_odd(state, +1, psgrid),
-        odd_minus=wigner_odd(state, -1, psgrid),
-        eps_mode=eps_mode,
-        units=state.units,
-    )
-
-
-def _field(w, psgrid: PhaseSpaceGrid) -> np.ndarray:
-    """`w` as an (n_p, n_q) array; WignerComponents give their total even part."""
-    if isinstance(w, WignerComponents):
-        w = w.even_total
-    w = np.asarray(w)
-    if w.shape != (psgrid.momentum.n_points, psgrid.n_q):
-        raise GridError(f"field shape {w.shape} does not match grid")
-    return w
-
-
 def expectation(symbol, w, psgrid: PhaseSpaceGrid):
     """Mean of a phase-space symbol: integral A(p, q) W(p, q) dp dq.
 
     `symbol` is a sampled (n_p, n_q) array or a callable A(p, q)
-    broadcast over the grid; `w` is a field or WignerComponents (whose
-    total even part is used).
+    broadcast over the grid; `w` is an (n_p, n_q) field.
     """
-    w = _field(w, psgrid)
+    w = psgrid.require_field(w)
     if callable(symbol):
         symbol = symbol(psgrid.p_nodes[:, None], psgrid.q_nodes[None, :])
     symbol = np.broadcast_to(np.asarray(symbol), w.shape)
@@ -308,9 +255,9 @@ def moments(w, psgrid: PhaseSpaceGrid) -> Moments:
     Each of these symbols depends on q or on p alone, so the moments
     come from the field's two marginals by length-n dot products; the
     quadrature weight dp dq cancels in each ratio to the norm.  `w` is
-    a field or WignerComponents, as in `expectation`.
+    an (n_p, n_q) field, as in `expectation`.
     """
-    w = _field(w, psgrid)
+    w = psgrid.require_field(w)
     p_marginal = w.sum(axis=1)
     q_marginal = w.sum(axis=0)
     p, q = psgrid.p_nodes, psgrid.q_nodes
@@ -336,7 +283,8 @@ def reconstruct_kernel(w: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
     window.  The sum over q is an inverse FFT: on the centred conjugate
     grid exp(i q_m P_j / hbar) is (-1)^j times a length-n_q root of unity.
 
-    `w` is a real even field (a complex one raises ValueError), so the
+    `w` is a real even field (a complex one raises ValueError, and one
+    whose shape is not the grid's GridError), so the
     half spectrum r of its real FFT along q holds the whole band: the
     inverse transform's mode j is conj(r[j]) for j >= 0 and r[-j] for
     j < 0.
@@ -347,11 +295,9 @@ def reconstruct_kernel(w: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
 def _half_spectrum(w, psgrid: PhaseSpaceGrid) -> np.ndarray:
     """The real FFT along q of the real even field `w`, checked against the grid."""
     psgrid.require_conjugate()
-    w = np.asarray(w)
+    w = psgrid.require_field(w)
     if np.iscomplexobj(w):
-        raise ValueError("reconstruct_kernel takes a real even field")
-    if w.shape[-1] != psgrid.n_q:
-        raise GridError(f"field has {w.shape[-1]} position samples, grid has {psgrid.n_q}")
+        raise ValueError("the kernel is reconstructed from a real even field")
     return np.fft.rfft(w, axis=-1)
 
 

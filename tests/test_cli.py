@@ -14,8 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvps import (
-    ChargeBranchState,
-    MomentumGrid,
     PhaseSpaceGrid,
     cli,
     energy,
@@ -39,7 +37,6 @@ from fvps.cli import (
     run_rotator,
     run_wigner,
 )
-from fvps.states import state_to_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -503,20 +500,6 @@ def _reference_entangle_csv(path, models, table):
             writer.writerow([repr(float(v)) for v in row])
 
 
-def _reference_state_csv(state, path, metadata=None):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# charge_norm={state.charge_norm!r}\n")
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["p", "branch", "re_phi", "im_phi"])
-        for sign, phi in ((+1, state.phi_plus), (-1, state.phi_minus)):
-            if phi is None:
-                continue
-            for p, amp in zip(state.grid.nodes, phi):
-                writer.writerow([repr(float(p)), sign, repr(float(amp.real)), repr(float(amp.imag))])
-
-
 class TestByteReferee:
     @pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
     @pytest.mark.parametrize("eps_mode", ["relativistic", "unity"])
@@ -594,21 +577,6 @@ class TestByteReferee:
         models = ("rel", "nonrel")
         _reference_entangle_csv(ref, models, run_entangle([0.3, 1.0, 3.0], models))
         assert out.read_bytes() == ref.read_bytes()
-
-    @pytest.mark.parametrize("branches", ["plus", "minus", "both"])
-    def test_state_csv(self, tmp_path, branches):
-        grid = MomentumGrid(64, 7.0)
-        phi = gaussian_state(grid, sigma=1.0, p_bar=0.5).phi_plus
-        state = ChargeBranchState(
-            grid,
-            phi_plus=phi if branches != "minus" else None,
-            phi_minus=0.5 * phi.conj() if branches != "plus" else None,
-        )
-        out, ref = tmp_path / "state.csv", tmp_path / "ref.csv"
-        state_to_csv(state, out, metadata={"sigma": 1.0, "note": "x"})
-        _reference_state_csv(state, ref, metadata={"sigma": 1.0, "note": "x"})
-        # the charge_norm line alone differs: it now holds a plain float
-        assert out.read_bytes().split(b"\n", 1)[1] == ref.read_bytes().split(b"\n", 1)[1]
 
 
 @pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])

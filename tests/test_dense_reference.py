@@ -40,6 +40,12 @@ of the reference's maximum, and the star product must be associative to
 The modulation spectrum's vectorised peak search is refereed by the
 per-bin loop and amplitude sort it replaced: the peak lists must be
 equal, frequencies and amplitudes bit for bit.
+
+Two referees of the doubled-space oracle's own tests live here too: the
+even part of a charge-invariant operator in closed form from the per-mode
+2x2 charge blocks (`charge_invariant_even`, checked against the dense
+split in `test_opmatrix.py` and holding the coupling norm in
+`test_rotator.py`) and the pseudo-Hermiticity defect.
 """
 
 from math import comb, factorial
@@ -55,10 +61,12 @@ from fvps import (
     EPS_UNITY,
     NATURAL,
     ChargeBranchState,
+    GridError,
     MomentumGrid,
     PhaseSpaceGrid,
     PolySymbol,
     UnitSystem,
+    charge_metric,
     chi_factor,
     energy,
     eps_factor,
@@ -72,7 +80,6 @@ from fvps import (
     purity_check,
     purity_rhs,
     reconstruct_kernel,
-    wigner_components,
     wigner_even,
     wigner_odd,
 )
@@ -80,6 +87,7 @@ from fvps.cli import packet_grid, run_rotator
 from fvps.rotator import SpectralPeak
 from fvps.moyal import moyal_bracket, poisson_bracket, propagator_phases, star_product
 from fvps.grids import half_step_lattice
+from fvps.opmatrix import OperatorMatrix, _mode_blocks
 from fvps.wigner import Moments, PurityReport, _lattice_amplitude, _root_energy
 
 RTOL = 1e-12
@@ -231,16 +239,12 @@ class TestAgainstComplexFFT:
         if lam == 8.0:
             assert want.var_q < 0
 
-    def test_moments_of_components_use_the_even_total(self, case):
-        ps, _, mixed, _ = case
-        comps = wigner_components(mixed, ps)
-        assert moments(comps, ps) == moments(comps.even_total, ps)
-
 
 @pytest.mark.parametrize("transform, message", [
     (lambda w, ps: evolve_even(w, energy, 1.0, ps), "evolve_odd"),
     (lambda w, ps: reconstruct_kernel(w, ps), "real even field"),
-], ids=["evolve_even", "reconstruct_kernel"])
+    (lambda w, ps: purity_check(w, ps), "real even field"),
+], ids=["evolve_even", "reconstruct_kernel", "purity_check"])
 def test_complex_field_is_rejected(case, transform, message):
     ps, state, _, _ = case
     with pytest.raises(ValueError, match=message):
@@ -668,6 +672,33 @@ def test_purity_check_below_window_floor_matches_full_array(window_floor):
         assert want.window_points == 1
     else:
         assert "below the window floor" in want
+
+
+def pseudo_hermiticity_defect(op: OperatorMatrix) -> float:
+    """max |H^dag eta - eta H|; zero for a legitimate doubled-space observable."""
+    eta = charge_metric(op.n_modes)
+    return float(np.abs(op.mat.conj().T * eta[None, :] - eta[:, None] * op.mat).max())
+
+
+def charge_invariant_even(kernel: np.ndarray, h: OperatorMatrix) -> OperatorMatrix:
+    """even_part(charge_invariant(kernel, h.basis), sign_operator(h)) in closed form.
+
+    H must be mode-diagonal with traceless 2x2 charge blocks H_j, as
+    every `build_hamiltonian` Hamiltonian is.  Then Lambda_j = H_j / E_j
+    with E_j^2 = -det H_j, and the (j, k) charge block of the even part
+    is kernel_jk (1 + Lambda_j Lambda_k) / 2: no eigendecomposition.
+    """
+    kernel = np.asarray(kernel, dtype=complex)
+    if kernel.shape != (h.n_modes, h.n_modes):
+        raise GridError(f"kernel shape {kernel.shape} incompatible with {h.n_modes} modes")
+    blocks = _mode_blocks(h)
+    if np.abs(blocks[:, 0, 0] + blocks[:, 1, 1]).max() > 1e-12 * np.abs(blocks).max():
+        raise GridError("charge_invariant_even requires traceless charge blocks")
+    lam = blocks / np.sqrt(-np.linalg.det(blocks))[:, None, None]
+    even = np.einsum("jsu,kut->sjtk", lam, lam)
+    even += np.eye(2)[:, None, :, None]
+    even *= 0.5 * kernel[None, :, None, :]
+    return OperatorMatrix(even.reshape(h.mat.shape), h.basis)
 
 
 def loop_modulation_peaks(series, rel_threshold=1e-8):

@@ -9,8 +9,20 @@ from fvps import (
     MomentumGrid,
     PhaseSpaceGrid,
     UnitSystem,
+    bracket_with_energy,
+    energy,
+    evolve_even,
+    evolve_odd,
+    evolve_timestep_reference,
+    expectation,
     fourier_pair,
+    gaussian_state,
+    moments,
+    phase_space_quadrature,
+    purity_check,
     quadrature,
+    reconstruct_kernel,
+    wigner_even,
 )
 
 
@@ -172,3 +184,35 @@ class TestFourierPair:
         psi = np.abs(fourier_pair(phi, self.ps)) ** 2
         center = (psi * self.ps.q_nodes).sum() / psi.sum()
         assert center == pytest.approx(qbar, abs=1e-8)
+
+
+FIELD_ENTRY_POINTS = {
+    "phase_space_quadrature": phase_space_quadrature,
+    "expectation": lambda w, ps: expectation(1.0, w, ps),
+    "moments": moments,
+    "reconstruct_kernel": reconstruct_kernel,
+    "purity_check": purity_check,
+    "evolve_even": lambda w, ps: evolve_even(w, energy, 1.0, ps),
+    "evolve_odd": lambda w, ps: evolve_odd(w, energy, 1.0, ps),
+    "bracket_with_energy": lambda w, ps: bracket_with_energy(energy, w, ps),
+    "evolve_timestep_reference": lambda w, ps: evolve_timestep_reference(w, energy, 0.01, 1, ps),
+}
+
+
+N = 128
+
+
+@pytest.fixture(scope="module")
+def packet_field():
+    ps = PhaseSpaceGrid.conjugate(MomentumGrid(N, 10.0))
+    return wigner_even(gaussian_state(ps.momentum, lam=1.0), +1, ps), ps
+
+
+# a field with rows to spare, rows missing or one row (which numpy would
+# broadcast over the grid) must not be read as if it had the grid's rows
+@pytest.mark.parametrize("shape", [(N + 1, N), (N - 1, N), (1, N), (N, N + 2)], ids=str)
+@pytest.mark.parametrize("name", sorted(FIELD_ENTRY_POINTS))
+def test_field_of_another_shape_raises(packet_field, name, shape):
+    w, ps = packet_field
+    with pytest.raises(GridError, match="does not match grid"):
+        FIELD_ENTRY_POINTS[name](np.resize(w, shape), ps)

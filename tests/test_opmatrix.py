@@ -10,7 +10,6 @@ from fvps import (
     build_hamiltonian,
     branch_vectors,
     charge_invariant,
-    charge_invariant_even,
     charge_metric,
     commutator,
     energy,
@@ -23,7 +22,8 @@ from fvps import (
     quadrature,
     sign_operator,
 )
-from fvps.opmatrix import OperatorMatrix, pseudo_hermiticity_defect
+from fvps.opmatrix import OperatorMatrix
+from test_dense_reference import charge_invariant_even, pseudo_hermiticity_defect
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ from fvps import (
     NATURAL,
     MomentumGrid,
     PairState,
-    correlation_energy,
     displaced_number_state,
     overlap_penalty,
     pair_energy,
@@ -76,13 +75,6 @@ class TestPairEnergy:
             total += quadrature(grid.nodes**2 / 2 * prof, grid).real
         e_pair = pair_energy(PairState(0.0, 0.0, 1.0, "fermi"), "nonrel")
         assert e_pair == pytest.approx(total, abs=1e-8)
-
-    def test_boson_correlation_reported(self):
-        # no bound asserted, only that the term is finite and nonzero at
-        # overlapping geometry
-        corr = correlation_energy(PairState(0.0, 1.0, 1.0, "bose"), "nonrel")
-        assert np.isfinite(corr)
-        assert corr != 0.0
 
     def test_rejects_bad_statistics(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,6 @@ from fvps import (
     sign_operator,
 )
 from fvps.rotator import RotatorModel
-from fvps.states import state_metadata_json, state_to_csv
 
 
 class TestGaussianState:
@@ -38,6 +37,7 @@ class TestGaussianState:
     def test_unit_charge_norm(self):
         grid = MomentumGrid(256, 12.0)
         st = gaussian_state(grid, sigma=1.0, p_bar=0.5, q_bar=-1.0)
+        assert type(st.charge_norm) is float
         assert st.charge_norm == pytest.approx(1.0, abs=1e-10)
         assert st.is_physical
 
@@ -240,37 +240,6 @@ class TestRotatorCoherent:
 
 
 class TestSerialization:
-    def test_csv_and_json(self, tmp_path):
-        grid = MomentumGrid(64, 7.0)
-        st = gaussian_state(grid, sigma=1.0)
-        csv_path = tmp_path / "state.csv"
-        json_path = tmp_path / "state.json"
-        state_to_csv(st, csv_path, metadata={"sigma": 1.0})
-        state_metadata_json(st, json_path)
-        text = csv_path.read_text()
-        assert text.startswith("# charge_norm=")
-        assert "# sigma=1.0" in text
-        import json
-
-        meta = json.loads(json_path.read_text())
-        assert meta["n_points"] == 64
-        assert meta["branches"] == [1]
-
-    def test_charge_norm_header_reads_back_as_a_number(self, tmp_path):
-        st = gaussian_state(MomentumGrid(64, 7.0), sigma=1.0)
-        assert type(st.charge_norm) is float
-        csv_path = tmp_path / "state.csv"
-        state_to_csv(st, csv_path)
-        first = csv_path.read_text().splitlines()[0]
-        key, _, value = first.partition("=")
-        assert key == "# charge_norm"
-        assert float(value) == st.charge_norm
-
-    def test_metadata_json_ends_in_newline(self, tmp_path):
-        json_path = tmp_path / "state.json"
-        state_metadata_json(gaussian_state(MomentumGrid(64, 7.0), sigma=1.0), json_path)
-        assert json_path.read_text().endswith("}\n")
-
     def test_mixed_branch_state_not_physical(self):
         grid = MomentumGrid(64, 7.0)
         st = gaussian_state(grid, sigma=1.0)

@@ -24,7 +24,6 @@ from fvps import (
     quadrature,
     reconstruct_kernel,
     UnitSystem,
-    wigner_components,
     wigner_even,
     wigner_odd,
 )
@@ -167,13 +166,6 @@ class TestWignerOdd:
         w_plus = wigner_odd(mixed, +1, ps)
         w_minus = wigner_odd(mixed, -1, ps)
         assert np.abs(w_minus + np.conj(w_plus)).max() < 1e-10
-
-    def test_components_container(self, packet64):
-        grid, ps, st = packet64
-        comp = wigner_components(st, ps)
-        assert comp.even_minus is None
-        assert np.abs(comp.odd_plus).max() == 0.0
-        assert phase_space_quadrature(comp.even_total, ps).real == pytest.approx(1.0, abs=1e-8)
 
 
 class TestExpectationMoments:
