@@ -99,8 +99,6 @@ def run_wigner(lam: float, n_points: int = 512, eps_mode: str = EPS_RELATIVISTIC
 
 def run_evolve_check(lam: float, t: float, n_points: int = 512) -> float:
     """Max-norm gap between the spectral propagator and the amplitude pipeline."""
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
     state, ps, w0 = _packet(lam, n_points, EPS_RELATIVISTIC)
     w_prop = evolve_even(w0, energy, t, ps)
     phi_t = state.phi_plus * np.exp(-1j * energy(state.grid.nodes) * t)
@@ -195,7 +193,7 @@ def _cmd_wigner(args) -> int:
         "eps_mode": args.eps_mode,
     }
     write_field_csv(args.out, meta, ps.q_nodes, ps.p_nodes, w, matrix=args.matrix)
-    mdict = {**asdict(m), "var_q_negative": bool(m.var_q < 0), "var_p_negative": bool(m.var_p < 0)}
+    mdict = {**asdict(m), "var_q_negative": m.var_q_negative, "var_p_negative": m.var_p_negative}
     write_json(args.moments_out or (str(args.out) + ".moments.json"), mdict)
     _write_provenance(args, lambda_resolved=lam)
     print(f"var_q = {m.var_q:.6g} (negative: {mdict['var_q_negative']})")

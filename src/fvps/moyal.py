@@ -293,10 +293,31 @@ def _mode_lattice(psgrid: PhaseSpaceGrid, n_modes: int | None = None):
     return half_step_lattice(psgrid.momentum, n_q // 2), 2 * np.arange(n_p)[:, None] + n_q // 2, m
 
 
-def _shifted_energies(energy_fn, psgrid: PhaseSpaceGrid):
-    """(e, plus, minus): e[plus] = E(p + hbar kappa/2), e[minus] = E(p - hbar kappa/2), (n_p, n_q) each."""
+def _mode_phase(energy_fn, t: float, psgrid: PhaseSpaceGrid, n_modes: int | None = None):
+    """(z, centre, m): z = exp(-i E t / hbar) on the `_mode_lattice` nodes, gathered as z[centre +- m]."""
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    nodes, centre, m = _mode_lattice(psgrid, n_modes)
+    return np.exp(-1j * energy_fn(nodes) * t / psgrid.hbar), centre, m
+
+
+def _bracket_multiplier(energy_fn, psgrid: PhaseSpaceGrid, kind: str = "moyal") -> np.ndarray:
+    """(n_p, n_q) mode multiplier of {E, W}: (E+ - E-) / (i hbar), or (E+ + E-) / 2 for kind="anti".
+
+    E+- = E(p +- hbar kappa/2), gathered from one E on the `_mode_lattice` nodes.
+    """
     nodes, centre, m = _mode_lattice(psgrid)
-    return energy_fn(nodes), centre + m, centre - m
+    e = energy_fn(nodes)
+    if kind == "moyal":
+        return (e[centre + m] - e[centre - m]) / (1j * psgrid.hbar)
+    if kind == "anti":
+        return 0.5 * (e[centre + m] + e[centre - m])
+    raise ValueError(f"kind must be 'moyal' or 'anti', got {kind!r}")
+
+
+def _mode_multiply(w, mult: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
+    """ifft(fft(w) * mult) along q: the complex field `w` with its position-axis modes scaled."""
+    return np.fft.ifft(np.fft.fft(np.asarray(psgrid.require_field(w), dtype=complex), axis=1) * mult, axis=1)
 
 
 def propagator_phases(energy_fn, t: float, psgrid: PhaseSpaceGrid, parity: str = "even") -> np.ndarray:
@@ -308,12 +329,11 @@ def propagator_phases(energy_fn, t: float, psgrid: PhaseSpaceGrid, parity: str =
     products of two gathers from one vector exp(-i E t / hbar) on the
     half-step lattice.
     """
-    e, plus, minus = _shifted_energies(energy_fn, psgrid)
-    z = np.exp(-1j * e * t / psgrid.hbar)
+    z, centre, m = _mode_phase(energy_fn, t, psgrid)
     if parity == "even":
-        return z[plus] * np.conj(z[minus])
+        return z[centre + m] * np.conj(z[centre - m])
     if parity == "odd":
-        return z[plus] * z[minus]
+        return z[centre + m] * z[centre - m]
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
@@ -342,8 +362,7 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
     if np.iscomplexobj(w):
         raise ValueError("evolve_even takes a real charge-diagonal field; "
                          "evolve a complex (cross-branch) field with evolve_odd")
-    nodes, centre, m = _mode_lattice(psgrid, psgrid.n_q // 2 + 1)
-    z = np.exp(-1j * energy_fn(nodes) * t / psgrid.hbar)
+    z, centre, m = _mode_phase(energy_fn, t, psgrid, psgrid.n_q // 2 + 1)
     out = np.empty(w.shape, dtype=np.result_type(w, 1.0))
     for rows in row_blocks(len(centre)):
         wk = np.fft.rfft(w[rows], axis=1)
@@ -354,10 +373,7 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
 
 def evolve_odd(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> np.ndarray:
     """Evolve a cross-branch field; the mode phase carries the sum of energies."""
-    psgrid.require_conjugate()
-    wk = np.fft.fft(np.asarray(psgrid.require_field(w), dtype=complex), axis=1)
-    wk *= propagator_phases(energy_fn, t, psgrid, "odd")
-    return np.fft.ifft(wk, axis=1)
+    return _mode_multiply(w, propagator_phases(energy_fn, t, psgrid, "odd"), psgrid)
 
 
 def bracket_with_energy(energy_fn, w: np.ndarray, psgrid: PhaseSpaceGrid,
@@ -368,16 +384,7 @@ def bracket_with_energy(energy_fn, w: np.ndarray, psgrid: PhaseSpaceGrid,
     the propagator's t-derivative at t=0 equals this bracket.  For
     kind="anti" the symmetrized product (E*W + W*E)/2 is returned.
     """
-    e, plus, minus = _shifted_energies(energy_fn, psgrid)
-    wk = np.fft.fft(np.asarray(psgrid.require_field(w), dtype=complex), axis=1)
-    if kind == "moyal":
-        mult = (e[plus] - e[minus]) / (1j * psgrid.hbar)
-    elif kind == "anti":
-        mult = 0.5 * (e[plus] + e[minus])
-    else:
-        raise ValueError(f"kind must be 'moyal' or 'anti', got {kind!r}")
-    out = np.fft.ifft(wk * mult, axis=1)
-    return out
+    return _mode_multiply(w, _bracket_multiplier(energy_fn, psgrid, kind), psgrid)
 
 
 def evolve_timestep_reference(w: np.ndarray, energy_fn, t: float, steps: int,
@@ -392,9 +399,11 @@ def evolve_timestep_reference(w: np.ndarray, energy_fn, t: float, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     dt = t / steps
-    e, plus, minus = _shifted_energies(energy_fn, psgrid)
-    max_omega = float(np.abs(e[plus] - e[minus]).max()) / psgrid.hbar
+    mult = _bracket_multiplier(energy_fn, psgrid)
+    max_omega = float(np.abs(mult).max())
     if abs(dt) * max_omega > 1.0:
         raise StepSizeError(
             f"dt*max|Delta E|/hbar = {abs(dt) * max_omega:.3g} > 1; "
@@ -403,8 +412,8 @@ def evolve_timestep_reference(w: np.ndarray, energy_fn, t: float, steps: int,
     field = np.asarray(psgrid.require_field(w), dtype=complex)
     bound = 10.0 * max(float(np.abs(field).max()), 1e-300)
     for _ in range(steps):
-        k1 = bracket_with_energy(energy_fn, field, psgrid)
-        k2 = bracket_with_energy(energy_fn, field + 0.5 * dt * k1, psgrid)
+        k1 = _mode_multiply(field, mult, psgrid)
+        k2 = _mode_multiply(field + 0.5 * dt * k1, mult, psgrid)
         field = field + dt * k2
         if np.abs(field).max() > bound:
             raise StepSizeError("field grew by >10x; time step unstable")

@@ -162,10 +162,12 @@ def _q_transform(psgrid: PhaseSpaceGrid, pair: tuple, minus_pair: tuple | None =
     return out
 
 
-def _require_same_hbar(state: ChargeBranchState, psgrid: PhaseSpaceGrid):
-    """The grid's conjugacy dq dp n = 2 pi hbar must use the state's hbar."""
+def _require_state_grid(state: ChargeBranchState, psgrid: PhaseSpaceGrid):
+    """The grid must be built on the state's momentum grid, conjugate for the state's hbar."""
     if psgrid.hbar != state.units.hbar:
         raise GridError(f"grid is conjugate for hbar = {psgrid.hbar}, state has hbar = {state.units.hbar}")
+    if psgrid.momentum != state.grid:
+        raise GridError(f"grid is built on {psgrid.momentum}, state lives on {state.grid}")
 
 
 def _branch_or_raise(state: ChargeBranchState, sign: int) -> np.ndarray:
@@ -187,7 +189,7 @@ def wigner_even(
     is the textbook transform of the branch amplitude (the non-local
     theory's distribution).
     """
-    _require_same_hbar(state, psgrid)
+    _require_state_grid(state, psgrid)
     phi = _branch_or_raise(state, branch)
     f = _lattice_amplitude(phi, psgrid)
     if eps_mode == EPS_RELATIVISTIC:
@@ -212,7 +214,7 @@ def wigner_odd(
     ordering=+1 pairs phi_+^* with phi_-; ordering=-1 the reverse.  The
     two orderings are related by W_- = -conj(W_+).
     """
-    _require_same_hbar(state, psgrid)
+    _require_state_grid(state, psgrid)
     if state.phi_plus is None or state.phi_minus is None:
         n = psgrid.momentum.n_points
         return np.zeros((n, psgrid.n_q), dtype=complex)
@@ -243,10 +245,15 @@ class Moments:
     var_q: float
     var_p: float
 
+    # a negative variance is the signature of vacuum structure under
+    # strong localization, reported per axis
     @property
-    def negative_variance(self) -> bool:
-        """Signature of vacuum structure under strong localization."""
-        return self.var_q < 0 or self.var_p < 0
+    def var_q_negative(self) -> bool:
+        return bool(self.var_q < 0)
+
+    @property
+    def var_p_negative(self) -> bool:
+        return bool(self.var_p < 0)
 
 
 def moments(w, psgrid: PhaseSpaceGrid) -> Moments:

@@ -393,3 +393,51 @@ class TestTimestepReference:
     def test_stability_guard(self):
         with pytest.raises(StepSizeError):
             evolve_timestep_reference(self.w0, self.efn, 100.0, 2, self.ps)
+
+
+def _counted(energy_fn):
+    """energy_fn and the list of the node counts it was called with."""
+    calls = []
+
+    def counted(p):
+        calls.append(np.size(p))
+        return energy_fn(p)
+
+    return counted, calls
+
+
+EXACT_PROPAGATOR_CALLS = {
+    "evolve_even": lambda e, w, t, ps: evolve_even(w.real, e, t, ps),
+    "evolve_odd": lambda e, w, t, ps: evolve_odd(w, e, t, ps),
+    "phases_even": lambda e, w, t, ps: propagator_phases(e, t, ps, "even"),
+    "phases_odd": lambda e, w, t, ps: propagator_phases(e, t, ps, "odd"),
+    "timestep_reference": lambda e, w, t, ps: evolve_timestep_reference(w, e, t, 7, ps),
+}
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        *EXACT_PROPAGATOR_CALLS.values(),
+        lambda e, w, t, ps: bracket_with_energy(e, w, ps),
+        lambda e, w, t, ps: bracket_with_energy(e, w, ps, "anti"),
+    ],
+    ids=[*EXACT_PROPAGATOR_CALLS, "bracket_moyal", "bracket_anti"],
+)
+def test_energy_is_evaluated_once_per_call(smallgrid, run):
+    # the mode multiplier is built once per call; the midpoint stepper
+    # reuses it on every step rather than rebuilding it twice per step
+    counted, calls = _counted(lambda p: p**2 / 2)
+    w = band2d(3, 32) + 1j * band2d(4, 32)
+    run(counted, w, 0.01, smallgrid)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("run", EXACT_PROPAGATOR_CALLS.values(), ids=list(EXACT_PROPAGATOR_CALLS))
+def test_non_finite_time_raises(smallgrid, run, t):
+    # t = nan used to return an all-NaN field, and t = inf made the
+    # stepper's own StepSizeError message overflow
+    w = band2d(3, 32) + 1j * band2d(4, 32)
+    with pytest.raises(ValueError, match="t must be finite"):
+        run(lambda p: p**2 / 2, w, t, smallgrid)

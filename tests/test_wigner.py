@@ -141,6 +141,22 @@ def test_grid_for_another_hbar_raises():
     assert moments(wigner_even(state, +1, ps), ps).var_q == pytest.approx(0.487, abs=1e-3)
 
 
+def test_grid_on_another_momentum_grid_raises():
+    # a grid of the same size on p_max 30 used to transform a packet on
+    # p_max 20 silently: norm 1.5 and var_p 1.125 instead of 1 and 0.5
+    grid = MomentumGrid(256, 20.0)
+    state = gaussian_state(grid, lam=1.0)
+    ps = PhaseSpaceGrid.conjugate(MomentumGrid(256, 30.0))
+    with pytest.raises(GridError, match="built on"):
+        wigner_even(state, +1, ps)
+    with pytest.raises(GridError, match="built on"):
+        wigner_odd(state, +1, ps)
+    ps = PhaseSpaceGrid.conjugate(grid)
+    w = wigner_even(state, +1, ps)
+    assert phase_space_quadrature(w, ps) == pytest.approx(1.0, abs=1e-12)
+    assert moments(w, ps).var_p == pytest.approx(0.5, rel=1e-9)
+
+
 class TestWignerOdd:
     def test_single_branch_vanishes(self, packet64):
         _, ps, st = packet64
@@ -195,7 +211,7 @@ class TestExpectationMoments:
         m = moments(wigner_even(st, +1, ps), ps)
         assert m.var_q == pytest.approx(50.0, rel=0.01)
         assert m.var_p == pytest.approx(0.005, rel=0.01)
-        assert not m.negative_variance
+        assert not (m.var_q_negative or m.var_p_negative)
 
     @pytest.mark.parametrize("lam, n", [(8.0, 512), (2.0, 1024)])
     def test_symmetric_packet_has_zero_mean_momentum(self, lam, n):
@@ -218,7 +234,7 @@ class TestExpectationMoments:
         st = gaussian_state(grid, lam=8.0)
         m = moments(wigner_even(st, +1, ps), ps)
         assert m.var_q < 0
-        assert m.negative_variance
+        assert m.var_q_negative
         # frozen regression baseline for this grid
         assert m.var_q == pytest.approx(-0.013220506996526835, abs=1e-6)
 
