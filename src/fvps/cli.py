@@ -4,8 +4,9 @@ The file formats themselves live in `fvps.tables`.
 
 Subcommands wrap the library modules into reproducible runs: identical
 configuration produces bit-identical output (no timestamps, no seeded
-randomness).  Every run writes a JSON provenance sidecar holding the
-resolved configuration, package version, and the tolerances it applied.
+randomness).  Every run with --out writes a JSON provenance sidecar
+holding the resolved configuration, package version, and the tolerances
+it applied.
 
 argparse makes every command-line decision.  A `--config` file, given
 before the command, stands for the flags its keys name; they are put
@@ -13,25 +14,36 @@ right after the command, so any flag on the command line comes later and
 wins.  `wigner` and `evolve` build their packet and its field with one
 pipeline, `_packet`; `coherent` needs only the packet's amplitudes.
 
+A command handler only computes: it returns an `Output` record of the
+files it made, its stdout lines, its sidecar extras and, for a failed
+check, a failure line.  `main` does everything else, in one place: it
+writes the files and then the `<out>.json` sidecar (when --out is set),
+prints, picks the exit code, and runs the command under one
+floating-point policy: numpy raises on overflow, on an invalid operation
+and on division by zero, so each ends the command with exit 3 and no
+file, where it would otherwise print or write inf or NaN.  Underflow is
+left to round to zero.  The policy holds on the command line only;
+library calls run under the caller's numpy settings.
+
 Exit codes, from the EXIT_CODES table: 0 success; 2 configuration,
 validation, file or memory error (any ValueError -- every fvps grid,
 conjugacy, resolution, truncation and step-size error is one -- an
 OSError, or a MemoryError when a size asks for more memory than the
 machine has); 3 numerical failure: a --check tolerance exceeded, or an
-ArithmeticError such as ConditioningError.  An error raised by the
-package never ends in a traceback.
+ArithmeticError such as ConditioningError or numpy's FloatingPointError.
+An error raised by the package never ends in a traceback.
 """
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .grids import MomentumGrid, PhaseSpaceGrid
 from .moyal import evolve_even
-from .pairs import PenaltyTable, penalty_curve
+from .pairs import penalty_curve
 from .rotator import RotatorModel, modulation_spectrum, orbit_series
 from .spectrum import chi_factor, energy, eps_factor, purity_rhs
 from .states import ChargeBranchState, gaussian_state, rotator_coherent_state
@@ -62,16 +74,13 @@ EXIT_CODES = {
 def run_factors(p1: float, p2: float) -> dict:
     if not np.isfinite([p1, p2]).all():
         raise ValueError(f"momenta must be finite, got p1={p1}, p2={p2}")
-    # |p| >~ 1e77 overflows E1 E2 (E1 + E2)^2: raise (exit 3) rather than
-    # print eps = 0 or purity_rhs = -0 and write NaN into the JSON
-    with np.errstate(over="raise", invalid="raise"):
-        return {
-            "p1": p1,
-            "p2": p2,
-            "eps": float(eps_factor(p1, p2)),
-            "chi": float(chi_factor(p1, p2)),
-            "purity_rhs": float(purity_rhs(p1, p2)),
-        }
+    return {
+        "p1": p1,
+        "p2": p2,
+        "eps": float(eps_factor(p1, p2)),
+        "chi": float(chi_factor(p1, p2)),
+        "purity_rhs": float(purity_rhs(p1, p2)),
+    }
 
 
 def packet_grid(lam: float, p_bar: float = 0.0, n_points: int = 512) -> MomentumGrid:
@@ -140,51 +149,39 @@ def run_rotator(b: float, alpha: float, t_max: float, dt: float, n_max: int = 64
     return series, peaks, model
 
 
-def run_entangle(sigmas, models=("nonrel", "rel")) -> PenaltyTable:
-    return penalty_curve(sigmas, models)
-
-
 # ---------------------------------------------------------------------------
-# Output helpers
+# Command handlers: each computes and returns an Output; `main` does the rest
 # ---------------------------------------------------------------------------
 
 
-def _write_provenance(args, tolerances: dict | None = None, **extra):
-    """Write the `<args.out>.json` sidecar: version, command, resolved config, tolerances."""
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    config.update(extra)
-    write_json(
-        str(args.out) + ".json",
-        {"version": __version__, "command": args.command, "config": config, "tolerances": tolerances or {}},
-    )
+@dataclass
+class Output:
+    """What a command made, for `main` to write, print and turn into an exit code.
+
+    `files` holds (writer, path, *payload) entries; with --out set, `main`
+    calls writer(path, *payload) for each, in order, then writes the
+    `<out>.json` sidecar with `config` merged into the resolved flags and
+    `tolerances` beside them.  `failure`, when set, is a failed check: it
+    goes to stderr and the exit code is 3.
+    """
+
+    lines: list
+    files: list
+    config: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=dict)
+    failure: str | None = None
 
 
-# ---------------------------------------------------------------------------
-# Command handlers
-# ---------------------------------------------------------------------------
-
-
-def _cmd_factors(args) -> int:
+def _cmd_factors(args) -> Output:
     out = run_factors(args.p1, args.p2)
-    print(f"eps        = {out['eps']:.10g}")
-    print(f"chi        = {out['chi']:.10g}")
-    print(f"purity_rhs = {out['purity_rhs']:.10g}")
-    if args.out:
-        write_json(args.out, out)
-        _write_provenance(args)
-    return EXIT_OK
+    lines = [f"{name:10s} = {out[name]:.10g}" for name in ("eps", "chi", "purity_rhs")]
+    return Output(lines, [(write_json, args.out, out)])
 
 
-def _lam_from_args(args) -> float:
-    if args.preset == "fig1":
-        return 8.0
-    if args.lam is None:
+def _cmd_wigner(args) -> Output:
+    lam = 8.0 if args.preset == "fig1" else args.lam
+    if lam is None:
         raise ValueError("give --lambda or --preset fig1")
-    return args.lam
-
-
-def _cmd_wigner(args) -> int:
-    lam = _lam_from_args(args)
     w, ps, m = run_wigner(lam, n_points=args.n_points, eps_mode=args.eps_mode)
     meta = {
         "lambda": f"{lam:g}",
@@ -192,64 +189,74 @@ def _cmd_wigner(args) -> int:
         "p_max": f"{ps.momentum.p_max:g}",
         "eps_mode": args.eps_mode,
     }
-    write_field_csv(args.out, meta, ps.q_nodes, ps.p_nodes, w, matrix=args.matrix)
     mdict = {**asdict(m), "var_q_negative": m.var_q_negative, "var_p_negative": m.var_p_negative}
-    write_json(args.moments_out or (str(args.out) + ".moments.json"), mdict)
-    _write_provenance(args, lambda_resolved=lam)
-    print(f"var_q = {m.var_q:.6g} (negative: {mdict['var_q_negative']})")
-    return EXIT_OK
+    files = [
+        (write_field_csv, args.out, meta, ps.q_nodes, ps.p_nodes, w, args.matrix),
+        (write_json, args.moments_out or (str(args.out) + ".moments.json"), mdict),
+    ]
+    return Output([f"var_q = {m.var_q:.6g} (negative: {m.var_q_negative})"], files, {"lambda_resolved": lam})
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_evolve(args) -> Output:
     if not 0.0 <= args.tol < np.inf:
         raise ValueError(f"tol must be finite and non-negative, got {args.tol}")
     dev = run_evolve_check(args.lam, args.t, n_points=args.n_points)
-    print(f"max |spectral - wavefunction| = {dev:.3e}")
-    if args.out:
-        write_json(args.out, {"lambda": args.lam, "t": args.t, "deviation": dev})
-        _write_provenance(args, {"check": args.tol})
-    if args.check and not dev <= args.tol:
-        print(f"FAIL: deviation exceeds {args.tol:g}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return Output(
+        [f"max |spectral - wavefunction| = {dev:.3e}"],
+        [(write_json, args.out, {"lambda": args.lam, "t": args.t, "deviation": dev})],
+        tolerances={"check": args.tol},
+        failure=f"FAIL: deviation exceeds {args.tol:g}" if args.check and not dev <= args.tol else None,
+    )
 
 
-def _cmd_coherent(args) -> int:
+def _cmd_coherent(args) -> Output:
     lams = [float(x) for x in args.lambdas.split(",")]
     rows = run_coherent(lams, p_bar=args.p_bar)
-    write_csv(args.out, {"p_bar": f"{args.p_bar:g}"}, ["lambda", "m_eff_over_m"], (map(float, row) for row in rows))
-    _write_provenance(args)
-    for lam, ratio in rows:
-        print(f"lambda={lam:g}: m_eff/m = {ratio:.6g}")
-    return EXIT_OK
+    rows_out = (map(float, row) for row in rows)
+    return Output(
+        [f"lambda={lam:g}: m_eff/m = {ratio:.6g}" for lam, ratio in rows],
+        [(write_csv, args.out, {"p_bar": f"{args.p_bar:g}"}, ["lambda", "m_eff_over_m"], rows_out)],
+    )
 
 
-def _cmd_rotator(args) -> int:
+def _cmd_rotator(args) -> Output:
     series, peaks, model = run_rotator(args.b, args.alpha, args.t_max, args.dt, n_max=args.n_max)
     meta = {"b": f"{args.b:g}", "alpha": f"{args.alpha:g}", "omega": f"{model.omega:g}"}
-    write_csv(args.out, meta, ["t", "r", "x", "y"], (map(float, row) for row in series.to_rows()))
-    write_json(
-        args.peaks_out or (str(args.out) + ".peaks.json"),
-        {"omega": model.omega, "peaks": [{"frequency": p.frequency, "amplitude": p.amplitude} for p in peaks]},
-    )
-    _write_provenance(args)
+    peaks_doc = {"omega": model.omega, "peaks": [{"frequency": p.frequency, "amplitude": p.amplitude} for p in peaks]}
+    files = [
+        (write_csv, args.out, meta, ["t", "r", "x", "y"], (map(float, row) for row in series.to_rows())),
+        (write_json, args.peaks_out or (str(args.out) + ".peaks.json"), peaks_doc),
+    ]
     if peaks:
-        print(f"dominant peak: {peaks[0].frequency:.6g} ({peaks[0].frequency / model.omega:.4g} omega)")
+        line = f"dominant peak: {peaks[0].frequency:.6g} ({peaks[0].frequency / model.omega:.4g} omega)"
     else:
-        print("no modulation peaks detected")
-    return EXIT_OK
+        line = "no modulation peaks detected"
+    return Output([line], files)
 
 
-def _cmd_entangle(args) -> int:
+def _cmd_entangle(args) -> Output:
     sigmas = [float(x) for x in args.sigmas.split(",")]
     models = tuple(args.models.split(","))
-    table = run_entangle(sigmas, models)
+    table = penalty_curve(sigmas, models)
     header = ["sigma"] + [f"penalty_{m}" for m in models]
-    write_csv(args.out, {"models": ",".join(models)}, header, (map(float, row) for row in table.rows()))
-    _write_provenance(args)
-    for row in table.rows():
-        print("  ".join(f"{v:.6g}" for v in row))
-    return EXIT_OK
+    return Output(
+        ["  ".join(f"{v:.6g}" for v in row) for row in table.rows()],
+        [(write_csv, args.out, {"models": ",".join(models)}, header, (map(float, row) for row in table.rows()))],
+    )
+
+
+def _finish(args, made: Output) -> int:
+    """Write the files and the provenance sidecar (with --out), print, and pick the exit code."""
+    if args.out:
+        for writer, path, *payload in made.files:
+            writer(path, *payload)
+        config = {k: v for k, v in vars(args).items() if k != "func"} | made.config
+        sidecar = {"version": __version__, "command": args.command, "config": config, "tolerances": made.tolerances}
+        write_json(str(args.out) + ".json", sidecar)
+    sys.stdout.writelines(line + "\n" for line in made.lines)
+    if made.failure is not None:
+        print(made.failure, file=sys.stderr)
+    return EXIT_OK if made.failure is None else EXIT_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +393,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.func(args)
+        # the floating-point policy of every command: overflow, invalid
+        # operations and division by zero raise (exit 3); underflow does not
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _finish(args, args.func(args))
     except tuple(EXIT_CODES) as exc:
         code, label = next(v for cls, v in EXIT_CODES.items() if isinstance(exc, cls))
         print(f"{label}: {exc}", file=sys.stderr)

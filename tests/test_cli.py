@@ -32,11 +32,11 @@ from fvps.cli import (
     main,
     packet_grid,
     run_coherent,
-    run_entangle,
     run_factors,
     run_rotator,
     run_wigner,
 )
+from fvps.pairs import penalty_curve
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -229,6 +229,18 @@ class TestEntangleCommand:
         sigma, nonrel, rel = (float(x) for x in rows[0])
         assert nonrel == pytest.approx(0.5, abs=1e-10)
         assert rel < nonrel
+
+    @pytest.mark.parametrize("sigma", ["1e-160", "1e-300"])
+    def test_overflow_exits_3_and_writes_nothing(self, tmp_path, sigma, capsys):
+        # from sigma ~ 1e-154 the square of the packet's momenta (p ~ 1/sigma)
+        # overflows; without the floating-point policy the table reads nan
+        # and the command exits 0
+        out = tmp_path / "x.csv"
+        assert main(["entangle", "--sigmas", sigma, "--out", str(out)]) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        assert "numerical error: overflow encountered" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepsRunInProcess:
@@ -448,6 +460,17 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "file error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["factors", "--p1", "0", "--p2", "1.7320508"], ["evolve", "--lambda", "2", "--t", "5", "--n-points", "256"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_without_out_writes_nothing(self, tmp_path, monkeypatch, argv, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
 
 # ---------------------------------------------------------------------------
 # Byte referee.  These are the csv.writer loops the package wrote its tables
@@ -575,7 +598,7 @@ class TestByteReferee:
         out, ref = tmp_path / "pen.csv", tmp_path / "ref.csv"
         assert main(["entangle", "--sigmas", "0.3,1,3", "--models", "rel,nonrel", "--out", str(out)]) == EXIT_OK
         models = ("rel", "nonrel")
-        _reference_entangle_csv(ref, models, run_entangle([0.3, 1.0, 3.0], models))
+        _reference_entangle_csv(ref, models, penalty_curve([0.3, 1.0, 3.0], models))
         assert out.read_bytes() == ref.read_bytes()
 
 
@@ -634,6 +657,9 @@ def test_readme_command_runs(tmp_path, argv, capsys):
         out = argv[argv.index("--out") + 1]
         for name in SIDECARS[argv[0]]:
             assert Path(out + name.replace("<out>", "")).exists(), name
+        provenance = json.loads(Path(out + ".json").read_text())
+        assert set(provenance) == {"version", "command", "config", "tolerances"}
+        assert provenance["command"] == argv[0]
 
 
 def test_readme_names_every_sidecar():
