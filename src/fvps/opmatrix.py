@@ -21,6 +21,15 @@ Newton-Wigner position, the mode-space coupling norm
 even part built from the per-mode 2x2 charge blocks, checked against
 the dense split, as a second referee of the coupling norm.
 
+`kernel_relation_check` never forms a doubled-space product.  Every
+Hamiltonian it accepts is a set of independent 2x2 charge blocks, and
+the sign operator of a block, Lambda_j = V_j sign(D_j) V_j^-1, is +1 and
+-1 on its two branch 2-vectors.  So the even and odd parts of a
+charge-invariant kernel, reduced onto the charge branches, are K times
+eta products of per-mode 2-vectors: O(M^2) work, with the conditioning
+rule of `sign_operator` kept.  The dense split (`sign_operator`,
+`even_part`, `branch_reduce`) is its referee in the tests.
+
 Basis layout: index = branch * M + mode, mode bases are either momentum
 nodes or oscillator levels (optionally tensored with a longitudinal
 momentum grid, mode = level * n_pz + pz_index).  Total dimension is
@@ -169,13 +178,18 @@ def sign_operator(h: OperatorMatrix) -> OperatorMatrix:
     zero relative to the spectral radius.
     """
     w, v = np.linalg.eig(h.mat)
-    scale = np.abs(w).max()
-    if np.abs(w.real).min() < 1e-12 * scale:
+    _require_sign_gap(w)
+    lam = np.linalg.solve(v.T, (v * np.sign(w.real)).T).T
+    return OperatorMatrix(lam, h.basis)
+
+
+def _require_sign_gap(w: np.ndarray) -> None:
+    """Raise ConditioningError when an eigenvalue's real part sits within
+    1e-12 of zero relative to the largest |eigenvalue|."""
+    if np.abs(w.real).min() < 1e-12 * np.abs(w).max():
         raise ConditioningError(
             "Hamiltonian has a near-zero eigenvalue; sign operator undefined"
         )
-    lam = np.linalg.solve(v.T, (v * np.sign(w.real)).T).T
-    return OperatorMatrix(lam, h.basis)
 
 
 def even_part(op: OperatorMatrix, sign: OperatorMatrix) -> OperatorMatrix:
@@ -233,10 +247,22 @@ def branch_vectors(h: OperatorMatrix):
     branch (eta-norm -1, second component real positive).
     """
     m = h.n_modes
-    w, v = np.linalg.eig(_mode_blocks(h))
-    order = np.argsort(w.real, axis=1)
+    vecs, w = _branch_pairs(_mode_blocks(h))
     idx = np.arange(m)
-    # axes (branch, mode, charge component); branch 0 is +, branch 1 is -
+    u = np.zeros((2, 2 * m, m), dtype=complex)
+    u[:, idx, idx] = vecs[..., 0]
+    u[:, m + idx, idx] = vecs[..., 1]
+    return u[0], u[1], w[0].real
+
+
+def _branch_pairs(blocks: np.ndarray):
+    """The charge 2-vectors of `branch_vectors`, (2, M, 2), and their eigenvalues, (2, M).
+
+    Axes (branch, mode, charge component); branch 0 is +, branch 1 is -.
+    """
+    w, v = np.linalg.eig(blocks)
+    order = np.argsort(w.real, axis=1)
+    idx = np.arange(blocks.shape[0])
     vecs = np.stack([v[idx, :, order[:, 1]], v[idx, :, order[:, 0]]])
     norm2 = np.abs(vecs[..., 0]) ** 2 - np.abs(vecs[..., 1]) ** 2
     wrong = np.flatnonzero((norm2[0] <= 0) | (norm2[1] >= 0))
@@ -245,10 +271,7 @@ def branch_vectors(h: OperatorMatrix):
     vecs = vecs / np.sqrt(np.abs(norm2))[..., None]
     anchor = np.stack([vecs[0, :, 0], vecs[1, :, 1]])
     vecs = vecs * (np.abs(anchor) / anchor)[..., None]
-    u = np.zeros((2, 2 * m, m), dtype=complex)
-    u[:, idx, idx] = vecs[..., 0]
-    u[:, m + idx, idx] = vecs[..., 1]
-    return u[0], u[1], w[idx, order[:, 1]].real
+    return vecs, np.stack([w[idx, order[:, 1]], w[idx, order[:, 0]]])
 
 
 def branch_reduce(op: OperatorMatrix, u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
@@ -281,8 +304,12 @@ def kernel_relation_check(
     eps(E_j, E_k) * kernel; the odd part taken between positive and
     negative branches must be chi(E_j, E_k) * kernel.  Hence
     odd = (chi/eps) * even entrywise: even and odd parts are not
-    independent objects.  Lambda O Lambda is formed once, for the even
-    part; the odd part is its complement O - even.
+    independent objects.  The check works per 2x2 charge block of the
+    mode-diagonal H in O(M^2): Lambda_j is +1 and -1 on each block's
+    branch 2-vectors, so the reductions are K times products of those
+    2-vectors.  The dense (2M)^2 split is its referee in the tests.
+    Raises ConditioningError, as `sign_operator` does, when an eigenvalue
+    of H sits within 1e-12 of zero relative to the spectral radius.
     """
     kernel = np.asarray(kernel, dtype=complex)
     m = h.n_modes
@@ -298,15 +325,18 @@ def kernel_relation_check(
     elif kernel.shape != (m, m):
         raise GridError(f"kernel shape {kernel.shape} incompatible with {m} modes")
 
-    op = charge_invariant(kernel, h.basis)
-    lam = sign_operator(h)
-    u_plus, u_minus, energies = branch_vectors(h)
+    vecs, w = _branch_pairs(_mode_blocks(h))
+    _require_sign_gap(w)
+    energies = w[0].real
     eps = eps_from_energies(energies[:, None], energies[None, :])
     chi = chi_from_energies(energies[:, None], energies[None, :])
 
-    even = even_part(op, lam)
-    even_red = branch_reduce(even, u_plus, u_plus)
-    odd_red = branch_reduce(OperatorMatrix(op.mat - even.mat, op.basis), u_plus, u_minus)
+    # O = 1 (x) K has the (j, k) charge block K_jk, and Lambda_j is +1 on
+    # the + branch 2-vector u_j of mode j and -1 on the - one, v_j.  Since
+    # (eta u_j)^dag Lambda_j = (eta u_j)^dag, the even part reduces to
+    # K_jk (eta u_j)^dag u_k and the odd part to K_jk (eta u_j)^dag v_k
+    left = vecs[0].conj() * charge_metric(1)
+    even_red, odd_red = kernel * (left @ vecs.transpose(0, 2, 1))
     even_dev = float(np.abs(even_red - eps * kernel).max())
     odd_dev = float(np.abs(odd_red - chi * kernel).max())
     return KernelRelationReport(even_dev, odd_dev, tolerance)

@@ -95,7 +95,10 @@ def _check_resolution(grid: MomentumGrid, sigma: float, p_bar: float, units: Uni
 
 
 def _as_state(grid, phi, branch, units) -> ChargeBranchState:
-    phi = phi / np.sqrt(quadrature(np.abs(phi) ** 2, grid).real)
+    norm2 = quadrature(np.abs(phi) ** 2, grid).real
+    if not 0.0 < norm2 < np.inf:
+        raise ValueError(f"packet norm^2 on the grid is {norm2}, not finite and positive")
+    phi = phi / np.sqrt(norm2)
     if branch > 0:
         return ChargeBranchState(grid, phi_plus=phi, units=units)
     return ChargeBranchState(grid, phi_minus=phi, units=units)

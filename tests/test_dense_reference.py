@@ -46,6 +46,12 @@ even part of a charge-invariant operator in closed form from the per-mode
 2x2 charge blocks (`charge_invariant_even`, checked against the dense
 split in `test_opmatrix.py` and holding the coupling norm in
 `test_rotator.py`) and the pseudo-Hermiticity defect.
+
+`kernel_relation_check`, which works per 2x2 charge block in O(M^2), is
+refereed by the dense (2M)^2 path it replaced (`dense_kernel_relation`:
+`sign_operator`, `even_part`, `branch_reduce` and the complement O - even):
+on free and magnetic Hamiltonians and on a shifted one where the check
+fails, both deviations must agree to 1e-12 absolute.
 """
 
 from math import comb, factorial
@@ -61,25 +67,34 @@ from fvps import (
     EPS_UNITY,
     NATURAL,
     ChargeBranchState,
+    EnergyModel,
     GridError,
     MomentumGrid,
     PhaseSpaceGrid,
     PolySymbol,
     UnitSystem,
+    branch_reduce,
+    branch_vectors,
+    build_hamiltonian,
+    charge_invariant,
     charge_metric,
     chi_factor,
     energy,
     eps_factor,
+    even_part,
     evolve_even,
     expectation,
     fine_amplitude,
     fourier_pair,
     gaussian_state,
+    kernel_relation_check,
     moments,
     phase_space_quadrature,
+    position_kernel,
     purity_check,
     purity_rhs,
     reconstruct_kernel,
+    sign_operator,
     wigner_even,
     wigner_odd,
 )
@@ -88,6 +103,7 @@ from fvps.rotator import SpectralPeak
 from fvps.moyal import moyal_bracket, poisson_bracket, propagator_phases, star_product
 from fvps.grids import half_step_lattice
 from fvps.opmatrix import OperatorMatrix, _mode_blocks
+from fvps.spectrum import chi_from_energies, eps_from_energies
 from fvps.wigner import Moments, PurityReport, _lattice_amplitude, _root_energy
 
 RTOL = 1e-12
@@ -699,6 +715,78 @@ def charge_invariant_even(kernel: np.ndarray, h: OperatorMatrix) -> OperatorMatr
     even += np.eye(2)[:, None, :, None]
     even *= 0.5 * kernel[None, :, None, :]
     return OperatorMatrix(even.reshape(h.mat.shape), h.basis)
+
+
+def dense_kernel_relation(kernel: np.ndarray, h: OperatorMatrix) -> tuple[float, float]:
+    """(even, odd) deviations of `kernel_relation_check` by the dense (2M)^2 split.
+
+    Lambda from the dense eigendecomposition, Lambda O Lambda formed once
+    for the even part, the odd part as the complement O - even, and both
+    reduced onto the charge branches by (2M)^2 products.
+    """
+    op = charge_invariant(kernel, h.basis)
+    u_plus, u_minus, energies = branch_vectors(h)
+    eps = eps_from_energies(energies[:, None], energies[None, :])
+    chi = chi_from_energies(energies[:, None], energies[None, :])
+    even = even_part(op, sign_operator(h))
+    even_red = branch_reduce(even, u_plus, u_plus)
+    odd_red = branch_reduce(OperatorMatrix(op.mat - even.mat, op.basis), u_plus, u_minus)
+    return float(np.abs(even_red - eps * kernel).max()), float(np.abs(odd_red - chi * kernel).max())
+
+
+def free_position_case(n, p_max):
+    grid = MomentumGrid(n, p_max)
+    h = build_hamiltonian(EnergyModel.free(), grid=grid)
+    return position_kernel(PhaseSpaceGrid.conjugate(grid)), h
+
+
+def landau_ladder_case(n_levels):
+    h = build_hamiltonian(EnergyModel.landau(1.0), n_levels=n_levels)
+    a = np.zeros((n_levels, n_levels), dtype=complex)
+    a[np.arange(n_levels - 1), np.arange(1, n_levels)] = np.sqrt(np.arange(1, n_levels))
+    return a, h
+
+
+def landau_pz_random_case(n_levels, n_pz):
+    h = build_hamiltonian(EnergyModel.landau(1.0), n_levels=n_levels, pz_grid=MomentumGrid(n_pz, 4.0))
+    rng = np.random.default_rng(22)
+    m = h.n_modes
+    return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)), h
+
+
+KERNEL_RELATION_CASES = {
+    **{
+        f"free-n{n}-pmax{p_max:g}": (free_position_case, (n, p_max))
+        for n in (64, 128, 256)
+        for p_max in (5.0, 12.0, 20.0)
+    },
+    "landau-32": (landau_ladder_case, (32,)),
+    "landau-16-pz16-random": (landau_pz_random_case, (16, 16)),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_RELATION_CASES)
+def test_kernel_relation_check_matches_dense_split(name):
+    build, args = KERNEL_RELATION_CASES[name]
+    kernel, h = build(*args)
+    rep = kernel_relation_check(kernel, h)
+    even_dev, odd_dev = dense_kernel_relation(kernel, h)
+    assert rep.passed
+    assert abs(rep.even_deviation - even_dev) <= 1e-12
+    assert abs(rep.odd_deviation - odd_dev) <= 1e-12
+
+
+def test_kernel_relation_check_fails_on_shifted_energies():
+    # H + 0.3: the same eigenvectors, so the same Lambda and branch
+    # vectors, but eps and chi read energies shifted by 0.3
+    kernel, h = free_position_case(128, 8.0)
+    shifted = OperatorMatrix(h.mat + 0.3 * np.eye(h.mat.shape[0]), h.basis)
+    rep = kernel_relation_check(kernel, shifted)
+    even_dev, odd_dev = dense_kernel_relation(kernel, shifted)
+    assert not rep.passed
+    assert min(rep.even_deviation, rep.odd_deviation) > 1e-3
+    assert abs(rep.even_deviation - even_dev) <= 1e-12
+    assert abs(rep.odd_deviation - odd_dev) <= 1e-12
 
 
 def loop_modulation_peaks(series, rel_threshold=1e-8):

@@ -242,8 +242,9 @@ class TestKernelRelation:
     @pytest.mark.parametrize("n", [128, 256])
     def test_solved_sign_operator_against_explicit_inverse(self, n, p_max):
         # sign_operator solves Lambda V = V S; the referee forms V S V^-1
-        # with an explicit inverse, and the check on the solved Lambda
-        # keeps its deviations near roundoff (max 6.6e-13 measured)
+        # with an explicit inverse.  The per-block check keeps its
+        # deviations near roundoff on the same Hamiltonians (max 1.4e-13
+        # measured; the dense split reached 6.6e-13)
         grid = MomentumGrid(n, p_max)
         h = build_hamiltonian(EnergyModel.free(), grid=grid)
         w, v = np.linalg.eig(h.mat)
@@ -251,6 +252,21 @@ class TestKernelRelation:
         assert np.abs(sign_operator(h).mat - explicit).max() <= 1e-13
         rep = kernel_relation_check(position_kernel(PhaseSpaceGrid.conjugate(grid)), h)
         assert max(rep.even_deviation, rep.odd_deviation) <= 2e-12
+
+    def test_near_singular_raises(self):
+        mat = np.diag([1.0, 1e-15, -1.0, -1e-15]).astype(complex)
+        with pytest.raises(ConditioningError):
+            kernel_relation_check(np.eye(2), OperatorMatrix(mat, "test:2"))
+
+    def test_forms_no_doubled_space_product(self, monkeypatch):
+        def dense(*args):
+            raise AssertionError("kernel_relation_check reached the dense split")
+
+        for name in ("sign_operator", "even_part", "charge_invariant", "branch_reduce"):
+            monkeypatch.setattr(f"fvps.opmatrix.{name}", dense)
+        grid = MomentumGrid(128, 8.0)
+        h = build_hamiltonian(EnergyModel.free(), grid=grid)
+        assert kernel_relation_check(position_kernel(PhaseSpaceGrid.conjugate(grid)), h).passed
 
     def test_landau_ladder_kernel(self):
         h = build_hamiltonian(EnergyModel.landau(1.0), n_levels=32)

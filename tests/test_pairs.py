@@ -129,6 +129,12 @@ class TestPenaltyCurve:
         with pytest.raises(ValueError):
             penalty_curve([1.0, -0.5])
 
+    def test_width_past_overflow_raises_not_nan(self):
+        # outside the command line no floating-point policy raises; the
+        # packet's vanishing norm must still not come back as nan
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite and positive"):
+            penalty_curve([1e-160])
+
 
 class TestModeKinetic:
     def test_ground_mode_nonrel(self):

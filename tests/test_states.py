@@ -205,6 +205,14 @@ class TestDisplacedNumber:
         with pytest.raises(ValueError, match="finite"):
             displaced_number_state(0, self.grid, **kwargs)
 
+    def test_rejects_a_packet_whose_norm_underflows(self):
+        # p^2 overflows on every node but p = 0, where the odd Hermite
+        # factor vanishes: the packet is 0 on the grid, and normalising it
+        # would give nan
+        grid = MomentumGrid(2048, 1.2e161)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite and positive"):
+            displaced_number_state(3, grid, sigma=1e-160)
+
 
 class TestRotatorCoherent:
     def test_alpha_zero_is_ground_state(self):

@@ -1,0 +1,108 @@
+"""Compare two checkouts on one perfbench workload by alternating pairs of runs.
+
+Runs `perfbench/run.py` in a parent checkout and in a change checkout, one
+run each per pair, alternating which side runs first, and prints per
+metric the parent's median [quartiles] -> the change's median, the
+relative move and the number of pairs the change won, lower being better
+(ties count for neither side).  It also prints each side's failed-op counts and `correct`
+flags and, for `--trace 1`, each run's share of traced time outside layer
+spans.  Standard library only.
+
+    python tools/bench_pairs.py --parent ../parent --change . \\
+        --workload operator_algebra --pairs 10 --seed 20020206 --trace 0
+
+Each checkout runs its own `perfbench/run.py` from its own root, with
+that script's own run length and worker bounds.
+"""
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+OUTSIDE_SPANS = re.compile(r"([0-9.]+)% outside layer spans")
+
+
+def run_once(root: Path, args) -> dict:
+    """One perfbench run in `root`: its JSON line plus the outside-spans share."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
+           "--trace", str(args.trace)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: perfbench exited with {proc.returncode}:\n{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    match = OUTSIDE_SPANS.search(proc.stdout)
+    result["outside_spans"] = float(match.group(1)) / 100.0 if match else None
+    return result
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def summarise(runs):
+    """One printable line per metric over the paired runs."""
+    lines = []
+    for name in runs[0]["parent"]["metrics"]:
+        parent = [r["parent"]["metrics"][name]["value"] for r in runs]
+        change = [r["change"]["metrics"][name]["value"] for r in runs]
+        unit = runs[0]["parent"]["metrics"][name]["unit"]
+        won = sum(c < p for p, c in zip(parent, change))
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        q1, q3 = quartiles(parent)
+        move = f"{(c_med - p_med) / abs(p_med):+.1%}" if p_med else "n/a"
+        lines.append(f"{name:40s} {p_med:.4g} [{q1:.4g}, {q3:.4g}] -> {c_med:.4g} {unit}  "
+                     f"{move}  change won {won}/{len(runs)}")
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
+    parser.add_argument("--change", type=Path, required=True, help="root of the change checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=20020206)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs = []
+    try:
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {side: run_once(sides[side], args) for side in order}
+            runs.append(pair)
+            print(f"pair {i + 1}/{args.pairs} ({order[0]} first): "
+                  + "; ".join(f"{side} correct={pair[side]['correct']} failed={pair[side]['failed']}"
+                              for side in ("parent", "change")), file=sys.stderr, flush=True)
+    except (RuntimeError, ValueError, IndexError) as exc:
+        print(f"bench_pairs: {exc}", file=sys.stderr)
+        if not runs:
+            return 1
+        print(f"bench_pairs: summarising the {len(runs)} complete pairs", file=sys.stderr)
+
+    print(f"{args.workload} seed={args.seed} trace={args.trace} "
+          f"pairs={len(runs)}; parent median [quartiles] -> change median")
+    for line in summarise(runs):
+        print(line)
+    for side in ("parent", "change"):
+        print(f"{side}: failed ops per run {[r[side]['failed'] for r in runs]}, "
+              f"correct {[r[side]['correct'] for r in runs]}")
+        if args.trace:
+            shares = ", ".join("n/a" if r[side]["outside_spans"] is None else f"{r[side]['outside_spans']:.2%}"
+                               for r in runs)
+            print(f"{side}: outside layer spans {shares}")
+    return 0 if len(runs) == args.pairs else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
