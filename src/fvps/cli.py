@@ -72,8 +72,19 @@ EXIT_CODES = {
 
 
 def run_factors(p1: float, p2: float) -> dict:
+    """eps, chi and the purity right-hand side at the momentum pair (p1, p2).
+
+    Raises ArithmeticError where E1 E2 (E1 + E2)^2 leaves the float range
+    (|p| from about 1e77 on): past it the three factors would read 0, -0
+    or NaN.
+    """
     if not np.isfinite([p1, p2]).all():
         raise ValueError(f"momenta must be finite, got p1={p1}, p2={p2}")
+    e1, e2 = energy(p1), energy(p2)
+    with np.errstate(over="ignore"):
+        scale = e1 * e2 * (e1 + e2) ** 2
+    if not np.isfinite(scale):
+        raise ArithmeticError(f"E1 E2 (E1 + E2)^2 overflows at p1={p1}, p2={p2}")
     return {
         "p1": p1,
         "p2": p2,

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -79,6 +80,20 @@ class TestFactorsCommand:
         out = run_factors(0.0, np.sqrt(3.0))
         assert out["eps"] == pytest.approx(3 / (2 * np.sqrt(2)))
         assert out["purity_rhs"] == 0.0
+
+    @pytest.mark.parametrize("p", [1e100, 1e200])
+    @pytest.mark.parametrize("errstate", ["ignore", "warn"])
+    def test_library_overflow_raises(self, p, errstate):
+        # under the caller's numpy settings these read eps 0 and
+        # purity_rhs -0 or NaN; RuntimeWarnings are errors in this suite
+        with np.errstate(all=errstate), pytest.raises(ArithmeticError, match=re.escape(f"p1={p}, p2={p}")):
+            run_factors(p, p)
+
+    def test_library_large_momenta_below_overflow(self):
+        with np.errstate(all="ignore"):
+            out = run_factors(1e50, 1e50)
+        assert out["eps"] == 1.0
+        assert np.isfinite(out["purity_rhs"]) and out["purity_rhs"] < 0.0
 
 
 class TestWignerCommand:
@@ -551,11 +566,18 @@ class TestByteReferee:
     def test_field_edge_values(self, tmp_path, matrix):
         # signed zero, the smallest subnormal, both sides of repr's switch
         # to exponent form (1e-05 / 0.0001, 1e16 / 9999999999999998.0) and
-        # negatives, in the nodes and in the field
-        q = np.array([-0.0, 5e-324, 1e16, -2.5])
-        p = np.array([9999999999999998.0, -1e-05, 0.0001])
+        # negatives, in the nodes and in the field; also infinities,
+        # three-digit exponents, the smallest normal and the largest finite
+        # float, and shortest forms of 1, 15, 16 and 17 digits
+        q = np.array([-0.0, 5e-324, 1e16, -2.5, np.inf, 2.2250738585072014e-308])
+        p = np.array([9999999999999998.0, -1e-05, 0.0001, -np.inf])
         w = np.array(
-            [[-0.0, 5e-324, 1e-05, 0.0001], [1e16, 9999999999999998.0, -5e-324, -1e-05], [-1e16, 0.1, -1 / 3, 0.0]]
+            [
+                [-0.0, 5e-324, 1e-05, 0.0001, 1e-300, -1.5e300],
+                [1e16, 9999999999999998.0, -5e-324, -1e-05, np.inf, -np.inf],
+                [-1e16, 0.1, -1 / 3, 0.0, 2.2250738585072014e-308, 1.7976931348623157e308],
+                [5.0, 3e-07, 0.123456789012345, 1.23456789012345e20, 1234567890123456.0, 0.30000000000000004],
+            ]
         )
         out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
         tables.write_field_csv(out, {"k": "v"}, q, p, w, matrix=matrix)
@@ -575,6 +597,18 @@ class TestByteReferee:
             want = np.broadcast_arrays(q, p[:, None], w)
         for g, x in zip(got, want):
             assert np.array(g).tobytes() == np.ascontiguousarray(x).tobytes()
+
+    @pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
+    def test_field_nan_values(self, tmp_path, matrix):
+        # NaN with either sign bit, in the nodes and in the field: repr
+        # writes 'nan' for both, which reads back as NaN but not bit for bit
+        q = np.array([np.nan, 1.0, -np.nan])
+        p = np.array([-np.nan, 2.0])
+        w = np.array([[np.nan, -np.nan, 0.5], [1.0, np.nan, -np.inf]])
+        out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
+        tables.write_field_csv(out, {"k": "v"}, q, p, w, matrix=matrix)
+        _reference_field_csv(ref, w, SimpleNamespace(q_nodes=q, p_nodes=p), {"k": "v"}, matrix=matrix)
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_coherent(self, tmp_path):
         out, ref = tmp_path / "mass.csv", tmp_path / "ref.csv"
@@ -602,10 +636,41 @@ class TestByteReferee:
         assert out.read_bytes() == ref.read_bytes()
 
 
+def _kernel_texts(values):
+    """The text `tables` writes for each float of `values`, from its vectorised repr kernel."""
+    slots = tables._repr_slots(np.array(values, dtype=np.float64))
+    return [cell.tobytes().replace(b"\0", b"").decode() for cell in slots.T]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_repr_kernel_matches_repr_on_floats(values):
+    assert _kernel_texts(values) == [repr(v) for v in values]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_repr_kernel_matches_repr_on_bit_patterns(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert _kernel_texts(values) == [repr(v) for v in values.tolist()]
+
+
+def test_repr_kernel_matches_repr_on_powers_and_form_bounds():
+    # 2^k, where the rounding interval's lower bound is nearer and exact
+    # halves round to even, and 10^k, each with its neighbours one ulp
+    # away, and the bounds of repr's positional form; both signs
+    powers = [2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)]
+    base = np.array(powers + [1e-05, 0.0001, 9999999999999998.0, 1e16])
+    values = np.concatenate([np.nextafter(base, 0.0), base, np.nextafter(base, np.inf)])
+    values = np.concatenate([values, -values])
+    assert _kernel_texts(values) == [repr(v) for v in values.tolist()]
+
+
 @pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
 def test_field_writer_memory_stays_linear(tmp_path, matrix):
-    # the writer holds one momentum row of Python floats at a time; the
-    # whole n = 512 field as a list of Python floats alone takes ~8 MB
+    # the writer formats one block of momentum rows (2048 cells, about
+    # 1 MB of numpy temporaries) at a time; the whole n = 512 field as a
+    # list of Python floats alone takes ~8 MB
     w, ps, _ = run_wigner(8.0)
     tracemalloc.start()
     try:
