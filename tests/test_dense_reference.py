@@ -10,7 +10,10 @@ maximum.
 The sampled star product is refereed by the per-mode loop it replaced
 (one rolled, phased copy of B per active mode of A, looped over matrix
 entries), and the Poisson bracket by its per-entry loop, to 1e-13 of
-the reference's maximum on full-band random symbols.
+the reference's maximum on full-band random symbols.  The product takes
+A's q-modes in blocks; two more cases, a scalar field and a 3 x 3
+symbol, sit on grids where it takes at least three blocks, the last one
+shorter than the others.
 
 The transform, the even-field evolution and the purity criterion run
 over blocks of momentum rows.  The first two are refereed by the
@@ -109,7 +112,7 @@ from fvps.cli import packet_grid, run_rotator
 from fvps.rotator import RotatorModel, SpectralPeak, _even_superdiagonal, orbit_series
 from fvps.spectrum import landau_energy
 from fvps.states import rotator_coherent_state
-from fvps.moyal import moyal_bracket, poisson_bracket, propagator_phases, star_product
+from fvps.moyal import _q_mode_blocks, moyal_bracket, poisson_bracket, propagator_phases, star_product
 from fvps.grids import half_step_lattice
 from fvps.opmatrix import OperatorMatrix, _mode_blocks
 from fvps.spectrum import chi_from_energies, eps_from_energies
@@ -373,6 +376,29 @@ def test_star_product_matches_mode_loop(grid_name, size, hbar):
     assert_close(star_product(a, b, ps, hbar), ab, 1e-13)
     assert_close(moyal_bracket(a, b, ps, hbar), (ab - ba) / (1j * hbar), 1e-13)
     assert_close(poisson_bracket(a, b, ps), loop_poisson(a, b, ps), 1e-13)
+
+
+# (grid, matrix size or None for a scalar field) on which the product's
+# q-mode blocks number at least three and the last one is ragged
+BLOCKED_STAR_CASES = {
+    "scalar-16x128": (PhaseSpaceGrid(MomentumGrid(16, 4.0), n_q=128, q_max=5.0, hbar=1.3), None),
+    "3x3-16x32": (PhaseSpaceGrid(MomentumGrid(16, 2.5), n_q=32, q_max=3.0), 3),
+}
+
+
+@pytest.mark.parametrize("hbar", [1e-3, 2.0])
+@pytest.mark.parametrize("case", sorted(BLOCKED_STAR_CASES))
+def test_blocked_star_product_matches_mode_loop(case, hbar):
+    ps, size = BLOCKED_STAR_CASES[case]
+    n_p, n_q = ps.momentum.n_points, ps.n_q
+    blocks = _q_mode_blocks(size or 1, n_p, n_q)
+    assert len(blocks) >= 3 and blocks[-1].stop - blocks[-1].start < blocks[0].stop - blocks[0].start
+    shape = (n_p, n_q) if size is None else (size, size, n_p, n_q)
+    rng = np.random.default_rng(29)
+    a, b = full_band(rng, shape), full_band(rng, shape)
+    ab, ba = loop_star(a, b, ps, hbar), loop_star(b, a, ps, hbar)
+    assert_close(star_product(a, b, ps, hbar), ab, 1e-13)
+    assert_close(moyal_bracket(a, b, ps, hbar), (ab - ba) / (1j * hbar), 1e-13)
 
 
 def loop_poly_mul(a, b):

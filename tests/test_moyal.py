@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,65 @@ class TestClassicalLimitGap:
         rep = classical_limit_gap(a, a, smallgrid, self.hbars)
         assert rep.exponent is None
         assert max(rep.gaps) < 1e-14
+
+    @pytest.mark.parametrize("hbars", [[1e-2], [], [1e-2, 1e-2], [1e-2, 0.0], [1e-2, -1e-3], [1e-2, np.nan], [1e-2, np.inf]])
+    def test_scan_needs_two_distinct_finite_positive_hbars(self, smallgrid, hbars):
+        a = band2d(1, 32)[None, None] * np.ones((2, 2, 1, 1))
+        with pytest.raises(ValueError, match="at least two distinct finite positive"):
+            classical_limit_gap(a, a.conj(), smallgrid, hbars)
+
+
+class TestHbarArguments:
+    @pytest.mark.parametrize("hbar", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hbar_raises(self, smallgrid, hbar):
+        a, b = band2d(1, 32), band2d(2, 32)
+        for product in (star_product, moyal_bracket, anti_moyal_bracket):
+            with pytest.raises(ValueError, match="hbar must be finite"):
+                product(a, b, smallgrid, hbar=hbar)
+            with pytest.raises(ValueError, match="hbar must be finite"):
+                product(PolySymbol.q(), PolySymbol.p(), hbar=hbar)
+
+    def test_zero_hbar_bracket_raises(self, smallgrid):
+        with pytest.raises(ValueError, match="finite and nonzero, got 0.0"):
+            moyal_bracket(band2d(1, 32), band2d(2, 32), smallgrid, hbar=0.0)
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            moyal_bracket(PolySymbol.q(), PolySymbol.p(), hbar=0.0)
+
+    def test_zero_hbar_star_is_pointwise(self, smallgrid):
+        a, b = band2d(4, 32), band2d(5, 32)
+        assert np.abs(star_product(a, b, smallgrid, hbar=0.0) - a * b).max() < 1e-13
+        qp = star_product(PolySymbol.q(), PolySymbol.p(), hbar=0.0)
+        assert np.array_equal(qp.coeffs, np.array([[0.0, 0.0], [0.0, 1.0]]))
+        assert np.abs(anti_moyal_bracket(a, b, smallgrid, hbar=0.0) - a * b).max() < 1e-13
+
+
+# tracemalloc peaks of the sampled star product at the benchmark's sizes,
+# measured as 1.52 MB (a scalar 64 x 64 product) and 3.05 MB (the Moyal
+# bracket of two 2 x 2 symbols on 32 x 32, two products); each bound adds
+# ~15 % margin.  The whole-array contraction, five (m, m, n_q, n_q, n_p)
+# arrays, peaked at 16.9 and 8.5 MB.
+STAR_MEMORY_BOUNDS_MB = {"star-64": 1.75, "bracket-2x2-32": 3.5}
+
+
+def test_star_product_memory_stays_below_bounds():
+    ps64 = PhaseSpaceGrid.conjugate(MomentumGrid(64, 4.0))
+    ps32 = PhaseSpaceGrid.conjugate(MomentumGrid(32, 4.0))
+    a, b = band2d(1, 64), band2d(2, 64)
+    sa = np.array([[band2d(10 + 2 * i + k, 32) for k in range(2)] for i in range(2)])
+    sb = np.array([[band2d(20 + 2 * k + l, 32) for l in range(2)] for k in range(2)])
+    products = {
+        "star-64": lambda: star_product(a, b, ps64),
+        "bracket-2x2-32": lambda: moyal_bracket(sa, sb, ps32),
+    }
+    peaks = {}
+    for name, product in products.items():
+        tracemalloc.start()
+        try:
+            product()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+    assert all(peaks[name] < bound for name, bound in STAR_MEMORY_BOUNDS_MB.items()), peaks
 
 
 @pytest.fixture(scope="module")
