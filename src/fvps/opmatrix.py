@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConditioningError, GridError, ResolutionError
 from .grids import NATURAL, MomentumGrid, PhaseSpaceGrid, UnitSystem, fourier_pair
-from .spectrum import EnergyModel, chi_from_energies, eps_from_energies
+from .spectrum import EnergyModel, chi_from_energies, energy, eps_from_energies
 
 MAX_DOUBLED_DIM = 2048
 
@@ -370,8 +370,6 @@ def newton_wigner_matrix(
     momentum.  `even_part` of the naive position must reproduce this
     matrix; that is the free-particle position oracle.
     """
-    from .spectrum import energy
-
     q = position_kernel(psgrid)
     p = psgrid.momentum.nodes
     curv = units.hbar * units.c**2 * p / (2.0 * energy(p, units) ** 2)

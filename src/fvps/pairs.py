@@ -12,10 +12,10 @@ overlap states become energetically more accessible for packets
 localized near the Compton length.
 
 Energies are per-pair, rest energy subtracted, computed by momentum-space
-quadrature of the exchange-projected single-particle brackets.  The
-fermi pair is expanded in the orthogonal sum and difference orbitals,
-whose energies never divide vanishing norms, so nearly and exactly
-coincident centers need no special case.
+quadrature of the exchange-projected single-particle brackets.  Both
+statistics expand the pair in the orthogonal sum and difference
+orbitals; the fermi energy never divides a vanishing norm, so nearly and
+exactly coincident centers need no special case.
 """
 
 from dataclasses import dataclass
@@ -37,8 +37,10 @@ class PairState:
     statistics: str = "fermi"
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not np.isfinite([self.q1, self.q2, float(self.q1) - float(self.q2)]).all():
+            raise ValueError(f"q1, q2 and their separation must be finite, got q1={self.q1}, q2={self.q2}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if self.statistics not in ("bose", "fermi"):
             raise ValueError(f"statistics must be 'bose' or 'fermi', got {self.statistics!r}")
 
@@ -73,37 +75,39 @@ def _mode_kinetic(n: int, model: str, sigma: float, units: UnitSystem) -> float:
 def pair_energy(pair: PairState, model: str = "rel", units: UnitSystem = NATURAL) -> float:
     """Mean kinetic energy of the (anti)symmetrized pair, rest energy removed.
 
-    Bosons: E = [T_11 + T_22 + 2 Re(s* T_12)] / (1 + |s|^2) with s the
-    orbital overlap.  Fermions: the same Slater determinant is built from
-    the orthogonal pair psi_+ = base cos(d p / 2 hbar) and
-    psi_- = base p sinc(d p / 2 pi hbar) -- the sum and the difference of
-    the two orbitals, without their common centre phase and with the
-    difference divided by d / 2 hbar -- so E = sum over +- of
-    <psi|T|psi> / <psi|psi>.  This equals
-    [T_11 + T_22 - 2 Re(s* T_12)] / (1 - |s|^2) but has no 0/0 as d -> 0,
-    is even in d (so exactly exchange-symmetric), and at d = 0 is the
-    orthogonalized limit T_0 + T_1 over the local harmonic modes.  Both
-    tend to twice the single-packet energy once the packets separate.
+    Both statistics expand the pair in one orthogonal orbital pair, the
+    sum and the difference of the two orbitals without their common
+    centre phase: psi_a = base cos(d p / 2 hbar) and
+    psi_b = base sin(d p / 2 hbar), each with its norm N = <psi|psi> and
+    kinetic bracket T = <psi|T|psi>.  base is the normalized packet, so
+    N_a + N_b = 1 and the products N T stay in range.  The symmetric state is
+    psi_a psi_a - psi_b psi_b, so bosons have
+    E = 2 (N_a T_a + N_b T_b) / (N_a^2 + N_b^2); the Slater determinant
+    is psi_a psi_b - psi_b psi_a, so fermions have E = T_a/N_a + T_b/N_b,
+    with psi_b divided by d / 2 hbar (base p sinc(d p / 2 pi hbar)) so
+    that no norm vanishes.  These equal the overlap forms
+    [T_11 + T_22 +- 2 Re(s* T_12)] / (1 +- |s|^2) with s the orbital
+    overlap, but the fermion form has no 0/0 as d -> 0 and at d = 0 is
+    the orthogonalized limit T_0 + T_1 over the local harmonic modes.
+    Both depend on the separation only (so are exactly
+    exchange-symmetric) and tend to twice the single-packet energy once
+    the packets separate.
     """
     grid = _pair_grid(pair.sigma, units)
     p = grid.nodes
     base = np.exp(-(pair.sigma**2) * p**2 / (2.0 * units.hbar**2))
+    base /= np.sqrt(quadrature(base**2, grid).real)
     T = _kinetic(p, model, units)
-    if pair.statistics == "fermi":
-        half = pair.separation * p / (2.0 * units.hbar)
-        total = 0.0
-        for psi in (base * np.cos(half), base * p * np.sinc(half / np.pi)):
-            density = psi**2
-            total += quadrature(T * density, grid).real / quadrature(density, grid).real
-        return float(total)
-    base = base / np.sqrt(quadrature(np.abs(base) ** 2, grid).real)
-    phi1 = base * np.exp(-1j * pair.q1 * p / units.hbar)
-    phi2 = base * np.exp(-1j * pair.q2 * p / units.hbar)
-    t11 = quadrature(T * np.abs(phi1) ** 2, grid).real
-    t22 = quadrature(T * np.abs(phi2) ** 2, grid).real
-    t12 = quadrature(T * np.conj(phi1) * phi2, grid)
-    s = quadrature(np.conj(phi1) * phi2, grid)
-    return float((t11 + t22 + 2.0 * (np.conj(s) * t12).real) / (1.0 + abs(s) ** 2))
+    half = pair.separation * p / (2.0 * units.hbar)
+    fermi = pair.statistics == "fermi"
+    difference = base * p * np.sinc(half / np.pi) if fermi else base * np.sin(half)
+    brackets = []
+    for psi in (base * np.cos(half), difference):
+        density = psi**2
+        brackets.append((quadrature(density, grid).real, quadrature(T * density, grid).real))
+    if fermi:
+        return float(sum(t / n for n, t in brackets))
+    return float(2.0 * sum(n * t for n, t in brackets) / sum(n * n for n, _ in brackets))
 
 
 def overlap_penalty(sigma: float, model: str = "rel", units: UnitSystem = NATURAL) -> float:

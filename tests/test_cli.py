@@ -1,11 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,6 +25,8 @@ from fvps import (
     errors,
     gaussian_state,
     moyal,
+    opmatrix,
+    rotator,
     tables,
     wigner,
 )
@@ -733,6 +739,86 @@ def test_readme_names_every_sidecar():
     for names in SIDECARS.values():
         for name in names:
             assert f"`{name}`" in formats, name
+
+
+# The doubled-space matrix oracle referees the closed forms in the tests;
+# a documented command must get by without it.
+MATRIX_ORACLE = ("sign_operator", "even_part", "odd_part", "charge_invariant", "branch_vectors", "branch_reduce")
+
+
+@pytest.mark.filterwarnings("ignore::fvps.errors.ResolutionWarning")
+def test_readme_commands_never_reach_the_matrix_oracle(tmp_path, monkeypatch, capsys):
+    def oracle(*args, **kwargs):
+        raise AssertionError("a README command reached the matrix oracle")
+
+    for name in MATRIX_ORACLE:
+        monkeypatch.setattr(opmatrix, name, oracle)
+        monkeypatch.setattr(rotator, name, oracle, raising=False)
+    for name in ("even_ladder", "orbit_series_matrix_oracle"):
+        monkeypatch.setattr(rotator, name, oracle)
+    monkeypatch.chdir(tmp_path)
+    codes = [main(argv) for argv in _readme_commands()]
+    assert codes == [EXIT_OK] * len(codes), capsys.readouterr().err
+
+
+# Command-line property test: every command's flags drawn from a good value
+# and the edge values below.  Sizes stay small: at most 128 points, a
+# t-max of at most 200 and at most three lambda or sigma values.  --check
+# is never drawn: a failed check writes its deviation record and exits 3
+# by design.
+EDGE_VALUES = ["0", "-0", "-1", "1e-320", "1e-160", "1e160", "nan", "inf", "-inf", "junk"]
+N_POINTS = st.sampled_from(["128"]) | st.sampled_from(["0", "-8", "7", "100", "1e3", "junk"])
+
+
+def _value(*good):
+    # half good, half edge, so that a fair share of runs get to compute
+    return st.sampled_from(good) | st.sampled_from(EDGE_VALUES)
+
+
+def _value_list(*good):
+    return st.lists(_value(*good), min_size=1, max_size=3).map(",".join)
+
+
+FUZZED_FLAGS = {
+    "factors": {"--p1": _value("0", "1.5"), "--p2": _value("1.7320508")},
+    "wigner": {"--lambda": _value("1", "8"), "--n-points": N_POINTS},
+    "evolve": {"--lambda": _value("2"), "--t": _value("5"), "--n-points": N_POINTS, "--tol": _value("1e-8")},
+    "coherent": {"--lambdas": _value_list("0.5", "2"), "--p-bar": _value("0.02")},
+    "rotator": {
+        "--b": _value("0.5"),
+        "--alpha": _value("3"),
+        "--t-max": st.sampled_from(["10", "200"]) | st.sampled_from([v for v in EDGE_VALUES if v != "1e160"]),
+        "--dt": _value("1.0"),
+        "--n-max": st.sampled_from(["64", "100"]) | st.sampled_from(["0", "-1", "7", "junk"]),
+    },
+    "entangle": {"--sigmas": _value_list("0.5", "1", "2"), "--models": st.sampled_from(["nonrel,rel", "rel", "rel,junk"])},
+}
+
+
+@pytest.mark.parametrize("command", list(FUZZED_FLAGS))
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_command_line_properties(command, data):
+    flags = data.draw(st.fixed_dictionaries(FUZZED_FLAGS[command]))
+    out = "o.json" if command in ("factors", "evolve") else "o.csv"
+    argv = [command, *(f"{flag}={value}" for flag, value in flags.items()), "--out", out]
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        # recorded, not raised: conftest makes modulation_spectrum's
+        # ResolutionWarning an error, and the command line allows it
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        written = {path.name: path.read_bytes().lower() for path in Path().rglob("*") if path.is_file()}
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_TOLERANCE), argv
+    if code == EXIT_OK:
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    else:
+        assert not written, argv
+        assert "Traceback" not in stderr.getvalue(), argv
+    for name, content in written.items():
+        assert b"nan" not in content and b"inf" not in content, (argv, name)
 
 
 @pytest.mark.parametrize("module", ["scipy", "multiprocessing", "concurrent"])

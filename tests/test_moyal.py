@@ -28,7 +28,7 @@ from fvps import (
     wigner_even,
     wigner_odd,
 )
-from fvps.moyal import propagator_phases
+from fvps.moyal import _bracket_multiplier, propagator_phases
 
 
 def band1d(seed, n, kmax=3):
@@ -454,6 +454,53 @@ class TestTimestepReference:
     def test_stability_guard(self):
         with pytest.raises(StepSizeError):
             evolve_timestep_reference(self.w0, self.efn, 100.0, 2, self.ps)
+
+
+def _real_space_midpoint(w, energy_fn, t, steps, psgrid):
+    """The midpoint loop in real space: two position-axis FFT pairs per step."""
+    mult, dt = _bracket_multiplier(energy_fn, psgrid), t / steps
+    field = w.astype(complex)
+    for _ in range(steps):
+        k1 = np.fft.ifft(np.fft.fft(field, axis=1) * mult, axis=1)
+        field = field + dt * np.fft.ifft(np.fft.fft(field + 0.5 * dt * k1, axis=1) * mult, axis=1)
+    return field.real
+
+
+@pytest.mark.parametrize("steps", [400, 800])
+def test_timestep_reference_matches_real_space_loop(steps):
+    # criterion 4's case: the stepper's one product of R(z) factors in
+    # mode space is the loop's 2 * steps FFT round trips up to roundoff
+    ps = PhaseSpaceGrid.conjugate(MomentumGrid(128, 5.0))
+    w0 = wigner_even(gaussian_state(ps.momentum, sigma=2.0, p_bar=0.5), +1, ps)
+    efn = lambda p: p**2 / 2
+    modes = evolve_timestep_reference(w0, efn, 2.0, steps, ps)
+    loop = _real_space_midpoint(w0, efn, 2.0, steps, ps)
+    assert np.abs(modes - loop).max() <= 1e-15
+    exact = evolve_even(w0, efn, 2.0, ps)
+    errors = [np.abs(x - exact).max() for x in (modes, loop)]
+    assert errors[0] == pytest.approx(errors[1], rel=1e-7)
+
+
+def test_timestep_reference_growth_bound(smallgrid, monkeypatch):
+    # at dt * max|mult| = 1 a mode grows by 1.25^(1/2) a step: 20 steps
+    # stay below 10x, 21 exceed it and raise before any FFT is taken
+    efn = lambda p: p**2 / 2
+    mult = _bracket_multiplier(efn, smallgrid)
+    max_omega = np.abs(mult).max()
+    w = np.random.default_rng(5).normal(size=(32, 32, 2)) @ [1.0, 1.0j]  # weight in every mode
+    out = evolve_timestep_reference(w, efn, 20 / max_omega, 20, smallgrid)
+    gain = np.abs(np.fft.fft(out, axis=1) / np.fft.fft(w, axis=1))
+    y = np.abs(mult) / max_omega
+    assert gain.max() <= 10.0
+    np.testing.assert_allclose(gain, (1 + y**4 / 4) ** 10, rtol=1e-12)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT taken before the growth bound was checked")
+
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    monkeypatch.setattr(np.fft, "ifft", no_fft)
+    with pytest.raises(StepSizeError, match="field grew by >10x"):
+        evolve_timestep_reference(w, efn, 21 / max_omega, 21, smallgrid)
 
 
 def _counted(energy_fn):

@@ -36,9 +36,10 @@ class TestPairEnergy:
         c2=st.floats(-3, 3, allow_nan=False),
     )
     @settings(max_examples=20, deadline=None)
-    def test_exchange_symmetry(self, c1, c2):
-        e12 = pair_energy(PairState(c1, c2, 1.0, "fermi"))
-        e21 = pair_energy(PairState(c2, c1, 1.0, "fermi"))
+    @pytest.mark.parametrize("statistics", ["bose", "fermi"])
+    def test_exchange_symmetry(self, c1, c2, statistics):
+        e12 = pair_energy(PairState(c1, c2, 1.0, statistics))
+        e21 = pair_energy(PairState(c2, c1, 1.0, statistics))
         assert e12 == pytest.approx(e21, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("model", ["rel", "nonrel"])
@@ -79,6 +80,18 @@ class TestPairEnergy:
     def test_rejects_bad_statistics(self):
         with pytest.raises(ValueError):
             PairState(0.0, 1.0, 1.0, "maxwell")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["q1", "q2", "sigma"])
+    def test_rejects_non_finite_fields(self, field, value):
+        # these came back from pair_energy as a silent nan
+        args = {"q1": 0.0, "q2": 1.0, "sigma": 1.0} | {field: value}
+        with pytest.raises(ValueError, match="must be finite"):
+            PairState(**args)
+
+    def test_rejects_overflowing_separation(self):
+        with pytest.raises(ValueError, match="separation must be finite"):
+            PairState(-1e308, 1e308, 1.0)
 
 
 class TestOverlapPenalty:
