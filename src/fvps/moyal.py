@@ -335,27 +335,27 @@ def classical_limit_gap(a, b, psgrid: PhaseSpaceGrid, hbars) -> ClassicalLimitRe
 # ---------------------------------------------------------------------------
 
 
-def _mode_lattice(psgrid: PhaseSpaceGrid, n_modes: int | None = None):
+def _mode_lattice(psgrid: PhaseSpaceGrid):
     """(nodes, centre, m): p_k +- hbar kappa_m / 2 is nodes[centre[k] +- m].
 
     On a conjugate grid hbar kappa_m / 2 = m dp / 2 for the FFT mode index
     m, so p_k +- hbar kappa_m / 2 = p_0 + (2k +- m) dp / 2: every shifted
     momentum is a node of `half_step_lattice` padded by n_q / 2 half steps
     at either end, and E is evaluated once per node instead of on
-    2 n_p n_q pairs.  centre is an (n_p, 1) column and m holds the first
-    n_modes FFT-ordered mode indices (all n_q by default).
+    2 n_p n_q pairs.  centre is an (n_p, 1) column and m holds the n_q
+    FFT-ordered mode indices.
     """
     psgrid.require_conjugate()
     n_p, n_q = psgrid.momentum.n_points, psgrid.n_q
-    m = np.fft.ifftshift(np.arange(-(n_q // 2), n_q // 2))[:n_modes]  # fftfreq order
+    m = np.fft.ifftshift(np.arange(-(n_q // 2), n_q // 2))  # fftfreq order
     return half_step_lattice(psgrid.momentum, n_q // 2), 2 * np.arange(n_p)[:, None] + n_q // 2, m
 
 
-def _mode_phase(energy_fn, t: float, psgrid: PhaseSpaceGrid, n_modes: int | None = None):
+def _mode_phase(energy_fn, t: float, psgrid: PhaseSpaceGrid):
     """(z, centre, m): z = exp(-i E t / hbar) on the `_mode_lattice` nodes, gathered as z[centre +- m]."""
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    nodes, centre, m = _mode_lattice(psgrid, n_modes)
+    nodes, centre, m = _mode_lattice(psgrid)
     return np.exp(-1j * energy_fn(nodes) * t / psgrid.hbar), centre, m
 
 
@@ -401,9 +401,13 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
     The field is real, so its position-axis spectrum is Hermitian and the
     even phase of mode -kappa is the conjugate of that of mode kappa: one
     real FFT along q, the phases on its n_q/2 + 1 columns, and the inverse
-    real FFT give the field, one block of momentum rows at a time.  A
-    complex field raises ValueError (a cross-branch field evolves with
-    `evolve_odd`), and one whose shape is not the grid's GridError.
+    real FFT give the field, one block of momentum rows at a time.  Row
+    k's phases z(2k + n_q/2 + m) conj(z(2k + n_q/2 - m)), m = 0 .. n_q/2 - 1,
+    are read from two strided windows of the mode lattice, one of them
+    running backwards; only the Nyquist column m = -n_q/2 is taken apart
+    from them.  A complex field raises ValueError (a cross-branch field
+    evolves with `evolve_odd`), and one whose shape is not the grid's
+    GridError.
 
     Exact, unitary and additive in t for fields without weight in the
     unpaired Nyquist column (kappa = -pi/dq).  That column has no partner
@@ -420,11 +424,20 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
     if np.iscomplexobj(w):
         raise ValueError("evolve_even takes a real charge-diagonal field; "
                          "evolve a complex (cross-branch) field with evolve_odd")
-    z, centre, m = _mode_phase(energy_fn, t, psgrid, psgrid.n_q // 2 + 1)
+    z = _mode_phase(energy_fn, t, psgrid)[0]
+    n_p, half = psgrid.momentum.n_points, psgrid.n_q // 2
+    # row k's modes m = 0 .. half - 1 read z at 2k + half + m and conj(z) at
+    # 2k + half - m: one window of z and one of conj(z) read backwards
+    z_conj = np.conj(z[::-1])
+    plus = sliding_window_view(z, half)[half::2]
+    minus = sliding_window_view(z_conj, half)[len(z) - 1 - half :: -2]
+    # the Nyquist column m = -half: z at 2k times conj(z) at 2k + n_q
+    nyquist_plus, nyquist_minus = z[: 2 * n_p : 2], z_conj[len(z) - 1 - psgrid.n_q :: -2]
     out = np.empty(w.shape, dtype=np.result_type(w, 1.0))
-    for rows in row_blocks(len(centre)):
+    for rows in row_blocks(n_p):
         wk = np.fft.rfft(w[rows], axis=1)
-        wk *= z[centre[rows] + m] * np.conj(z[centre[rows] - m])
+        wk[:, :half] *= plus[rows] * minus[rows]
+        wk[:, half] *= nyquist_plus[rows] * nyquist_minus[rows]
         np.fft.irfft(wk, psgrid.n_q, axis=1, out=out[rows])
     return out
 

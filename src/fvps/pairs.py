@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResolutionError
 from .grids import NATURAL, MomentumGrid, UnitSystem, quadrature
 from .spectrum import energy
 from .states import displaced_number_state
@@ -92,8 +93,29 @@ def pair_energy(pair: PairState, model: str = "rel", units: UnitSystem = NATURAL
     Both depend on the separation only (so are exactly
     exchange-symmetric) and tend to twice the single-packet energy once
     the packets separate.
+
+    The pair grid stops doubling at 2^16 nodes: a packet so wide that its
+    spacing misses dp <= 0.1 hbar/sigma raises ResolutionError with the
+    node count it would need.  A quadrature on the spacing dp reads the
+    pair's densities at separation d as at d - 2 pi hbar/dp as well, so a
+    separation that is not 12 sigma below that position window raises
+    ValueError (at 8 sigma below it the image still moves the energy by
+    up to ~1e-9 relative, at 12 sigma by roundoff).
     """
     grid = _pair_grid(pair.sigma, units)
+    width = units.hbar / pair.sigma
+    if grid.spacing > 0.1 * width:
+        needed = 2 ** int(np.ceil(np.log2(20.0 * grid.p_max / width)))
+        raise ResolutionError(
+            f"pair grid spacing {grid.spacing:.4g} too coarse for packet of momentum width {width:.4g}; "
+            f"dp <= 0.1 hbar/sigma needs {needed} nodes, the pair grid stops at {grid.n_points}"
+        )
+    window = 2.0 * np.pi * units.hbar / grid.spacing
+    if not pair.separation < window - 12.0 * pair.sigma:
+        raise ValueError(
+            f"separation {pair.separation:.4g} must stay 12 sigma below the pair grid's position window "
+            f"2 pi hbar/dp = {window:.4g}, past which the densities alias"
+        )
     p = grid.nodes
     base = np.exp(-(pair.sigma**2) * p**2 / (2.0 * units.hbar**2))
     base /= np.sqrt(quadrature(base**2, grid).real)

@@ -59,7 +59,7 @@ from .grids import (
     phase_space_quadrature,
     row_blocks,
 )
-from .spectrum import energy, eps_factor, purity_rhs
+from .spectrum import energy, eps_factor
 from .states import ChargeBranchState
 
 EPS_RELATIVISTIC = "relativistic"
@@ -137,6 +137,13 @@ def _q_transform(psgrid: PhaseSpaceGrid, pair: tuple, minus_pair: tuple | None =
     the offsets fold mod n and one length-n FFT along q finishes the sum.
     C is built, folded and transformed one block of momentum rows at a
     time in one reused buffer, and each block lands in the output.
+
+    Row k of C vanishes outside the band |j| <= min(2k, 2n - 1 - 2k),
+    where one of the two lattice indices 2k +- j leaves the lattice, so
+    each block multiplies only the columns of its widest row's band J.
+    The fold then adds only where the band's two halves meet mod n
+    (2J >= n); below that it places j >= 0 in front of the j < 0 half,
+    which already sits at its folded columns, with zeros between.
     """
     n = psgrid.n_q
     scale = psgrid.dp / (2.0 * np.pi * psgrid.hbar)
@@ -149,13 +156,19 @@ def _q_transform(psgrid: PhaseSpaceGrid, pair: tuple, minus_pair: tuple | None =
         minus_corr = np.empty_like(corr)
     out = np.empty((n, n), dtype=complex if minus_pair else float)
     for rows in blocks:
+        J = min(2 * (rows.stop - 1), 2 * n - 1 - 2 * rows.start, n - 1)
+        band = slice(n - J, n + J + 1)
         c = corr[: rows.stop - rows.start]
-        np.multiply(bra_rows[rows], ket_cols[rows], out=c)
+        band_c = c[:, band]
+        np.multiply(bra_rows[rows, band], ket_cols[rows, band], out=band_c)
         if minus_pair:
-            c -= np.multiply(minus_rows[rows], minus_cols[rows], out=minus_corr[: len(c)])
-            np.multiply(0.5, c, out=c)
+            band_c -= np.multiply(minus_rows[rows, band], minus_cols[rows, band], out=minus_corr[: len(c), band])
+            np.multiply(0.5, band_c, out=band_c)
+        alone = min(J + 1, n - J)
         folded = c[:, :n]
-        folded += c[:, n:]
+        folded[:, :alone] = c[:, n : n + alone]
+        folded[:, alone : n - J] = 0
+        folded[:, n - J : J + 1] += c[:, 2 * n - J : n + J + 1]
         f = np.fft.fft(folded, axis=1, out=spectrum[: len(c)])
         np.multiply(scale, f, out=f)
         out[rows] = f if minus_pair else f.real
@@ -296,7 +309,8 @@ def reconstruct_kernel(w: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
     inverse transform's mode j is conj(r[j]) for j >= 0 and r[-j] for
     j < 0.
     """
-    return _kernel_modes(_half_spectrum(w, psgrid), psgrid.n_q // 2 - 1, psgrid.dq)
+    j_max = psgrid.n_q // 2 - 1
+    return _kernel_modes(_half_spectrum(w, psgrid), -j_max, j_max, psgrid.dq)
 
 
 def _half_spectrum(w, psgrid: PhaseSpaceGrid) -> np.ndarray:
@@ -308,15 +322,15 @@ def _half_spectrum(w, psgrid: PhaseSpaceGrid) -> np.ndarray:
     return np.fft.rfft(w, axis=-1)
 
 
-def _kernel_modes(r: np.ndarray, j_max: int, dq: float) -> np.ndarray:
-    """Kernel columns for the offsets |j| <= j_max from the half spectrum `r` along q.
+def _kernel_modes(r: np.ndarray, j_lo: int, j_hi: int, dq: float) -> np.ndarray:
+    """Kernel columns for the offsets j_lo <= j <= j_hi, j_lo <= 0, from the half spectrum `r` along q.
 
-    Column c holds offset j = c - j_max: conj(r[j]) for j >= 0 and r[-j]
+    Column c holds offset j = j_lo + c: conj(r[j]) for j >= 0 and r[-j]
     for j < 0, times dq, with the sign (-1)^j of the centred grid.
     """
-    modes = np.concatenate([r[..., 1 : j_max + 1][..., ::-1], np.conj(r[..., : j_max + 1])], axis=-1)
+    modes = np.concatenate([r[..., 1 : 1 - j_lo][..., ::-1], np.conj(r[..., : j_hi + 1])], axis=-1)
     modes *= dq
-    modes[..., (j_max + 1) % 2 :: 2] *= -1
+    modes[..., (j_lo + 1) % 2 :: 2] *= -1
     return modes
 
 
@@ -353,19 +367,32 @@ def purity_check(
     window where |K| exceeds `window_floor` times its maximum.  |K| at
     offset -j equals |K| at +j bit for bit (the two differ by a conjugate
     and a sign), so the window's bounding box is found on the half
-    spectrum, |j| <= j_max, and only the box of K is ever built, one
-    block of rows at a time.  Central differences with step 2 dp,
+    spectrum, |j| <= j_max.  Central differences with step 2 dp,
     Richardson-refined with step 4 dp, both on one five-point stencil:
     the midpoint pair c +- s, the offset pair j +- 2s and the centre, at
     index step s = 2 and 4.  Both steps are evaluated on the common
     interior the step-4 stencil reaches, 4 rows and 8 offset columns in
     from the box, and a box with no such interior point in the window
-    raises ValueError.  For a
-    pure state of the full theory the two sides agree; a mixture breaks
-    the factorization and fails loudly; forcing eps to 1 (non-local
-    theory) drives the left side to zero while the right side stays
-    finite.  `window_floor` must be finite and non-negative: a negative
-    floor admits the exact zeros of K, a NaN one admits nothing.
+    raises ValueError.  For a pure state of the full theory the two
+    sides agree; a mixture breaks the factorization and fails loudly;
+    forcing eps to 1 (non-local theory) drives the left side to zero
+    while the right side stays finite.  `window_floor` must be finite and
+    non-negative: a negative floor admits the exact zeros of K, a NaN
+    one admits nothing.
+
+    Only the stencils centred at j >= 0 are evaluated, so only that half
+    of the box, with the 8 columns of halo below j = 0 they reach, is
+    ever built, one block of rows at a time.  Each point at j > 0 also
+    stands for its mirror -j, by three rules that keep every report
+    field bit-identical to the whole window's: ln|K|, the window mask
+    and the left side are the same bits at -j (its sums only trade
+    operands); the right side at -j is the one at (p1, p2) swapped,
+    -c^4 p2 p1 / den, whose numerator may round apart from -c^4 p1 p2
+    when c != 1, so both are formed over one E1, E2 and den; and each
+    phasor at -j is the conjugate of its mirror image with j +- 2s
+    trading places, so the phase product there is (j- j+) conj(c+ c-),
+    in that operand order.  `window_points` counts each j > 0 point
+    twice.
     """
     if not 0.0 <= window_floor < np.inf:
         raise ValueError(f"window_floor must be finite and non-negative, got {window_floor}")
@@ -413,10 +440,12 @@ def purity_check(
         return ((c_plus + c_minus) - (j_plus + j_minus)) / (4.0 * (step * dp) ** 2)
 
     # a box without an interior offset column has no stencil centre at all
-    interior = box.stop - box.start - 2 * edge if 2 * j_max + 1 > 4 * edge else 0
+    interior = box.stop - box.start - 2 * edge if j_max >= 2 * edge else 0
     stats = []
     for rows in row_blocks(max(interior, 0)):
-        K = _kernel_modes(r[box.start + rows.start : box.start + rows.stop + 2 * edge], j_max, dq)
+        # the j >= 0 half of the box and the 2 edge columns of halo its
+        # stencils reach below j = 0; column c is offset j = c - 2 edge
+        K = _kernel_modes(r[box.start + rows.start : box.start + rows.stop + 2 * edge], -2 * edge, j_max, dq)
         mag = np.abs(K)
         # ln|K| only inside the window: outside it the value never reaches a
         # windowed stencil, and exact zeros would put -inf into the arithmetic
@@ -427,25 +456,37 @@ def purity_check(
             continue
         lhs = ((4.0 * mixed(logmag, s) - mixed(logmag, 2 * s)) / 3.0)[mask]
 
-        # the right-hand side is needed on the window only
+        # the right-hand side is needed on the window only: purity_rhs at
+        # (p1, p2) for +j and at (p2, p1) for -j, whose numerators may round
+        # differently, over one E1, E2 and denominator
         centres, cols = np.nonzero(mask)
         centre = psgrid.p_nodes[box.start + edge + rows.start + centres]
-        half = 0.5 * (2 * edge - j_max + cols) * dp
-        rhs = purity_rhs(centre + half, centre - half, units)
+        half = 0.5 * cols * dp
+        p1, p2 = centre + half, centre - half
+        e1, e2 = energy(p1, units), energy(p2, units)
+        rhs = np.stack([-(units.c**4) * p1 * p2, -(units.c**4) * p2 * p1]) / (e1 * e2 * (e1 + e2) ** 2)
 
         # unit phasors of K inside the window: the stencil on arg K becomes the
         # argument of a product, so no 2 pi branch cut (and no unwrapping
         # through the noise outside the window) enters the differences
         u = np.divide(K, mag, out=np.zeros_like(K), where=good)
         c_plus, c_minus, j_plus, j_minus, _ = stencil(u, s)
+        midpoints = c_plus * c_minus
         # conj(j) * c, in place: with fused multiply-adds a complex product
         # is not bitwise commutative, and numpy's temporary elision turns
         # `c * conj(j)` into this order on large arrays only; spelling it
         # out keeps the result independent of the block's size
         prod = np.conj(j_plus * j_minus)
-        prod *= c_plus * c_minus
-        phase_curv = np.abs(np.angle(prod[mask]) / (4.0 * (s * dp) ** 2))
-        stats.append((np.abs(lhs - rhs).max(), np.abs(lhs).max(), np.abs(rhs).max(), phase_curv.max(), mask.sum()))
+        prod *= midpoints
+        # at -j every phasor is the conjugate of its mirror image and j+-
+        # trade places, so the product is (j- j+) conj(c+ c-), in that order
+        mirror = j_minus[:, 1:] * j_plus[:, 1:]
+        mirror *= np.conj(midpoints[:, 1:])
+        phases = np.concatenate([prod[mask], mirror[mask[:, 1:]]])
+        phase_curv = np.abs(np.angle(phases) / (4.0 * (s * dp) ** 2))
+        # lhs and the window are symmetric in j, so each j > 0 point counts twice
+        points = mask.sum() + mask[:, 1:].sum()
+        stats.append((np.abs(lhs - rhs).max(), np.abs(lhs).max(), np.abs(rhs).max(), phase_curv.max(), points))
     if not stats:
         raise ValueError(
             "kernel magnitude below the window floor everywhere; "

@@ -20,11 +20,20 @@ over blocks of momentum rows.  The first two are refereed by the
 whole-array passes they replaced (one (n, 2n) pair product folded and
 transformed at once; one real FFT of the whole field times the full
 phase array), on grids smaller than, equal to and larger than one row
-block: the fields must be bit-identical.  The purity criterion, which
-finds the bounding box of the kernel window on the half spectrum and
-builds and evaluates its stencils on that box only, is refereed by the
-full-array evaluation it replaced, which reconstructs the whole kernel:
-every report field must be bit-identical.
+block: the fields must be bit-identical.  The transform multiplies each
+block's pair product on its nonzero band only and folds it by placement
+where the band's halves do not meet; the evolution reads its phases
+from strided windows of the mode lattice.  Two more grids, n = 64 (one
+block with narrow and overlapping bands) and n = 2048 (many narrow edge
+blocks, phase windows reaching both ends of the lattice), must match
+the whole-array passes byte for byte, signed zeros included.  The
+purity criterion, which finds the bounding box of the kernel window on
+the half spectrum, builds and evaluates its stencils on the j >= 0 half
+of that box only and mirrors them to -j, is refereed by the full-array
+evaluation it replaced, which reconstructs the whole kernel: every
+report field must be bit-identical, also in non-natural units at
+n = 512 and 1024 where the mirrored right-hand side and phase products
+round apart from the unmirrored forms.
 
 Even-field evolution, which runs a real FFT over the n/2 + 1 independent
 modes, is refereed by the full complex-FFT propagation it replaced, to
@@ -116,6 +125,7 @@ from fvps.moyal import _q_mode_blocks, moyal_bracket, poisson_bracket, propagato
 from fvps.grids import half_step_lattice
 from fvps.opmatrix import OperatorMatrix, _mode_blocks
 from fvps.spectrum import chi_from_energies, eps_from_energies
+from fvps import wigner as wigner_module
 from fvps.wigner import Moments, PurityReport, _lattice_amplitude, _root_energy
 
 RTOL = 1e-12
@@ -586,6 +596,27 @@ def test_row_blocked_transforms_match_full_array(n):
         assert np.array_equal(wigner_odd(state, ordering, ps), full_array_wigner_odd(state, ordering, ps))
 
 
+@pytest.mark.parametrize("n", [64, 2048])
+def test_pair_bands_and_phase_views_match_full_array_to_the_byte(n):
+    # the transform multiplies each block's pair band only and folds by
+    # placement where the band's halves do not meet mod n; evolve_even
+    # reads its phases from windows of the padded lattice.  At n = 64 the
+    # first 32-row block holds rows whose band is narrower than n/2 beside
+    # rows whose halves overlap; at n = 2048 most blocks are edge blocks
+    # with narrow bands, and the last row's windows reach both ends of the
+    # lattice.  Bytes also compare the signs of zeros
+    state = two_branch_state(n)
+    ps = PhaseSpaceGrid.conjugate(state.grid, hbar=UNITS.hbar)
+    energy_fn = lambda p: energy(p, UNITS)
+    for eps_mode in ("relativistic", EPS_UNITY):
+        w = wigner_even(state, +1, ps, eps_mode)
+        assert w.tobytes() == full_array_wigner_even(state, ps, eps_mode).tobytes()
+        for t in (-2.5, 0.7):
+            assert evolve_even(w, energy_fn, t, ps).tobytes() == full_array_evolve_even(w, energy_fn, t, ps).tobytes()
+    for ordering in (+1, -1):
+        assert wigner_odd(state, ordering, ps).tobytes() == full_array_wigner_odd(state, ordering, ps).tobytes()
+
+
 def full_array_purity_check(w, psgrid, units=NATURAL, window_floor=1e-6):
     """The stencils evaluated on the full n x n kernel."""
     K = reconstruct_kernel(w, psgrid)
@@ -723,6 +754,45 @@ def test_purity_check_below_window_floor_matches_full_array(window_floor):
         assert want.window_points == 1
     else:
         assert "below the window floor" in want
+
+
+@pytest.mark.parametrize("n, centres", [
+    (512, [(0.3, 0.4)]),
+    (1024, [(5.0, -1.0)]),
+    (512, [(0.3, 1.0), (-0.2, -1.0)]),
+], ids=["pure-512", "pure-1024", "mixture-512"])
+def test_mirrored_purity_check_matches_full_array_off_natural_units(n, centres):
+    # purity_check evaluates the offsets j >= 0 and mirrors them.  With
+    # c = 0.8 the right-hand side at -j, -c^4 p2 p1 / den, rounds apart
+    # from -c^4 p1 p2 / den on about a third of the points; at n = 1024 the
+    # largest deviation sits on such a point (the window holds no p = 0
+    # row, where the two agree).  A moving, displaced packet gives the
+    # phase products at -j an operand order of their own
+    p_max = 9.0 * UNITS.hbar + max(abs(p_bar) for p_bar, _ in centres) + 0.5
+    ps = PhaseSpaceGrid.conjugate(MomentumGrid(n, p_max), hbar=UNITS.hbar)
+    w = sum(
+        wigner_even(gaussian_state(ps.momentum, sigma=1.0, p_bar=p_bar, q_bar=q_bar, units=UNITS), +1, ps)
+        for p_bar, q_bar in centres
+    )
+    assert purity_check(w, ps, UNITS) == full_array_purity_check(w, ps, UNITS)
+
+
+def test_purity_check_evaluates_the_energy_on_half_its_window(monkeypatch):
+    # each window point at j > 0 is mirrored to -j, so E is evaluated at
+    # the pair momenta of the j >= 0 points only: window_points plus the
+    # j = 0 points, at most one per momentum row
+    ps = PhaseSpaceGrid.conjugate(packet_grid(1.0, n_points=512))
+    w = wigner_even(gaussian_state(ps.momentum, lam=1.0, q_bar=0.3), +1, ps)
+    evaluated = []
+
+    def counted_energy(p, units=NATURAL):
+        evaluated.append(np.size(p))
+        return energy(p, units)
+
+    monkeypatch.setattr(wigner_module, "energy", counted_energy)
+    report = purity_check(w, ps)
+    assert report.window_points <= sum(evaluated) <= report.window_points + ps.momentum.n_points
+    assert report.window_points > 10 * ps.momentum.n_points
 
 
 def pseudo_hermiticity_defect(op: OperatorMatrix) -> float:

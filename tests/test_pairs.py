@@ -13,6 +13,7 @@ from fvps import (
     penalty_curve,
     quadrature,
 )
+from fvps.errors import ResolutionError
 from fvps.pairs import _mode_kinetic
 
 
@@ -92,6 +93,36 @@ class TestPairEnergy:
     def test_rejects_overflowing_separation(self):
         with pytest.raises(ValueError, match="separation must be finite"):
             PairState(-1e308, 1e308, 1.0)
+
+    @pytest.mark.parametrize("statistics", ["bose", "fermi"])
+    def test_wide_packets_scale_until_the_grid_cap(self, statistics):
+        # sigma^2 E is constant in the quadratic theory while the capped
+        # pair grid still resolves hbar/sigma (up to sigma ~ 273)
+        scaled = [s**2 * pair_energy(PairState(0.0, 3.0 * s, s, statistics), "nonrel") for s in (100.0, 250.0)]
+        assert scaled[1] == pytest.approx(scaled[0], rel=1e-12)
+
+    @pytest.mark.parametrize("sigma, needed", [(300.0, 131072), (1e4, 4194304)])
+    @pytest.mark.parametrize("statistics", ["bose", "fermi"])
+    def test_wide_packets_past_the_grid_cap_raise(self, sigma, needed, statistics):
+        # at sigma = 1e4 these read 2.0e-13 (bose) and 6.7e-8 (fermi)
+        # where the 1/sigma^2 scaling predicts 4.75e-9 and 5.25e-9
+        with pytest.raises(ResolutionError, match=f"needs {needed} nodes"):
+            pair_energy(PairState(0.0, 3.0 * sigma, sigma, statistics), "nonrel")
+
+    @pytest.mark.parametrize("d", [524.0, 100.0, 10.0])
+    @pytest.mark.parametrize("statistics", ["bose", "fermi"])
+    def test_separation_below_the_position_window(self, d, statistics):
+        # sigma = 1: the pair grid's window 2 pi hbar/dp is 536.2
+        e = pair_energy(PairState(0.0, d, 1.0, statistics), "rel")
+        assert e == pytest.approx(pair_energy(PairState(0.0, 40.0, 1.0, statistics), "rel"), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [525.0, 536.0, 1e20, 1e200])
+    @pytest.mark.parametrize("statistics", ["bose", "fermi"])
+    def test_separation_past_the_position_window_raises(self, d, statistics):
+        # ~0.2 relative off at d = 534, and 0.39823 (fermi) against
+        # 0.40061 (bose) at 1e20; nan with a RuntimeWarning at 1e200
+        with pytest.raises(ValueError, match="position window 2 pi hbar/dp = 536.2"):
+            pair_energy(PairState(0.0, d, 1.0, statistics), "rel")
 
 
 class TestOverlapPenalty:
