@@ -30,6 +30,15 @@ eta products of per-mode 2-vectors: O(M^2) work, with the conditioning
 rule of `sign_operator` kept.  The dense split (`sign_operator`,
 `even_part`, `branch_reduce`) is its referee in the tests.
 
+The operators fed to it are built in closed form too.  The position
+matrix F^-1 diag(q) F on a conjugate grid is a circulant Toeplitz matrix
+whose first column is the signed DFT of the q nodes / n, so
+`position_kernel` takes one real FFT and one (n, n) copy of a strided
+view: O(n log n + n^2), not the O(n^3) product of two dense transforms
+(the tests keep that product as its referee).  A Hamiltonian is one
+complex zero matrix with its four charge-block diagonals written in,
+byte for byte the sum of the two Kronecker products it stands for.
+
 Basis layout: index = branch * M + mode, mode bases are either momentum
 nodes or oscillator levels (optionally tensored with a longitudinal
 momentum grid, mode = level * n_pz + pz_index).  Total dimension is
@@ -42,14 +51,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, GridError, ResolutionError
-from .grids import NATURAL, MomentumGrid, PhaseSpaceGrid, UnitSystem, fourier_pair
+from .grids import NATURAL, MomentumGrid, PhaseSpaceGrid, UnitSystem, centred_dft_size
 from .spectrum import EnergyModel, chi_from_energies, energy, eps_from_energies
 
 MAX_DOUBLED_DIM = 2048
 
 TAU1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-TAU3 = np.array([[1.0, 0.0], [0.0, -1.0]])
-ITAU2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -104,11 +111,16 @@ def _fv_from_kinetic(kinetic_diag: np.ndarray, units: UnitSystem) -> np.ndarray:
     """Doubled-space first-order Hamiltonian for a diagonal squared kinetic term.
 
     H = tau3 (mc^2 + K) + i tau2 K with K = Pi^2 / (2m); squares to the
-    diagonal m^2 c^4 + c^2 Pi^2.
+    diagonal m^2 c^4 + c^2 Pi^2.  Complex, written straight onto the four
+    block diagonals; the lower-left one is 0.0 - K, so a p = 0 node holds
+    +0.0 as the sum of the two Kronecker products does, not -0.0.
     """
     K = np.asarray(kinetic_diag, dtype=float) / (2.0 * units.m)
-    rest = units.mc2
-    return np.kron(TAU3, np.diag(rest + K)) + np.kron(ITAU2, np.diag(K))
+    e, m = units.mc2 + K, K.size
+    mat = np.zeros((2 * m, 2 * m), dtype=complex)
+    idx = np.arange(m)
+    mat.reshape(2, m, 2, m)[:, idx, :, idx] = np.moveaxis(np.array([[e, K], [0.0 - K, -e]]), -1, 0)
+    return mat
 
 
 def momentum_basis_tag(grid: MomentumGrid) -> str:
@@ -137,8 +149,7 @@ def build_hamiltonian(
     if model.kind == "free":
         if grid is None:
             raise ValueError("free model requires a momentum grid")
-        mat = _fv_from_kinetic(grid.nodes**2, model.units)
-        return OperatorMatrix(mat.astype(complex), momentum_basis_tag(grid))
+        return OperatorMatrix(_fv_from_kinetic(grid.nodes**2, model.units), momentum_basis_tag(grid))
 
     if n_levels is None:
         raise ValueError("landau model requires n_levels")
@@ -159,8 +170,7 @@ def build_hamiltonian(
             f"requested doubled dimension {size} exceeds cap {MAX_DOUBLED_DIM}; "
             f"reduce n_levels or the pz grid"
         )
-    mat = _fv_from_kinetic(pi2, u)
-    return OperatorMatrix(mat.astype(complex), oscillator_basis_tag(n_levels, pz_grid))
+    return OperatorMatrix(_fv_from_kinetic(pi2, u), oscillator_basis_tag(n_levels, pz_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +232,17 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 def _mode_blocks(h: OperatorMatrix) -> np.ndarray:
     """The 2x2 charge block of every mode, shape (M, 2, 2).
 
-    Raises GridError when H couples different modes; every Hamiltonian
-    this module builds is mode-diagonal.
+    Raises GridError when H couples different modes (every Hamiltonian
+    this module builds is mode-diagonal) or has a non-finite entry.
     """
     m = h.n_modes
     mat = h.mat.reshape(2, m, 2, m)
     idx = np.arange(m)
     cross = np.abs(mat)
-    scale = max(cross.max(), 1.0)
+    scale = np.maximum(cross.max(), 1.0)  # NaN or inf for a non-finite entry
     cross[:, idx, :, idx] = 0.0
-    if cross.max() > 1e-12 * scale:
-        raise GridError("expected a mode-diagonal Hamiltonian")
+    if not np.isfinite(scale) or cross.max() > 1e-12 * scale:
+        raise GridError("expected a finite, mode-diagonal Hamiltonian")
     return mat[:, idx, :, idx]
 
 
@@ -309,19 +319,20 @@ def kernel_relation_check(
     branch 2-vectors, so the reductions are K times products of those
     2-vectors.  The dense (2M)^2 split is its referee in the tests.
     Raises ConditioningError, as `sign_operator` does, when an eigenvalue
-    of H sits within 1e-12 of zero relative to the spectral radius.
+    of H sits within 1e-12 of zero relative to the spectral radius, and
+    ValueError for a non-finite kernel or a negative or NaN tolerance.
     """
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be a non-negative number, got {tolerance}")
     kernel = np.asarray(kernel, dtype=complex)
+    if not np.isfinite(kernel).all():
+        raise ValueError("kernel has a non-finite entry")
     m = h.n_modes
     if kernel.shape == h.mat.shape:
-        upper = kernel[:m, :m]
-        lower = kernel[m:, m:]
-        off = max(np.abs(kernel[:m, m:]).max(), np.abs(kernel[m:, :m]).max())
-        if off > 1e-12 or np.abs(upper - lower).max() > 1e-12:
-            raise ValueError(
-                "kernel is not charge-invariant (unequal or coupled charge blocks)"
-            )
-        kernel = upper
+        blocks = kernel.reshape(2, m, 2, m)
+        kernel = blocks[0, :, 0]
+        if np.abs(blocks - np.eye(2)[:, None, :, None] * kernel[:, None]).max() > 1e-12:
+            raise ValueError("kernel is not charge-invariant (unequal or coupled charge blocks)")
     elif kernel.shape != (m, m):
         raise GridError(f"kernel shape {kernel.shape} incompatible with {m} modes")
 
@@ -348,10 +359,22 @@ def kernel_relation_check(
 
 
 def position_kernel(psgrid: PhaseSpaceGrid) -> np.ndarray:
-    """Mode-space position matrix F^-1 diag(q) F; Hermitian, spectrum = q nodes."""
-    fwd = fourier_pair(np.eye(psgrid.momentum.n_points), psgrid, "forward").T
-    inv = fourier_pair(np.eye(psgrid.n_q), psgrid, "inverse").T
-    return inv @ (psgrid.q_nodes[:, None] * fwd)
+    """Mode-space position matrix F^-1 diag(q) F; Hermitian, spectrum = q nodes.
+
+    On a conjugate grid the product is a circulant Toeplitz matrix,
+    K[j, k] = (-1)^(j - k) Q[(j - k) mod n] / n with Q the DFT of the q
+    nodes (the grid's offset phases are the signs; see `grids`).  Modes
+    0 ... n/2 come from one real FFT and the rest are their conjugates,
+    so K is exactly Hermitian; the matrix is one strided view of the
+    doubled mode vector, copied once: O(n log n) plus the n^2 fill, not
+    the O(n^3) product.
+    """
+    n = centred_dft_size(psgrid.q_nodes, psgrid)
+    modes = np.fft.rfft(psgrid.q_nodes) * (-1.0) ** np.arange(n // 2 + 1) / n
+    # entry (j, k) is the conjugate of mode k - j: row j of the doubled
+    # conjugate period starts at n - j
+    doubled = np.concatenate([modes.conj(), modes[-2:0:-1]] * 2)
+    return np.lib.stride_tricks.sliding_window_view(doubled, n)[n:0:-1].copy()
 
 
 def momentum_kernel(grid: MomentumGrid) -> np.ndarray:

@@ -65,6 +65,16 @@ refereed by the dense (2M)^2 path it replaced (`dense_kernel_relation`:
 on free and magnetic Hamiltonians and on a shifted one where the check
 fails, both deviations must agree to 1e-12 absolute.
 
+`position_kernel`, which lays out the circulant Toeplitz matrix of one
+real FFT of the q nodes, is refereed by the dense F^-1 diag(q) F product
+it replaced (`dense_position_kernel`) to 1e-13 of max |K| at n = 8 ...
+1024; it must be exactly Hermitian, have the q nodes as its spectrum to
+1e-12 of q_max, and never reach `fourier_pair`.  `build_hamiltonian`,
+which writes its four charge-block diagonals into one complex zero
+matrix, is refereed by the two Kronecker products and the complex cast
+it replaced (`kron_hamiltonian`): the bytes must agree, signed zeros at
+a p = 0 node included.
+
 `orbit_series`, which splits each sample time into a block start and an
 offset and sums <A(t)> by one product of two phase tables, is refereed by
 the direct sum it replaced, exp(-1j * outer(times, gaps)) @ weights over
@@ -125,6 +135,8 @@ from fvps.moyal import _q_mode_blocks, moyal_bracket, poisson_bracket, propagato
 from fvps.grids import half_step_lattice
 from fvps.opmatrix import OperatorMatrix, _mode_blocks
 from fvps.spectrum import chi_from_energies, eps_from_energies
+from fvps import grids as grids_module
+from fvps import opmatrix as opmatrix_module
 from fvps import wigner as wigner_module
 from fvps.wigner import Moments, PurityReport, _lattice_amplitude, _root_energy
 
@@ -892,6 +904,76 @@ def test_kernel_relation_check_fails_on_shifted_energies():
     assert min(rep.even_deviation, rep.odd_deviation) > 1e-3
     assert abs(rep.even_deviation - even_dev) <= 1e-12
     assert abs(rep.odd_deviation - odd_dev) <= 1e-12
+
+
+def dense_position_kernel(psgrid: PhaseSpaceGrid) -> np.ndarray:
+    """F^-1 diag(q) F as the product of the two dense transform matrices."""
+    fwd = fourier_pair(np.eye(psgrid.momentum.n_points), psgrid, "forward").T
+    inv = fourier_pair(np.eye(psgrid.n_q), psgrid, "inverse").T
+    return inv @ (psgrid.q_nodes[:, None] * fwd)
+
+
+@pytest.mark.parametrize("p_max", [1.0, 7.7, 20.0])
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512, 1024])
+def test_position_kernel_matches_dense_product(n, hbar, p_max):
+    # measured: at most 1.1e-15 of max |K| off the product and 1.2e-14 of
+    # q_max off the nodes over these grids
+    ps = PhaseSpaceGrid.conjugate(MomentumGrid(n, p_max), hbar)
+    kernel = position_kernel(ps)
+    assert np.abs(kernel - dense_position_kernel(ps)).max() <= 1e-13 * np.abs(kernel).max()
+    assert np.array_equal(kernel, kernel.conj().T)
+    assert np.abs(np.linalg.eigvalsh(kernel) - np.sort(ps.q_nodes)).max() <= 1e-12 * ps.q_max
+
+
+def test_position_kernel_takes_no_dense_transform(monkeypatch):
+    def dense(*args):
+        raise AssertionError("position_kernel reached fourier_pair")
+
+    monkeypatch.setattr(grids_module, "fourier_pair", dense)
+    monkeypatch.setattr(opmatrix_module, "fourier_pair", dense, raising=False)
+    ps = PhaseSpaceGrid.conjugate(MomentumGrid(64, 8.0))
+    assert position_kernel(ps).shape == (64, 64)
+
+
+def kron_hamiltonian(pi2: np.ndarray, units: UnitSystem) -> np.ndarray:
+    """tau3 (mc^2 + K) + i tau2 K, K = Pi^2 / 2m, as two Kronecker products cast to complex."""
+    k = pi2 / (2.0 * units.m)
+    tau3 = np.array([[1.0, 0.0], [0.0, -1.0]])
+    itau2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return (np.kron(tau3, np.diag(units.mc2 + k)) + np.kron(itau2, np.diag(k))).astype(complex)
+
+
+def landau_pi2(model: EnergyModel, n_levels: int, pz_grid: MomentumGrid | None) -> np.ndarray:
+    u = model.units
+    levels = (2.0 * np.arange(n_levels) + 1.0) * u.hbar * u.m * model.omega
+    return levels if pz_grid is None else (levels[:, None] + pz_grid.nodes[None, :] ** 2).ravel()
+
+
+@pytest.mark.parametrize("units", [NATURAL, UnitSystem(hbar=0.7, c=0.8, m=1.3)], ids=["natural", "scaled"])
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_free_hamiltonian_matches_kron_form_to_the_byte(n, units):
+    # node n/2 is p = 0, where -K would write -0.0 on the lower-left
+    # diagonal and the Kronecker sum writes +0.0
+    grid = MomentumGrid(n, 7.3)
+    assert grid.nodes[n // 2] == 0.0
+    want = kron_hamiltonian(grid.nodes**2, units)
+    assert not np.signbit(want[n + n // 2, n // 2].real)
+    assert build_hamiltonian(EnergyModel.free(units), grid=grid).mat.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "model, n_levels, pz_grid",
+    [
+        (EnergyModel.landau(0.3), 40, None),
+        (EnergyModel.landau(0.3), 8, MomentumGrid(32, 4.0)),
+        (EnergyModel.landau(1.0, UnitSystem(hbar=0.7, c=0.8, m=1.3)), 16, MomentumGrid(16, 2.5)),
+    ],
+    ids=["levels", "pz", "pz-scaled"],
+)
+def test_landau_hamiltonian_matches_kron_form_to_the_byte(model, n_levels, pz_grid):
+    want = kron_hamiltonian(landau_pi2(model, n_levels, pz_grid), model.units)
+    assert build_hamiltonian(model, n_levels=n_levels, pz_grid=pz_grid).mat.tobytes() == want.tobytes()
 
 
 def loop_modulation_peaks(series, rel_threshold=1e-8):

@@ -268,6 +268,41 @@ class TestKernelRelation:
         h = build_hamiltonian(EnergyModel.free(), grid=grid)
         assert kernel_relation_check(position_kernel(PhaseSpaceGrid.conjugate(grid)), h).passed
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_rejected(self, setup, bad):
+        _, ps, h = setup
+        kernel = position_kernel(ps)
+        kernel[3, 7] = bad
+        with pytest.raises(ValueError, match="kernel has a non-finite entry"):
+            kernel_relation_check(kernel, h)
+
+    def test_charge_blocks_differing_by_nan_rejected(self, setup):
+        _, ps, h = setup
+        op = charge_invariant(position_kernel(ps), h.basis).mat
+        op[h.n_modes + 3, h.n_modes + 7] = np.nan
+        with pytest.raises(ValueError, match="kernel has a non-finite entry"):
+            kernel_relation_check(op, h)
+
+    @pytest.mark.parametrize("tolerance", [np.nan, -1e-9])
+    def test_nan_or_negative_tolerance_rejected(self, setup, tolerance):
+        _, ps, h = setup
+        with pytest.raises(ValueError, match="tolerance"):
+            kernel_relation_check(position_kernel(ps), h, tolerance)
+
+    @pytest.mark.parametrize("entry", [(0, 5), (5, 0), (3, 64 + 9), (3, 3), (64 + 3, 3)], ids=str)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_hamiltonian_rejected(self, setup, entry, bad):
+        # nan > x is False, so the mode-diagonal test alone would let a
+        # NaN coupling through, and a NaN in a charge block would reach eig
+        _, ps, h = setup
+        mat = h.mat.copy()
+        mat[entry] = bad
+        broken = OperatorMatrix(mat, h.basis)
+        with pytest.raises(GridError, match="finite"):
+            kernel_relation_check(position_kernel(ps), broken)
+        with pytest.raises(GridError, match="finite"):
+            branch_vectors(broken)
+
     def test_landau_ladder_kernel(self):
         h = build_hamiltonian(EnergyModel.landau(1.0), n_levels=32)
         a = np.zeros((32, 32), dtype=complex)
