@@ -5,13 +5,23 @@ then a header row, then one row per record.  Cells are joined by commas
 with ``str``, so Python floats appear in their shortest round-trip form,
 and rows end in CRLF, the terminator ``csv.writer`` writes.  Cells are
 never quoted: no value the package writes holds a comma, a quote or a
-line break.
+line break.  Both writers raise ValueError, before the file is opened,
+for a metadata key holding '=' or a line break, a metadata value
+holding a line break, or a header cell holding a comma or a line break.
 
 A phase-space field is a CSV table in one of two layouts: long form,
 one ``q,p,W`` row per grid point, or matrix form, a header of q nodes
 and then one row per p node.  Its cells are formatted by numpy, one
-block of momentum rows (2048 cells, four rows at n = 512) at a time,
-with no Python object per cell.  `_shortest_decimal` is Ryū's ``d2d``
+block of momentum rows (4096 cells, eight rows at n = 512) at a time,
+with no Python object per cell.  The block size weighs numpy's cost per
+call (about 150 calls per block) against the size of each block's
+temporaries: at 8192 cells glibc's malloc hands the freed temporaries
+back to the kernel and faults them in again on every block, tens of
+thousands of page faults per field.  Each block's bytes are laid out in
+one ``bytearray`` record allocated per file, and the record, its NULs
+deleted, goes straight to the file opened in binary mode, without a
+``str`` per block.  The head is encoded in the locale's encoding, as a
+text-mode file would have.  `_shortest_decimal` is Ryū's ``d2d``
 (Adams, PLDI 2018) over arrays: it turns each float64 into the shortest
 decimal significand and exponent that reads back to the same float,
 the nearest such one to the float's exact value, ties to an even digit.
@@ -23,17 +33,20 @@ below -4 or at least 16, positional form (``0.0001``, ``123.0``)
 otherwise, and ``0.0``, ``-0.0``, ``inf``, ``-inf``, ``nan``.  A block's
 rows are its slots and separators side by side; deleting the zeroed
 bytes leaves the text ``csv.writer`` would write from ``repr`` of each
-cell.
+cell.  The field, its nodes and their shapes are checked before the
+file is opened.
 
 A JSON document has sorted keys, an indent of 2 and a trailing newline.
 """
 
 import functools
 import json
+import locale
+import math
 
 import numpy as np
 
-_BLOCK_CELLS = 2048  # field cells formatted per block
+_BLOCK_CELLS = 4096  # field cells formatted per block
 _SLOT = 24  # bytes of the longest repr of a float64, '-2.2250738585072014e-308'
 _DIGITS = 17  # the most significant digits a shortest float64 repr needs
 
@@ -48,15 +61,25 @@ _NAN = np.frombuffer(b"\0nan".ljust(_SLOT, b"\0"), dtype=np.uint8)  # repr(-nan)
 _CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
 
 
-def _write_head(fh, meta: dict, header):
-    fh.writelines(f"# {key}={value}\n" for key, value in meta.items())
-    fh.write(",".join(header) + "\r\n")
+def _head(meta: dict, header) -> str:
+    """The '#' lines of `meta` and the `header` row; ValueError for an entry or cell that would break the format."""
+    header = list(header)
+    for key, value in meta.items():
+        if any(c in str(key) for c in "=\r\n"):
+            raise ValueError(f"metadata key {key!r} holds '=' or a line break")
+        if any(c in str(value) for c in "\r\n"):
+            raise ValueError(f"metadata value {value!r} of {key!r} holds a line break")
+    for cell in header:
+        if any(c in cell for c in ",\r\n"):
+            raise ValueError(f"header cell {cell!r} holds a comma or a line break")
+    return "".join(f"# {key}={value}\n" for key, value in meta.items()) + ",".join(header) + "\r\n"
 
 
 def write_csv(path, meta: dict, header, rows):
     """Write `meta` as '#' lines, then the `header` row, then each row of `rows`."""
+    head = _head(meta, header)
     with open(path, "w", newline="") as fh:
-        _write_head(fh, meta, header)
+        fh.write(head)
         fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
 
 
@@ -146,7 +169,8 @@ def _shortest_decimal(bits):
     # the lower bound is half as far below a power of two
     mm_shift = ((mantissa != 0) | (biased <= 1)).astype(_U64)
     vm_at = mv - _U64(1) - mm_shift
-    vr, vp, vm = _mul_shift(np.stack([mv, mv + _U64(2), vm_at]), limbs[:, biased], shift[biased])
+    limbs, shift = limbs[:, biased], shift[biased]
+    vr, vp, vm = (_mul_shift(m, limbs, shift) for m in (mv, mv + _U64(2), vm_at))
 
     # Is the scaled value, or its lower bound, an exact decimal?  Only for
     # e2 < 0 with few mantissa bits set, or for e2 >= 0 with q <= 21.
@@ -274,41 +298,47 @@ def _repr_slots(x):
     return slots
 
 
-def _text(records) -> str:
-    """The text of a uint8 record array, its NULs deleted."""
-    return records.tobytes().translate(None, b"\0").decode("ascii")
-
-
 def write_field_csv(path, meta: dict, q_nodes, p_nodes, w, matrix: bool = False):
     """Write the (n_p, n_q) field `w` on the `q_nodes` x `p_nodes` grid, long form or matrix form."""
+    q_nodes, p_nodes, w = np.asarray(q_nodes), np.asarray(p_nodes), np.asarray(w)
+    if w.ndim != 2 or q_nodes.shape != w.shape[1:] or p_nodes.shape != w.shape[:1]:
+        raise ValueError(
+            f"expected an (n_p, n_q) field on n_q q nodes and n_p p nodes, "
+            f"got field {w.shape}, q nodes {q_nodes.shape}, p nodes {p_nodes.shape}"
+        )
+    for name, values in (("field", w), ("q nodes", q_nodes), ("p nodes", p_nodes)):
+        if values.dtype.kind not in "biuf":
+            raise ValueError(f"expected real {name}, got dtype {values.dtype}")
     n_p, n_q = w.shape
     q_slots, p_slots = _repr_slots(q_nodes).T, _repr_slots(p_nodes).T
-    rows = max(1, _BLOCK_CELLS // n_q)
+    rows = max(1, _BLOCK_CELLS // max(n_q, 1))
+    shape = (rows, n_q + 2, _SLOT + 1) if matrix else (rows, n_q, 3 * _SLOT + 4)
+    buf = bytearray(math.prod(shape))
+    record = np.frombuffer(buf, dtype=np.uint8).reshape(shape)
     if matrix:
         # contour-ready: first row q nodes, then one row per p node, each
         # the p slot, then a ',' and a W slot per q node, then CRLF
-        record = np.zeros((rows, n_q + 2, _SLOT + 1), dtype=np.uint8)
         record[:, 1:, 0] = ord(",")
         record[:, -1, :2] = _CRLF
         p_part, w_part = record[:, :1, :_SLOT], record[:, 1:-1, 1:]
-        head = record[0, 1:-1].copy()
-        head[:, 1:] = q_slots
-        header = ["p\\q" + _text(head)]
+        header = ["p\\q", *(cell.tobytes().translate(None, b"\0").decode("ascii") for cell in q_slots)]
     else:
         # one line per grid point: q slot, ',', p slot, ',', W slot, CRLF
-        record = np.empty((rows, n_q, 3 * _SLOT + 4), dtype=np.uint8)
         record[:, :, :_SLOT] = q_slots
         record[:, :, [_SLOT, 2 * _SLOT + 1]] = ord(",")
         record[:, :, -2:] = _CRLF
         p_part, w_part = record[:, :, _SLOT + 1 : 2 * _SLOT + 1], record[:, :, 2 * _SLOT + 2 : -2]
         header = ["q", "p", "W"]
-    with open(path, "w", newline="") as fh:
-        _write_head(fh, meta, header)
+    # text mode would have encoded the head in the locale's encoding
+    head = _head(meta, header).encode(locale.getpreferredencoding(False))
+    with open(path, "wb") as fh:
+        fh.write(head)
         for start in range(0, n_p, rows):
             n = min(rows, n_p - start)
             p_part[:n] = p_slots[start : start + n, None]
             w_part[:n] = _repr_slots(w[start : start + n]).reshape(_SLOT, n, n_q).transpose(1, 2, 0)
-            fh.write(_text(record[:n]))
+            record[n:] = 0  # the rows past a ragged last block write nothing
+            fh.write(buf.translate(None, b"\0"))
 
 
 def write_json(path, obj):

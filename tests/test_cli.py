@@ -616,6 +616,46 @@ class TestByteReferee:
         _reference_field_csv(ref, w, SimpleNamespace(q_nodes=q, p_nodes=p), {"k": "v"}, matrix=matrix)
         assert out.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
+    @pytest.mark.parametrize(
+        "n_p, n_q",
+        [
+            (7, tables._BLOCK_CELLS // 3),  # three rows a block, a one-row last block
+            (8, tables._BLOCK_CELLS // 3),  # three rows a block, a two-row last block
+            (3, tables._BLOCK_CELLS + 1),  # one row a block
+            (0, 5),
+            (4, 0),
+        ],
+        ids=["ragged-1", "ragged-2", "one-row", "no-rows", "no-columns"],
+    )
+    def test_field_block_boundaries(self, tmp_path, matrix, n_p, n_q):
+        # values from 1e-30 to 1e30 in both signs, so that both of repr's
+        # forms and slots of every length fall in every block
+        rng = np.random.default_rng(20020206)
+        w = rng.standard_normal((n_p, n_q)) * 10.0 ** rng.integers(-30, 31, size=(n_p, n_q))
+        q, p = np.linspace(-3.0, 3.0, n_q), np.linspace(-1.0, 1.0, n_p) ** 3
+        out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
+        tables.write_field_csv(out, {"k": "v"}, q, p, w, matrix=matrix)
+        _reference_field_csv(ref, w, SimpleNamespace(q_nodes=q, p_nodes=p), {"k": "v"}, matrix=matrix)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
+    def test_field_over_longer_file(self, tmp_path, matrix):
+        q, p, w = np.array([0.5, -2.0]), np.array([1.0, 3e-07]), np.array([[0.1, 2.0], [-1e20, np.inf]])
+        out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
+        out.write_bytes(b"9" * 100_000)
+        tables.write_field_csv(out, {"k": "v"}, q, p, w, matrix=matrix)
+        _reference_field_csv(ref, w, SimpleNamespace(q_nodes=q, p_nodes=p), {"k": "v"}, matrix=matrix)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_field_head_in_locale_encoding(self, tmp_path):
+        q, p, w = np.array([0.5]), np.array([1.0]), np.array([[2.0]])
+        out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
+        meta = {"unité": "ångström"}
+        tables.write_field_csv(out, meta, q, p, w)
+        _reference_field_csv(ref, w, SimpleNamespace(q_nodes=q, p_nodes=p), meta)
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_coherent(self, tmp_path):
         out, ref = tmp_path / "mass.csv", tmp_path / "ref.csv"
         argv = ["coherent", "--lambdas", "0.5,2", "--p-bar", "0.03", "--out", str(out)]
@@ -674,8 +714,8 @@ def test_repr_kernel_matches_repr_on_powers_and_form_bounds():
 
 @pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
 def test_field_writer_memory_stays_linear(tmp_path, matrix):
-    # the writer formats one block of momentum rows (2048 cells, about
-    # 1 MB of numpy temporaries) at a time; the whole n = 512 field as a
+    # the writer formats one block of momentum rows (4096 cells, about
+    # 1.5 MB of numpy temporaries) at a time; the whole n = 512 field as a
     # list of Python floats alone takes ~8 MB
     w, ps, _ = run_wigner(8.0)
     tracemalloc.start()
@@ -685,6 +725,50 @@ def test_field_writer_memory_stays_linear(tmp_path, matrix):
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+_Q, _P, _W = np.array([0.5, 1.5, 2.5]), np.array([-1.0, 1.0]), np.ones((2, 3))
+
+BAD_WRITES = {
+    "one-p-node": (tables.write_field_csv, {}, _Q, _P[:1], _W),
+    "five-p-nodes": (tables.write_field_csv, {}, _Q, np.arange(5.0), _W),
+    "two-q-nodes": (tables.write_field_csv, {}, _Q[:2], _P, _W),
+    "q-nodes-2d": (tables.write_field_csv, {}, _Q[None], _P, _W),
+    "field-1d": (tables.write_field_csv, {}, _Q, _P, _W.ravel()),
+    "field-3d": (tables.write_field_csv, {}, _Q, _P, _W[None]),
+    "complex-field": (tables.write_field_csv, {}, _Q, _P, _W + 1j),
+    "complex-q-nodes": (tables.write_field_csv, {}, _Q + 0j, _P, _W),
+    "string-field": (tables.write_field_csv, {}, _Q, _P, _W.astype(str)),
+    "field-value-newline": (tables.write_field_csv, {"note": "two\nlines"}, _Q, _P, _W),
+    "field-key-equals": (tables.write_field_csv, {"a=b": "c"}, _Q, _P, _W),
+    "csv-value-newline": (tables.write_csv, {"note": "two\nlines"}, ["x", "y"], [[1.0, 2.0]]),
+    "csv-value-return": (tables.write_csv, {"note": "two\rlines"}, ["x", "y"], [[1.0, 2.0]]),
+    "csv-key-equals": (tables.write_csv, {"a=b": "c"}, ["x", "y"], [[1.0, 2.0]]),
+    "csv-key-newline": (tables.write_csv, {"a\nb": "c"}, ["x", "y"], [[1.0, 2.0]]),
+    "csv-header-comma": (tables.write_csv, {}, ["x", "y,z"], [[1.0, 2.0]]),
+    "csv-header-newline": (tables.write_csv, {}, ["x", "y\r\nz"], [[1.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("case", list(BAD_WRITES))
+def test_bad_write_raises_before_opening(tmp_path, case, existing):
+    # the check comes first: no file is created, and an existing one is
+    # neither truncated nor left with a head and no body
+    writer, meta, *payload = BAD_WRITES[case]
+    out = tmp_path / "out.csv"
+    if existing:
+        out.write_bytes(b"old bytes\r\n")
+    with pytest.raises(ValueError):
+        writer(out, meta, *payload)
+    assert out.read_bytes() == b"old bytes\r\n" if existing else not out.exists()
+
+
+def test_bad_field_error_names_shapes_and_dtype(tmp_path):
+    with pytest.raises(ValueError, match=r"field \(2, 3\), q nodes \(3,\), p nodes \(1,\)"):
+        tables.write_field_csv(tmp_path / "w.csv", {}, _Q, _P[:1], _W)
+    with pytest.raises(ValueError, match="complex128"):
+        tables.write_field_csv(tmp_path / "w.csv", {}, _Q, _P, _W + 1j)
 
 
 # ---------------------------------------------------------------------------

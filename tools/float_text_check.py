@@ -11,8 +11,13 @@ below and above, and with both signs:
     -5 and -4), 9999999999999998.0 and 1e16 (exponent 15 and 16);
 
 then N random 64-bit patterns from a seeded generator (NaN and the
-infinities included).  Prints the count of values checked and the first
-mismatches, and exits 1 on any.  numpy and the standard library only.
+infinities included).  The families and every 16th chunk of patterns
+also go through `write_field_csv` itself, in both layouts, as a field
+whose last block of rows is ragged, its first row and first column
+serving as q and p nodes; every cell of the file is compared with
+`repr`, which referees the record layout and the NUL deletion too.
+Prints the count of values checked and the first mismatches, and exits
+1 on any.  numpy and the standard library only.
 
     python tools/float_text_check.py --patterns 10000000 --seed 0
 """
@@ -20,15 +25,18 @@ mismatches, and exits 1 on any.  numpy and the standard library only.
 import argparse
 import itertools
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from fvps.tables import _repr_slots  # noqa: E402
+from fvps.tables import _BLOCK_CELLS, _repr_slots, write_field_csv  # noqa: E402
 
 CHUNK = 1 << 16  # values formatted per call
 SHOW = 10  # mismatches printed
+WRITER_EVERY = 16  # every this many chunks also go through write_field_csv
+N_Q = 1000  # field columns when values go through write_field_csv
 
 
 def families():
@@ -61,6 +69,35 @@ def mismatches(values):
     return [(bits, g, w) for bits, g, w in pairs if g != w]
 
 
+def field_mismatches(values, path, matrix: bool):
+    """(bits, written text, repr) of each cell `write_field_csv` writes from `values` whose two texts differ.
+
+    The values fill an N_Q-column field row by row, repeated where the
+    last row needs more, with rows added until the last block of rows is
+    ragged; the field's first row and first column are its nodes.
+    """
+    rows = max(1, _BLOCK_CELLS // N_Q)
+    n_p = -(-values.size // N_Q)
+    n_p += n_p % rows == 0
+    w = np.resize(values, (n_p, N_Q))
+    q, p = w[0], w[:, 0]
+    write_field_csv(path, {}, q, p, w, matrix=matrix)
+    lines = path.read_bytes().decode("ascii").split("\r\n")
+    if matrix:
+        got = lines[0].split(",")[1:] + ",".join(lines[1:-1]).split(",")
+        cells = np.concatenate([q, np.column_stack([p, w]).ravel()])
+    else:
+        got = ",".join(lines[1:-1]).split(",")
+        cells = np.stack(np.broadcast_arrays(q, p[:, None], w), axis=-1).ravel()
+    want = [repr(v) for v in cells.tolist()]
+    if got == want:
+        return []
+    if len(got) != len(want):
+        return [(0, f"{len(got)} cells", f"{len(want)} cells")]
+    pairs = zip(cells.view(np.uint64).tolist(), got, want)
+    return [(bits, g, w) for bits, g, w in pairs if g != w]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--patterns", type=int, default=1_000_000, help="random 64-bit patterns to check")
@@ -68,13 +105,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     checked, count, shown = 0, 0, []
-    for values in itertools.chain([families()], random_patterns(args.patterns, args.seed)):
-        bad = mismatches(values)
-        checked, count = checked + values.size, count + len(bad)
-        shown += bad[: SHOW - len(shown)]
+    written, written_bad, written_shown = 0, 0, []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.csv"
+        chunks = itertools.chain([families()], random_patterns(args.patterns, args.seed))
+        for index, values in enumerate(chunks):
+            bad = mismatches(values)
+            checked, count = checked + values.size, count + len(bad)
+            shown += bad[: SHOW - len(shown)]
+            if index % WRITER_EVERY == 0:
+                written += values.size
+                for matrix in (False, True):
+                    bad = field_mismatches(values, path, matrix)
+                    written_bad += len(bad)
+                    written_shown += bad[: SHOW - len(written_shown)]
     print(f"{checked} values checked ({args.patterns} random patterns, seed {args.seed}): {count} mismatches")
     for bits, got, want in shown:
         print(f"  {bits:016x}: kernel {got!r}, repr {want!r}")
+    print(f"{written} of them also written by write_field_csv, in each layout: {written_bad} mismatches")
+    for bits, got, want in written_shown:
+        print(f"  {bits:016x}: written {got!r}, repr {want!r}")
+    count += written_bad
     return 1 if count else 0
 
 
