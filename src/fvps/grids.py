@@ -17,6 +17,9 @@ and since n is a power of two >= 8 the constant phase exp(i n pi / 2) is
 is evaluated, so nothing picks up roundoff that grows with n.
 """
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,16 +115,74 @@ def half_step_lattice(grid: MomentumGrid, pad: int = 0) -> np.ndarray:
     return -grid.p_max + 0.5 * grid.spacing * np.arange(-pad, 2 * grid.n_points + pad)
 
 
-# Momentum rows per block of the phase-space kernels (the transform,
-# even-field evolution and the purity criterion).  A block's (rows, 2 n)
-# complex work array is 1 MB at n = 1024, so the kernels' transient
-# memory is O(rows n) instead of O(n^2); 16 to 64 rows time the same.
-_ROW_BLOCK = 32
+# Momentum rows in flight in the phase-space kernels (the transform,
+# even-field evolution and the purity criterion), one block per worker:
+# at most _ROWS_IN_FLIGHT rows and _BLOCK_CELLS cells of a kernel's
+# widest work array, which is 32 rows of the transform's (rows, 2 n)
+# complex array, 1 MB at n = 1024.  So the kernels' transient memory is
+# O(rows n) instead of O(n^2) for any number of workers.  On one thread
+# 16 to 64 rows time the same; on two, the purity criterion's kernels
+# took about a third longer with 16-row blocks than with 32.
+_ROWS_IN_FLIGHT = 64
+_BLOCK_CELLS = 32 * 2048
+# A kernel runs on the worker threads from this many cells of work (rows
+# times `row_cells`) up.  Below it the Python between its numpy calls
+# contends for the interpreter lock: on two cores the criterion's window
+# scan at n = 256 (33 K cells) took 10-42 % longer on two threads, and
+# its stencils on 48-52 K-cell boxes 4-5 % longer.
+_THREAD_MIN_CELLS = 1 << 17
+# The worker count: the CPUs this process may run on, or 1 where the
+# affinity mask cannot be read.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+_pool = None
+_pool_lock = threading.Lock()
 
 
-def row_blocks(n_rows: int) -> list[slice]:
-    """Consecutive slices of at most `_ROW_BLOCK` rows covering range(n_rows)."""
-    return [slice(start, min(start + _ROW_BLOCK, n_rows)) for start in range(0, n_rows, _ROW_BLOCK)]
+def _forget_pool():
+    """In a forked child the pool's threads do not exist: start a new pool on demand."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_row_blocks(kernel, n_rows: int, row_cells: int) -> list:
+    """Results of kernel(stripe), in stripe order, for stripes of row blocks covering range(n_rows).
+
+    `row_cells` is the width of the kernel's widest work array.  Below
+    `_THREAD_MIN_CELLS` cells of work, with one worker or with one block,
+    a single stripe of every block runs on the calling thread.  Otherwise
+    worker i of w takes the interleaved stripe blocks[i::w]: the calling
+    thread runs the first, a thread pool started on first use the rest,
+    each in a copy of the caller's context, which holds numpy's error
+    state.  A kernel allocates its own work buffers, writes only its own
+    rows and calls numpy and private helpers only.  The call returns, or
+    raises, once every stripe has finished.  It is private so that a
+    tracer wrapping the public functions neither takes the kernels' time
+    as its own nor runs on a worker thread.
+    """
+    global _pool
+    workers = _WORKERS if n_rows * row_cells >= _THREAD_MIN_CELLS else 1
+    size = max(min(_ROWS_IN_FLIGHT, _BLOCK_CELLS // row_cells) // workers, 1)
+    blocks = [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
+    stripes = [blocks[i::workers] for i in range(min(workers, len(blocks)))]
+    if len(stripes) < 2:
+        return [kernel(blocks)]
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="fvps-rows")
+        pool = _pool
+    futures = [pool.submit(contextvars.copy_context().run, kernel, stripe) for stripe in stripes[1:]]
+    try:
+        first = kernel(stripes[0])
+    finally:
+        wait(futures)
+    return [first, *(future.result() for future in futures)]
 
 
 @dataclass(frozen=True)

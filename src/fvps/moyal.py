@@ -55,7 +55,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyder, polyval2d
 
 from .errors import GridError, StepSizeError
-from .grids import PhaseSpaceGrid, half_step_lattice, row_blocks
+from .grids import PhaseSpaceGrid, _run_row_blocks, half_step_lattice
 
 # ---------------------------------------------------------------------------
 # Polynomial symbols: exact finite star-product algebra
@@ -401,8 +401,11 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
     The field is real, so its position-axis spectrum is Hermitian and the
     even phase of mode -kappa is the conjugate of that of mode kappa: one
     real FFT along q, the phases on its n_q/2 + 1 columns, and the inverse
-    real FFT give the field, one block of momentum rows at a time.  Row
-    k's phases z(2k + n_q/2 + m) conj(z(2k + n_q/2 - m)), m = 0 .. n_q/2 - 1,
+    real FFT give the field, one block of momentum rows at a time, the
+    blocks shared among the CPUs of the process's affinity mask (see
+    `grids._run_row_blocks`); each block writes only its own rows, so
+    the field is bit-identical for any number of workers.  Row k's
+    phases z(2k + n_q/2 + m) conj(z(2k + n_q/2 - m)), m = 0 .. n_q/2 - 1,
     are read from two strided windows of the mode lattice, one of them
     running backwards; only the Nyquist column m = -n_q/2 is taken apart
     from them.  A complex field raises ValueError (a cross-branch field
@@ -434,11 +437,15 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
     # the Nyquist column m = -half: z at 2k times conj(z) at 2k + n_q
     nyquist_plus, nyquist_minus = z[: 2 * n_p : 2], z_conj[len(z) - 1 - psgrid.n_q :: -2]
     out = np.empty(w.shape, dtype=np.result_type(w, 1.0))
-    for rows in row_blocks(n_p):
-        wk = np.fft.rfft(w[rows], axis=1)
-        wk[:, :half] *= plus[rows] * minus[rows]
-        wk[:, half] *= nyquist_plus[rows] * nyquist_minus[rows]
-        np.fft.irfft(wk, psgrid.n_q, axis=1, out=out[rows])
+
+    def evolve(blocks):
+        for rows in blocks:
+            wk = np.fft.rfft(w[rows], axis=1)
+            wk[:, :half] *= plus[rows] * minus[rows]
+            wk[:, half] *= nyquist_plus[rows] * nyquist_minus[rows]
+            np.fft.irfft(wk, psgrid.n_q, axis=1, out=out[rows])
+
+    _run_row_blocks(evolve, n_p, half + 1)
     return out
 
 

@@ -22,9 +22,13 @@ the grid's offset contributes is a sign: exp(-i P_j q_m / hbar) =
 is i^kappa times a plain zero-padded FFT.  Pair products of those plain
 "lattice amplitudes" already carry the (-1)^j, the offsets fold mod n,
 and one length-n FFT per momentum row finishes the sum -- O(n^2 log n)
-time.  The rows are built, folded and transformed one block at a time
-(see `grids.row_blocks`), so the memory is the n x n output plus
-O(block n) transient.
+time.  The rows are built, folded and transformed one block at a time,
+so the memory is the n x n output plus O(block n) transient.  The
+blocks of the transform and of the purity criterion run on the CPUs of
+the process's affinity mask (see `grids._run_row_blocks`); each block
+writes only its own rows and the criterion reduces only by maxima and
+integer sums, so every result is bit-identical for any number of
+workers.
 
 The eps weight is never formed on momentum pairs.  With u = sqrt(E) phi
 and v = phi / sqrt(E) on the lattice, eps phi_a^* phi_b =
@@ -54,10 +58,10 @@ from .grids import (
     NATURAL,
     PhaseSpaceGrid,
     UnitSystem,
+    _run_row_blocks,
     centred_dft_size,
     half_step_lattice,
     phase_space_quadrature,
-    row_blocks,
 )
 from .spectrum import energy, eps_factor
 from .states import ChargeBranchState
@@ -136,7 +140,7 @@ def _q_transform(psgrid: PhaseSpaceGrid, pair: tuple, minus_pair: tuple | None =
     pair products carry the sign (-1)^j (see `_lattice_amplitude`), so
     the offsets fold mod n and one length-n FFT along q finishes the sum.
     C is built, folded and transformed one block of momentum rows at a
-    time in one reused buffer, and each block lands in the output.
+    time in buffers each worker reuses, and each block lands in the output.
 
     Row k of C vanishes outside the band |j| <= min(2k, 2n - 1 - 2k),
     where one of the two lattice indices 2k +- j leaves the lattice, so
@@ -148,30 +152,35 @@ def _q_transform(psgrid: PhaseSpaceGrid, pair: tuple, minus_pair: tuple | None =
     n = psgrid.n_q
     scale = psgrid.dp / (2.0 * np.pi * psgrid.hbar)
     bra_rows, ket_cols = _pair_views(*pair)
-    blocks = row_blocks(n)
-    corr = np.empty((blocks[0].stop, 2 * n), dtype=complex)
-    spectrum = np.empty((blocks[0].stop, n), dtype=complex)
     if minus_pair:
         minus_rows, minus_cols = _pair_views(*minus_pair)
-        minus_corr = np.empty_like(corr)
     out = np.empty((n, n), dtype=complex if minus_pair else float)
-    for rows in blocks:
-        J = min(2 * (rows.stop - 1), 2 * n - 1 - 2 * rows.start, n - 1)
-        band = slice(n - J, n + J + 1)
-        c = corr[: rows.stop - rows.start]
-        band_c = c[:, band]
-        np.multiply(bra_rows[rows, band], ket_cols[rows, band], out=band_c)
+
+    def transform(blocks):
+        size = blocks[0].stop - blocks[0].start
+        corr = np.empty((size, 2 * n), dtype=complex)
+        spectrum = np.empty((size, n), dtype=complex)
         if minus_pair:
-            band_c -= np.multiply(minus_rows[rows, band], minus_cols[rows, band], out=minus_corr[: len(c), band])
-            np.multiply(0.5, band_c, out=band_c)
-        alone = min(J + 1, n - J)
-        folded = c[:, :n]
-        folded[:, :alone] = c[:, n : n + alone]
-        folded[:, alone : n - J] = 0
-        folded[:, n - J : J + 1] += c[:, 2 * n - J : n + J + 1]
-        f = np.fft.fft(folded, axis=1, out=spectrum[: len(c)])
-        np.multiply(scale, f, out=f)
-        out[rows] = f if minus_pair else f.real
+            minus_corr = np.empty_like(corr)
+        for rows in blocks:
+            J = min(2 * (rows.stop - 1), 2 * n - 1 - 2 * rows.start, n - 1)
+            band = slice(n - J, n + J + 1)
+            c = corr[: rows.stop - rows.start]
+            band_c = c[:, band]
+            np.multiply(bra_rows[rows, band], ket_cols[rows, band], out=band_c)
+            if minus_pair:
+                band_c -= np.multiply(minus_rows[rows, band], minus_cols[rows, band], out=minus_corr[: len(c), band])
+                np.multiply(0.5, band_c, out=band_c)
+            alone = min(J + 1, n - J)
+            folded = c[:, :n]
+            folded[:, :alone] = c[:, n : n + alone]
+            folded[:, alone : n - J] = 0
+            folded[:, n - J : J + 1] += c[:, 2 * n - J : n + J + 1]
+            f = np.fft.fft(folded, axis=1, out=spectrum[: len(c)])
+            np.multiply(scale, f, out=f)
+            out[rows] = f if minus_pair else f.real
+
+    _run_row_blocks(transform, n, 2 * n)
     return out
 
 
@@ -310,16 +319,17 @@ def reconstruct_kernel(w: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
     j < 0.
     """
     j_max = psgrid.n_q // 2 - 1
-    return _kernel_modes(_half_spectrum(w, psgrid), -j_max, j_max, psgrid.dq)
+    r = np.fft.rfft(_real_even_field(w, psgrid), axis=-1)
+    return _kernel_modes(r, -j_max, j_max, psgrid.dq)
 
 
-def _half_spectrum(w, psgrid: PhaseSpaceGrid) -> np.ndarray:
-    """The real FFT along q of the real even field `w`, checked against the grid."""
+def _real_even_field(w, psgrid: PhaseSpaceGrid) -> np.ndarray:
+    """`w` as an array, raising unless it is a real field on the conjugate grid."""
     psgrid.require_conjugate()
     w = psgrid.require_field(w)
     if np.iscomplexobj(w):
         raise ValueError("the kernel is reconstructed from a real even field")
-    return np.fft.rfft(w, axis=-1)
+    return w
 
 
 def _kernel_modes(r: np.ndarray, j_lo: int, j_hi: int, dq: float) -> np.ndarray:
@@ -380,9 +390,14 @@ def purity_check(
     non-negative: a negative floor admits the exact zeros of K, a NaN
     one admits nothing.
 
-    Only the stencils centred at j >= 0 are evaluated, so only that half
-    of the box, with the 8 columns of halo below j = 0 they reach, is
-    ever built, one block of rows at a time.  Each point at j > 0 also
+    The field's real FFT along q is never held whole: the window scan
+    transforms one block of rows at a time and keeps only row and column
+    maxima of |K|, and the stencils transform the box's rows again, one
+    block at a time.  Only the stencils centred at j >= 0 are evaluated,
+    so only that half of the box, with the 8 columns of halo below j = 0
+    they reach, is ever built.  The blocks run on worker threads; the
+    right-hand side, which calls `spectrum.energy`, is formed on the
+    calling thread once they are done.  Each point at j > 0 also
     stands for its mirror -j, by three rules that keep every report
     field bit-identical to the whole window's: ln|K|, the window mask
     and the left side are the same bits at -j (its sums only trade
@@ -396,16 +411,21 @@ def purity_check(
     """
     if not 0.0 <= window_floor < np.inf:
         raise ValueError(f"window_floor must be finite and non-negative, got {window_floor}")
-    r = _half_spectrum(w, psgrid)
-    dp, dq = psgrid.dp, psgrid.dq
+    w = _real_even_field(w, psgrid)
+    dp, dq, half_n = psgrid.dp, psgrid.dq, psgrid.n_q // 2
     # |K| on the half spectrum, kept only as its row and column maxima:
     # a row or an offset column holds a window point iff its maximum does
-    row_max = np.empty(len(r))
-    col_max = np.zeros(psgrid.n_q // 2)
-    for rows in row_blocks(len(r)):
-        half_mag = np.abs(r[rows, : psgrid.n_q // 2] * dq)
-        row_max[rows] = half_mag.max(axis=1)
-        np.maximum(col_max, half_mag.max(axis=0), out=col_max)
+    row_max = np.empty(len(w))
+
+    def scan(blocks):
+        col_max = np.zeros(half_n)
+        for rows in blocks:
+            half_mag = np.abs(np.fft.rfft(w[rows], axis=-1)[:, :half_n] * dq)
+            row_max[rows] = half_mag.max(axis=1)
+            np.maximum(col_max, half_mag.max(axis=0), out=col_max)
+        return col_max
+
+    col_max = np.maximum.reduce(_run_row_blocks(scan, len(w), half_n + 1))
     peak = row_max.max()
     if peak <= 0:
         raise ValueError("kernel vanishes identically; log criterion undefined")
@@ -418,10 +438,12 @@ def purity_check(
 
     # every stencil point lies within `edge` rows and 2 edge offset columns
     # of its centre, so all views are taken on the common interior that
-    # the step-2s stencil reaches; the box is built and evaluated one block
-    # of interior rows at a time, each with `edge` rows of halo either side
+    # the step-2s stencil reaches; the box is transformed again and
+    # evaluated one block of interior rows at a time, each with `edge`
+    # rows of halo either side
     s = 2
     edge = 2 * s
+    p_nodes = psgrid.p_nodes[box.start + edge :]
 
     def stencil(a, step):
         """Views c+, c-, j+, j- and the centre of `a`: midpoints +-step, offsets +-2 step."""
@@ -439,54 +461,61 @@ def purity_check(
         c_plus, c_minus, j_plus, j_minus, _ = stencil(logmag, step)
         return ((c_plus + c_minus) - (j_plus + j_minus)) / (4.0 * (step * dp) ** 2)
 
+    def windowed(blocks):
+        """Per block with a windowed stencil: lhs, p1 and p2 there, max |lhs|, max phase curvature, points."""
+        found = []
+        for rows in blocks:
+            # the j >= 0 half of the box and the 2 edge columns of halo its
+            # stencils reach below j = 0; column c is offset j = c - 2 edge
+            spectrum = np.fft.rfft(w[box.start + rows.start : box.start + rows.stop + 2 * edge], axis=-1)
+            K = _kernel_modes(spectrum, -2 * edge, j_max, dq)
+            mag = np.abs(K)
+            # ln|K| only inside the window: outside it the value never reaches a
+            # windowed stencil, and exact zeros would put -inf into the arithmetic
+            good = mag > window_floor * peak
+            logmag = np.log(mag, out=np.zeros_like(mag), where=good)
+            mask = np.logical_and.reduce(stencil(good, s) + stencil(good, 2 * s))
+            if not mask.any():
+                continue
+            lhs = ((4.0 * mixed(logmag, s) - mixed(logmag, 2 * s)) / 3.0)[mask]
+            centres, cols = np.nonzero(mask)
+            centre = p_nodes[rows.start + centres]
+            half = 0.5 * cols * dp
+
+            # unit phasors of K inside the window: the stencil on arg K becomes the
+            # argument of a product, so no 2 pi branch cut (and no unwrapping
+            # through the noise outside the window) enters the differences
+            u = np.divide(K, mag, out=np.zeros_like(K), where=good)
+            c_plus, c_minus, j_plus, j_minus, _ = stencil(u, s)
+            midpoints = c_plus * c_minus
+            # conj(j) * c, in place: with fused multiply-adds a complex product
+            # is not bitwise commutative, and numpy's temporary elision turns
+            # `c * conj(j)` into this order on large arrays only; spelling it
+            # out keeps the result independent of the block's size
+            prod = np.conj(j_plus * j_minus)
+            prod *= midpoints
+            # at -j every phasor is the conjugate of its mirror image and j+-
+            # trade places, so the product is (j- j+) conj(c+ c-), in that order
+            mirror = j_minus[:, 1:] * j_plus[:, 1:]
+            mirror *= np.conj(midpoints[:, 1:])
+            phases = np.concatenate([prod[mask], mirror[mask[:, 1:]]])
+            phase_curv = np.abs(np.angle(phases) / (4.0 * (s * dp) ** 2))
+            # lhs and the window are symmetric in j, so each j > 0 point counts twice
+            points = mask.sum() + mask[:, 1:].sum()
+            found.append((lhs, centre + half, centre - half, np.abs(lhs).max(), phase_curv.max(), points))
+        return found
+
     # a box without an interior offset column has no stencil centre at all
     interior = box.stop - box.start - 2 * edge if j_max >= 2 * edge else 0
+    stripes = _run_row_blocks(windowed, max(interior, 0), half_n + 1)
     stats = []
-    for rows in row_blocks(max(interior, 0)):
-        # the j >= 0 half of the box and the 2 edge columns of halo its
-        # stencils reach below j = 0; column c is offset j = c - 2 edge
-        K = _kernel_modes(r[box.start + rows.start : box.start + rows.stop + 2 * edge], -2 * edge, j_max, dq)
-        mag = np.abs(K)
-        # ln|K| only inside the window: outside it the value never reaches a
-        # windowed stencil, and exact zeros would put -inf into the arithmetic
-        good = mag > window_floor * peak
-        logmag = np.log(mag, out=np.zeros_like(mag), where=good)
-        mask = np.logical_and.reduce(stencil(good, s) + stencil(good, 2 * s))
-        if not mask.any():
-            continue
-        lhs = ((4.0 * mixed(logmag, s) - mixed(logmag, 2 * s)) / 3.0)[mask]
-
-        # the right-hand side is needed on the window only: purity_rhs at
-        # (p1, p2) for +j and at (p2, p1) for -j, whose numerators may round
+    for lhs, p1, p2, max_lhs, phase_curvature_max, points in (found for stripe in stripes for found in stripe):
+        # the right-hand side, on the calling thread: purity_rhs at (p1, p2)
+        # for +j and at (p2, p1) for -j, whose numerators may round
         # differently, over one E1, E2 and denominator
-        centres, cols = np.nonzero(mask)
-        centre = psgrid.p_nodes[box.start + edge + rows.start + centres]
-        half = 0.5 * cols * dp
-        p1, p2 = centre + half, centre - half
         e1, e2 = energy(p1, units), energy(p2, units)
         rhs = np.stack([-(units.c**4) * p1 * p2, -(units.c**4) * p2 * p1]) / (e1 * e2 * (e1 + e2) ** 2)
-
-        # unit phasors of K inside the window: the stencil on arg K becomes the
-        # argument of a product, so no 2 pi branch cut (and no unwrapping
-        # through the noise outside the window) enters the differences
-        u = np.divide(K, mag, out=np.zeros_like(K), where=good)
-        c_plus, c_minus, j_plus, j_minus, _ = stencil(u, s)
-        midpoints = c_plus * c_minus
-        # conj(j) * c, in place: with fused multiply-adds a complex product
-        # is not bitwise commutative, and numpy's temporary elision turns
-        # `c * conj(j)` into this order on large arrays only; spelling it
-        # out keeps the result independent of the block's size
-        prod = np.conj(j_plus * j_minus)
-        prod *= midpoints
-        # at -j every phasor is the conjugate of its mirror image and j+-
-        # trade places, so the product is (j- j+) conj(c+ c-), in that order
-        mirror = j_minus[:, 1:] * j_plus[:, 1:]
-        mirror *= np.conj(midpoints[:, 1:])
-        phases = np.concatenate([prod[mask], mirror[mask[:, 1:]]])
-        phase_curv = np.abs(np.angle(phases) / (4.0 * (s * dp) ** 2))
-        # lhs and the window are symmetric in j, so each j > 0 point counts twice
-        points = mask.sum() + mask[:, 1:].sum()
-        stats.append((np.abs(lhs - rhs).max(), np.abs(lhs).max(), np.abs(rhs).max(), phase_curv.max(), points))
+        stats.append((np.abs(lhs - rhs).max(), max_lhs, np.abs(rhs).max(), phase_curvature_max, points))
     if not stats:
         raise ValueError(
             "kernel magnitude below the window floor everywhere; "

@@ -1,3 +1,7 @@
+import hashlib
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,7 @@ from fvps import (
     reconstruct_kernel,
     wigner_even,
 )
+from fvps import grids
 
 
 class TestUnitSystem:
@@ -216,3 +221,67 @@ def test_field_of_another_shape_raises(packet_field, name, shape):
     w, ps = packet_field
     with pytest.raises(GridError, match="does not match grid"):
         FIELD_ENTRY_POINTS[name](np.resize(w, shape), ps)
+
+
+class TestRunRowBlocks:
+    """The row-block helper of the phase-space kernels, on more workers than this machine may have."""
+
+    # 96 rows of 2048 cells are above the threading threshold and make
+    # ten blocks of ten rows for three workers
+    ROWS, CELLS = 96, 2048
+
+    def test_interleaved_stripes_cover_every_row_once(self, monkeypatch):
+        monkeypatch.setattr(grids, "_WORKERS", 3)
+        assert self.ROWS * self.CELLS >= grids._THREAD_MIN_CELLS
+        blocks = [slice(start, min(start + 10, self.ROWS)) for start in range(0, self.ROWS, 10)]
+        stripes = grids._run_row_blocks(lambda stripe: stripe, self.ROWS, self.CELLS)
+        assert stripes == [blocks[0::3], blocks[1::3], blocks[2::3]]
+
+    def test_worker_overflow_raises_in_caller_after_every_stripe(self, monkeypatch):
+        # numpy's error state is a context variable: a worker sees the
+        # caller's "raise" only if it runs in a copy of the caller's context
+        monkeypatch.setattr(grids, "_WORKERS", 3)
+        out = np.zeros(self.ROWS)
+        raised_on = []
+
+        def kernel(blocks):
+            if blocks[0].start == 10:  # the second stripe, on a pool thread
+                raised_on.append(threading.current_thread())
+                np.multiply(np.full(4, 1e300), 1e300)
+            time.sleep(0.2 if blocks[0].start else 0.0)
+            for rows in blocks:
+                out[rows] = 1.0
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            grids._run_row_blocks(kernel, self.ROWS, self.CELLS)
+        assert raised_on and raised_on[0] is not threading.main_thread()
+        # the call returned only after the other stripes had written their rows
+        written = np.array([row // 10 % 3 != 1 for row in range(self.ROWS)])
+        assert (out[written] == 1.0).all() and (out[~written] == 0.0).all()
+
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(grids, "_WORKERS", 3)
+        ps = PhaseSpaceGrid.conjugate(MomentumGrid(1024, 10.0))
+        state = gaussian_state(ps.momentum, lam=1.0)
+        digest = hashlib.sha256(wigner_even(state, +1, ps).tobytes()).hexdigest()
+        assert grids._pool is not None  # the parent's call ran on the pool
+
+        def child(conn):
+            conn.send(hashlib.sha256(wigner_even(state, +1, ps).tobytes()).hexdigest())
+            conn.close()
+
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=child, args=(send,))
+        proc.start()
+        try:
+            # a child calling into the parent's dead pool would wait forever
+            assert receive.poll(120), "the forked child did not finish its transform"
+            assert receive.recv() == digest
+        finally:
+            proc.join(30)
+            if proc.is_alive():
+                proc.kill()
+        assert proc.exitcode == 0

@@ -1,5 +1,13 @@
+import functools
+import hashlib
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +35,8 @@ from fvps import (
     wigner_even,
     wigner_odd,
 )
+import fvps
+from fvps import grids
 from fvps.cli import packet_grid
 from fvps.wigner import _lattice_amplitude, _root_energy
 from test_dense_reference import _pair_product, _q_transform
@@ -334,10 +344,12 @@ class TestPurity:
 
 
 # tracemalloc peaks at n = 1024 (lam = 8, the largest purity window of the
-# benchmark's range), measured as 10.6, 9.5 and 13.8 MB; each bound adds
-# ~15 % margin.  The (n, n) float output alone is 8.4 MB.  The whole-array
-# versions peaked at 50.4, 42.1 and 55.0 MB: the (n, 2n) pair product, the
-# full (n, n/2 + 1) phase and index arrays, and the whole window box of K.
+# benchmark's range), measured as 10.6, 9.5 and 13.8 MB with the whole-field
+# half spectrum kept (10.6, 10.1 and 8.8 MB on two workers without it);
+# each bound adds ~15 % margin.  The (n, n) float output alone is 8.4 MB.
+# The whole-array versions peaked at 50.4, 42.1 and 55.0 MB: the (n, 2n)
+# pair product, the full (n, n/2 + 1) phase and index arrays, and the
+# whole window box of K.
 MEMORY_BOUNDS_MB = {"wigner_even": 12.0, "evolve_even": 11.0, "purity_check": 16.0}
 
 
@@ -359,6 +371,92 @@ def test_phase_space_kernels_memory_stays_row_blocked():
         finally:
             tracemalloc.stop()
     assert all(peaks[name] < bound for name, bound in MEMORY_BOUNDS_MB.items()), peaks
+
+
+# lam = 8 at n = 1024: the purity box has 409 interior rows, so its last
+# block is short for one worker (64 rows) and for three (21 rows), and
+# every kernel's work is above the threading threshold
+@pytest.fixture(scope="module")
+def packet1024():
+    ps = PhaseSpaceGrid.conjugate(packet_grid(8.0, 0.3, 1024))
+    st = gaussian_state(ps.momentum, lam=8.0, p_bar=0.3)
+    rng = np.random.default_rng(7)
+    both = ChargeBranchState(ps.momentum, phi_plus=st.phi_plus,
+                             phi_minus=st.phi_plus * np.exp(0.1j * rng.normal(size=1024)))
+    return ps, st, both
+
+
+def _kernel_outputs(ps, st, both):
+    w = wigner_even(st, +1, ps)
+    return {
+        "wigner_even": w.tobytes(),
+        "wigner_odd": wigner_odd(both, +1, ps).tobytes(),
+        "evolve_even": evolve_even(w, energy, 5.0, ps).tobytes(),
+        "purity_check": repr(purity_check(w, ps)),
+    }
+
+
+def test_worker_count_leaves_every_output_unchanged(packet1024, monkeypatch):
+    ps, st, both = packet1024
+    w = wigner_even(st, +1, ps)
+    r = np.abs(np.fft.rfft(w, axis=1)[:, : ps.n_q // 2])
+    rows = np.flatnonzero(r.max(axis=1) > 1e-6 * r.max())
+    interior = rows[-1] + 1 - rows[0] - 8
+    assert interior % 64 and interior % 21
+    outputs = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(grids, "_WORKERS", workers)
+        outputs[workers] = _kernel_outputs(ps, st, both)
+    assert outputs[1] == outputs[3]
+
+
+def test_one_cpu_process_starts_no_thread(packet1024):
+    ps, st, _ = packet1024
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("needs os.sched_setaffinity")
+    code = (
+        "import hashlib, os, sys, threading\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from fvps import PhaseSpaceGrid, gaussian_state, wigner_even\n"
+        "from fvps.cli import packet_grid\n"
+        "ps = PhaseSpaceGrid.conjugate(packet_grid(8.0, 0.3, 1024))\n"
+        "w = wigner_even(gaussian_state(ps.momentum, lam=8.0, p_bar=0.3), +1, ps)\n"
+        "print(hashlib.sha256(w.tobytes()).hexdigest(), threading.active_count(), 'concurrent' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fvps.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    digest = hashlib.sha256(wigner_even(st, +1, ps).tobytes()).hexdigest()
+    assert run.stdout.split() == [digest, "1", "False"]
+
+
+def test_public_functions_stay_on_the_calling_thread(packet1024, monkeypatch):
+    # a span tracer wraps every public fvps function and keeps one span
+    # stack, so none may run on a worker thread; wrap them all the same way
+    ps, st, both = packet1024
+    monkeypatch.setattr(grids, "_WORKERS", 3)
+    calls = []
+
+    def on_main_thread(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            assert threading.current_thread() is threading.main_thread(), fn.__qualname__
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {}
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("fvps."):
+            continue
+        for attr, obj in list(vars(module).items()):
+            if isinstance(obj, types.FunctionType) and obj.__module__.startswith("fvps.") and attr[0] != "_":
+                monkeypatch.setattr(module, attr, wrappers.setdefault(obj, on_main_thread(obj)))
+    _kernel_outputs(ps, st, both)
+    calls.clear()
+    purity_check(wigner_even(st, +1, ps), ps)
+    assert "energy" in calls
 
 
 class TestInterferenceGain:
