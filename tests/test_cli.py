@@ -544,6 +544,28 @@ def _reference_entangle_csv(path, models, table):
             writer.writerow([repr(float(v)) for v in row])
 
 
+_SHORT_VALUES = [0.0, -0.0, 1.0, 5e-324, np.inf, np.nan, 1e16, 0.0001]
+
+
+def _long_values(count, rng):
+    """`count` floats whose repr has 17 significant digits, in both of repr's forms and both signs."""
+    values = []
+    while len(values) < count:
+        value = float(rng.standard_normal() * 10.0 ** rng.integers(-30, 31))
+        if len(repr(abs(value)).split("e")[0].replace(".", "").strip("0")) == 17:
+            values.append(value)
+    return np.array(values)
+
+
+def _alternating_field(n_p, n_q):
+    """(q nodes, p nodes, field): rows of 17-digit values alternate with rows of short ones, nodes mixed alike."""
+    rng = np.random.default_rng(20020206)
+    w = np.resize(_SHORT_VALUES, (n_p, n_q))
+    w[::2] = _long_values(w[::2].size, rng).reshape(w[::2].shape)
+    q, p = w[0].copy(), np.resize(_long_values(2, rng).tolist() + _SHORT_VALUES, n_p)
+    return q, p, w
+
+
 class TestByteReferee:
     @pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
     @pytest.mark.parametrize("eps_mode", ["relativistic", "unity"])
@@ -648,6 +670,36 @@ class TestByteReferee:
         _reference_field_csv(ref, w, SimpleNamespace(q_nodes=q, p_nodes=p), {"k": "v"}, matrix=matrix)
         assert out.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
+    @pytest.mark.parametrize(
+        "block_rows, record_rows",
+        [(1, 1), (4, 2), (1 / 3, 1 / 5), (10, 3)],
+        ids=["one-row", "ragged", "rows-wider", "whole-field"],
+    )
+    def test_field_scratch_reuse(self, tmp_path, monkeypatch, matrix, block_rows, record_rows):
+        # one scratch set formats every block of a write: rows of 17-digit
+        # values alternate with rows of short ones, so any byte a block
+        # left behind would show in the next; blocks of one row, a ragged
+        # last block (and record), rows wider than a block, one block
+        n_q = 40
+        monkeypatch.setattr(tables, "_BLOCK_CELLS", int(block_rows * n_q))
+        monkeypatch.setattr(tables, "_RECORD_CELLS", int(record_rows * n_q))
+        q, p, w = _alternating_field(7, n_q)
+        out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
+        tables.write_field_csv(out, {"k": "v"}, q, p, w, matrix=matrix)
+        _reference_field_csv(ref, w, SimpleNamespace(q_nodes=q, p_nodes=p), {"k": "v"}, matrix=matrix)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_field_writes_in_a_row(self, tmp_path):
+        # three writes in one process, each with its own scratch set and
+        # three blocks, the last one ragged
+        q, p, w = _alternating_field(40, 512)
+        for index, matrix in enumerate([False, True, False]):
+            out, ref = tmp_path / f"w{index}.csv", tmp_path / f"ref{index}.csv"
+            tables.write_field_csv(out, {"k": "v"}, q, p, w, matrix=matrix)
+            _reference_field_csv(ref, w, SimpleNamespace(q_nodes=q, p_nodes=p), {"k": "v"}, matrix=matrix)
+            assert out.read_bytes() == ref.read_bytes()
+
     def test_field_head_in_locale_encoding(self, tmp_path):
         q, p, w = np.array([0.5]), np.array([1.0]), np.array([[2.0]])
         out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
@@ -712,12 +764,37 @@ def test_repr_kernel_matches_repr_on_powers_and_form_bounds():
     assert _kernel_texts(values) == [repr(v) for v in values.tolist()]
 
 
-@pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
-def test_field_writer_memory_stays_linear(tmp_path, matrix):
-    # the writer formats one block of momentum rows (4096 cells, about
-    # 1.5 MB of numpy temporaries) at a time; the whole n = 512 field as a
-    # list of Python floats alone takes ~8 MB
+def _memory_field(kind, shape):
+    """A field of positional, integer or mixed values; the mixed one is mostly positional, with some
+    exponent-form values and, in every seventh cell, inf, -inf, NaN or -0.0."""
+    rng = np.random.default_rng(20020206)
+    if kind == "positional":
+        return rng.uniform(0.01, 100.0, shape)
+    if kind == "integer":
+        return rng.integers(-(10**6), 10**6, size=shape).astype(float)
+    w = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 16, size=shape)
+    w.ravel()[::7] = np.resize([np.inf, -np.inf, np.nan, -0.0], w.ravel()[::7].size)
+    return w
+
+
+_MEMORY_CASES = [pytest.param("fig1", False, id="long"), pytest.param("fig1", True, id="matrix")] + [
+    pytest.param(kind, matrix, id=f"{kind}-{'matrix' if matrix else 'long'}")
+    for kind in ("positional", "integer", "mixed")
+    for matrix in (False, True)
+]
+
+
+@pytest.mark.parametrize("kind, matrix", _MEMORY_CASES)
+def test_field_writer_memory_stays_linear(tmp_path, kind, matrix):
+    # the writer formats one block of momentum rows (8192 cells) at a time
+    # in one scratch set of 140 bytes a cell, ~1.15 MB, allocated per write,
+    # and lays out 2048 cells at a time in one record, ~0.3 MB with its
+    # NUL-free copy in long form; the peak does not depend on the values
+    # (fig1's are 97 % exponent form). The whole n = 512 field as a list of
+    # Python floats alone takes ~8 MB
     w, ps, _ = run_wigner(8.0)
+    if kind != "fig1":
+        w = _memory_field(kind, w.shape)
     tracemalloc.start()
     try:
         tables.write_field_csv(tmp_path / "w.csv", {}, ps.q_nodes, ps.p_nodes, w, matrix=matrix)

@@ -9,11 +9,13 @@ below and above, and with both signs:
   * 10^k for every decimal exponent of the float range;
   * the bounds of `repr`'s positional form: 1e-05 and 0.0001 (exponent
     -5 and -4), 9999999999999998.0 and 1e16 (exponent 15 and 16);
+  * the positional form itself: for each decimal exponent -4..15, a
+    value with each count of significant digits 1..17;
 
 then N random 64-bit patterns from a seeded generator (NaN and the
 infinities included).  The families and every 16th chunk of patterns
 also go through `write_field_csv` itself, in both layouts, as a field
-whose last block of rows is ragged, its first row and first column
+whose last block of rows, and last record, is ragged, its first row and first column
 serving as q and p nodes; every cell of the file is compared with
 `repr`, which referees the record layout and the NUL deletion too.
 Prints the count of values checked and the first mismatches, and exits
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from fvps.tables import _BLOCK_CELLS, _repr_slots, write_field_csv  # noqa: E402
+from fvps.tables import _geometry, _repr_slots, write_field_csv  # noqa: E402
 
 CHUNK = 1 << 16  # values formatted per call
 SHOW = 10  # mismatches printed
@@ -42,7 +44,9 @@ N_Q = 1000  # field columns when values go through write_field_csv
 def families():
     """The family values, their one-ulp neighbours and their negatives."""
     powers = [2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)]
-    base = np.array(powers + [1e-05, 0.0001, 9999999999999998.0, 1e16])
+    digits = "12345678912345678"  # no zero, so that each prefix keeps all its digits
+    positional = [float(f"{digits[:k]}e{sci - k + 1}") for sci in range(-4, 16) for k in range(1, 18)]
+    base = np.array(powers + [1e-05, 0.0001, 9999999999999998.0, 1e16] + positional)
     near = np.concatenate([np.nextafter(base, 0.0), base, np.nextafter(base, np.inf)])
     return np.concatenate([near, -near])
 
@@ -61,7 +65,7 @@ def mismatches(values):
     lines = np.empty((values.size, slots.shape[0] + 1), dtype=np.uint8)
     lines[:, :-1] = slots.T
     lines[:, -1] = ord("\n")
-    got = lines.tobytes().translate(None, b"\0").decode("ascii")
+    got = lines.tobytes().translate(None, b"\0").decode("ascii", "replace")
     want = "".join(f"{v!r}\n" for v in values.tolist())
     if got == want:
         return []
@@ -73,16 +77,18 @@ def field_mismatches(values, path, matrix: bool):
     """(bits, written text, repr) of each cell `write_field_csv` writes from `values` whose two texts differ.
 
     The values fill an N_Q-column field row by row, repeated where the
-    last row needs more, with rows added until the last block of rows is
+    last row needs more, with rows added until the last block of rows
+    and, where a record holds more than one row, the last record are
     ragged; the field's first row and first column are its nodes.
     """
-    rows = max(1, _BLOCK_CELLS // N_Q)
+    rows, block = _geometry(N_Q)
     n_p = -(-values.size // N_Q)
-    n_p += n_p % rows == 0
+    while n_p % block == 0 or (rows > 1 and n_p % rows == 0):
+        n_p += 1
     w = np.resize(values, (n_p, N_Q))
     q, p = w[0], w[:, 0]
     write_field_csv(path, {}, q, p, w, matrix=matrix)
-    lines = path.read_bytes().decode("ascii").split("\r\n")
+    lines = path.read_bytes().decode("ascii", "replace").split("\r\n")
     if matrix:
         got = lines[0].split(",")[1:] + ",".join(lines[1:-1]).split(",")
         cells = np.concatenate([q, np.column_stack([p, w]).ravel()])
