@@ -28,7 +28,6 @@ from .grids import (
     quadrature,
 )
 from .moyal import (
-    PolySymbol,
     anti_moyal_bracket,
     bracket_with_energy,
     classical_limit_gap,
@@ -46,7 +45,6 @@ from .opmatrix import (
     build_hamiltonian,
     charge_invariant,
     charge_metric,
-    commutator,
     even_part,
     kernel_relation_check,
     momentum_kernel,

@@ -100,9 +100,6 @@ class MomentumGrid:
     def nodes(self) -> np.ndarray:
         return -self.p_max + self.spacing * np.arange(self.n_points)
 
-    def __len__(self) -> int:
-        return self.n_points
-
 
 def half_step_lattice(grid: MomentumGrid, pad: int = 0) -> np.ndarray:
     """Nodes p_0 + kappa dp / 2 for kappa in [-pad, 2 n + pad).

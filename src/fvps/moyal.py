@@ -1,35 +1,25 @@
 """Star products, Moyal/anti-Moyal brackets, and exact spectral propagators.
 
-Two symbol representations coexist:
-
-* `PolySymbol` holds polynomial coefficients in (q, p).  The two halves
-  of the Moyal operator, <-d_q ->d_p and <-d_p ->d_q, commute, so the
-  star exponential factorises into one exponential per half and the
-  product of two polynomials is a finite double sum over the two
-  derivative orders, each bounded by the operands' degrees.  It is
-  evaluated exactly on coefficient arrays, each pointwise product being
-  one 1-D convolution, so canonical identities like q*p = qp + i hbar/2
-  hold to roundoff.
-* Sampled fields of shape (n_p, n_q), or (m, m, n_p, n_q) for matrix
-  symbols of any size m, use the Fourier-kernel form: plane-wave modes
-  multiply as W_v * W_w = exp(-(i hbar/2) omega(v, w)) W_{v+w} with
-  omega(v, w) = kappa_v lambda_w - lambda_v kappa_w the symplectic
-  pairing of the mode frequencies.  The sum over all mode pairs is a
-  twisted convolution (`_twisted_convolution`) taken over A's q-modes v
-  one block at a time: each q-mode v of the block is shifted along p by
-  hbar kappa_u / 2 for every output q-mode u in one batched FFT,
-  multiplied by B's q-mode u - v and transformed along p, and the
-  remaining phase is applied and summed over the block's v into one
-  accumulator.  Matrix entries contract as A_ik B_kl in the same pass
-  and a scalar field is a 1x1 symbol, so both take one code path.  Cost:
-  O(m^2 n_p n_q^2 (m + log n_p)) time; the work buffers are reused from
-  block to block and hold at most `_MODE_BLOCK_BYTES` each (three for a
-  matrix symbol, one for a scalar), so the memory is O(m^2 n_p n_q)
-  beyond them.  The product's hbar is its own parameter, not the
-  grid's, and the grid need be neither conjugate nor square.  This is
-  exact for band-limited periodic fields; products of modes beyond the
-  grid band alias (the phase is taken at the wrapped output mode), so
-  keep inputs band-limited to half the grid band.
+Symbols are sampled fields of shape (n_p, n_q), or (m, m, n_p, n_q) for
+matrix symbols of any size m, and multiply in the Fourier-kernel form:
+plane-wave modes multiply as W_v * W_w = exp(-(i hbar/2) omega(v, w))
+W_{v+w} with omega(v, w) = kappa_v lambda_w - lambda_v kappa_w the
+symplectic pairing of the mode frequencies.  The sum over all mode pairs
+is a twisted convolution (`_twisted_convolution`) taken over A's q-modes
+v one block at a time: each q-mode v of the block is shifted along p by
+hbar kappa_u / 2 for every output q-mode u in one batched FFT,
+multiplied by B's q-mode u - v and transformed along p, and the
+remaining phase is applied and summed over the block's v into one
+accumulator.  Matrix entries contract as A_ik B_kl in the same pass and
+a scalar field is a 1x1 symbol, so both take one code path.  Cost:
+O(m^2 n_p n_q^2 (m + log n_p)) time; the work buffers are reused from
+block to block and hold at most `_MODE_BLOCK_BYTES` each (three for a
+matrix symbol, one for a scalar), so the memory is O(m^2 n_p n_q) beyond
+them.  The product's hbar is its own parameter, not the grid's, and the
+grid need be neither conjugate nor square.  This is exact for
+band-limited periodic fields; products of modes beyond the grid band
+alias (the phase is taken at the wrapped output mode), so keep inputs
+band-limited to half the grid band.
 
 Evolution under a momentum-only Hamiltonian symbol never needs the
 general product: in the position-axis Fourier representation each mode
@@ -48,97 +38,12 @@ motion reads dW/dt = -(2i/hbar) [E, W].
 """
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.polynomial import polyder, polyval2d
 
 from .errors import GridError, StepSizeError
 from .grids import PhaseSpaceGrid, _run_row_blocks, half_step_lattice
-
-# ---------------------------------------------------------------------------
-# Polynomial symbols: exact finite star-product algebra
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolySymbol:
-    """Polynomial in (q, p): coeffs[i, j] multiplies q^i p^j."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.atleast_2d(np.asarray(self.coeffs, dtype=complex)))
-
-    @classmethod
-    def q(cls) -> "PolySymbol":
-        return cls(np.array([[0.0], [1.0]]))
-
-    @classmethod
-    def p(cls) -> "PolySymbol":
-        return cls(np.array([[0.0, 1.0]]))
-
-    @classmethod
-    def constant(cls, value) -> "PolySymbol":
-        return cls(np.array([[value]]))
-
-    def __mul__(self, other):
-        if not isinstance(other, PolySymbol):
-            return PolySymbol(self.coeffs * other)
-        # with both padded to the product's width W, a[i, j] b[k, l] lands
-        # at flat index (i + k) W + (j + l), and j + l < W never carries
-        # into the next row: one 1-D convolution is the 2-D product
-        a, b = self.coeffs, other.coeffs
-        rows, width = a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1
-        flat = np.convolve(*(np.pad(c, ((0, 0), (0, width - c.shape[1]))).ravel() for c in (a, b)))
-        return PolySymbol(flat[: rows * width].reshape(rows, width))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if not isinstance(other, PolySymbol):
-            other = PolySymbol.constant(other)
-        a, b = self.coeffs, other.coeffs
-        ni = max(a.shape[0], b.shape[0])
-        nj = max(a.shape[1], b.shape[1])
-        out = np.zeros((ni, nj), dtype=complex)
-        out[: a.shape[0], : a.shape[1]] += a
-        out[: b.shape[0], : b.shape[1]] += b
-        return PolySymbol(out)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def evaluate(self, p, q):
-        """Evaluate on broadcastable arrays of momenta and positions."""
-        return polyval2d(*np.broadcast_arrays(q, p), self.coeffs)
-
-    def sample(self, psgrid: PhaseSpaceGrid):
-        return self.evaluate(psgrid.p_nodes[:, None], psgrid.q_nodes[None, :])
-
-
-def _poly_star(a: PolySymbol, b: PolySymbol, hbar: float) -> PolySymbol:
-    """Factorised Moyal series; finite for polynomials.
-
-    The two halves of the bidifferential operator commute, so the star
-    exponential splits into exp(i hbar/2 <-d_q ->d_p) exp(-i hbar/2 <-d_p ->d_q):
-    the sum over r, s of (i hbar/2)^(r+s) (-1)^s / (r! s!) times
-    (d_q^r d_p^s a)(d_q^s d_p^r b).  So r runs up to the smaller of a's q
-    degree and b's p degree, s up to the smaller of a's p degree and b's
-    q degree; every other term is zero.  coeffs axis 0 is the q power,
-    axis 1 the p power.
-    """
-    a, b = a.coeffs, b.coeffs
-    terms = (
-        ((0.5j * hbar) ** (r + s) * (-1) ** s / (factorial(r) * factorial(s)))
-        * PolySymbol(polyder(polyder(a, r, axis=0), s, axis=1))
-        * PolySymbol(polyder(polyder(b, s, axis=0), r, axis=1))
-        for r in range(min(a.shape[0], b.shape[1]))
-        for s in range(min(a.shape[1], b.shape[0]))
-    )
-    return sum(terms, PolySymbol.constant(0.0))
-
 
 # ---------------------------------------------------------------------------
 # Sampled fields: Fourier-kernel star product
@@ -156,8 +61,6 @@ def _symbol_stacks(a, b, psgrid: PhaseSpaceGrid):
 
     Returns the two stacks and whether the operands were scalar fields.
     """
-    if isinstance(a, PolySymbol) or isinstance(b, PolySymbol):
-        raise GridError("polynomial symbols multiply with polynomial symbols")
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != b.ndim:
@@ -234,27 +137,22 @@ def _twisted_convolution(a: np.ndarray, b: np.ndarray, psgrid: PhaseSpaceGrid, h
     return np.fft.ifft2(out.swapaxes(-1, -2))
 
 
-def star_product(a, b, psgrid: PhaseSpaceGrid | None = None, hbar: float = 1.0):
+def star_product(a, b, psgrid: PhaseSpaceGrid, hbar: float = 1.0):
     """Noncommutative symbol product replacing the pointwise one.
 
-    Polynomial symbols multiply exactly; sampled fields (scalar
-    (n_p, n_q) or matrix (m, m, n_p, n_q)) use the spectral kernel form
-    and require the grid.  In the hbar -> 0 limit the result tends to
+    Sampled fields, scalar (n_p, n_q) or matrix (m, m, n_p, n_q), use the
+    spectral kernel form.  In the hbar -> 0 limit the result tends to
     the pointwise (matrix) product, which hbar = 0 gives; a non-finite
     hbar raises ValueError.
     """
     if not np.isfinite(hbar):
         raise ValueError(f"hbar must be finite, got {hbar}")
-    if isinstance(a, PolySymbol) and isinstance(b, PolySymbol):
-        return _poly_star(a, b, hbar)
-    if psgrid is None:
-        raise GridError("sampled-field star product needs the phase-space grid")
     a, b, scalar = _symbol_stacks(a, b, psgrid)
     out = _twisted_convolution(a, b, psgrid, hbar)
     return out[0, 0] if scalar else out
 
 
-def moyal_bracket(a, b, psgrid: PhaseSpaceGrid | None = None, hbar: float = 1.0):
+def moyal_bracket(a, b, psgrid: PhaseSpaceGrid, hbar: float = 1.0):
     """(A*B - B*A) / (i hbar); tends to the Poisson bracket for scalars.
 
     hbar must be finite and nonzero (ValueError otherwise).
@@ -266,7 +164,7 @@ def moyal_bracket(a, b, psgrid: PhaseSpaceGrid | None = None, hbar: float = 1.0)
     return (1.0 / (1j * hbar)) * (ab - ba)
 
 
-def anti_moyal_bracket(a, b, psgrid: PhaseSpaceGrid | None = None, hbar: float = 1.0):
+def anti_moyal_bracket(a, b, psgrid: PhaseSpaceGrid, hbar: float = 1.0):
     """Symmetrized product (A*B + B*A)/2, the symbol analogue of the anticommutator.
 
     Normalization is a package convention (hbar-free symmetric mean);
@@ -300,10 +198,6 @@ class ClassicalLimitReport:
     hbars: tuple
     gaps: tuple
     exponent: float | None
-
-    @property
-    def classical_limit_attained(self) -> bool:
-        return self.exponent is not None and self.exponent > 0
 
 
 def classical_limit_gap(a, b, psgrid: PhaseSpaceGrid, hbars) -> ClassicalLimitReport:

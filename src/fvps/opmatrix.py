@@ -219,11 +219,6 @@ def odd_part(op: OperatorMatrix, sign: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(op.mat - even_part(op, sign).mat, op.basis)
 
 
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    a.require_same_basis(b)
-    return OperatorMatrix(a.mat @ b.mat - b.mat @ a.mat, a.basis)
-
-
 # ---------------------------------------------------------------------------
 # Charge-branch eigenvectors and kernel reduction
 # ---------------------------------------------------------------------------

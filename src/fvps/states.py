@@ -44,21 +44,6 @@ class ChargeBranchState:
     def branch(self, sign: int) -> np.ndarray | None:
         return self.phi_plus if sign > 0 else self.phi_minus
 
-    @property
-    def charge_norm(self) -> float:
-        total = 0.0
-        if self.phi_plus is not None:
-            total += quadrature(np.abs(self.phi_plus) ** 2, self.grid).real
-        if self.phi_minus is not None:
-            total -= quadrature(np.abs(self.phi_minus) ** 2, self.grid).real
-        return float(total)
-
-    @property
-    def is_physical(self) -> bool:
-        """Single nonzero branch with charge norm +-1 (superselection rule)."""
-        single = (self.phi_plus is None) != (self.phi_minus is None)
-        return single and abs(abs(self.charge_norm) - 1.0) < 1e-10
-
 
 @dataclass(frozen=True)
 class CoherentSpec:

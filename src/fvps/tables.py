@@ -21,9 +21,10 @@ to hand back to the kernel and fault in again on every block: after a
 process's first two writes a write takes no page faults.  Memory sets
 the block size: scratch set, record and its NUL-free copy peak at about
 1.5 MB at n = 512, 1.7 MB on a process's first write, which also
-builds Ryū's tables, and ``test_field_writer_memory_stays_linear``
-bounds them at 2e6 bytes, which the next whole number of records,
-10240 cells, would all but reach.  The bytes of 2048 cells at a time
+builds Ryū's tables.  ``test_field_writer_memory_stays_linear`` clears
+those tables first, so each of its cases measures a first write, and
+bounds it at 2e6 bytes, which the next whole number of records, 10240
+cells, would all but reach.  The bytes of 2048 cells at a time
 are laid out in one ``bytearray`` record allocated per file, and the
 record, its NULs deleted, goes straight to the file opened in binary
 mode, without a ``str`` per record.  The head is encoded in the

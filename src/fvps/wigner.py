@@ -360,9 +360,6 @@ class PurityReport:
     phase_curvature_max: float
     window_points: int
 
-    def passed(self, tol: float) -> bool:
-        return self.max_deviation <= tol
-
 
 def purity_check(
     w: np.ndarray,

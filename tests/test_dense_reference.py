@@ -41,14 +41,6 @@ modes, is refereed by the full complex-FFT propagation it replaced, to
 marginals, by the five `expectation` integrals it replaced, to 1e-12
 relative or 1e-12 of the grid window's scale.
 
-The exact polynomial algebra is refereed by the code it replaced: the
-pointwise product as one shifted copy of b per coefficient of a,
-evaluation as a sum of monomials, and the star product as the
-bidifferential series summed order by order until every term vanishes.
-Random complex polynomials up to 5 x 5 coefficients must agree to 1e-14
-of the reference's maximum, and the star product must be associative to
-1e-14 of the product's maximum.
-
 The modulation spectrum's vectorised peak search is refereed by the
 per-bin loop and amplitude sort it replaced: the peak lists must be
 equal, frequencies and amplitudes bit for bit.
@@ -83,14 +75,11 @@ rounding bound of either sum, eps (N - 1 + max g t_max) sum |w_n| for
 N - 1 terms (summation, then phase).
 """
 
-from math import comb, factorial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.polynomial import polyder
 
 from fvps import (
     EPS_UNITY,
@@ -100,7 +89,6 @@ from fvps import (
     GridError,
     MomentumGrid,
     PhaseSpaceGrid,
-    PolySymbol,
     UnitSystem,
     branch_reduce,
     branch_vectors,
@@ -421,86 +409,6 @@ def test_blocked_star_product_matches_mode_loop(case, hbar):
     ab, ba = loop_star(a, b, ps, hbar), loop_star(b, a, ps, hbar)
     assert_close(star_product(a, b, ps, hbar), ab, 1e-13)
     assert_close(moyal_bracket(a, b, ps, hbar), (ab - ba) / (1j * hbar), 1e-13)
-
-
-def loop_poly_mul(a, b):
-    """Pointwise product of coefficient arrays: one shifted copy of b per coefficient of a."""
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1), dtype=complex)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            if a[i, j] != 0:
-                out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
-    return out
-
-
-def padded_sum(x, y):
-    out = np.zeros((max(x.shape[0], y.shape[0]), max(x.shape[1], y.shape[1])), dtype=complex)
-    out[: x.shape[0], : x.shape[1]] += x
-    out[: y.shape[0], : y.shape[1]] += y
-    return out
-
-
-def loop_poly_evaluate(c, p, q):
-    acc = 0.0
-    for i in range(c.shape[0]):
-        for j in range(c.shape[1]):
-            if c[i, j] != 0:
-                acc = acc + c[i, j] * np.asarray(q) ** i * np.asarray(p) ** j
-    return acc
-
-
-def binomial_poly_star(a, b, hbar):
-    """Order n of the series sums (-1)^k C(n, k) (d_q^(n-k) d_p^k a)(d_p^(n-k) d_q^k b).
-
-    Orders are added until one has no nonzero derivative pair.
-    """
-    result = loop_poly_mul(a, b)
-    n = 1
-    while True:
-        term = np.zeros((1, 1), dtype=complex)
-        alive = False
-        for k in range(n + 1):
-            da = polyder(polyder(a, n - k, axis=0), k, axis=1)
-            db = polyder(polyder(b, n - k, axis=1), k, axis=0)
-            if np.any(da) and np.any(db):
-                alive = True
-                term = padded_sum(term, (-1) ** k * comb(n, k) * loop_poly_mul(da, db))
-        if not alive:
-            return result
-        result = padded_sum(result, (1j * hbar / 2) ** n / factorial(n) * term)
-        n += 1
-
-
-def random_polys(seed, count, max_shape=5):
-    """count random complex coefficient arrays, each axis 1 to max_shape long."""
-    rng = np.random.default_rng(seed)
-    shapes = rng.integers(1, max_shape + 1, size=(count, 2))
-    return [full_band(rng, tuple(shape)) for shape in shapes]
-
-
-def test_poly_product_and_evaluation_match_loops():
-    polys = random_polys(29, 100)
-    p, q = np.linspace(-1.5, 1.5, 7)[:, None], np.linspace(-2.0, 2.0, 9)
-    for a, b in zip(polys[::2], polys[1::2]):
-        assert_close((PolySymbol(a) * PolySymbol(b)).coeffs, loop_poly_mul(a, b), 1e-14)
-        assert_close(PolySymbol(a).evaluate(p, q), loop_poly_evaluate(a, p, q), 1e-14)
-
-
-@pytest.mark.parametrize("hbar", [0.3, 1.0, 1.7])
-def test_poly_star_matches_binomial_series(hbar):
-    polys = random_polys(31, 200)
-    for a, b in zip(polys[::2], polys[1::2]):
-        got = star_product(PolySymbol(a), PolySymbol(b), hbar=hbar).coeffs
-        assert_close(got, binomial_poly_star(a, b, hbar), 1e-14)
-
-
-@pytest.mark.parametrize("hbar", [0.3, 1.0, 1.7])
-def test_poly_star_is_associative(hbar):
-    polys = random_polys(37, 60, max_shape=3)
-    for a, b, c in zip(*(map(PolySymbol, polys[k::3]) for k in range(3))):
-        lhs = star_product(star_product(a, b, hbar=hbar), c, hbar=hbar).coeffs
-        rhs = star_product(a, star_product(b, c, hbar=hbar), hbar=hbar).coeffs
-        assert_close(lhs, rhs, 1e-14)
 
 
 def _pair_product(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ from fvps import (
     branch_vectors,
     charge_invariant,
     charge_metric,
-    commutator,
     energy,
     even_part,
     kernel_relation_check,
@@ -80,7 +79,7 @@ class TestSignOperator:
 
     def test_commutes_with_hamiltonian(self, free_setup):
         _, _, h, lam = free_setup
-        assert np.abs(commutator(lam, h).mat).max() < 1e-10
+        assert np.abs(lam.mat @ h.mat - h.mat @ lam.mat).max() < 1e-10
 
     def test_traceless_for_symmetric_spectrum(self, free_setup):
         _, _, _, lam = free_setup
@@ -109,7 +108,7 @@ class TestEvenOdd:
         op = charge_invariant(position_kernel(ps), h.basis)
         ev, od = even_part(op, lam), odd_part(op, lam)
         assert np.abs(ev.mat + od.mat - op.mat).max() < 1e-12
-        assert np.abs(commutator(lam, ev).mat).max() < 1e-10
+        assert np.abs(lam.mat @ ev.mat - ev.mat @ lam.mat).max() < 1e-10
         assert np.abs((lam.mat @ od.mat + od.mat @ lam.mat)).max() < 1e-10
 
     def test_idempotent(self, free_setup):
@@ -184,11 +183,11 @@ class TestNewtonWigner:
         h = build_hamiltonian(EnergyModel.free(), grid=grid)
         nw = newton_wigner_matrix(ps)
         p_op = charge_invariant(momentum_kernel(grid), h.basis)
-        comm = commutator(nw, p_op)
+        comm = nw.mat @ p_op.mat - p_op.mat @ nw.mat
         g = _gaussian(grid, 0.5, 0.7, 1.2)
         psi = np.zeros(256, dtype=complex)
         psi[:128] = g
-        assert np.abs(comm.mat @ psi - 1j * psi).max() < 1e-6
+        assert np.abs(comm @ psi - 1j * psi).max() < 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -373,17 +372,3 @@ class TestBranchVectors:
         h = OperatorMatrix(np.diag(np.concatenate([upper, lower])).astype(complex), "test:16")
         with pytest.raises(ConditioningError, match="mode 3:"):
             branch_vectors(h)
-
-
-class TestCommutator:
-    def test_self_commutator_vanishes(self, free_setup):
-        grid, ps, h, _ = free_setup
-        op = charge_invariant(position_kernel(ps), h.basis)
-        assert np.abs(commutator(op, op).mat).max() == 0.0
-
-    def test_bilinear_antisymmetric(self, free_setup):
-        grid, ps, h, _ = free_setup
-        a = charge_invariant(position_kernel(ps), h.basis)
-        b = charge_invariant(momentum_kernel(grid), h.basis)
-        assert np.abs(commutator(a, b).mat + commutator(b, a).mat).max() < 1e-14
-

@@ -37,16 +37,14 @@ class TestGaussianState:
     def test_unit_charge_norm(self):
         grid = MomentumGrid(256, 12.0)
         st = gaussian_state(grid, sigma=1.0, p_bar=0.5, q_bar=-1.0)
-        assert type(st.charge_norm) is float
-        assert st.charge_norm == pytest.approx(1.0, abs=1e-10)
-        assert st.is_physical
+        assert st.phi_minus is None
+        assert quadrature(np.abs(st.phi_plus) ** 2, grid).real == pytest.approx(1.0, abs=1e-10)
 
     def test_minus_branch(self):
         grid = MomentumGrid(256, 12.0)
         st = gaussian_state(grid, sigma=1.0, branch=-1)
         assert st.phi_plus is None
-        assert st.charge_norm == pytest.approx(-1.0, abs=1e-10)
-        assert st.is_physical
+        assert -quadrature(np.abs(st.phi_minus) ** 2, grid).real == pytest.approx(-1.0, abs=1e-10)
 
     def test_nonrelativistic_energy_limit(self):
         grid = MomentumGrid(512, 0.5)
@@ -111,7 +109,9 @@ class TestCoherentState:
 
         alpha = (1.5 - 0.8j) / np.sqrt(2)
         st = free_coherent_state(CoherentSpec(alpha=alpha, sigma=1.0), grid)
-        assert st.is_physical  # one branch, unit charge norm
+        # one branch, unit charge norm
+        assert st.phi_minus is None
+        assert quadrature(np.abs(st.phi_plus) ** 2, grid).real == pytest.approx(1.0, abs=1e-10)
         m = moments(wigner_even(st, +1, ps), ps)
         assert m.mean_q == pytest.approx(np.sqrt(2) * alpha.real, abs=1e-8)
         assert m.mean_p == pytest.approx(np.sqrt(2) * alpha.imag, abs=1e-8)
@@ -254,4 +254,4 @@ class TestSerialization:
         mixed = ChargeBranchState(
             grid, phi_plus=st.phi_plus / np.sqrt(2), phi_minus=st.phi_plus / np.sqrt(2)
         )
-        assert not mixed.is_physical
+        assert mixed.phi_plus is not None and mixed.phi_minus is not None
