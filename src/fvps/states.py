@@ -159,9 +159,13 @@ def displaced_number_state(
     # plus Gaussian tails; resolution requirement is that of the n=0 width
     _check_resolution(grid, sigma, p_bar, units, reach=np.sqrt(2.0 * n + 1.0) + 5.0)
     p = grid.nodes
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    herm = np.polynomial.hermite.hermval(sigma * (p - p_bar) / units.hbar, coeffs)
+    x = sigma * (p - p_bar) / units.hbar
+    if n == 0:  # H_0 = 1, as hermval returns it, without importing numpy.polynomial
+        herm = np.ones_like(x)
+    else:
+        coeffs = np.zeros(n + 1)
+        coeffs[n] = 1.0
+        herm = np.polynomial.hermite.hermval(x, coeffs)
     phi = herm * np.exp(
         -(sigma**2) * (p - p_bar) ** 2 / (2.0 * units.hbar**2)
         - 1j * q_bar * p / units.hbar

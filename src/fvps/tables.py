@@ -14,26 +14,38 @@ one ``q,p,W`` row per grid point, or matrix form, a header of q nodes
 and then one row per p node.  Its cells are formatted by numpy, one
 block of momentum rows (8192 cells, sixteen rows at n = 512) at a time,
 with no Python object per cell and no new array per block: every stage
-writes into one scratch set (`_Scratch`, 140 bytes a cell) allocated
+writes into one scratch set (`_Scratch`, 138 bytes a cell) allocated
 once per file.  A larger block means fewer numpy calls a field (about
 300 a block), and with no fresh temporaries glibc's malloc has nothing
 to hand back to the kernel and fault in again on every block: after a
 process's first two writes a write takes no page faults.  Memory sets
 the block size: scratch set, record and its NUL-free copy peak at about
-1.5 MB at n = 512, 1.7 MB on a process's first write, which also
-builds Ryū's tables.  ``test_field_writer_memory_stays_linear`` clears
-those tables first, so each of its cases measures a first write, and
-bounds it at 2e6 bytes, which the next whole number of records, 10240
-cells, would all but reach.  The bytes of 2048 cells at a time
-are laid out in one ``bytearray`` record allocated per file, and the
-record, its NULs deleted, goes straight to the file opened in binary
-mode, without a ``str`` per record.  The head is encoded in the
-locale's encoding, as a text-mode file would have.
-`_shortest_decimal` is Ryū's ``d2d`` (Adams, PLDI 2018) over arrays: it
-turns each float64 into the shortest decimal significand and exponent
-that reads back to the same float, the nearest such one to the float's
-exact value, ties to an even digit.  That is the rule of CPython's
-``repr`` (Gay's ``dtoa`` in mode 0), so the digits are ``repr``'s.
+1.5 MB at n = 512, 1.6-1.75 MB on a process's first write, which also
+builds Dragonbox's tables (the high end is a field of integers, whose
+digits all need their trailing zeros removed).
+``test_field_writer_memory_stays_linear`` clears those tables first, so
+each of its cases measures a first write, and bounds it at 2e6 bytes,
+which the next whole number of records, 10240 cells, would all but
+reach.  The bytes of 2048 cells at a time are laid out in one
+``bytearray`` record allocated per file, and the record, its NULs
+deleted, goes straight to the file opened in binary mode, without a
+``str`` per record.  In long form a q or p node's slot is as wide as
+the longest node text of its axis, not 24 bytes.  The head is encoded
+in the locale's encoding, as a text-mode file would have.
+`_shortest_decimal` turns each float64 into the shortest decimal
+significand and exponent that reads back to the same float, the nearest
+such one to the float's exact value, ties to an even digit.  That is
+the rule of CPython's ``repr`` (Gay's ``dtoa`` in mode 0), so the
+digits are ``repr``'s; Ryū's ``d2d`` (Adams, PLDI 2018), which this
+module ran before, follows it too.  The algorithm is Dragonbox's
+nearest path (J. Jeon, 2020) over arrays: one 64 x 128-bit product per
+float, of its scaled upper interval end and a 128-bit power of ten,
+then a division by 1000 and, where the interval holds no multiple of
+it, by 100; a second product runs only on the few floats at an edge of
+either test.  The powers of ten, and the digits of every power of two,
+whose interval is narrower below, are tabulated per binary exponent
+from exact integers on a process's first write (`_dragonbox_tables`,
+about 1 ms).
 `_repr_slots` lays them out as ``repr`` does, in fixed 24-byte slots,
 each byte kept or zeroed by a mask: exponent form (``1e-05``,
 ``-2.5e+300``) when the decimal exponent is below -4 or at least 16,
@@ -95,70 +107,80 @@ def write_csv(path, meta: dict, header, rows):
 
 
 @functools.cache
-def _ryu_tables():
-    """Ryū's d2d constants for each biased binary exponent, built from exact integers.
+def _dragonbox_tables():
+    """Dragonbox's constants for each biased binary exponent b, 0..2047, from exact integers.
 
-    For a float with binary exponent e2 (its mantissa scaled by 4, so
-    that the bounds of its rounding interval are integers too), d2d
-    multiplies by a 125-bit approximation of 2^k / 5^q (e2 >= 0) or of
-    5^i / 2^k (e2 < 0) and shifts right by j, which gives the interval
-    in units of 10^e10.  All of it depends on the exponent alone, so it
-    is tabulated per biased exponent 0..2047, one column per constant so
-    that each is gathered on its own: the multiplier as four 32-bit
-    limbs, the shift j - 64, e10, and which trailing-zero test applies,
-    with its operand.
+    A float is f_c · 2^e, f_c its significand with the hidden bit and
+    e = b - 1075 (-1074 for b = 0).  With k = 2 - floor(e·log10 2) and
+    L = floor(k·log2 10), phi = ceil(10^k · 2^(127 - L)) is 10^k to 128
+    bits, kept as four 32-bit limbs, and beta = e + L is 6..9, so that
+    (2f_c + 1)·2^beta < 2^63 and floor((2f_c + 1)·2^beta·phi / 2^128) is
+    the upper end of the float's rounding interval in units of 10^-k;
+    delta = phi >> (127 - beta) is the interval's width in those units.
+    A power of two above 2^-1022 has an interval half as wide below, and
+    its digits and the exponent of the last one are tabulated from
+    Dragonbox's shorter-interval case, which reads phi's top 64 bits.
+    One array per constant, so that each is gathered on its own.
     """
-    n = 2048
-    limbs = np.zeros((4, n), dtype=_U64)
-    shift = np.zeros(n, dtype=_U64)
-    e10 = np.zeros(n, dtype=np.int16)
-    # (mv & tz_mask) == 0 is vr's trailing-zero flag where e2 < 0
-    tz_mask = np.full(n, 2**64 - 1, dtype=_U64)
-    near_one = np.zeros(n, dtype=bool)  # e2 < 0 and q <= 1
-    pow5 = np.zeros(n, dtype=_U64)  # 5^q where e2 >= 0 and q <= 21, else 0
-    for biased in range(n):
-        e2 = max(biased, 1) - 1077
-        if e2 >= 0:
-            q = ((e2 * 78913) >> 18) - (e2 > 3)  # log10(2^e2), less one above e2 = 3
-            p5 = 5**q
-            mul = (1 << (p5.bit_length() - 1 + 125)) // p5 + 1
-            j = q - e2 + 124 + p5.bit_length()
-            e10[biased] = q
-            if q <= 21:
-                pow5[biased] = p5
-        else:
-            q = ((-e2 * 732923) >> 20) - (-e2 > 1)  # log10(5^-e2), less one above -e2 = 1
-            p5 = 5 ** (-e2 - q)
-            mul = p5 >> (p5.bit_length() - 125) if p5.bit_length() >= 125 else p5 << (125 - p5.bit_length())
-            j = q - p5.bit_length() + 125
-            e10[biased] = q + e2
-            if q <= 1:
-                tz_mask[biased], near_one[biased] = 0, True
-            elif q < 63:
-                tz_mask[biased] = (1 << q) - 1
-        limbs[:, biased] = [(mul >> (32 * k)) & 0xFFFFFFFF for k in range(4)]
-        shift[biased] = j - 64
-    return limbs, shift, e10, tz_mask, near_one, pow5
+    e = np.maximum(np.arange(2048), 1) - 1075
+    k = 2 - (e * 315653 >> 20)  # floor(e·log10 2) is exact this way for |e| < 2621
+    first = int(k.min()) - 2  # the shorter-interval case reads 10^(k - 1) or 10^(k - 2)
+    log2, phi = [], []
+    for kk in range(first, int(k.max()) + 1):
+        p = 10 ** abs(kk)
+        log2.append(p.bit_length() - 1 if kk >= 0 else -p.bit_length())
+        phi.append(-(-p << 127 >> log2[-1]) if kk >= 0 else -((-1 << 127 - log2[-1]) // p))
+    log2 = np.array(log2)
+    words = np.frombuffer(b"".join(f.to_bytes(16, "little") for f in phi), dtype=np.uint32).reshape(-1, 4).T
+    words = words.astype(_U64)
+    beta = (e + log2[k - first]).astype(_U64)
+    limbs = words[:, k - first]
+    delta = limbs[3] >> (_U64(31) - beta)
+    exp10 = (2 - k).astype(np.int16)
+
+    # 2^52 · 2^e for e = -1073 .. 971 (2^-1021 .. 2^1023), in units of 10^-k
+    e = e[2:-1]
+    k = -((e * 631305 - 261663) >> 21)  # -floor(e·log10 2 - log10(4/3))
+    shift = _U64(11) - (e + log2[k - first]).astype(_U64)
+    high = words[3, k - first] << _U64(32) | words[2, k - first]
+    # the interval's lower end, rounded up where it is no integer (all e but 2 and 3), and its upper end's tens
+    lowest = ((high - (high >> _U64(54))) >> shift) + ((e < 2) | (e > 3))
+    tens = ((high + (high >> _U64(53))) >> shift) // _U64(10)
+    # else the power rounded to a unit, half up; it lies halfway only at e = -77, and then goes to even
+    nearest = ((high >> (shift - _U64(1))) + _U64(1)) >> _U64(1)
+    tie = (e == -77) & (nearest & _U64(1) == 1)
+    nearest += (nearest < lowest) & ~tie
+    nearest -= tie
+    shorter = tens * _U64(10) >= lowest
+    digits, last = np.where(shorter, tens, nearest), shorter - k
+    while (zeros := digits % _U64(10) == 0).any():
+        digits[zeros] //= _U64(10)
+        last[zeros] += 1
+    power_digits = np.zeros(2048, dtype=_U64)
+    power_exp10 = np.zeros(2048, dtype=np.int16)
+    power_digits[2:-1], power_exp10[2:-1] = digits, last
+    return limbs, beta, delta, exp10, power_digits, power_exp10
 
 
 class _Scratch:
     """The work arrays of `_repr_slots` for up to `size` floats a call, allocated once and reused by every call.
 
-    `words` are 13 uint64 rows that Ryū's stages hand on to each other
-    and the layout stages then reuse, `flags` 9 bool rows, `exp10` and
-    `significant` each float's decimal exponent and digit count, and
-    `slots` the text: 140 bytes a float in all.  numpy writes every stage
+    `words` are 13 uint64 rows that the Dragonbox stages hand on to each
+    other and the layout stages then reuse, `flags` 7 bool rows, `exp10`
+    and `significant` each float's decimal exponent and digit count, and
+    `slots` the text: 138 bytes a float in all.  numpy writes every stage
     into these arrays (``out=``), so formatting a block allocates only
     index arrays, and copies, of the floats that a rare case applies to:
-    an exact decimal at an interval's end, a digit removal that few of
-    the block's floats still need, an infinity or NaN; the positional
-    floats are gathered into rows of `words`.
+    a remainder at the interval's width or at zero, a rounding that
+    lands on a multiple of 100, trailing zeros, a power of two, an
+    infinity or NaN; the
+    positional floats are gathered into rows of `words`.
     """
 
     def __init__(self, size: int):
         self.size = size
         self.words = np.empty((13, size), dtype=_U64)
-        self.flags = np.empty((9, size), dtype=bool)
+        self.flags = np.empty((7, size), dtype=bool)
         self.exp10 = np.empty(size, dtype=np.int16)
         self.significant = np.empty(size, dtype=np.uint8)
         self.slots = np.empty((_SLOT, size), dtype=np.uint8)
@@ -179,163 +201,134 @@ def _decimal_length(x, out, temp, flag):
         np.add(out, 1, out=out, where=flag)
 
 
-def _mul_shift(m, limbs, right, temps):
-    """m <- floor(m · mul / 2^(64 + right)) in place, for m < 2^56, mul <= 2^125 + 1 in 32-bit limbs, 0 < right < 64.
+def _wide_product(u, limbs, z, rest, temps):
+    """z <- bits 128..191 and rest <- bits 64..127 of u · phi, for u < 2^63 and phi < 2^128 in 32-bit `limbs`.
 
     A schoolbook product in uint64 arrays, one 32-bit column at a time:
-    each step adds 32x32-bit products and 32-bit carries, which stays
-    below 2^64.  Only bits 64 to 191 of the product are kept, as Ryū's
-    mulShift64 keeps them.  `temps` are five free uint64 arrays.
+    `row` carries the products of u's low limb along their columns,
+    `col` those of its high limb and each column's sum, and no sum
+    reaches 2^64.  `u` is overwritten; `temps` are three free uint64
+    arrays.
     """
-    mul0, mul1, mul2, mul3 = limbs
-    m0, m1, col, row, prod = temps
-    np.bitwise_and(m, _LOW32, out=m0)
-    np.right_shift(m, 32, out=m1)
-    np.multiply(m0, mul0, out=row)
-    row >>= 32  # m0's products, carried along their columns
-    col.fill(0)  # each column's sum, carried to the next
-    for column, m0_limb, m1_limb in ((1, mul1, mul0), (2, mul2, mul1), (3, mul3, mul2)):
-        np.multiply(m0, m0_limb, out=prod)
-        row += prod
-        np.multiply(m1, m1_limb, out=prod)
-        col += prod
-        np.bitwise_and(row, _LOW32, out=prod)
-        col += prod
-        if column == 2:  # bits 64..95
-            np.bitwise_and(col, _LOW32, out=m)
-        elif column == 3:  # bits 96..127
-            np.bitwise_and(col, _LOW32, out=prod)
-            prod <<= 32
-            m |= prod
-        col >>= 32
+    low, row, col = temps
+    np.bitwise_and(u, _LOW32, out=low)
+    u >>= 32
+    np.multiply(low, limbs[0], out=row)
+    row >>= 32
+    np.multiply(u, limbs[0], out=col)
+    for j in (1, 2, 3):
+        np.multiply(low, limbs[j], out=z)
+        row += z
+        if j > 1:
+            np.multiply(u, limbs[j - 1], out=z)
+            col += z
+        np.bitwise_and(row, _LOW32, out=z)
+        col += z
         row >>= 32
-    # columns 4 and 5 (bits 128..191) are the high word
-    np.multiply(m1, mul3, out=prod)
-    prod += col
-    prod += row
-    m >>= right
-    np.subtract(64, right, out=m0)
-    prod <<= m0
-    m |= prod
+        if j == 2:
+            np.bitwise_and(col, _LOW32, out=rest)
+        elif j == 3:
+            np.left_shift(col, 32, out=z)
+            rest |= z
+        col >>= 32
+    np.multiply(u, limbs[3], out=z)
+    z += row
+    z += col
 
 
 def _shortest_decimal(s):
     """Digits of `repr` for the positive float64 bit patterns in ``s.words[0]``; their exponents go to ``s.exp10``.
 
-    Ryū's d2d on uint64 arrays: digits · 10^exponent is the shortest
-    decimal inside the float's rounding interval (bounds included when
-    the mantissa is even), the nearest such one to its exact value, ties
-    to an even last digit.  The digits never end in 0: the one digit
-    shorter decimal would then lie in the interval too.  Returns the row
-    of ``s.words`` that holds them; every other row is free afterwards.
+    Dragonbox's nearest path (J. Jeon, 2020) on uint64 arrays: digits ·
+    10^exponent is the shortest decimal inside the float's rounding
+    interval (ends included when the significand is even), the nearest
+    such one to its exact value, ties to an even last digit, and it
+    never ends in 0.  One product gives z, the interval's upper end; a
+    multiple of 1000 units within the interval's width delta below it
+    is the shortest decimal, else the nearest multiple of 100 units to
+    the float is.  Where z's remainder is 0 or delta, or that nearest
+    multiple lies halfway, a second product decides, on those floats
+    alone.  Returns the row of ``s.words`` that holds the digits; every
+    other row is free afterwards.
     """
-    limbs, shift, e10, tz_mask, near_one, pow5 = _ryu_tables()
-    mv, vp, vm, low, t, a, out, index, *mul, right = s.words
-    vr, biased = mv, index.view(np.intp)
-    even, vr_zeros, vm_zeros, vp_dec, f1, f2 = s.flags[3:]
-    np.right_shift(mv, 52, out=index)
-    np.bitwise_and(mv, 1, out=t)
-    np.equal(t, 0, out=even)
-    np.bitwise_and(mv, 2**52 - 1, out=mv)
-    # the lower bound is half as far below a power of two, unless subnormal
-    np.not_equal(mv, 0, out=f1)
-    np.less_equal(biased, 1, out=f2)
-    f1 |= f2
-    np.not_equal(biased, 0, out=f2)
-    np.bitwise_or(mv, 1 << 52, out=mv, where=f2)
-    mv <<= 2
-    np.subtract(mv, 1, out=vm)
-    np.subtract(vm, 1, out=vm, where=f1)  # the lower bound, until its product
-    np.add(mv, 2, out=vp)  # the upper bound, until its product
-
-    # Is the scaled value, or its lower bound, an exact decimal?  Only for
-    # e2 < 0 with few mantissa bits set, or for e2 >= 0 with q <= 21.
-    np.take(tz_mask, biased, out=t, mode="clip")
-    t &= mv
-    np.equal(t, 0, out=vr_zeros)
-    np.take(near_one, biased, out=f2, mode="clip")
-    np.logical_and(f2, even, out=vm_zeros)
-    vm_zeros &= f1
-    np.greater(f2, even, out=vp_dec)  # near one with an odd mantissa
-    np.take(pow5, biased, out=t, mode="clip")
-    big = np.flatnonzero(t)
-    mv_big, p5, even_big = mv[big], t[big], even[big]
-    by5 = mv_big % _U64(5) == 0
-    vr_zeros[big] = by5 & (mv_big % p5 == 0)
-    vm_zeros[big] = ~by5 & even_big & (vm[big] % p5 == 0)
-    vp_dec[big] = ~by5 & ~even_big & ((mv_big + _U64(2)) % p5 == 0)
-
-    for limb, column in zip(mul, limbs):
+    phi, beta, delta, exp10, power_digits, power_exp10 = _dragonbox_tables()
+    bits, index, fc, shift, u, *limbs, row, col, rest, z = s.words
+    biased = index.view(np.intp)
+    shorter, f1 = s.flags[3:5]
+    np.right_shift(bits, 52, out=index)
+    np.bitwise_and(bits, 2**52 - 1, out=fc)
+    np.equal(fc, 0, out=f1)
+    powers = np.flatnonzero(f1)  # a zero runs through as 5e-324, so these are powers of two, inf too
+    powers = powers[biased[powers] > 1]  # 2^-1022's interval is even
+    np.not_equal(index, 0, out=f1)
+    np.bitwise_or(fc, 1 << 52, out=fc, where=f1)
+    np.take(beta, biased, out=shift, mode="clip")
+    np.take(exp10, biased, out=s.exp10, mode="clip")
+    for limb, column in zip(limbs, phi):
         np.take(column, biased, out=limb, mode="clip")
-    np.take(shift, biased, out=right, mode="clip")
-    np.take(e10, biased, out=s.exp10, mode="clip")
-    for m in (vr, vp, vm):
-        _mul_shift(m, mul, right, (low, t, a, out, index))
-    np.subtract(vp, 1, out=vp, where=vp_dec)
+    np.left_shift(fc, 1, out=u)
+    u |= 1
+    u <<= shift
+    _wide_product(u, limbs, z, rest, (bits, row, col))
 
-    # Remove the most digits k with vp // 10^k > vm // 10^k.  Any k with
-    # 10^k <= vp - vm qualifies, so start at the largest such k.
-    np.subtract(vp, vm, out=t)
-    removed = mul[0].view(np.intp)
-    _decimal_length(t, removed, mul[1], f1)
-    removed -= 1
-    np.maximum(removed, 0, out=removed)
-    np.take(_POW10, removed, out=t, mode="clip")
-    np.floor_divide(vp, t, out=vp)
-    np.floor_divide(vm, t, out=low)
-    # One more digit goes wherever the next quotients still differ: in
-    # place while many floats need it, then on the few left.
-    while True:
-        np.floor_divide(vp, 10, out=t)
-        np.floor_divide(low, 10, out=a)
-        np.greater(t, a, out=f1)
-        if np.count_nonzero(f1) <= s.size // 16:
-            break
-        np.copyto(vp, t, where=f1)
-        np.copyto(low, a, where=f1)
-        np.add(removed, 1, out=removed, where=f1)
+    def below(more, offset):
+        """Bit 128 of ((2f_c - offset) · 2^beta) · phi for the floats `more`, and whether its bits 64..127 are 0."""
+        u, z, rest, *temps = np.empty((6, more.size), dtype=_U64)
+        np.left_shift(fc[more], 1, out=u)
+        u -= _U64(offset)
+        u <<= shift[more]
+        _wide_product(u, phi[:, biased[more]], z, rest, temps)
+        return z & _U64(1) == 1, rest == 0
+
+    # z = 1000·sig + r: sig·10^(3-k) is the shortest decimal if it lies in the interval
+    sig, r, width, dist = limbs
+    np.floor_divide(z, 1000, out=sig)
+    np.multiply(sig, 1000, out=r)
+    np.subtract(z, r, out=r)
+    np.take(delta, biased, out=width, mode="clip")
+    np.less(r, width, out=shorter)
+    # an exact upper end is outside the interval for an odd significand, and sig one too high
+    np.equal(r, 0, out=f1)
     more = np.flatnonzero(f1)
-    while more.size:
-        vp[more] //= 10
-        low[more] //= 10
-        removed[more] += 1
-        more = more[vp[more] // 10 > low[more] // 10]
-    # where the lower bound is an exact decimal, its trailing zeros go too
-    more = np.flatnonzero(vm_zeros)
-    vm_zeros[more] = low[more] * _POW10[removed[more]] == vm[more]
-    more = more[vm_zeros[more]]
-    more = more[low[more] // 10 * 10 == low[more]]
-    while more.size:
-        low[more] //= 10
-        removed[more] += 1
-        more = more[low[more] // 10 * 10 == low[more]]
-
-    # round vr to the last kept digit, an exact half to even
-    np.subtract(removed, 1, out=biased)
-    np.take(_POW10, biased, out=t, mode="clip")  # 10^(removed - 1), 1 where none is
-    np.floor_divide(vr, t, out=a)
-    np.multiply(a, t, out=t)
-    np.equal(t, vr, out=f1)
-    vr_zeros &= f1
-    np.floor_divide(a, 10, out=out)
-    np.multiply(out, 10, out=t)
-    a -= t  # the last digit removed
-    np.equal(removed, 0, out=f1)
-    np.copyto(out, vr, where=f1)
-    np.copyto(a, 0, where=f1)
-    np.bitwise_and(out, 1, out=t)
-    np.equal(t, 0, out=f1)
-    f1 &= vr_zeros  # an exact half rounds down to an even digit
-    np.equal(a, 5, out=f2)
-    np.greater(f2, f1, out=f2)
-    np.greater(a, 5, out=f1)
-    f1 |= f2
-    np.equal(out, low, out=f2)
-    vm_zeros &= even
-    np.greater(f2, vm_zeros, out=f2)  # at the lower bound, which is not in the interval
-    f1 |= f2
-    np.add(out, 1, out=out, where=f1)
-    np.add(s.exp10, removed, out=s.exp10, casting="unsafe")
+    more = more[(rest[more] == 0) & (fc[more] & _U64(1) == 1)]
+    sig[more] -= _U64(1)
+    r[more] = 1000
+    shorter[more] = False
+    # r = delta puts sig within a unit of the lower end: the lower end's product tells on which side
+    np.equal(r, width, out=f1)
+    more = np.flatnonzero(f1)
+    parity, exact = below(more, 1)
+    shorter[more] = parity | (exact & (fc[more] & _U64(1) == 0))
+    # else one more digit: the multiple of 100 units nearest to the float, z - delta/2
+    np.right_shift(width, 1, out=dist)
+    np.subtract(r, dist, out=dist)
+    dist += _U64(50)
+    np.floor_divide(dist, 100, out=row)
+    out = z
+    np.multiply(sig, 10, out=out)
+    out += row
+    np.putmask(out, shorter, sig)
+    np.add(s.exp10, shorter, out=s.exp10, casting="unsafe")
+    # dist is rounded from an approximation: where it is a multiple of 100, the
+    # float's own product tells whether it came out one too high, or halfway (to even)
+    row *= _U64(100)
+    np.equal(row, dist, out=f1)
+    np.greater(f1, shorter, out=f1)
+    more = np.flatnonzero(f1)
+    parity, exact = below(more, 0)
+    odd = out[more] & _U64(1) == 1
+    out[more] -= (parity != ((dist[more] ^ _U64(50)) & _U64(1) == 1)) | (odd & exact)
+    # sig may end in zeros
+    np.floor_divide(out, 10, out=row)
+    row *= _U64(10)
+    np.equal(row, out, out=f1)
+    more = np.flatnonzero(f1)
+    for power in (8, 4, 2, 1):
+        zeros = more[out[more] % _U64(10**power) == 0]
+        out[zeros] //= _U64(10**power)
+        s.exp10[zeros] += power
+    out[powers] = power_digits[biased[powers]]
+    s.exp10[powers] = power_exp10[biased[powers]]
     return out
 
 
@@ -394,7 +387,7 @@ def _repr_slots(x, s=None):
         s = _Scratch(n)
     words, slots, exp10, significant = s.words, s.slots, s.exp10, s.significant
     nan, inf, zero = s.flags[:3]
-    f1, f2 = s.flags[7:]
+    f1, f2 = s.flags[5:]
     values = words[0].view(np.float64)
     np.copyto(values[:n].reshape(x.shape), x)
     values[n:] = 0.0
@@ -500,6 +493,17 @@ def _positional(slots, columns, padded, s):
     slots[:, columns] = out
 
 
+def _node_slots(nodes):
+    """`repr` of each of `nodes`, left-aligned and NUL-padded in a (nodes.size, width) uint8 array as wide as the longest.
+
+    Every long-form line holds a q and a p node, so each byte of a slot
+    narrower than 24 is one byte less a line for the NUL deletion to read.
+    """
+    texts = [cell.tobytes().translate(None, b"\0") for cell in _repr_slots(nodes).T]
+    width = max(map(len, texts), default=0)
+    return np.frombuffer(b"".join(text.ljust(width, b"\0") for text in texts), dtype=np.uint8).reshape(len(texts), width)
+
+
 def _geometry(n_q: int):
     """(rows a record, rows a block) of a field with `n_q` columns: a block is a whole number of records, at least one row each."""
     rows = max(1, _RECORD_CELLS // max(n_q, 1))
@@ -518,10 +522,11 @@ def write_field_csv(path, meta: dict, q_nodes, p_nodes, w, matrix: bool = False)
         if values.dtype.kind not in "biuf":
             raise ValueError(f"expected real {name}, got dtype {values.dtype}")
     n_p, n_q = w.shape
-    q_slots, p_slots = _repr_slots(q_nodes).T, _repr_slots(p_nodes).T
+    q_slots, p_slots = _node_slots(q_nodes), _node_slots(p_nodes)
+    q_width, p_width = q_slots.shape[1], p_slots.shape[1]
     rows, block = _geometry(n_q)
     scratch = _Scratch(block * n_q)
-    shape = (rows, n_q + 2, _SLOT + 1) if matrix else (rows, n_q, 3 * _SLOT + 4)
+    shape = (rows, n_q + 2, _SLOT + 1) if matrix else (rows, n_q, q_width + p_width + _SLOT + 4)
     buf = bytearray(math.prod(shape))
     record = np.frombuffer(buf, dtype=np.uint8).reshape(shape)
     if matrix:
@@ -529,14 +534,15 @@ def write_field_csv(path, meta: dict, q_nodes, p_nodes, w, matrix: bool = False)
         # the p slot, then a ',' and a W slot per q node, then CRLF
         record[:, 1:, 0] = ord(",")
         record[:, -1, :2] = _CRLF
-        p_part, w_part = record[:, :1, :_SLOT], record[:, 1:-1, 1:]
-        header = ["p\\q", *(cell.tobytes().translate(None, b"\0").decode("ascii") for cell in q_slots)]
+        p_part, w_part = record[:, :1, :p_width], record[:, 1:-1, 1:]
+        header = ["p\\q", *(cell.tobytes().rstrip(b"\0").decode("ascii") for cell in q_slots)]
     else:
         # one line per grid point: q slot, ',', p slot, ',', W slot, CRLF
-        record[:, :, :_SLOT] = q_slots
-        record[:, :, [_SLOT, 2 * _SLOT + 1]] = ord(",")
+        record[:, :, :q_width] = q_slots
+        record[:, :, [q_width, q_width + p_width + 1]] = ord(",")
         record[:, :, -2:] = _CRLF
-        p_part, w_part = record[:, :, _SLOT + 1 : 2 * _SLOT + 1], record[:, :, 2 * _SLOT + 2 : -2]
+        p_part = record[:, :, q_width + 1 : q_width + p_width + 1]
+        w_part = record[:, :, q_width + p_width + 2 : -2]
         header = ["q", "p", "W"]
     # text mode would have encoded the head in the locale's encoding
     head = _head(meta, header).encode(locale.getpreferredencoding(False))

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -764,6 +765,91 @@ def test_repr_kernel_matches_repr_on_powers_and_form_bounds():
     assert _kernel_texts(values) == [repr(v) for v in values.tolist()]
 
 
+def _dragonbox_path(bits):
+    """The rare path of Dragonbox's nearest algorithm that the positive float with these bits takes, or None.
+
+    Worked out with exact integers, apart from the kernel: everything is
+    in units of 10^-k / d, where the float is f_c · 2^e, k = 2 -
+    floor(e·log10 2) and d clears the denominators of 2^(e-1)·10^k, so
+    that z = floor(upper / d) is the upper end of the rounding interval
+    and delta = floor(2·half / d) its width in units of 10^-k.
+    """
+    biased, mantissa = bits >> 52, bits & (2**52 - 1)
+    if biased == 0:
+        return "subnormal"
+    if mantissa == 0:
+        return "power-of-two"
+    fc, e = mantissa | 1 << 52, biased - 1075
+    k = 2 - (len(str(2**e)) - 1 if e >= 0 else -len(str(2**-e)))  # 2^|e| is never a power of ten
+    half, d = 2 ** max(e - 1, 0) * 10 ** max(k, 0), 2 ** max(1 - e, 0) * 10 ** max(-k, 0)
+    upper, width = (2 * fc + 1) * half, 2 * half
+    delta = width // d
+    sig, r = divmod(upper // d, 1000)
+    path = None
+    if r == 0 and upper % d == 0 and fc % 2:
+        path, sig, r = "upper-end-excluded", sig - 1, 1000
+    elif r == delta:  # the multiple of 1000 below z is within a unit of the lower end
+        inside = width % d > upper % d or (width % d == upper % d and fc % 2 == 0)
+        if inside:
+            return "lower-end-inside"
+        path = "lower-end-outside"
+    elif r < delta:
+        return "shorter-trailing-zeros" if sig % 10 == 0 else None
+    dist = r - delta // 2 + 50
+    if dist % 100 or path:
+        return path
+    nearest, rest = divmod(2 * fc * half + 50 * d, 100 * d)  # the float in units of 10^(2-k), plus a half
+    if 10 * sig + dist // 100 != nearest:
+        return "parity-correction"
+    return "tie" if rest == 0 else None
+
+
+@functools.cache
+def _rare_path_values():
+    """Floats by the rare Dragonbox path they take: runs of consecutive significands at
+    exponents spread over the range (where z's remainder meets 0 or delta, and where the
+    nearest hundred lies exactly halfway), every power of two, subnormals, and short
+    decimals of 1..17 digits at every decimal exponent, each one ulp either side too."""
+    rng = np.random.default_rng(20020206)
+    runs = [
+        start + np.arange(1500, dtype=np.uint64)
+        for biased in (0, 1, 2, 300, 700, 1000, 1071, 1072, 1073, 1076, 1077, 1080, 1300, 1700, 2046)
+        for start in [np.uint64(biased << 52) + rng.integers(0, 2**52 - 1500, dtype=np.uint64)]
+    ]
+    digits = "12345678901234567"
+    short = np.array([float(f"{digits[:n]}e{x}") for n in range(1, 18) for x in range(-324 - n, 309 - n)])
+    short = short[(short > 0) & (short < np.inf)]
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    subnormal = np.array([1, 2, 3, 2**52 - 1, 2**51], dtype=np.uint64).view(np.float64)
+    values = np.concatenate([*(run.view(np.float64) for run in runs), powers, subnormal, short])
+    values = np.unique(np.concatenate([np.nextafter(values, 0.0), values, np.nextafter(values, np.inf)]))
+    paths = {}
+    for bits, value in zip(values.view(np.uint64).tolist(), values.tolist()):
+        paths.setdefault(_dragonbox_path(bits), []).append(value)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "upper-end-excluded",
+        "lower-end-inside",
+        "lower-end-outside",
+        "parity-correction",
+        "tie",
+        "shorter-trailing-zeros",
+        "power-of-two",
+        "subnormal",
+    ],
+)
+def test_repr_kernel_on_rare_paths(path):
+    # each correction of Dragonbox's nearest path, the power-of-two table
+    # and the subnormals, on floats picked with exact integers to take it
+    values = _rare_path_values()[path]
+    assert len(values) >= 10
+    assert _kernel_texts(values) == [repr(v) for v in values]
+
+
 def _memory_field(kind, shape):
     """A field of positional, integer or mixed values; the mixed one is mostly positional, with some
     exponent-form values and, in every seventh cell, inf, -inf, NaN or -0.0."""
@@ -787,17 +873,18 @@ _MEMORY_CASES = [pytest.param("fig1", False, id="long"), pytest.param("fig1", Tr
 @pytest.mark.parametrize("kind, matrix", _MEMORY_CASES)
 def test_field_writer_memory_stays_linear(tmp_path, kind, matrix):
     # the writer formats one block of momentum rows (8192 cells) at a time
-    # in one scratch set of 140 bytes a cell, ~1.15 MB, allocated per write,
-    # and lays out 2048 cells at a time in one record, ~0.3 MB with its
-    # NUL-free copy in long form; the peak does not depend on the values
-    # (fig1's are 97 % exponent form). Ryū's tables are cleared first, so
-    # every case measures a process's first write, which also builds them
-    # (~0.17 MB). The whole n = 512 field as a list of Python floats alone
-    # takes ~8 MB
+    # in one scratch set of 138 bytes a cell, ~1.13 MB, allocated per write,
+    # and lays out 2048 cells at a time in one record, ~0.25 MB with its
+    # NUL-free copy in long form. The values move the peak only by the
+    # index arrays of the floats whose digits end in zeros: ~0.13 MB for a
+    # field of integers, next to none for fig1's (97 % exponent form).
+    # Dragonbox's tables are cleared first, so every case measures a
+    # process's first write, which also builds them (~0.13 MB kept). The
+    # whole n = 512 field as a list of Python floats alone takes ~8 MB
     w, ps, _ = run_wigner(8.0)
     if kind != "fig1":
         w = _memory_field(kind, w.shape)
-    tables._ryu_tables.cache_clear()
+    tables._dragonbox_tables.cache_clear()
     tables._quads.cache_clear()
     tracemalloc.start()
     try:

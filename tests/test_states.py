@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fvps
 from fvps import (
     ChargeBranchState,
     CoherentSpec,
@@ -27,6 +33,28 @@ from fvps.rotator import RotatorModel
 
 
 class TestGaussianState:
+    def test_leaves_numpy_polynomial_unloaded(self):
+        # the packet is H_0 times a Gaussian: a fresh process that builds
+        # one must not pay for importing numpy.polynomial
+        code = (
+            "import sys; from fvps import MomentumGrid, gaussian_state; gaussian_state(MomentumGrid(256, 12.0), sigma=1.0); "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(fvps.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    def test_ground_state_matches_hermval(self):
+        # n = 0 skips hermval; the packet is bit for bit the one built with it
+        grid = MomentumGrid(256, 12.0)
+        p = grid.nodes
+        want = np.polynomial.hermite.hermval(0.7 * (p - 0.4), [1.0]) * np.exp(
+            -(0.7**2) * (p - 0.4) ** 2 / 2.0 - 1j * -1.3 * p
+        )
+        got = displaced_number_state(0, grid, 0.7, q_bar=-1.3, p_bar=0.4).phi_plus
+        assert got.tobytes() == (want / np.sqrt(quadrature(np.abs(want) ** 2, grid).real)).tobytes()
+
     def test_lambda8_momentum_width(self):
         grid = MomentumGrid(512, 60.0)
         st = gaussian_state(grid, lam=8.0)

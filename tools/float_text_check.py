@@ -9,8 +9,10 @@ below and above, and with both signs:
   * 10^k for every decimal exponent of the float range;
   * the bounds of `repr`'s positional form: 1e-05 and 0.0001 (exponent
     -5 and -4), 9999999999999998.0 and 1e16 (exponent 15 and 16);
-  * the positional form itself: for each decimal exponent -4..15, a
-    value with each count of significant digits 1..17;
+  * short decimals: for every decimal exponent of the float range, the
+    positional form's -4..15 among them, a value with each count of
+    significant digits 1..17, whose shortest digits come out of the
+    kernel's product with trailing zeros;
 
 then N random 64-bit patterns from a seeded generator (NaN and the
 infinities included).  The families and every 16th chunk of patterns
@@ -26,6 +28,7 @@ Prints the count of values checked and the first mismatches, and exits
 
 import argparse
 import itertools
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -45,8 +48,9 @@ def families():
     """The family values, their one-ulp neighbours and their negatives."""
     powers = [2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)]
     digits = "12345678912345678"  # no zero, so that each prefix keeps all its digits
-    positional = [float(f"{digits[:k]}e{sci - k + 1}") for sci in range(-4, 16) for k in range(1, 18)]
-    base = np.array(powers + [1e-05, 0.0001, 9999999999999998.0, 1e16] + positional)
+    short = [float(f"{digits[:k]}e{sci - k + 1}") for sci in range(-324, 309) for k in range(1, 18)]
+    short = [value for value in short if 0.0 < value < math.inf]
+    base = np.array(powers + [1e-05, 0.0001, 9999999999999998.0, 1e16] + short)
     near = np.concatenate([np.nextafter(base, 0.0), base, np.nextafter(base, np.inf)])
     return np.concatenate([near, -near])
 
