@@ -8,7 +8,11 @@ randomness).  Every run with --out writes a JSON provenance sidecar
 holding the resolved configuration, package version, and the tolerances
 it applied.
 
-argparse makes every command-line decision.  A `--config` file, given
+argparse makes every command-line decision.  The command parser and the
+`--config` pre-parser are built once per process, on the first `main`
+call (`_parsers`), not at import, and bind the `_cmd_*` handlers then.
+A handler looks up its `run_*` function when it runs, so a `cli.run_*`
+replaced later (as tests do) still takes effect.  A `--config` file, given
 before the command, stands for the flags its keys name; they are put
 right after the command, so any flag on the command line comes later and
 wins.  `wigner` and `evolve` build their packet and its field with one
@@ -35,6 +39,7 @@ An error raised by the package never ends in a traceback.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -123,7 +128,8 @@ def run_evolve_check(lam: float, t: float, n_points: int = 512) -> float:
     w_prop = evolve_even(w0, energy, t, ps)
     phi_t = state.phi_plus * np.exp(-1j * energy(state.grid.nodes) * t)
     w_wave = wigner_even(ChargeBranchState(state.grid, phi_plus=phi_t), +1, ps)
-    return float(np.abs(w_prop - w_wave).max())
+    np.subtract(w_prop, w_wave, out=w_prop)
+    return float(np.abs(w_prop, out=w_prop).max())
 
 
 def effective_mass_ratio(lam: float, p_bar: float = 0.02, n_points: int = 512) -> float:
@@ -372,17 +378,26 @@ def _config_flags(command: argparse.ArgumentParser, path) -> list:
     return added
 
 
-def _with_config(parser: argparse.ArgumentParser, argv: list) -> list:
-    """argv with the --config file's flags inserted right after the command.
-
-    --config is read where `parser` accepts it, before the command, so an
-    option after the command (`evolve --c` abbreviates --check) is never
-    taken for it.  argparse keeps the last occurrence of a flag, so every
-    flag given on the command line, abbreviated or not, beats the file.
-    """
+@functools.cache
+def _parsers():
+    """The command parser and the --config pre-parser, built on the first call and kept for the process."""
+    parser = build_parser()
     pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
     pre.add_argument("--config")
     pre.add_argument("rest", nargs=argparse.REMAINDER)
+    return parser, pre
+
+
+def _with_config(argv: list) -> list:
+    """argv with the --config file's flags inserted right after the command.
+
+    --config is read where the command parser accepts it, before the
+    command, so an option after the command (`evolve --c` abbreviates
+    --check) is never taken for it.  argparse keeps the last occurrence of
+    a flag, so every flag given on the command line, abbreviated or not,
+    beats the file.
+    """
+    parser, pre = _parsers()
     known, _ = pre.parse_known_args(argv)
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command = sub.choices.get(known.rest[0]) if known.rest else None
@@ -394,10 +409,8 @@ def _with_config(parser: argparse.ArgumentParser, argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _with_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parsers()[0].parse_args(_with_config(argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     except (OSError, ValueError) as exc:

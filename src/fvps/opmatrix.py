@@ -55,6 +55,7 @@ from .grids import NATURAL, MomentumGrid, PhaseSpaceGrid, UnitSystem, centred_df
 from .spectrum import EnergyModel, chi_from_energies, energy, eps_from_energies
 
 MAX_DOUBLED_DIM = 2048
+_CHECK_ROWS = 32  # kernel rows per block of `kernel_relation_check`'s elementwise stage
 
 TAU1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -334,18 +335,27 @@ def kernel_relation_check(
     vecs, w = _branch_pairs(_mode_blocks(h))
     _require_sign_gap(w)
     energies = w[0].real
-    eps = eps_from_energies(energies[:, None], energies[None, :])
-    chi = chi_from_energies(energies[:, None], energies[None, :])
 
     # O = 1 (x) K has the (j, k) charge block K_jk, and Lambda_j is +1 on
     # the + branch 2-vector u_j of mode j and -1 on the - one, v_j.  Since
     # (eta u_j)^dag Lambda_j = (eta u_j)^dag, the even part reduces to
-    # K_jk (eta u_j)^dag u_k and the odd part to K_jk (eta u_j)^dag v_k
+    # K_jk (eta u_j)^dag u_k and the odd part to K_jk (eta u_j)^dag v_k.
+    # The rest is elementwise, so it runs on blocks of rows j, each with
+    # only (rows, M) temporaries; np.max over the blocks' maxima keeps a
+    # NaN, as the maximum over the whole array does
     left = vecs[0].conj() * charge_metric(1)
-    even_red, odd_red = kernel * (left @ vecs.transpose(0, 2, 1))
-    even_dev = float(np.abs(even_red - eps * kernel).max())
-    odd_dev = float(np.abs(odd_red - chi * kernel).max())
-    return KernelRelationReport(even_dev, odd_dev, tolerance)
+    products = left @ vecs.transpose(0, 2, 1)
+    devs = []
+    for start in range(0, m, _CHECK_ROWS):
+        rows = slice(start, start + _CHECK_ROWS)
+        k, e = kernel[rows], energies[rows, None]
+        even_red, odd_red = k * products[:, rows]
+        devs.append((
+            np.abs(even_red - eps_from_energies(e, energies) * k).max(),
+            np.abs(odd_red - chi_from_energies(e, energies) * k).max(),
+        ))
+    even_dev, odd_dev = np.max(devs, axis=0)
+    return KernelRelationReport(float(even_dev), float(odd_dev), tolerance)
 
 
 # ---------------------------------------------------------------------------

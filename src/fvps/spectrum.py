@@ -66,7 +66,11 @@ class EnergyModel:
 
 def energy(p, units: UnitSystem = NATURAL):
     """Free-particle energy sqrt(m^2 c^4 + c^2 p^2); even and >= m c^2."""
-    p = np.asarray(p, dtype=float)
+    return _energy(np.asarray(p, dtype=float), units)
+
+
+def _energy(p, units: UnitSystem):
+    """`energy` of a float array, for worker threads, which call no public function."""
     return np.hypot(units.mc2, units.c * p)
 
 

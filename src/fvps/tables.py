@@ -493,15 +493,20 @@ def _positional(slots, columns, padded, s):
     slots[:, columns] = out
 
 
-def _node_slots(nodes):
-    """`repr` of each of `nodes`, left-aligned and NUL-padded in a (nodes.size, width) uint8 array as wide as the longest.
+def _node_slots(q_nodes, p_nodes):
+    """`repr` of each q and p node, left-aligned and NUL-padded in a uint8 array per axis, as wide as its longest.
 
+    Both axes are formatted in one `_repr_slots` call, and each text is
+    moved to the front of its slot by a stable sort of its NUL mask.
     Every long-form line holds a q and a p node, so each byte of a slot
     narrower than 24 is one byte less a line for the NUL deletion to read.
     """
-    texts = [cell.tobytes().translate(None, b"\0") for cell in _repr_slots(nodes).T]
-    width = max(map(len, texts), default=0)
-    return np.frombuffer(b"".join(text.ljust(width, b"\0") for text in texts), dtype=np.uint8).reshape(len(texts), width)
+    nodes = np.concatenate([q_nodes, p_nodes], dtype=np.float64)
+    cells = _repr_slots(nodes).T
+    texts = np.take_along_axis(cells, np.argsort(cells == 0, axis=1, kind="stable"), axis=1)
+    lengths = np.count_nonzero(cells, axis=1)
+    q = q_nodes.size
+    return texts[:q, : lengths[:q].max(initial=0)], texts[q:, : lengths[q:].max(initial=0)]
 
 
 def _geometry(n_q: int):
@@ -522,7 +527,7 @@ def write_field_csv(path, meta: dict, q_nodes, p_nodes, w, matrix: bool = False)
         if values.dtype.kind not in "biuf":
             raise ValueError(f"expected real {name}, got dtype {values.dtype}")
     n_p, n_q = w.shape
-    q_slots, p_slots = _node_slots(q_nodes), _node_slots(p_nodes)
+    q_slots, p_slots = _node_slots(q_nodes, p_nodes)
     q_width, p_width = q_slots.shape[1], p_slots.shape[1]
     rows, block = _geometry(n_q)
     scratch = _Scratch(block * n_q)

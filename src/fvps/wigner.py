@@ -63,7 +63,7 @@ from .grids import (
     half_step_lattice,
     phase_space_quadrature,
 )
-from .spectrum import energy, eps_factor
+from .spectrum import _energy, energy, eps_factor
 from .states import ChargeBranchState
 
 EPS_RELATIVISTIC = "relativistic"
@@ -392,9 +392,9 @@ def purity_check(
     maxima of |K|, and the stencils transform the box's rows again, one
     block at a time.  Only the stencils centred at j >= 0 are evaluated,
     so only that half of the box, with the 8 columns of halo below j = 0
-    they reach, is ever built.  The blocks run on worker threads; the
-    right-hand side, which calls `spectrum.energy`, is formed on the
-    calling thread once they are done.  Each point at j > 0 also
+    they reach, is ever built.  The blocks run on worker threads, each
+    forming its own right-hand side through the private `_energy` and
+    handing back only its maxima and point count.  Each point at j > 0 also
     stands for its mirror -j, by three rules that keep every report
     field bit-identical to the whole window's: ln|K|, the window mask
     and the left side are the same bits at -j (its sums only trade
@@ -459,7 +459,7 @@ def purity_check(
         return ((c_plus + c_minus) - (j_plus + j_minus)) / (4.0 * (step * dp) ** 2)
 
     def windowed(blocks):
-        """Per block with a windowed stencil: lhs, p1 and p2 there, max |lhs|, max phase curvature, points."""
+        """Per block with a windowed stencil: max |lhs - rhs|, max |lhs|, max |rhs|, max phase curvature, points."""
         found = []
         for rows in blocks:
             # the j >= 0 half of the box and the 2 edge columns of halo its
@@ -499,20 +499,18 @@ def purity_check(
             phase_curv = np.abs(np.angle(phases) / (4.0 * (s * dp) ** 2))
             # lhs and the window are symmetric in j, so each j > 0 point counts twice
             points = mask.sum() + mask[:, 1:].sum()
-            found.append((lhs, centre + half, centre - half, np.abs(lhs).max(), phase_curv.max(), points))
+            # the right-hand side: purity_rhs at (p1, p2) for +j and at (p2, p1)
+            # for -j, whose numerators may round differently, over one E1, E2
+            # and denominator
+            p1, p2 = centre + half, centre - half
+            e1, e2 = _energy(p1, units), _energy(p2, units)
+            rhs = np.stack([-(units.c**4) * p1 * p2, -(units.c**4) * p2 * p1]) / (e1 * e2 * (e1 + e2) ** 2)
+            found.append((np.abs(lhs - rhs).max(), np.abs(lhs).max(), np.abs(rhs).max(), phase_curv.max(), points))
         return found
 
     # a box without an interior offset column has no stencil centre at all
     interior = box.stop - box.start - 2 * edge if j_max >= 2 * edge else 0
-    stripes = _run_row_blocks(windowed, max(interior, 0), half_n + 1)
-    stats = []
-    for lhs, p1, p2, max_lhs, phase_curvature_max, points in (found for stripe in stripes for found in stripe):
-        # the right-hand side, on the calling thread: purity_rhs at (p1, p2)
-        # for +j and at (p2, p1) for -j, whose numerators may round
-        # differently, over one E1, E2 and denominator
-        e1, e2 = energy(p1, units), energy(p2, units)
-        rhs = np.stack([-(units.c**4) * p1 * p2, -(units.c**4) * p2 * p1]) / (e1 * e2 * (e1 + e2) ** 2)
-        stats.append((np.abs(lhs - rhs).max(), max_lhs, np.abs(rhs).max(), phase_curvature_max, points))
+    stats = [found for stripe in _run_row_blocks(windowed, max(interior, 0), half_n + 1) for found in stripe]
     if not stats:
         raise ValueError(
             "kernel magnitude below the window floor everywhere; "

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import functools
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvps import (
+    ChargeBranchState,
     PhaseSpaceGrid,
     cli,
     energy,
@@ -169,6 +171,17 @@ class TestEvolveCommand:
         monkeypatch.setattr(cli, "run_evolve_check", lambda *args, **kwargs: float("nan"))
         assert main(["evolve", "--lambda", "2", "--t", "5", "--check"]) == EXIT_TOLERANCE
         assert "FAIL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", [1.0, 5.0])
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 4.0])
+    def test_deviation_matches_out_of_place_formula(self, lam, t):
+        # the deviation is formed in place, by the same subtraction,
+        # absolute value and maximum as this out-of-place formula
+        state, ps, w0 = cli._packet(lam, 512, wigner.EPS_RELATIVISTIC)
+        w_prop = moyal.evolve_even(w0, energy, t, ps)
+        phi_t = state.phi_plus * np.exp(-1j * energy(state.grid.nodes) * t)
+        w_wave = wigner.wigner_even(ChargeBranchState(state.grid, phi_plus=phi_t), +1, ps)
+        assert cli.run_evolve_check(lam, t).hex() == float(np.abs(w_prop - w_wave).max()).hex()
 
 
 def _drift_mass_ratio(lam, p_bar=0.02, t=2.0, n_points=512):
@@ -400,6 +413,68 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "config error" in err and "matrix" in err
         assert not (tmp_path / "w.csv").exists()
+
+
+class TestParsersOncePerProcess:
+    def test_second_call_builds_no_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._parsers.cache_clear()
+        argv = ["factors", "--p1", "0", "--p2", "1"]
+        assert main(argv) == EXIT_OK
+        assert built
+        built.clear()
+        assert main(argv) == EXIT_OK
+        assert main(["--config", "absent.cfg", "factors"]) == EXIT_CONFIG
+        assert built == []
+
+    def test_build_parser_returns_a_new_parser(self):
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert cli._parsers()[0] is not first and cli._parsers()[0] is cli._parsers()[0]
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        # a bad command line, a --config run, the same command without
+        # --config and an evolve --check, one after another in one process,
+        # each give the exit code, stdout and files of a fresh process
+        runs = [
+            ["evolve", "--lambda", "2"],
+            ["--config", "run.cfg", "factors", "--out", "f.json"],
+            ["factors", "--p1", "0.5", "--p2", "2", "--out", "f.json"],
+            ["evolve", "--lambda", "2", "--t", "5", "--check", "--out", "e.json"],
+        ]
+        script = "import sys; from fvps.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+        def directory(name):
+            path = tmp_path / name
+            path.mkdir()
+            (path / "run.cfg").write_text("p1=0.5\np2=2\n")
+            return path
+
+        def files(path):
+            return {written.name: written.read_bytes() for written in sorted(path.iterdir())}
+
+        want = []
+        for index, argv in enumerate(runs):
+            cwd = directory(f"fresh{index}")
+            command = [sys.executable, "-c", script, *argv]
+            run = subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+            want.append((run.returncode, run.stdout, files(cwd)))
+        assert [code for code, _, _ in want] == [EXIT_CONFIG, EXIT_OK, EXIT_OK, EXIT_OK]
+        cli._parsers.cache_clear()
+        for index, argv in enumerate(runs):
+            cwd = directory(f"same{index}")
+            monkeypatch.chdir(cwd)
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                code = main(argv)
+            assert (code, stdout.getvalue(), files(cwd)) == want[index], argv
 
 
 class TestValidationPropagation:
@@ -733,6 +808,33 @@ class TestByteReferee:
         models = ("rel", "nonrel")
         _reference_entangle_csv(ref, models, penalty_curve([0.3, 1.0, 3.0], models))
         assert out.read_bytes() == ref.read_bytes()
+
+
+NODE_EDGES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324]
+    + [1e16, 9999999999999998.0, -1e-05, 0.0001, 2.2250738585072014e-308]
+)
+
+
+@pytest.mark.parametrize("axes", ["random", "edges", "empty-q", "empty-p", "both-empty"])
+def test_node_slots_match_repr(axes):
+    # both axes in one formatting call, each text left-aligned in a slot
+    # as wide as its axis's longest
+    rng = np.random.default_rng(5)
+    random = rng.standard_normal(300) * 10.0 ** rng.integers(-30, 31, 300)
+    empty = np.array([])
+    q, p = {
+        "random": (random, np.linspace(-9.0, 9.0, 256)),
+        "edges": (NODE_EDGES, NODE_EDGES[::-1]),
+        "empty-q": (empty, NODE_EDGES),
+        "empty-p": (NODE_EDGES, empty),
+        "both-empty": (empty, empty),
+    }[axes]
+    for slots, nodes in zip(tables._node_slots(q, p), (q, p)):
+        texts = [repr(float(x)).encode() for x in nodes]
+        width = max(map(len, texts), default=0)
+        assert slots.shape == (len(texts), width)
+        assert [row.tobytes() for row in slots] == [text.ljust(width, b"\0") for text in texts]
 
 
 def _kernel_texts(values):

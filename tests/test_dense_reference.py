@@ -55,7 +55,9 @@ split in `test_opmatrix.py` and holding the coupling norm in
 refereed by the dense (2M)^2 path it replaced (`dense_kernel_relation`:
 `sign_operator`, `even_part`, `branch_reduce` and the complement O - even):
 on free and magnetic Hamiltonians and on a shifted one where the check
-fails, both deviations must agree to 1e-12 absolute.
+fails, both deviations must agree to 1e-12 absolute.  Its elementwise
+stage runs on blocks of kernel rows, refereed bit for bit by the same
+formula on whole (M, M) arrays (`whole_array_kernel_relation`).
 
 `position_kernel`, which lays out the circulant Toeplitz matrix of one
 real FFT of the q nodes, is refereed by the dense F^-1 diag(q) F product
@@ -121,7 +123,8 @@ from fvps.spectrum import landau_energy
 from fvps.states import rotator_coherent_state
 from fvps.moyal import _q_mode_blocks, moyal_bracket, poisson_bracket, propagator_phases, star_product
 from fvps.grids import half_step_lattice
-from fvps.opmatrix import OperatorMatrix, _mode_blocks
+from fvps.opmatrix import KernelRelationReport, OperatorMatrix, _branch_pairs, _mode_blocks, _require_sign_gap
+from fvps.spectrum import _energy as spectrum_energy
 from fvps.spectrum import chi_from_energies, eps_from_energies
 from fvps import grids as grids_module
 from fvps import opmatrix as opmatrix_module
@@ -700,16 +703,17 @@ def test_mirrored_purity_check_matches_full_array_off_natural_units(n, centres):
 def test_purity_check_evaluates_the_energy_on_half_its_window(monkeypatch):
     # each window point at j > 0 is mirrored to -j, so E is evaluated at
     # the pair momenta of the j >= 0 points only: window_points plus the
-    # j = 0 points, at most one per momentum row
+    # j = 0 points, at most one per momentum row; the row-block workers
+    # evaluate it through the private `_energy`
     ps = PhaseSpaceGrid.conjugate(packet_grid(1.0, n_points=512))
     w = wigner_even(gaussian_state(ps.momentum, lam=1.0, q_bar=0.3), +1, ps)
     evaluated = []
 
-    def counted_energy(p, units=NATURAL):
+    def counted_energy(p, units):
         evaluated.append(np.size(p))
-        return energy(p, units)
+        return spectrum_energy(p, units)
 
-    monkeypatch.setattr(wigner_module, "energy", counted_energy)
+    monkeypatch.setattr(wigner_module, "_energy", counted_energy)
     report = purity_check(w, ps)
     assert report.window_points <= sum(evaluated) <= report.window_points + ps.momentum.n_points
     assert report.window_points > 10 * ps.momentum.n_points
@@ -812,6 +816,49 @@ def test_kernel_relation_check_fails_on_shifted_energies():
     assert min(rep.even_deviation, rep.odd_deviation) > 1e-3
     assert abs(rep.even_deviation - even_dev) <= 1e-12
     assert abs(rep.odd_deviation - odd_dev) <= 1e-12
+
+
+def whole_array_kernel_relation(kernel: np.ndarray, h: OperatorMatrix) -> KernelRelationReport:
+    """`kernel_relation_check` on (M, M) arrays whole: eps, chi, both reductions and deviations at once."""
+    vecs, w = _branch_pairs(_mode_blocks(h))
+    _require_sign_gap(w)
+    energies = w[0].real
+    eps = eps_from_energies(energies[:, None], energies[None, :])
+    chi = chi_from_energies(energies[:, None], energies[None, :])
+    left = vecs[0].conj() * charge_metric(1)
+    even_red, odd_red = kernel * (left @ vecs.transpose(0, 2, 1))
+    return KernelRelationReport(
+        float(np.abs(even_red - eps * kernel).max()), float(np.abs(odd_red - chi * kernel).max()), 1e-8
+    )
+
+
+@pytest.mark.parametrize(
+    "build, args", [(free_position_case, (m, 12.0)) for m in (16, 64, 256)] + [(landau_ladder_case, (100,))],
+    ids=["free-16", "free-64", "free-256", "landau-100"],
+)
+def test_kernel_relation_check_matches_whole_arrays_bit_for_bit(build, args):
+    # the check runs its elementwise stage on blocks of 32 kernel rows
+    # (M = 100 leaves a ragged last block); each deviation is the maximum
+    # of the same elementwise values, so the report is the same bits: for
+    # the case's kernel, for a random kernel under a shifted H, which
+    # fails, and for the identity under H - 1.5, whose + branch energies
+    # have mixed signs, so sqrt(E_j E_k) is NaN off the diagonal of every
+    # block and both deviations must read NaN and fail, not drop it
+    kernel, h = build(*args)
+    m = h.n_modes
+    rng = np.random.default_rng(m)
+    noise = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    shifted = OperatorMatrix(h.mat + 0.3 * np.eye(2 * m), h.basis)
+    mixed = OperatorMatrix(h.mat - 1.5 * np.eye(2 * m), h.basis)
+    with np.errstate(invalid="ignore"):
+        for k, hamiltonian in ((kernel, h), (noise, shifted), (np.eye(m), mixed)):
+            blocked = kernel_relation_check(k, hamiltonian)
+            whole = whole_array_kernel_relation(k, hamiltonian)
+            assert [x.hex() for x in (blocked.even_deviation, blocked.odd_deviation)] == [
+                x.hex() for x in (whole.even_deviation, whole.odd_deviation)
+            ]
+    assert np.isnan(blocked.even_deviation) and np.isnan(blocked.odd_deviation)
+    assert not blocked.passed
 
 
 def dense_position_kernel(psgrid: PhaseSpaceGrid) -> np.ndarray:
