@@ -50,13 +50,15 @@ class PairState:
         return abs(self.q1 - self.q2)
 
 
+def _nodes_needed(width: float, p_max: float) -> int:
+    """The fewest nodes, a power of two, that space a grid over [-p_max, p_max] by at most width / 10."""
+    return 2 ** int(np.ceil(np.log2(20.0 * p_max / width)))
+
+
 def _pair_grid(sigma: float, units: UnitSystem) -> MomentumGrid:
     width = units.hbar / sigma
     p_max = 12.0 * max(width, units.mc)
-    n = 2048
-    while 2.0 * p_max / n > 0.1 * width and n < 2**16:
-        n *= 2
-    return MomentumGrid(n, p_max)
+    return MomentumGrid(min(max(2048, _nodes_needed(width, p_max)), 2**16), p_max)
 
 
 def _kinetic(p, model: str, units: UnitSystem):
@@ -105,7 +107,7 @@ def pair_energy(pair: PairState, model: str = "rel", units: UnitSystem = NATURAL
     grid = _pair_grid(pair.sigma, units)
     width = units.hbar / pair.sigma
     if grid.spacing > 0.1 * width:
-        needed = 2 ** int(np.ceil(np.log2(20.0 * grid.p_max / width)))
+        needed = _nodes_needed(width, grid.p_max)
         raise ResolutionError(
             f"pair grid spacing {grid.spacing:.4g} too coarse for packet of momentum width {width:.4g}; "
             f"dp <= 0.1 hbar/sigma needs {needed} nodes, the pair grid stops at {grid.n_points}"

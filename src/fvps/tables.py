@@ -20,10 +20,10 @@ once per file.  A larger block means fewer numpy calls a field (about
 to hand back to the kernel and fault in again on every block: after a
 process's first two writes a write takes no page faults.  Memory sets
 the block size: scratch set, record and its NUL-free copy peak at about
-1.5 MB at n = 512, 1.6-1.75 MB on a process's first write, which also
-builds Dragonbox's tables (the high end is a field of integers, whose
-digits all need their trailing zeros removed).
-``test_field_writer_memory_stays_linear`` clears those tables first, so
+1.5 MB at n = 512, 1.55-1.75 MB on a process's first write, which also
+builds the tables (the high end is a field of integers, whose digits
+all need their trailing zeros removed, and which holds powers of two).
+``test_field_writer_memory_stays_linear`` clears the tables first, so
 each of its cases measures a first write, and bounds it at 2e6 bytes,
 which the next whole number of records, 10240 cells, would all but
 reach.  The bytes of 2048 cells at a time are laid out in one
@@ -42,15 +42,18 @@ nearest path (J. Jeon, 2020) over arrays: one 64 x 128-bit product per
 float, of its scaled upper interval end and a 128-bit power of ten,
 then a division by 1000 and, where the interval holds no multiple of
 it, by 100; a second product runs only on the few floats at an edge of
-either test.  The powers of ten, and the digits of every power of two,
-whose interval is narrower below, are tabulated per binary exponent
-from exact integers on a process's first write (`_dragonbox_tables`,
-about 1 ms).
+either test.  The powers of ten are tabulated per binary exponent from
+exact integers on a process's first write (`_dragonbox_tables`, about
+0.6 ms).  A power of two above 2^-1022, whose interval is narrower
+below, takes its digits from a table read from ``repr`` itself
+(`_power_digits`, about 3 ms), built only by a write that holds one.
 `_repr_slots` lays them out as ``repr`` does, in fixed 24-byte slots,
 each byte kept or zeroed by a mask: exponent form (``1e-05``,
 ``-2.5e+300``) when the decimal exponent is below -4 or at least 16,
-positional form (``0.0001``, ``123.0``) otherwise, and ``0.0``,
-``-0.0``, ``inf``, ``-inf``, ``nan``.  A record's rows are its slots and
+its suffix from a table of ``e-324`` .. ``e+308`` (`_suffixes`), and
+positional form (``0.0001``, ``123.0``) otherwise, made from the
+exponent form's digits; ``0.0``, ``-0.0``, ``inf``, ``-inf`` and
+``nan`` are fixed texts.  A record's rows are its slots and
 separators side by side; deleting the zeroed bytes leaves the text
 ``csv.writer`` would write from ``repr`` of each cell.  The field, its
 nodes and their shapes are checked before the file is opened.
@@ -81,6 +84,7 @@ _KEEP_ABOVE = np.array([1, *range(1, _DIGITS)], dtype=np.uint8)[:, None]
 _ROW = np.arange(_SLOT, dtype=np.uint8)[:, None]  # slot numbers, compared with a per-float slot
 _INF = np.frombuffer(b"inf".ljust(_SLOT - 1, b"\0"), dtype=np.uint8)  # slots 1..23; slot 0 keeps the sign
 _NAN = np.frombuffer(b"\0nan".ljust(_SLOT, b"\0"), dtype=np.uint8)  # repr(-nan) is 'nan'
+_ZERO = np.frombuffer(b"0.0".ljust(_SLOT - 1, b"\0"), dtype=np.uint8)  # slots 1..23; slot 0 keeps the sign
 _CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
 
 
@@ -117,14 +121,11 @@ def _dragonbox_tables():
     (2f_c + 1)·2^beta < 2^63 and floor((2f_c + 1)·2^beta·phi / 2^128) is
     the upper end of the float's rounding interval in units of 10^-k;
     delta = phi >> (127 - beta) is the interval's width in those units.
-    A power of two above 2^-1022 has an interval half as wide below, and
-    its digits and the exponent of the last one are tabulated from
-    Dragonbox's shorter-interval case, which reads phi's top 64 bits.
     One array per constant, so that each is gathered on its own.
     """
     e = np.maximum(np.arange(2048), 1) - 1075
     k = 2 - (e * 315653 >> 20)  # floor(e·log10 2) is exact this way for |e| < 2621
-    first = int(k.min()) - 2  # the shorter-interval case reads 10^(k - 1) or 10^(k - 2)
+    first = int(k.min())
     log2, phi = [], []
     for kk in range(first, int(k.max()) + 1):
         p = 10 ** abs(kk)
@@ -132,34 +133,36 @@ def _dragonbox_tables():
         phi.append(-(-p << 127 >> log2[-1]) if kk >= 0 else -((-1 << 127 - log2[-1]) // p))
     log2 = np.array(log2)
     words = np.frombuffer(b"".join(f.to_bytes(16, "little") for f in phi), dtype=np.uint32).reshape(-1, 4).T
-    words = words.astype(_U64)
     beta = (e + log2[k - first]).astype(_U64)
-    limbs = words[:, k - first]
+    limbs = words[:, k - first].astype(_U64)
     delta = limbs[3] >> (_U64(31) - beta)
-    exp10 = (2 - k).astype(np.int16)
+    return limbs, beta, delta, (2 - k).astype(np.int16)
 
-    # 2^52 · 2^e for e = -1073 .. 971 (2^-1021 .. 2^1023), in units of 10^-k
-    e = e[2:-1]
-    k = -((e * 631305 - 261663) >> 21)  # -floor(e·log10 2 - log10(4/3))
-    shift = _U64(11) - (e + log2[k - first]).astype(_U64)
-    high = words[3, k - first] << _U64(32) | words[2, k - first]
-    # the interval's lower end, rounded up where it is no integer (all e but 2 and 3), and its upper end's tens
-    lowest = ((high - (high >> _U64(54))) >> shift) + ((e < 2) | (e > 3))
-    tens = ((high + (high >> _U64(53))) >> shift) // _U64(10)
-    # else the power rounded to a unit, half up; it lies halfway only at e = -77, and then goes to even
-    nearest = ((high >> (shift - _U64(1))) + _U64(1)) >> _U64(1)
-    tie = (e == -77) & (nearest & _U64(1) == 1)
-    nearest += (nearest < lowest) & ~tie
-    nearest -= tie
-    shorter = tens * _U64(10) >= lowest
-    digits, last = np.where(shorter, tens, nearest), shorter - k
-    while (zeros := digits % _U64(10) == 0).any():
-        digits[zeros] //= _U64(10)
-        last[zeros] += 1
-    power_digits = np.zeros(2048, dtype=_U64)
-    power_exp10 = np.zeros(2048, dtype=np.int16)
-    power_digits[2:-1], power_exp10[2:-1] = digits, last
-    return limbs, beta, delta, exp10, power_digits, power_exp10
+
+@functools.cache
+def _power_digits():
+    """The digits of ``repr`` of 2^(b - 1023) and the exponent of the last one, by biased exponent b, 2..2046.
+
+    A power of two above 2^-1022 has a rounding interval half as wide
+    below, which the nearest path does not cover, so its digits are read
+    from ``repr`` itself: about 3 ms, spent on the first write that
+    holds such a power.  The entries of b = 0, 1 and 2047 are 0.
+    """
+    digits = np.zeros(2048, dtype=_U64)
+    exp10 = np.zeros(2048, dtype=np.int16)
+    for b in range(2, 2047):
+        mantissa, _, exponent = repr(math.ldexp(1.0, b - 1023)).partition("e")
+        whole, _, fraction = mantissa.partition(".")
+        fraction = fraction.rstrip("0")
+        digits[b], exp10[b] = int(whole + fraction), int(exponent or 0) - len(fraction)
+    return digits, exp10
+
+
+@functools.cache
+def _suffixes():
+    """'e-324' .. 'e+308', NUL-padded to 5 bytes, as a (5, 633) uint8 array: column e + 324 is decimal exponent e's."""
+    text = b"".join(f"e{e:+03d}".encode().ljust(5, b"\0") for e in range(-324, 309))
+    return np.frombuffer(text, dtype=np.uint8).reshape(-1, 5).T.copy()
 
 
 class _Scratch:
@@ -172,9 +175,9 @@ class _Scratch:
     into these arrays (``out=``), so formatting a block allocates only
     index arrays, and copies, of the floats that a rare case applies to:
     a remainder at the interval's width or at zero, a rounding that
-    lands on a multiple of 100, trailing zeros, a power of two, an
-    infinity or NaN; the
-    positional floats are gathered into rows of `words`.
+    lands on a multiple of 100, trailing zeros, a power of two, a zero,
+    an infinity or NaN; the positional floats' text is laid out in rows
+    of `words`.
     """
 
     def __init__(self, size: int):
@@ -248,18 +251,20 @@ def _shortest_decimal(s):
     is the shortest decimal, else the nearest multiple of 100 units to
     the float is.  Where z's remainder is 0 or delta, or that nearest
     multiple lies halfway, a second product decides, on those floats
-    alone.  Returns the row of ``s.words`` that holds the digits; every
-    other row is free afterwards.
+    alone.  A power of two above 2^-1022 takes its digits from
+    `_power_digits`; a zero's digits mean nothing.  Returns the row of
+    ``s.words`` that holds the digits; every other row is free
+    afterwards.
     """
-    phi, beta, delta, exp10, power_digits, power_exp10 = _dragonbox_tables()
+    phi, beta, delta, exp10 = _dragonbox_tables()
     bits, index, fc, shift, u, *limbs, row, col, rest, z = s.words
     biased = index.view(np.intp)
     shorter, f1 = s.flags[3:5]
     np.right_shift(bits, 52, out=index)
     np.bitwise_and(bits, 2**52 - 1, out=fc)
     np.equal(fc, 0, out=f1)
-    powers = np.flatnonzero(f1)  # a zero runs through as 5e-324, so these are powers of two, inf too
-    powers = powers[biased[powers] > 1]  # 2^-1022's interval is even
+    powers = np.flatnonzero(f1)  # powers of two, zeros and infinities
+    powers = powers[(biased[powers] > 1) & (biased[powers] < 2047)]  # 2^-1022's interval is even
     np.not_equal(index, 0, out=f1)
     np.bitwise_or(fc, 1 << 52, out=fc, where=f1)
     np.take(beta, biased, out=shift, mode="clip")
@@ -327,8 +332,10 @@ def _shortest_decimal(s):
         zeros = more[out[more] % _U64(10**power) == 0]
         out[zeros] //= _U64(10**power)
         s.exp10[zeros] += power
-    out[powers] = power_digits[biased[powers]]
-    s.exp10[powers] = power_exp10[biased[powers]]
+    if powers.size:
+        power_digits, power_exp10 = _power_digits()
+        out[powers] = power_digits[biased[powers]]
+        s.exp10[powers] = power_exp10[biased[powers]]
     return out
 
 
@@ -373,13 +380,15 @@ def _repr_slots(x, s=None):
 
     Deleting the NULs of column i leaves ``repr(float(x.flat[i]))``.
     The exponent form is laid out in fixed slots: sign, first digit,
-    '.', 16 more digits, 'e', the exponent's sign and three digits; a
-    mask zeroes the sign of a positive float, the digits past the
-    significant ones, a '.' with no digit after it and the exponent's
-    hundreds below 100.  A positional float (decimal exponent -4..15) is
-    laid out again by `_positional`.  `s` is a `_Scratch` of at least
-    x.size floats (a new one by default); the result is a view of its
-    slots, overwritten by the next call.
+    '.', 16 more digits and the suffix, 'e', the exponent's sign and two
+    or three digits, from a table (`_suffixes`); a mask zeroes the sign
+    of a positive float, the digits past the significant ones and a '.'
+    with no digit after it.  A positional float (decimal exponent
+    -4..15) gets the text `_positional` makes from its exponent form's
+    digits, and a zero, an infinity or a NaN a fixed text; a zero keeps
+    its sign.  `s` is a `_Scratch` of at least x.size floats (a new one
+    by default); the result is a view of its slots, overwritten by the
+    next call.
     """
     x = np.asarray(x)
     n = x.size
@@ -397,12 +406,9 @@ def _repr_slots(x, s=None):
     np.isinf(values, out=inf)
     np.bitwise_and(words[0], 2**63 - 1, out=words[0])
     np.equal(words[0], 0, out=zero)
-    np.maximum(words[0], 1, out=words[0])  # a zero runs through as 5e-324; its digits are reset below
     digits = _shortest_decimal(s)
-    np.copyto(digits, 0, where=zero)
-    np.copyto(exp10, 0, where=zero)
     length = words[2].view(np.intp)
-    _decimal_length(digits, length, words[3], f1)  # 0 for a zero
+    _decimal_length(digits, length, words[3], f1)  # a zero's digits mean nothing: it gets a fixed text
     padded = words[0]
     np.subtract(_DIGITS, length, out=length)
     np.take(_POW10, length, out=words[1], mode="clip")
@@ -420,77 +426,67 @@ def _repr_slots(x, s=None):
     # exponent form, in every column
     _digit_rows(padded, slots[1], slots[3:19], words[9:13])
     slots[2] = ord(".")
-    slots[19] = ord("e")
-    np.less(exp10, 0, out=f1)
-    np.multiply(f1.view(np.uint8), ord("-") - ord("+"), out=slots[20])
-    slots[20] += ord("+")
     index = words[9].view(np.intp)
-    np.copyto(index, exp10)
-    np.absolute(index, out=index)
-    _quad_rows(index, slots[21:24], words[10].view(np.uint32)[: s.size])
-    np.greater_equal(index, 100, out=f1)
-    slots[21] *= f1.view(np.uint8)
+    np.add(exp10, 324, out=index)
+    np.take(_suffixes(), index, axis=1, out=slots[19:], mode="clip")
+    text = _positional(slots, positional, s)
     keep = s.byte_rows(6, _DIGITS, s.size).view(bool)
     np.less(_KEEP_ABOVE, significant, out=keep)
     slots[2:19] *= keep.view(np.uint8)
 
-    _positional(slots, positional, padded, s)
+    slots[:, positional] = text
     slots[1:, inf] = _INF[:, None]
     slots[:, nan] = _NAN[:, None]
+    slots[1:, zero] = _ZERO[:, None]
     return slots[:, :n]
 
 
-def _positional(slots, columns, padded, s):
-    """Lay out again the `columns` of `slots` whose floats take the positional form, from their `padded` digits.
+def _positional(slots, columns, s):
+    """The positional text of the `columns` of `slots`, made from their exponent form's digits before any mask.
 
     ``repr`` writes a float with decimal exponent sci in -4..15 as its
     digits with a '.' after the first max(sci, 0) + 1 of them, padded
     with zeros: z = max(-sci, 0) before them and, where no digit follows
-    the '.', one after.  The 17 places of the padded digits, divided by
-    10^z, are laid out in the exponent form's digit slots, their z last
-    digits in slots 19-22; then the digits before the '.' move up one
-    slot, and a mask keeps the slots up to the last digit.  Works on
-    those columns alone, gathered into the rows of ``s.words`` from 1 on.
+    the '.', one after.  The exponent form's 17 digit slots, which still
+    hold the digits' trailing zeros, are gathered behind five '0' rows.
+    A float with z > 0 copies them into its slots from 1 on, starting
+    z + 1 rows before its first digit (four masked copies, one a z), so
+    that it reads '0', a slot that the '.' takes back, z - 1 zeros and
+    its digits.  Then the digits before the '.' move up one slot, and a
+    mask keeps the slots up to the last digit.  Works on those columns
+    alone, in rows of ``s.words``; returns a (24, columns.size) view of
+    rows 0..2, which `_repr_slots` scatters into `slots` after its mask.
     """
     count = columns.size
-    words = s.words
-    pad = np.take(padded, columns, out=words[1, :count], mode="clip")
-    sci = np.take(s.exp10, columns, out=words[4].view(np.int16)[:count], mode="clip")
-    significant, z, before, last = s.byte_rows(5, 4, count)
+    out = s.byte_rows(0, _SLOT, count)
+    np.take(slots[:19], columns, axis=1, out=out[:19], mode="clip")
+    shifted = s.byte_rows(3, 5 + _DIGITS, count)
+    shifted[:5] = ord("0")
+    shifted[5] = out[1]
+    shifted[6:] = out[3:19]
+    sci = s.words[6].view(np.int16)[:count]
+    np.take(s.exp10, columns, out=sci, mode="clip")
+    significant, z, before, last = s.byte_rows(12, 4, count)
     np.take(s.significant, columns, out=significant, mode="clip")
     np.maximum(sci, 0, out=before, casting="unsafe")
     before += 2  # the '.' slot: one past the digits before it
     np.negative(sci, out=sci)
     np.maximum(sci, 0, out=z, casting="unsafe")
-    power, scaled, product = words[3, :count], words[2, :count], words[4, :count]
-    index = scaled.view(np.intp)
-    np.copyto(index, z)
-    np.take(_POW10, index, out=power, mode="clip")
-    np.floor_divide(pad, power, out=scaled)
-    np.multiply(scaled, power, out=product)
-    pad -= product
-    pad *= 10**4
-    pad //= power  # the z digits past the 17th, left-aligned in four places
-    out = s.byte_rows(6, _SLOT, count)
-    _quad_rows(pad.view(np.intp), out[19:23], power.view(np.uint32)[:count])
-    out[23] = 0
-    moved = s.byte_rows(9, 16, count)
-    _digit_rows(scaled, out[1], moved, (pad, power, product, words[12, :count]))
-    np.take(slots[0], columns, out=out[0], mode="clip")
+    mask = s.byte_rows(6, _SLOT - 2, count).view(bool)
+    for zeros in range(1, 5):
+        np.equal(z, zeros, out=mask[0])
+        np.copyto(out[1 : 19 + zeros], shifted[4 - zeros :], where=mask[0])
     out[2] = ord(".")
-    out[3:19] = moved
-    mask = s.byte_rows(11, 15, count).view(bool)
-    np.less(_ROW[2:17], before, out=mask)
-    np.copyto(out[2:17], moved[:15], where=mask)
-    np.equal(_ROW[3:18], before, out=mask)
-    np.copyto(out[3:18], ord("."), where=mask)
+    np.less(_ROW[2:17], before, out=mask[:15])
+    np.copyto(out[2:17], shifted[6:21], where=mask[:15])
+    np.equal(_ROW[3:18], before, out=mask[:15])
+    np.copyto(out[3:18], ord("."), where=mask[:15])
     np.add(significant, z, out=last)
     np.maximum(last, before, out=last)
     last += 1
-    mask = s.byte_rows(9, _SLOT - 2, count).view(bool)
     np.less_equal(_ROW[2:], last, out=mask)
     out[2:] *= mask.view(np.uint8)
-    slots[:, columns] = out
+    return out
 
 
 def _node_slots(q_nodes, p_nodes):

@@ -952,6 +952,27 @@ def test_repr_kernel_on_rare_paths(path):
     assert _kernel_texts(values) == [repr(v) for v in values]
 
 
+@pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
+def test_power_digits_read_only_for_a_power_of_two(tmp_path, matrix):
+    # the power-of-two digits are read from repr only by a write that
+    # holds such a power: fig1's field and nodes hold none
+    def calls():
+        info = tables._power_digits.cache_info()
+        return info.hits + info.misses
+
+    tables._power_digits.cache_clear()
+    w, ps, _ = run_wigner(8.0)
+    tables.write_field_csv(tmp_path / "fig1.csv", {}, ps.q_nodes, ps.p_nodes, w, matrix=matrix)
+    assert calls() == 0
+    powers = np.array([[1.0, 2.0**-1021, 2.0**1023, 3.0, 0.0], [-1.0, -(2.0**-1021), -(2.0**1023), -3.0, -0.0]])
+    out = tmp_path / "powers.csv"
+    tables.write_field_csv(out, {}, np.linspace(0.3, 1.5, 5), np.array([3.0, 5.0]), powers, matrix=matrix)
+    assert calls() == 1
+    rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+    cells = [cell for row in rows for cell in row[1:]] if matrix else [row[2] for row in rows]
+    assert cells == [repr(v) for v in powers.ravel().tolist()]
+
+
 def _memory_field(kind, shape):
     """A field of positional, integer or mixed values; the mixed one is mostly positional, with some
     exponent-form values and, in every seventh cell, inf, -inf, NaN or -0.0."""
@@ -980,14 +1001,16 @@ def test_field_writer_memory_stays_linear(tmp_path, kind, matrix):
     # NUL-free copy in long form. The values move the peak only by the
     # index arrays of the floats whose digits end in zeros: ~0.13 MB for a
     # field of integers, next to none for fig1's (97 % exponent form).
-    # Dragonbox's tables are cleared first, so every case measures a
-    # process's first write, which also builds them (~0.13 MB kept). The
-    # whole n = 512 field as a list of Python floats alone takes ~8 MB
+    # Every table is cleared first, so every case measures a process's
+    # first write, which also builds Dragonbox's tables and the suffix
+    # table (~0.13 MB kept) and, for a field holding a power of two (the
+    # integers), the power-of-two digits. The whole n = 512 field as a
+    # list of Python floats alone takes ~8 MB
     w, ps, _ = run_wigner(8.0)
     if kind != "fig1":
         w = _memory_field(kind, w.shape)
-    tables._dragonbox_tables.cache_clear()
-    tables._quads.cache_clear()
+    for table in (tables._dragonbox_tables, tables._quads, tables._suffixes, tables._power_digits):
+        table.cache_clear()
     tracemalloc.start()
     try:
         tables.write_field_csv(tmp_path / "w.csv", {}, ps.q_nodes, ps.p_nodes, w, matrix=matrix)
