@@ -8,9 +8,17 @@ randomness).  Every run with --out writes a JSON provenance sidecar
 holding the resolved configuration, package version, and the tolerances
 it applied.
 
+A command imports only what it runs.  Importing cli loads numpy, `grids`,
+`spectrum`, `states` and `pairs`; each driver imports its other modules
+(`wigner`, `moyal`, `rotator` and through it `opmatrix`) when it is
+called, and `main` imports the file writers of `fvps.tables` only when
+--out means it will write.  The names cli once imported from those
+modules (`cli.wigner_even`, `cli.write_json`, ...) are still its
+attributes, looked up in their module at every access (`__getattr__`).
+
 argparse makes every command-line decision.  The command parser and the
 `--config` pre-parser are built once per process, on the first `main`
-call (`_parsers`), not at import, and bind the `_cmd_*` handlers then.
+call (`_parsers`), and bind the `_cmd_*` handlers then.
 A handler looks up its `run_*` function when it runs, so a `cli.run_*`
 replaced later (as tests do) still takes effect.  A `--config` file, given
 before the command, stands for the flags its keys name; they are put
@@ -40,6 +48,7 @@ An error raised by the package never ends in a traceback.
 
 import argparse
 import functools
+import importlib
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -47,13 +56,9 @@ import numpy as np
 
 from . import __version__
 from .grids import MomentumGrid, PhaseSpaceGrid
-from .moyal import evolve_even
 from .pairs import penalty_curve
-from .rotator import RotatorModel, modulation_spectrum, orbit_series
-from .spectrum import chi_factor, energy, eps_factor, purity_rhs
+from .spectrum import EPS_RELATIVISTIC, EPS_UNITY, chi_factor, energy, eps_factor, purity_rhs
 from .states import ChargeBranchState, gaussian_state, rotator_coherent_state
-from .tables import write_csv, write_field_csv, write_json
-from .wigner import EPS_RELATIVISTIC, moments, wigner_even
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,6 +74,24 @@ EXIT_CODES = {
     ArithmeticError: (EXIT_TOLERANCE, "numerical error"),
     MemoryError: (EXIT_CONFIG, "memory error"),
 }
+
+# The names the drivers and `main` import when they run, and their modules.
+# Callers still read and patch them as cli.<name> (perfbench's self-check
+# reads cli.wigner_even), so `__getattr__` reads each from its module at
+# every access, never caching it: a function replaced there, by a span
+# tracer say, is what cli.<name> gives, and its restoring shows too.
+_DEFERRED = {
+    "evolve_even": "moyal",
+    "RotatorModel": "rotator", "modulation_spectrum": "rotator", "orbit_series": "rotator",
+    "write_csv": "tables", "write_field_csv": "tables", "write_json": "tables",
+    "moments": "wigner", "wigner_even": "wigner",
+}
+
+
+def __getattr__(name):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{_DEFERRED[name]}"), name)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +133,8 @@ def packet_grid(lam: float, p_bar: float = 0.0, n_points: int = 512) -> Momentum
 
 def _packet(lam: float, n_points: int, eps_mode: str):
     """A resting lam-packet on its `packet_grid`: (state, conjugate grid, positive-branch field)."""
+    from .wigner import wigner_even
+
     grid = packet_grid(lam, n_points=n_points)
     ps = PhaseSpaceGrid.conjugate(grid)
     state = gaussian_state(grid, lam=lam)
@@ -118,12 +143,17 @@ def _packet(lam: float, n_points: int, eps_mode: str):
 
 def run_wigner(lam: float, n_points: int = 512, eps_mode: str = EPS_RELATIVISTIC):
     """Build the packet's phase-space field and its moments."""
+    from .wigner import moments
+
     _, ps, w = _packet(lam, n_points, eps_mode)
     return w, ps, moments(w, ps)
 
 
 def run_evolve_check(lam: float, t: float, n_points: int = 512) -> float:
     """Max-norm gap between the spectral propagator and the amplitude pipeline."""
+    from .moyal import evolve_even
+    from .wigner import wigner_even
+
     state, ps, w0 = _packet(lam, n_points, EPS_RELATIVISTIC)
     w_prop = evolve_even(w0, energy, t, ps)
     phi_t = state.phi_plus * np.exp(-1j * energy(state.grid.nodes) * t)
@@ -159,6 +189,8 @@ def run_coherent(lams, p_bar: float = 0.02):
 
 
 def run_rotator(b: float, alpha: float, t_max: float, dt: float, n_max: int = 64):
+    from .rotator import RotatorModel, modulation_spectrum, orbit_series
+
     model = RotatorModel(b=b, n_max=n_max)
     state = rotator_coherent_state(alpha, model.energy_model, n_max=n_max)
     series = orbit_series(state, model, t_max=t_max, dt=dt)
@@ -175,7 +207,8 @@ def run_rotator(b: float, alpha: float, t_max: float, dt: float, n_max: int = 64
 class Output:
     """What a command made, for `main` to write, print and turn into an exit code.
 
-    `files` holds (writer, path, *payload) entries; with --out set, `main`
+    `files` holds (writer, path, *payload) entries, `writer` naming a
+    `fvps.tables` function; with --out set, `main` imports `tables` and
     calls writer(path, *payload) for each, in order, then writes the
     `<out>.json` sidecar with `config` merged into the resolved flags and
     `tolerances` beside them.  `failure`, when set, is a failed check: it
@@ -192,7 +225,7 @@ class Output:
 def _cmd_factors(args) -> Output:
     out = run_factors(args.p1, args.p2)
     lines = [f"{name:10s} = {out[name]:.10g}" for name in ("eps", "chi", "purity_rhs")]
-    return Output(lines, [(write_json, args.out, out)])
+    return Output(lines, [("write_json", args.out, out)])
 
 
 def _cmd_wigner(args) -> Output:
@@ -208,8 +241,8 @@ def _cmd_wigner(args) -> Output:
     }
     mdict = {**asdict(m), "var_q_negative": m.var_q_negative, "var_p_negative": m.var_p_negative}
     files = [
-        (write_field_csv, args.out, meta, ps.q_nodes, ps.p_nodes, w, args.matrix),
-        (write_json, args.moments_out or (str(args.out) + ".moments.json"), mdict),
+        ("write_field_csv", args.out, meta, ps.q_nodes, ps.p_nodes, w, args.matrix),
+        ("write_json", args.moments_out or (str(args.out) + ".moments.json"), mdict),
     ]
     return Output([f"var_q = {m.var_q:.6g} (negative: {m.var_q_negative})"], files, {"lambda_resolved": lam})
 
@@ -220,7 +253,7 @@ def _cmd_evolve(args) -> Output:
     dev = run_evolve_check(args.lam, args.t, n_points=args.n_points)
     return Output(
         [f"max |spectral - wavefunction| = {dev:.3e}"],
-        [(write_json, args.out, {"lambda": args.lam, "t": args.t, "deviation": dev})],
+        [("write_json", args.out, {"lambda": args.lam, "t": args.t, "deviation": dev})],
         tolerances={"check": args.tol},
         failure=f"FAIL: deviation exceeds {args.tol:g}" if args.check and not dev <= args.tol else None,
     )
@@ -232,7 +265,7 @@ def _cmd_coherent(args) -> Output:
     rows_out = (map(float, row) for row in rows)
     return Output(
         [f"lambda={lam:g}: m_eff/m = {ratio:.6g}" for lam, ratio in rows],
-        [(write_csv, args.out, {"p_bar": f"{args.p_bar:g}"}, ["lambda", "m_eff_over_m"], rows_out)],
+        [("write_csv", args.out, {"p_bar": f"{args.p_bar:g}"}, ["lambda", "m_eff_over_m"], rows_out)],
     )
 
 
@@ -241,8 +274,8 @@ def _cmd_rotator(args) -> Output:
     meta = {"b": f"{args.b:g}", "alpha": f"{args.alpha:g}", "omega": f"{model.omega:g}"}
     peaks_doc = {"omega": model.omega, "peaks": [{"frequency": p.frequency, "amplitude": p.amplitude} for p in peaks]}
     files = [
-        (write_csv, args.out, meta, ["t", "r", "x", "y"], (map(float, row) for row in series.to_rows())),
-        (write_json, args.peaks_out or (str(args.out) + ".peaks.json"), peaks_doc),
+        ("write_csv", args.out, meta, ["t", "r", "x", "y"], (map(float, row) for row in series.to_rows())),
+        ("write_json", args.peaks_out or (str(args.out) + ".peaks.json"), peaks_doc),
     ]
     if peaks:
         line = f"dominant peak: {peaks[0].frequency:.6g} ({peaks[0].frequency / model.omega:.4g} omega)"
@@ -258,18 +291,20 @@ def _cmd_entangle(args) -> Output:
     header = ["sigma"] + [f"penalty_{m}" for m in models]
     return Output(
         ["  ".join(f"{v:.6g}" for v in row) for row in table.rows()],
-        [(write_csv, args.out, {"models": ",".join(models)}, header, (map(float, row) for row in table.rows()))],
+        [("write_csv", args.out, {"models": ",".join(models)}, header, (map(float, row) for row in table.rows()))],
     )
 
 
 def _finish(args, made: Output) -> int:
     """Write the files and the provenance sidecar (with --out), print, and pick the exit code."""
     if args.out:
+        from . import tables
+
         for writer, path, *payload in made.files:
-            writer(path, *payload)
+            getattr(tables, writer)(path, *payload)
         config = {k: v for k, v in vars(args).items() if k != "func"} | made.config
         sidecar = {"version": __version__, "command": args.command, "config": config, "tolerances": made.tolerances}
-        write_json(str(args.out) + ".json", sidecar)
+        tables.write_json(str(args.out) + ".json", sidecar)
     sys.stdout.writelines(line + "\n" for line in made.lines)
     if made.failure is not None:
         print(made.failure, file=sys.stderr)
@@ -299,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--lambda", dest="lam", type=float, help="localization parameter")
     w.add_argument("--preset", choices=["fig1"], help="fig1 = lambda 8")
     w.add_argument("--n-points", type=int, default=512)
-    w.add_argument("--eps-mode", choices=["relativistic", "unity"], default="relativistic")
+    w.add_argument("--eps-mode", choices=[EPS_RELATIVISTIC, EPS_UNITY], default=EPS_RELATIVISTIC)
     w.add_argument("--matrix", action="store_true", help="contour-ready matrix CSV layout")
     w.add_argument("--out", required=True)
     w.add_argument("--moments-out")

@@ -31,6 +31,11 @@ import numpy as np
 
 from .grids import NATURAL, UnitSystem
 
+# The kernel weighting the charge-diagonal transform (`wigner.wigner_even`'s
+# eps_mode and the command line's --eps-mode): eps below, or 1.
+EPS_RELATIVISTIC = "relativistic"
+EPS_UNITY = "unity"
+
 
 @dataclass(frozen=True)
 class EnergyModel:

@@ -63,11 +63,8 @@ from .grids import (
     half_step_lattice,
     phase_space_quadrature,
 )
-from .spectrum import _energy, energy, eps_factor
+from .spectrum import EPS_RELATIVISTIC, EPS_UNITY, _energy, energy, eps_factor
 from .states import ChargeBranchState
-
-EPS_RELATIVISTIC = "relativistic"
-EPS_UNITY = "unity"
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import csv
 import functools
@@ -1198,13 +1199,64 @@ def test_command_line_properties(command, data):
         assert b"nan" not in content and b"inf" not in content, (argv, name)
 
 
-@pytest.mark.parametrize("module", ["scipy", "multiprocessing", "concurrent", "numpy.polynomial"])
+@pytest.mark.parametrize("module", ["scipy", "multiprocessing", "concurrent", "numpy.polynomial", "fvps.tables",
+                                    "fvps.rotator", "fvps.opmatrix", "fvps.wigner", "fvps.moyal"])
 def test_cli_import_leaves_module_unloaded(module):
     # scipy is not a runtime dependency and sweeps run in-process: a fresh
     # `fvps` process must not pay for importing scipy or a process pool;
-    # numpy.polynomial is reached lazily, by `displaced_number_state` only
+    # numpy.polynomial is reached lazily, by `displaced_number_state` only.
+    # A command imports the fvps modules it runs when it runs
     code = f"import sys, fvps.cli; print(sorted(m for m in sys.modules if (m + '.').startswith({module!r} + '.')))"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+# fvps modules a fresh process of each README command must not import
+NOT_LOADED = {
+    "factors": {"wigner", "moyal", "rotator", "opmatrix", "tables"},
+    "evolve": {"rotator", "opmatrix", "tables"},
+    "coherent": {"wigner", "moyal", "rotator", "opmatrix"},
+    "entangle": {"wigner", "moyal", "rotator", "opmatrix"},
+}
+
+
+def _fresh_modules(code, *argv, cwd=None):
+    """The fvps submodules loaded after `code` ran in a fresh process, by short name."""
+    code += "\nprint(sorted(m[5:] for m in sys.modules if m.startswith('fvps.')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    return set(ast.literal_eval(run.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_command_loads_only_what_it_runs(tmp_path, argv):
+    loaded = _fresh_modules("import sys; from fvps.cli import main; assert main(sys.argv[1:]) == 0", *argv,
+                            cwd=tmp_path)
+    assert not loaded & NOT_LOADED.get(argv[0], set()), loaded
+    # the field writer loads only to write a file
+    assert ("tables" in loaded) == ("--out" in argv), loaded
+
+
+def test_bare_import_loads_no_submodule():
+    assert _fresh_modules("import sys, fvps") == set()
+
+
+def test_cli_reads_each_deferred_name_from_its_module():
+    # cli.<name> for a name a command imports when it runs is looked up in
+    # its module at every access, so a span tracer's wrapper shows there
+    # and goes with it
+    code = (
+        "import sys\n"
+        "from fvps import cli, wigner\n"
+        "original = wigner.wigner_even\n"
+        "assert cli.wigner_even is original and cli.write_json is sys.modules['fvps.tables'].write_json\n"
+        "wigner.wigner_even = len\n"
+        "assert cli.wigner_even is len\n"
+        "wigner.wigner_even = original\n"
+        "assert cli.wigner_even is original and 'wigner_even' not in vars(cli)"
+    )
+    assert {"wigner", "tables"} <= _fresh_modules(code)

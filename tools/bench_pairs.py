@@ -14,6 +14,15 @@ spans.  Standard library only.
 Each checkout runs its own `perfbench/run.py` from its own root, with
 that script's own run length and worker bounds.
 
+With --fresh it times start-up instead: each README command
+(`reach.readme_commands()`) runs in a fresh process, `fvps` imported
+from that checkout's `src/`, in an empty temporary directory, once per
+side and pair, one process at a time, alternating which side runs first.
+It prints, per command, the wall time of the whole process in the same
+form as a metric above.
+
+    python tools/bench_pairs.py --parent ../parent --change . --fresh --pairs 11
+
 Both checkouts must be in the same bytecode state: the tool refuses to
 run when the sets of sources whose cached `.pyc` this interpreter would
 load differ between them.  A copy made with `cp -r` carries `.pyc` files
@@ -29,13 +38,20 @@ compile those as well.
 import argparse
 import importlib.util
 import json
+import os
 import re
+import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
+from reach import readme_commands
+
 OUTSIDE_SPANS = re.compile(r"([0-9.]+)% outside layer spans")
+COMMAND = "import sys; from fvps.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def run_once(root: Path, args) -> dict:
@@ -49,6 +65,27 @@ def run_once(root: Path, args) -> dict:
     match = OUTSIDE_SPANS.search(proc.stdout)
     result["outside_spans"] = float(match.group(1)) / 100.0 if match else None
     return result
+
+
+def fresh_once(root: Path, argv) -> float:
+    """Wall seconds of one fresh process running `fvps argv` from `root`'s src/, in an empty directory."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    with tempfile.TemporaryDirectory() as tmp:
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", COMMAND, *argv], cwd=tmp, env=env, capture_output=True, text=True)
+        seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: fvps {shlex.join(argv)} exited with {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return seconds
+
+
+def fresh_pair(sides: dict, order) -> dict:
+    """One fresh process per README command and side, in `order` for each command, as run_once-like records."""
+    pair = {side: {"metrics": {}} for side in sides}
+    for argv in readme_commands():
+        for side in order:
+            pair[side]["metrics"][f"fvps {shlex.join(argv)}"] = {"value": fresh_once(sides[side], argv), "unit": "s"}
+    return pair
 
 
 def cached_sources(root: Path) -> set[str]:
@@ -83,6 +120,7 @@ def quartiles(values):
 def summarise(runs):
     """One printable line per metric over the paired runs."""
     lines = []
+    width = max(40, *map(len, runs[0]["parent"]["metrics"]))
     for name in runs[0]["parent"]["metrics"]:
         parent = [r["parent"]["metrics"][name]["value"] for r in runs]
         change = [r["change"]["metrics"][name]["value"] for r in runs]
@@ -91,7 +129,7 @@ def summarise(runs):
         p_med, c_med = statistics.median(parent), statistics.median(change)
         q1, q3 = quartiles(parent)
         move = f"{(c_med - p_med) / abs(p_med):+.1%}" if p_med else "n/a"
-        lines.append(f"{name:40s} {p_med:.4g} [{q1:.4g}, {q3:.4g}] -> {c_med:.4g} {unit}  "
+        lines.append(f"{name:{width}s} {p_med:.4g} [{q1:.4g}, {q3:.4g}] -> {c_med:.4g} {unit}  "
                      f"{move}  change won {won}/{len(runs)}")
     return lines
 
@@ -100,13 +138,16 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="root of the change checkout")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload")
+    parser.add_argument("--fresh", action="store_true", help="time each README command in fresh processes")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=20020206)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if (args.workload is None) == (not args.fresh):
+        parser.error("give one of --workload and --fresh")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     cached = {side: cached_sources(root) for side, root in sides.items()}
@@ -118,6 +159,10 @@ def main(argv=None):
     try:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            if args.fresh:
+                runs.append(fresh_pair(sides, order))
+                print(f"pair {i + 1}/{args.pairs} ({order[0]} first)", file=sys.stderr, flush=True)
+                continue
             pair = {side: run_once(sides[side], args) for side in order}
             runs.append(pair)
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): "
@@ -129,11 +174,11 @@ def main(argv=None):
             return 1
         print(f"bench_pairs: summarising the {len(runs)} complete pairs", file=sys.stderr)
 
-    print(f"{args.workload} seed={args.seed} trace={args.trace} "
-          f"pairs={len(runs)}; parent median [quartiles] -> change median")
+    header = "fresh processes" if args.fresh else f"{args.workload} seed={args.seed} trace={args.trace}"
+    print(f"{header} pairs={len(runs)}; parent median [quartiles] -> change median")
     for line in summarise(runs):
         print(line)
-    for side in ("parent", "change"):
+    for side in () if args.fresh else ("parent", "change"):  # a fresh process runs no counted ops
         print(f"{side}: failed ops per run {[r[side]['failed'] for r in runs]}, "
               f"correct {[r[side]['correct'] for r in runs]}")
         if args.trace:
@@ -141,7 +186,6 @@ def main(argv=None):
                                for r in runs)
             print(f"{side}: outside layer spans {shares}")
     return 0 if len(runs) == args.pairs else 1
-
 
 if __name__ == "__main__":
     sys.exit(main())
