@@ -55,10 +55,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .grids import MomentumGrid, PhaseSpaceGrid
+from .grids import NATURAL, MomentumGrid, PhaseSpaceGrid
 from .pairs import penalty_curve
 from .spectrum import EPS_RELATIVISTIC, EPS_UNITY, chi_factor, energy, eps_factor, purity_rhs
-from .states import ChargeBranchState, gaussian_state, rotator_coherent_state
+from .states import ChargeBranchState, gaussian_state, momentum_grid, rotator_coherent_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,13 +122,17 @@ def run_factors(p1: float, p2: float) -> dict:
     }
 
 
-def packet_grid(lam: float, p_bar: float = 0.0, n_points: int = 512) -> MomentumGrid:
-    """Momentum window wide enough for spectral round trips of a lam-packet."""
+def packet_grid(lam: float, p_bar: float = 0.0, n_points: int | None = None) -> MomentumGrid:
+    """Momentum window wide enough for spectral round trips of a lam-packet.
+
+    It has n_points nodes, or without them the nodes `momentum_grid` asks
+    for, at least 512.
+    """
     if not 0.0 < lam < np.inf:
         raise ValueError(f"lambda must be finite and positive, got {lam}")
     sigma = 1.0 / lam
     p_max = 9.0 / sigma + abs(p_bar) + 0.5
-    return MomentumGrid(n_points, p_max)
+    return momentum_grid(sigma, p_max, NATURAL, n_min=512) if n_points is None else MomentumGrid(n_points, p_max)
 
 
 def _packet(lam: float, n_points: int, eps_mode: str):
@@ -162,7 +166,7 @@ def run_evolve_check(lam: float, t: float, n_points: int = 512) -> float:
     return float(np.abs(w_prop, out=w_prop).max())
 
 
-def effective_mass_ratio(lam: float, p_bar: float = 0.02, n_points: int = 512) -> float:
+def effective_mass_ratio(lam: float, p_bar: float = 0.02, n_points: int | None = None) -> float:
     """m_eff/m = p_bar / <c^2 p/E>, the mean momentum over the mean group velocity.
 
     Free evolution conserves the momentum distribution |phi|^2, so the
@@ -175,7 +179,9 @@ def effective_mass_ratio(lam: float, p_bar: float = 0.02, n_points: int = 512) -
 
     Strong localization feeds relativistic momenta into the velocity
     average no matter how small p_bar is, so the ratio grows with lam
-    even at crawling speeds.
+    even at crawling speeds.  Without n_points the grid is the one
+    `packet_grid` sizes by `states.momentum_grid`: 512 nodes up to
+    lam ~ 9.6, then as many as keep dp <= 0.34 mc.
     """
     if not 0.0 < abs(p_bar) < np.inf:
         raise ValueError(f"p_bar must be finite and nonzero, got {p_bar}")

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError
 from .grids import NATURAL, MomentumGrid, UnitSystem, quadrature
 from .spectrum import energy
-from .states import displaced_number_state
+from .states import displaced_number_state, momentum_grid
 
 
 @dataclass(frozen=True)
@@ -50,15 +49,8 @@ class PairState:
         return abs(self.q1 - self.q2)
 
 
-def _nodes_needed(width: float, p_max: float) -> int:
-    """The fewest nodes, a power of two, that space a grid over [-p_max, p_max] by at most width / 10."""
-    return 2 ** int(np.ceil(np.log2(20.0 * p_max / width)))
-
-
 def _pair_grid(sigma: float, units: UnitSystem) -> MomentumGrid:
-    width = units.hbar / sigma
-    p_max = 12.0 * max(width, units.mc)
-    return MomentumGrid(min(max(2048, _nodes_needed(width, p_max)), 2**16), p_max)
+    return momentum_grid(sigma, 12.0 * units.hbar / sigma, units, n_min=2048)
 
 
 def _kinetic(p, model: str, units: UnitSystem):
@@ -96,22 +88,17 @@ def pair_energy(pair: PairState, model: str = "rel", units: UnitSystem = NATURAL
     exchange-symmetric) and tend to twice the single-packet energy once
     the packets separate.
 
-    The pair grid stops doubling at 2^16 nodes: a packet so wide that its
-    spacing misses dp <= 0.1 hbar/sigma raises ResolutionError with the
-    node count it would need.  A quadrature on the spacing dp reads the
-    pair's densities at separation d as at d - 2 pi hbar/dp as well, so a
-    separation that is not 12 sigma below that position window raises
+    The pair grid spans p_max = 12 hbar/sigma with the nodes
+    `states.momentum_grid` asks for, at least 2048, so dp <= 0.012
+    hbar/sigma at every width and dp <= 0.34 mc up to its 2^16-node cap
+    (sigma down to about 1e-3 Compton lengths).  A quadrature on the
+    spacing dp reads the pair's densities at separation d as at
+    d - 2 pi hbar/dp as well, so a separation that is not 12 sigma below
+    that position window (about 536 sigma at 2048 nodes) raises
     ValueError (at 8 sigma below it the image still moves the energy by
     up to ~1e-9 relative, at 12 sigma by roundoff).
     """
     grid = _pair_grid(pair.sigma, units)
-    width = units.hbar / pair.sigma
-    if grid.spacing > 0.1 * width:
-        needed = _nodes_needed(width, grid.p_max)
-        raise ResolutionError(
-            f"pair grid spacing {grid.spacing:.4g} too coarse for packet of momentum width {width:.4g}; "
-            f"dp <= 0.1 hbar/sigma needs {needed} nodes, the pair grid stops at {grid.n_points}"
-        )
     window = 2.0 * np.pi * units.hbar / grid.spacing
     if not pair.separation < window - 12.0 * pair.sigma:
         raise ValueError(

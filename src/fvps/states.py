@@ -64,13 +64,38 @@ class CoherentSpec:
         return q_bar, p_bar
 
 
+def _width_spacing(sigma: float, units: UnitSystem) -> float:
+    """hbar/(4 sigma), the bound a packet grid's spacing must stay below."""
+    return 0.25 * units.hbar / sigma
+
+
+def momentum_grid(sigma: float, p_max: float, units: UnitSystem, n_min: int) -> MomentumGrid:
+    """The fewest nodes on [-p_max, p_max], a power of two >= n_min, that resolve a sigma-packet.
+
+    The spacing meets dp < hbar/(4 sigma), the packet's own bound, and
+    dp <= 2 pi mc / ln(1/tol) with tol = 1e-8, about 0.34 mc: the
+    trapezoid rule's error on an integrand analytic in a strip of
+    half-width a falls as exp(-2 pi a / dp) (Trefethen & Weideman, SIAM
+    Rev. 56, 385, 2014), and the eps weight's E(p) has branch points at
+    p = +-i mc.  The grid stops doubling at 2^16 nodes.  Past that it may
+    miss either bound: the state builders' `_check_resolution` refuses it
+    for a packet whose momentum width hbar/sigma is 4 dp or less, and
+    nothing yet refuses it for the mc bound.
+    """
+    width, compton = _width_spacing(sigma, units), 2.0 * np.pi * units.mc / np.log(1e8)
+    grid = MomentumGrid(n_min, p_max)
+    while grid.n_points < 2**16 and (grid.spacing >= width or grid.spacing > compton):
+        grid = MomentumGrid(2 * grid.n_points, p_max)
+    return grid
+
+
 def _check_resolution(grid: MomentumGrid, sigma: float, p_bar: float, units: UnitSystem, reach: float):
     """Require dp < hbar/(4 sigma) and p_max > |p_bar| + reach hbar/sigma."""
-    width = units.hbar / sigma
-    if grid.spacing >= 0.25 * width:
+    width, limit = units.hbar / sigma, _width_spacing(sigma, units)
+    if grid.spacing >= limit:
         raise ResolutionError(
             f"grid spacing {grid.spacing:.4g} too coarse for packet of momentum "
-            f"width {width:.4g}; need dp < hbar/(4 sigma) = {0.25 * width:.4g}"
+            f"width {width:.4g}; need dp < hbar/(4 sigma) = {limit:.4g}"
         )
     if grid.p_max <= abs(p_bar) + reach * width:
         raise ResolutionError(

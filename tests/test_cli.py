@@ -220,12 +220,18 @@ class TestCoherentCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("coherent built a field, evolved it or took its moments")
 
-        for module, name in [(cli, "wigner_even"), (cli, "evolve_even"), (cli, "moments"),
-                             (wigner, "wigner_even"), (moyal, "evolve_even"), (wigner, "moments")]:
+        for module, name in [(wigner, "wigner_even"), (moyal, "evolve_even"), (wigner, "moments")]:
             monkeypatch.setattr(module, name, refuse)
         rows = run_coherent([0.05, 0.5, 1.0, 2.0, 4.0])
         assert all(ratio >= 1.0 for _, ratio in rows)
         assert main(["coherent", "--out", str(tmp_path / "mass.csv")]) == EXIT_OK
+
+    @pytest.mark.parametrize("lam", [16.0, 32.0])
+    def test_strongly_localized_matches_a_fine_grid(self, lam):
+        # its grid keeps dp <= 0.34 mc; at 512 nodes (dp = 0.57 and 1.13
+        # mc) these read 9.5e-8 and 9.3e-6 relative off
+        referee = effective_mass_ratio(lam, n_points=262144)
+        assert effective_mass_ratio(lam) == pytest.approx(referee, rel=1e-10)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(lam=st.floats(0.05, 4.0), p_bar=st.floats(0.01, 2.0))
@@ -265,6 +271,15 @@ class TestEntangleCommand:
         sigma, nonrel, rel = (float(x) for x in rows[0])
         assert nonrel == pytest.approx(0.5, abs=1e-10)
         assert rel < nonrel
+
+    def test_wide_packets(self, tmp_path):
+        # the pair grid follows the packet's width: these exited 2 when it
+        # spanned 12 mc and stopped doubling at 2^16 nodes
+        out = tmp_path / "pen.csv"
+        assert main(["entangle", "--sigmas", "300,1000", "--out", str(out)]) == EXIT_OK
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        for sigma, nonrel, _ in ((float(x) for x in row) for row in rows):
+            assert nonrel == pytest.approx(1.0 / (2.0 * sigma**2), rel=1e-12)
 
     @pytest.mark.parametrize("sigma", ["1e-160", "1e-300"])
     def test_overflow_exits_3_and_writes_nothing(self, tmp_path, sigma, capsys):

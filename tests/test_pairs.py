@@ -8,13 +8,13 @@ from fvps import (
     MomentumGrid,
     PairState,
     displaced_number_state,
+    energy,
     overlap_penalty,
     pair_energy,
     penalty_curve,
     quadrature,
 )
-from fvps.errors import ResolutionError
-from fvps.pairs import _mode_kinetic
+from fvps.pairs import _mode_kinetic, _pair_grid
 
 
 class TestPairEnergy:
@@ -95,19 +95,14 @@ class TestPairEnergy:
             PairState(-1e308, 1e308, 1.0)
 
     @pytest.mark.parametrize("statistics", ["bose", "fermi"])
-    def test_wide_packets_scale_until_the_grid_cap(self, statistics):
-        # sigma^2 E is constant in the quadratic theory while the capped
-        # pair grid still resolves hbar/sigma (up to sigma ~ 273)
-        scaled = [s**2 * pair_energy(PairState(0.0, 3.0 * s, s, statistics), "nonrel") for s in (100.0, 250.0)]
-        assert scaled[1] == pytest.approx(scaled[0], rel=1e-12)
-
-    @pytest.mark.parametrize("sigma, needed", [(300.0, 131072), (1e4, 4194304)])
-    @pytest.mark.parametrize("statistics", ["bose", "fermi"])
-    def test_wide_packets_past_the_grid_cap_raise(self, sigma, needed, statistics):
-        # at sigma = 1e4 these read 2.0e-13 (bose) and 6.7e-8 (fermi)
-        # where the 1/sigma^2 scaling predicts 4.75e-9 and 5.25e-9
-        with pytest.raises(ResolutionError, match=f"needs {needed} nodes"):
-            pair_energy(PairState(0.0, 3.0 * sigma, sigma, statistics), "nonrel")
+    def test_wide_packets_scale_as_one_over_sigma_squared(self, statistics):
+        # sigma^2 E is constant in the quadratic theory, and the pair grid
+        # follows the packet's width, so no width runs into its node cap
+        # (at sigma = 300 and 1e4 the grid once stopped at 2^16 nodes short
+        # of dp <= 0.1 hbar/sigma and raised ResolutionError)
+        sigmas = (100.0, 250.0, 300.0, 1e4)
+        scaled = [s**2 * pair_energy(PairState(0.0, 3.0 * s, s, statistics), "nonrel") for s in sigmas]
+        assert scaled[1:] == pytest.approx([scaled[0]] * 3, rel=1e-12)
 
     @pytest.mark.parametrize("d", [524.0, 100.0, 10.0])
     @pytest.mark.parametrize("statistics", ["bose", "fermi"])
@@ -144,6 +139,20 @@ class TestOverlapPenalty:
     def test_strong_softening_below_compton(self):
         ratio = overlap_penalty(0.1, "rel") / overlap_penalty(0.1, "nonrel")
         assert ratio < 0.5
+
+    def test_narrow_packet_matches_a_fine_grid(self):
+        # at sigma = 0.01 the grid resolves mc (dp <= 0.34 mc, 8192 nodes);
+        # 2048 nodes there (dp = 1.17 mc) read 2.0e-7 relative off
+        sigma = 0.01
+        grid = MomentumGrid(2**18, 12.0 / sigma)
+        kinetic = energy(grid.nodes) - 1.0
+        gap = [quadrature(kinetic * np.abs(displaced_number_state(n, grid, sigma).phi_plus) ** 2, grid).real
+               for n in (0, 1)]
+        assert overlap_penalty(sigma, "rel") == pytest.approx(gap[1] - gap[0], rel=1e-10)
+
+    def test_wide_packet_needs_no_more_than_the_least_grid(self):
+        # the grid spans 12 hbar/sigma, not 12 mc (32768 nodes at sigma = 100)
+        assert _pair_grid(100.0, NATURAL).n_points == 2048
 
     def test_mode_gap_equals_pair_energy_difference(self):
         near = pair_energy(PairState(0.0, 0.0, 1.3, "fermi"), "rel")

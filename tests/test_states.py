@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fvps
 from fvps import (
@@ -30,6 +32,7 @@ from fvps import (
     sign_operator,
 )
 from fvps.rotator import RotatorModel
+from fvps.states import momentum_grid
 
 
 class TestGaussianState:
@@ -111,6 +114,31 @@ class TestGaussianState:
         # cli reports as a numerical failure; nan built a nan packet
         with pytest.raises(ValueError, match="lam must be finite and positive"):
             gaussian_state(MomentumGrid(256, 12.0), lam=lam)
+
+
+class TestMomentumGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sigma=st.floats(1e-4, 1e4),
+        p_max=st.floats(1e-3, 1e4),
+        units=st.sampled_from([UnitSystem(), UnitSystem(m=1.3, c=0.8, hbar=0.7), UnitSystem(m=2.0, c=3.0)]),
+        n_min=st.sampled_from([2**k for k in range(3, 17)]),
+    )
+    # spacings exactly at each bound: 0.25 = hbar/(4 sigma) at 128 nodes
+    # is too coarse, 2 pi mc / ln(1e8) at 64 nodes is fine
+    @example(sigma=1.0, p_max=16.0, units=UnitSystem(), n_min=8)
+    @example(sigma=0.5, p_max=32 * (2.0 * np.pi / np.log(1e8)), units=UnitSystem(), n_min=8)
+    def test_fewest_nodes_that_resolve(self, sigma, p_max, units, n_min):
+        # dp < hbar/(4 sigma) resolves the packet, dp <= 2 pi mc / ln(1e8)
+        # the eps weight's branch points at +-i mc; the grid stops at 2^16
+        def resolves(grid):
+            return grid.spacing < units.hbar / (4.0 * sigma) and grid.spacing <= 2.0 * np.pi * units.mc / np.log(1e8)
+
+        grid = momentum_grid(sigma, p_max, units, n_min=n_min)
+        assert grid.p_max == p_max and grid.n_points >= n_min
+        assert resolves(grid) or grid.n_points == 2**16
+        if grid.n_points > n_min:
+            assert not resolves(MomentumGrid(grid.n_points // 2, p_max))
 
 
 class TestCoherentState:

@@ -8,10 +8,14 @@ name and bytes), and the command.  A warning counts as one stderr line,
 `Category: message`; the file and line it names depend on the checkout
 and are left out.  Run it on two checkouts and diff the outputs: an
 empty diff means the same files, sidecars, output and exit codes.
+`--write` writes the lines to `tests/readme_outputs.txt` instead, the
+file `tests/test_readme_outputs.py` checks the commands against.
 
     python tools/readme_outputs.py > outputs.txt
+    python tools/readme_outputs.py --write
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -22,6 +26,8 @@ import warnings
 from pathlib import Path
 
 from reach import ROOT, readme_commands
+
+PINNED = ROOT / "tests" / "readme_outputs.txt"
 
 
 def fingerprint(argv) -> tuple:
@@ -46,7 +52,15 @@ def fingerprint(argv) -> tuple:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Fingerprint what each README command leaves behind.")
+    parser.add_argument("--write", action="store_true", help=f"write the lines to {PINNED.relative_to(ROOT)}")
+    args = parser.parse_args()
     sys.path.insert(0, str(ROOT / "src"))
+    lines = []
     for argv in readme_commands():
         code, digest = fingerprint(argv)
-        print(f"{code} {digest}  fvps {shlex.join(argv)}")
+        lines.append(f"{code} {digest}  fvps {shlex.join(argv)}\n")
+    if args.write:
+        PINNED.write_text("".join(lines))
+    else:
+        sys.stdout.writelines(lines)
