@@ -20,43 +20,46 @@ once per file.  A larger block means fewer numpy calls a field (about
 to hand back to the kernel and fault in again on every block: after a
 process's first two writes a write takes no page faults.  Memory sets
 the block size: scratch set, record and its NUL-free copy peak at about
-1.5 MB at n = 512, 1.55-1.75 MB on a process's first write, which also
-builds the tables (the high end is a field of integers, whose digits
-all need their trailing zeros removed, and which holds powers of two).
+1.5 MB at n = 512, 1.55-1.8 MB on a process's first write, which also
+builds the tables in its first block (the high end is a field of powers
+of two, which builds their texts too, or of integers, whose digits all
+need their trailing zeros removed).
 ``test_field_writer_memory_stays_linear`` clears the tables first, so
 each of its cases measures a first write, and bounds it at 2e6 bytes,
 which the next whole number of records, 10240 cells, would all but
 reach.  The bytes of 2048 cells at a time are laid out in one
 ``bytearray`` record allocated per file, and the record, its NULs
 deleted, goes straight to the file opened in binary mode, without a
-``str`` per record.  In long form a q or p node's slot is as wide as
-the longest node text of its axis, not 24 bytes.  The head is encoded
-in the locale's encoding, as a text-mode file would have.
+``str`` per record.  The q and p nodes, one or two thousand of them,
+take their text from ``repr`` itself (`_texts`), NUL-padded only to
+the longest text of their axis: in long form a line holds a q and a p
+slot that wide, not 24 bytes each.  The head is encoded in the
+locale's encoding, as a text-mode file would have.
 `_shortest_decimal` turns each float64 into the shortest decimal
 significand and exponent that reads back to the same float, the nearest
-such one to the float's exact value, ties to an even digit.  That is
-the rule of CPython's ``repr`` (Gay's ``dtoa`` in mode 0), so the
-digits are ``repr``'s; Ryū's ``d2d`` (Adams, PLDI 2018), which this
-module ran before, follows it too.  The algorithm is Dragonbox's
-nearest path (J. Jeon, 2020) over arrays: one 64 x 128-bit product per
-float, of its scaled upper interval end and a 128-bit power of ten,
-then a division by 1000 and, where the interval holds no multiple of
-it, by 100; a second product runs only on the few floats at an edge of
-either test.  The powers of ten are tabulated per binary exponent from
-exact integers on a process's first write (`_dragonbox_tables`, about
-0.6 ms).  A power of two above 2^-1022, whose interval is narrower
-below, takes its digits from a table read from ``repr`` itself
-(`_power_digits`, about 3 ms), built only by a write that holds one.
-`_repr_slots` lays them out as ``repr`` does, in fixed 24-byte slots,
-each byte kept or zeroed by a mask: exponent form (``1e-05``,
-``-2.5e+300``) when the decimal exponent is below -4 or at least 16,
-its suffix from a table of ``e-324`` .. ``e+308`` (`_suffixes`), and
+such one to the float's exact value, ties to an even digit.  That is the
+rule of CPython's ``repr`` (Gay's ``dtoa`` in mode 0), so the digits are
+``repr``'s; Ryū's ``d2d`` (Adams, PLDI 2018), which this module ran
+before, follows it too.  The algorithm is Dragonbox's nearest path
+(J. Jeon, 2020) over arrays: one 64 x 128-bit product per float, of its
+scaled upper interval end and a 128-bit power of ten, then a division by
+1000 and, where the interval holds no multiple of it, by 100; a second
+product runs only on the few floats at an edge of either test.  The
+powers of ten are tabulated per binary exponent from exact integers on a
+process's first write (`_dragonbox_tables`, about 0.6 ms).
+`_repr_slots` lays the digits out as ``repr`` does, in fixed 24-byte
+slots, each byte kept or zeroed by a mask: exponent form (``1e-05``,
+``-2.5e+300``) when the decimal exponent is below -4 or at least 16, its
+suffix from a table of ``e-324`` .. ``e+308`` (`_suffixes`), and
 positional form (``0.0001``, ``123.0``) otherwise, made from the
-exponent form's digits; ``0.0``, ``-0.0``, ``inf``, ``-inf`` and
-``nan`` are fixed texts.  A record's rows are its slots and
-separators side by side; deleting the zeroed bytes leaves the text
-``csv.writer`` would write from ``repr`` of each cell.  The field, its
-nodes and their shapes are checked before the file is opened.
+exponent form's digits; ``0.0``, ``-0.0``, ``inf``, ``-inf`` and ``nan``
+are fixed texts.  A power of two above 2^-1022, whose interval is
+narrower below, takes its text whole from a table of ``repr``
+(`_power_texts`, about 2 ms), built only by a write that holds one.  A
+record's rows are its slots and separators side by side; deleting the
+zeroed bytes leaves the text ``csv.writer`` would write from ``repr`` of
+each cell.  The field, its nodes and their shapes are checked before the
+file is opened.
 
 A JSON document has sorted keys, an indent of 2 and a trailing newline.
 """
@@ -110,6 +113,13 @@ def write_csv(path, meta: dict, header, rows):
         fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
 
 
+def _texts(values, width: int = 0):
+    """``repr`` of each of `values` as a float64, NUL-padded, in a (values.size, width) uint8 array; width 0 is the longest text's."""
+    texts = [repr(x).encode() for x in np.asarray(values, dtype=np.float64).ravel().tolist()]
+    width = width or max(map(len, texts), default=0)
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
+
+
 @functools.cache
 def _dragonbox_tables():
     """Dragonbox's constants for each biased binary exponent b, 0..2047, from exact integers.
@@ -140,22 +150,15 @@ def _dragonbox_tables():
 
 
 @functools.cache
-def _power_digits():
-    """The digits of ``repr`` of 2^(b - 1023) and the exponent of the last one, by biased exponent b, 2..2046.
+def _power_texts():
+    """`_texts` in 23 bytes of the float with bits b << 52 (2^(b - 1023) for b = 1..2046), by b: slots 1..23 of its repr.
 
     A power of two above 2^-1022 has a rounding interval half as wide
-    below, which the nearest path does not cover, so its digits are read
-    from ``repr`` itself: about 3 ms, spent on the first write that
-    holds such a power.  The entries of b = 0, 1 and 2047 are 0.
+    below, which the nearest path does not cover, so its text is read
+    from ``repr`` itself, on the first write that holds such a power;
+    slot 0 keeps the sign, as it does for a zero or an infinity.
     """
-    digits = np.zeros(2048, dtype=_U64)
-    exp10 = np.zeros(2048, dtype=np.int16)
-    for b in range(2, 2047):
-        mantissa, _, exponent = repr(math.ldexp(1.0, b - 1023)).partition("e")
-        whole, _, fraction = mantissa.partition(".")
-        fraction = fraction.rstrip("0")
-        digits[b], exp10[b] = int(whole + fraction), int(exponent or 0) - len(fraction)
-    return digits, exp10
+    return _texts((np.arange(2048, dtype=_U64) << _U64(52)).view(np.float64), _SLOT - 1)
 
 
 @functools.cache
@@ -166,7 +169,7 @@ def _suffixes():
 
 
 class _Scratch:
-    """The work arrays of `_repr_slots` for up to `size` floats a call, allocated once and reused by every call.
+    """The work arrays of `_repr_slots` for up to `size` floats a call, allocated once per file and reused by every block.
 
     `words` are 13 uint64 rows that the Dragonbox stages hand on to each
     other and the layout stages then reuse, `flags` 7 bool rows, `exp10`
@@ -177,7 +180,7 @@ class _Scratch:
     a remainder at the interval's width or at zero, a rounding that
     lands on a multiple of 100, trailing zeros, a power of two, a zero,
     an infinity or NaN; the positional floats' text is laid out in rows
-    of `words`.
+    of `words`, and a power of two's is copied whole from `_power_texts`.
     """
 
     def __init__(self, size: int):
@@ -251,10 +254,11 @@ def _shortest_decimal(s):
     is the shortest decimal, else the nearest multiple of 100 units to
     the float is.  Where z's remainder is 0 or delta, or that nearest
     multiple lies halfway, a second product decides, on those floats
-    alone.  A power of two above 2^-1022 takes its digits from
-    `_power_digits`; a zero's digits mean nothing.  Returns the row of
-    ``s.words`` that holds the digits; every other row is free
-    afterwards.
+    alone.  A power of two above 2^-1022, whose interval is narrower
+    below, gets digits that mean nothing, as a zero does.  Returns the
+    row of ``s.words`` that holds the digits, every other row free
+    afterwards, and the columns of those powers with their biased
+    exponents, for `_repr_slots` to give their text from `_power_texts`.
     """
     phi, beta, delta, exp10 = _dragonbox_tables()
     bits, index, fc, shift, u, *limbs, row, col, rest, z = s.words
@@ -332,17 +336,13 @@ def _shortest_decimal(s):
         zeros = more[out[more] % _U64(10**power) == 0]
         out[zeros] //= _U64(10**power)
         s.exp10[zeros] += power
-    if powers.size:
-        power_digits, power_exp10 = _power_digits()
-        out[powers] = power_digits[biased[powers]]
-        s.exp10[powers] = power_exp10[biased[powers]]
-    return out
+    return out, powers, biased[powers]
 
 
 @functools.cache
 def _quads():
     """ASCII of 0000..9999 as uint32 words, so that one gather writes four digits."""
-    text = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    text = np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.int16) % 10 + ord("0")
     return text.astype(np.uint8).view(np.uint32).ravel()
 
 
@@ -386,9 +386,11 @@ def _repr_slots(x, s=None):
     with no digit after it.  A positional float (decimal exponent
     -4..15) gets the text `_positional` makes from its exponent form's
     digits, and a zero, an infinity or a NaN a fixed text; a zero keeps
-    its sign.  `s` is a `_Scratch` of at least x.size floats (a new one
-    by default); the result is a view of its slots, overwritten by the
-    next call.
+    its sign, as a power of two above 2^-1022 does, whose text comes
+    last, from `_power_texts`, and only for a block that holds one.
+    `s` is a `_Scratch` of at least x.size floats (a new one by
+    default); the result is a view of its slots, overwritten by the next
+    call.
     """
     x = np.asarray(x)
     n = x.size
@@ -406,7 +408,7 @@ def _repr_slots(x, s=None):
     np.isinf(values, out=inf)
     np.bitwise_and(words[0], 2**63 - 1, out=words[0])
     np.equal(words[0], 0, out=zero)
-    digits = _shortest_decimal(s)
+    digits, powers, biased = _shortest_decimal(s)
     length = words[2].view(np.intp)
     _decimal_length(digits, length, words[3], f1)  # a zero's digits mean nothing: it gets a fixed text
     padded = words[0]
@@ -438,6 +440,8 @@ def _repr_slots(x, s=None):
     slots[1:, inf] = _INF[:, None]
     slots[:, nan] = _NAN[:, None]
     slots[1:, zero] = _ZERO[:, None]
+    if powers.size:
+        slots[1:, powers] = _power_texts()[biased].T
     return slots[:, :n]
 
 
@@ -489,22 +493,6 @@ def _positional(slots, columns, s):
     return out
 
 
-def _node_slots(q_nodes, p_nodes):
-    """`repr` of each q and p node, left-aligned and NUL-padded in a uint8 array per axis, as wide as its longest.
-
-    Both axes are formatted in one `_repr_slots` call, and each text is
-    moved to the front of its slot by a stable sort of its NUL mask.
-    Every long-form line holds a q and a p node, so each byte of a slot
-    narrower than 24 is one byte less a line for the NUL deletion to read.
-    """
-    nodes = np.concatenate([q_nodes, p_nodes], dtype=np.float64)
-    cells = _repr_slots(nodes).T
-    texts = np.take_along_axis(cells, np.argsort(cells == 0, axis=1, kind="stable"), axis=1)
-    lengths = np.count_nonzero(cells, axis=1)
-    q = q_nodes.size
-    return texts[:q, : lengths[:q].max(initial=0)], texts[q:, : lengths[q:].max(initial=0)]
-
-
 def _geometry(n_q: int):
     """(rows a record, rows a block) of a field with `n_q` columns: a block is a whole number of records, at least one row each."""
     rows = max(1, _RECORD_CELLS // max(n_q, 1))
@@ -523,7 +511,7 @@ def write_field_csv(path, meta: dict, q_nodes, p_nodes, w, matrix: bool = False)
         if values.dtype.kind not in "biuf":
             raise ValueError(f"expected real {name}, got dtype {values.dtype}")
     n_p, n_q = w.shape
-    q_slots, p_slots = _node_slots(q_nodes, p_nodes)
+    q_slots, p_slots = _texts(q_nodes), _texts(p_nodes)
     q_width, p_width = q_slots.shape[1], p_slots.shape[1]
     rows, block = _geometry(n_q)
     scratch = _Scratch(block * n_q)

@@ -7,7 +7,6 @@ import io
 import json
 import os
 import re
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -50,6 +49,12 @@ from fvps.cli import (
 from fvps.pairs import penalty_curve
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TOOLS = README.parent / "tools"
+sys.path.insert(0, str(TOOLS))
+try:
+    import reach
+finally:
+    sys.path.remove(str(TOOLS))
 
 
 class TestFactorsCommand:
@@ -792,6 +797,27 @@ class TestByteReferee:
             _reference_field_csv(ref, w, SimpleNamespace(q_nodes=q, p_nodes=p), {"k": "v"}, matrix=matrix)
             assert out.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0, 1, -2, 3, 4096, -(2**62), 2**53 + 1, 10**17, 123456789]),
+            np.array([0, 1, 2, 37, 128, 255], dtype=np.uint8),
+            np.array([True, False, True]),
+            np.array([0.1, -0.5, 2.0**-20, 3.4e38, 1e-45, -0.0, np.inf, 1 / 3, 64.0], dtype=np.float32),
+        ],
+        ids=["int64", "uint8", "bool", "float32"],
+    )
+    def test_field_of_other_dtypes(self, tmp_path, matrix, values):
+        # the writer takes a field and nodes of any real dtype, each value
+        # written as repr of the float64 it casts to; powers of two among them
+        w = np.resize(values, (5, 7))
+        q, p = np.resize(values, 7), np.resize(values[::-1], 5)
+        out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
+        tables.write_field_csv(out, {"k": "v"}, q, p, w, matrix=matrix)
+        _reference_field_csv(ref, w, SimpleNamespace(q_nodes=q, p_nodes=p), {"k": "v"}, matrix=matrix)
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_field_head_in_locale_encoding(self, tmp_path):
         q, p, w = np.array([0.5]), np.array([1.0]), np.array([[2.0]])
         out, ref = tmp_path / "w.csv", tmp_path / "ref.csv"
@@ -834,8 +860,7 @@ NODE_EDGES = np.array(
 
 @pytest.mark.parametrize("axes", ["random", "edges", "empty-q", "empty-p", "both-empty"])
 def test_node_slots_match_repr(axes):
-    # both axes in one formatting call, each text left-aligned in a slot
-    # as wide as its axis's longest
+    # each axis's texts left-aligned in a slot as wide as its longest
     rng = np.random.default_rng(5)
     random = rng.standard_normal(300) * 10.0 ** rng.integers(-30, 31, 300)
     empty = np.array([])
@@ -846,7 +871,8 @@ def test_node_slots_match_repr(axes):
         "empty-p": (NODE_EDGES, empty),
         "both-empty": (empty, empty),
     }[axes]
-    for slots, nodes in zip(tables._node_slots(q, p), (q, p)):
+    for nodes in (q, p):
+        slots = tables._texts(nodes)
         texts = [repr(float(x)).encode() for x in nodes]
         width = max(map(len, texts), default=0)
         assert slots.shape == (len(texts), width)
@@ -969,14 +995,14 @@ def test_repr_kernel_on_rare_paths(path):
 
 
 @pytest.mark.parametrize("matrix", [False, True], ids=["long", "matrix"])
-def test_power_digits_read_only_for_a_power_of_two(tmp_path, matrix):
-    # the power-of-two digits are read from repr only by a write that
+def test_power_texts_read_only_for_a_power_of_two(tmp_path, matrix):
+    # the power-of-two texts are read from repr only by a write that
     # holds such a power: fig1's field and nodes hold none
     def calls():
-        info = tables._power_digits.cache_info()
+        info = tables._power_texts.cache_info()
         return info.hits + info.misses
 
-    tables._power_digits.cache_clear()
+    tables._power_texts.cache_clear()
     w, ps, _ = run_wigner(8.0)
     tables.write_field_csv(tmp_path / "fig1.csv", {}, ps.q_nodes, ps.p_nodes, w, matrix=matrix)
     assert calls() == 0
@@ -990,13 +1016,15 @@ def test_power_digits_read_only_for_a_power_of_two(tmp_path, matrix):
 
 
 def _memory_field(kind, shape):
-    """A field of positional, integer or mixed values; the mixed one is mostly positional, with some
-    exponent-form values and, in every seventh cell, inf, -inf, NaN or -0.0."""
+    """A field of positional, integer, mixed values or powers of two; the mixed one is mostly positional,
+    with some exponent-form values and, in every seventh cell, inf, -inf, NaN or -0.0."""
     rng = np.random.default_rng(20020206)
     if kind == "positional":
         return rng.uniform(0.01, 100.0, shape)
     if kind == "integer":
         return rng.integers(-(10**6), 10**6, size=shape).astype(float)
+    if kind == "powers":
+        return np.ldexp(rng.choice([-1.0, 1.0], shape), rng.integers(-1021, 1024, size=shape))
     w = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 16, size=shape)
     w.ravel()[::7] = np.resize([np.inf, -np.inf, np.nan, -0.0], w.ravel()[::7].size)
     return w
@@ -1004,7 +1032,7 @@ def _memory_field(kind, shape):
 
 _MEMORY_CASES = [pytest.param("fig1", False, id="long"), pytest.param("fig1", True, id="matrix")] + [
     pytest.param(kind, matrix, id=f"{kind}-{'matrix' if matrix else 'long'}")
-    for kind in ("positional", "integer", "mixed")
+    for kind in ("positional", "integer", "mixed", "powers")
     for matrix in (False, True)
 ]
 
@@ -1019,13 +1047,13 @@ def test_field_writer_memory_stays_linear(tmp_path, kind, matrix):
     # field of integers, next to none for fig1's (97 % exponent form).
     # Every table is cleared first, so every case measures a process's
     # first write, which also builds Dragonbox's tables and the suffix
-    # table (~0.13 MB kept) and, for a field holding a power of two (the
-    # integers), the power-of-two digits. The whole n = 512 field as a
-    # list of Python floats alone takes ~8 MB
+    # table (~0.13 MB kept) in its first block and, for a field holding a
+    # power of two (the integers and the powers), the power-of-two texts.
+    # The whole n = 512 field as a list of Python floats alone takes ~8 MB
     w, ps, _ = run_wigner(8.0)
     if kind != "fig1":
         w = _memory_field(kind, w.shape)
-    for table in (tables._dragonbox_tables, tables._quads, tables._suffixes, tables._power_digits):
+    for table in (tables._dragonbox_tables, tables._quads, tables._suffixes, tables._power_texts):
         table.cache_clear()
     tracemalloc.start()
     try:
@@ -1102,15 +1130,8 @@ def _readme_section(title: str) -> str:
     return text[start:] if end < 0 else text[start:end]
 
 
-def _readme_commands() -> list:
-    block = _readme_section("## Command line")
-    block = block[block.index("```sh") + len("```sh"):]
-    block = block[: block.index("```")]
-    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("fvps ")]
-
-
 @pytest.mark.filterwarnings("ignore::fvps.errors.ResolutionWarning")
-@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", reach.readme_commands(), ids=lambda argv: argv[0])
 def test_readme_command_runs(tmp_path, argv, capsys):
     argv = list(argv)
     if "--out" in argv:
@@ -1128,7 +1149,7 @@ def test_readme_command_runs(tmp_path, argv, capsys):
 
 def test_readme_names_every_sidecar():
     formats = _readme_section("### File formats")
-    assert {argv[0] for argv in _readme_commands()} == set(SIDECARS)
+    assert {argv[0] for argv in reach.readme_commands()} == set(SIDECARS)
     for names in SIDECARS.values():
         for name in names:
             assert f"`{name}`" in formats, name
@@ -1150,7 +1171,7 @@ def test_readme_commands_never_reach_the_matrix_oracle(tmp_path, monkeypatch, ca
     for name in ("even_ladder", "orbit_series_matrix_oracle"):
         monkeypatch.setattr(rotator, name, oracle)
     monkeypatch.chdir(tmp_path)
-    codes = [main(argv) for argv in _readme_commands()]
+    codes = [main(argv) for argv in reach.readme_commands()]
     assert codes == [EXIT_OK] * len(codes), capsys.readouterr().err
 
 
@@ -1196,7 +1217,7 @@ def test_command_line_properties(command, data):
     out = "o.json" if command in ("factors", "evolve") else "o.csv"
     argv = [command, *(f"{flag}={value}" for flag, value in flags.items()), "--out", out]
     stderr = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+    with tempfile.TemporaryDirectory() as tmp, reach.chdir(tmp):
         # recorded, not raised: conftest makes modulation_spectrum's
         # ResolutionWarning an error, and the command line allows it
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
@@ -1247,7 +1268,7 @@ def _fresh_modules(code, *argv, cwd=None):
     return set(ast.literal_eval(run.stdout.splitlines()[-1]))
 
 
-@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", reach.readme_commands(), ids=lambda argv: argv[0])
 def test_command_loads_only_what_it_runs(tmp_path, argv):
     loaded = _fresh_modules("import sys; from fvps.cli import main; assert main(sys.argv[1:]) == 0", *argv,
                             cwd=tmp_path)

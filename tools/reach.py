@@ -39,6 +39,17 @@ def definitions():
     return names
 
 
+@contextlib.contextmanager
+def chdir(path):
+    """Work in directory `path` inside the block, as ``contextlib.chdir`` does from Python 3.11 on."""
+    before = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
 def readme_commands():
     """argv lists of the `fvps ...` lines in the README's command-line block."""
     text = (ROOT / "README.md").read_text()
@@ -65,7 +76,7 @@ def traced_run():
 
             from fvps import cli
 
-            with contextlib.chdir(tmp):
+            with chdir(tmp):
                 codes = [cli.main(argv) for argv in readme_commands()]
             codes.append(int(pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests" / "test_acceptance.py")])))
         finally:

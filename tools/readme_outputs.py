@@ -25,7 +25,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from reach import ROOT, readme_commands
+from reach import ROOT, chdir, readme_commands
 
 PINNED = ROOT / "tests" / "readme_outputs.txt"
 
@@ -35,7 +35,7 @@ def fingerprint(argv) -> tuple:
     from fvps import cli
 
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+    with tempfile.TemporaryDirectory() as tmp, chdir(tmp):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
