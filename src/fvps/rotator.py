@@ -227,12 +227,14 @@ class SpectralPeak:
 def modulation_spectrum(series: OrbitSeries, rel_threshold: float = 1e-8):
     """Detrended magnitude spectrum of r(t), peaks sorted by amplitude.
 
-    A peak is a local maximum of |FFT| above rel_threshold of the signal
-    scale; a constant series returns no peaks.  Emits a
-    ResolutionWarning when the window holds fewer than four periods of
-    the lowest detected peak (that peak's frequency is then window
-    limited).  `rel_threshold` must be finite and non-negative: a NaN or
-    infinite one admits no peak, a negative one every local maximum.
+    A peak is a local maximum of |FFT| above rel_threshold len(r) max |r|.
+    An inner bin of a real series' FFT holds at most len(r) max |r - mean|
+    / sqrt(2), so a series within rel_threshold max |r| of its mean, a
+    constant one among them, returns no peaks.  Emits a ResolutionWarning
+    when the window holds fewer than four periods of the lowest detected
+    peak (that peak's frequency is then window limited).  `rel_threshold`
+    must be finite and non-negative: a NaN or infinite one admits no
+    peak, a negative one every local maximum.
     """
     if not 0.0 <= rel_threshold < np.inf:
         raise ValueError(f"rel_threshold must be finite and non-negative, got {rel_threshold}")
@@ -240,8 +242,6 @@ def modulation_spectrum(series: OrbitSeries, rel_threshold: float = 1e-8):
     dt = series.times[1] - series.times[0]
     detrended = r - r.mean()
     scale = np.abs(r).max()
-    if scale == 0 or np.abs(detrended).max() < rel_threshold * scale:
-        return []
     spec = np.abs(np.fft.rfft(detrended))
     freqs = 2.0 * np.pi * np.fft.rfftfreq(len(r), dt)
     floor = rel_threshold * scale * len(r)
@@ -251,7 +251,7 @@ def modulation_spectrum(series: OrbitSeries, rel_threshold: float = 1e-8):
     peaks = [SpectralPeak(frequency=float(freqs[i]), amplitude=float(spec[i])) for i in idx]
     if peaks:
         lowest = min(pk.frequency for pk in peaks)
-        if lowest > 0 and series.times[-1] < 4.0 * 2.0 * np.pi / lowest:
+        if series.times[-1] < 4.0 * 2.0 * np.pi / lowest:
             warnings.warn(
                 f"series window {series.times[-1]:.4g} holds fewer than four "
                 f"periods of the lowest peak ({2 * np.pi / lowest:.4g})",

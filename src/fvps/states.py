@@ -9,8 +9,9 @@ physical (superselected) states carry exactly one branch with charge norm
 charge-off-diagonal components.
 
 A Gaussian packet is the n = 0 Hermite-Gaussian: `gaussian_state`
-resolves its width and calls `displaced_number_state`, so one builder
-and one resolution check serve both.
+resolves its width and calls `displaced_number_state`, so one builder,
+one Hermite recurrence and one resolution check serve every number
+state.
 """
 
 from dataclasses import dataclass
@@ -170,6 +171,10 @@ def displaced_number_state(
 ) -> ChargeBranchState:
     """n-th Hermite-Gaussian of width sigma displaced to (q_bar, p_bar).
 
+    H_n comes from the recurrence H_(k+1) = 2x H_k - 2k H_(k-1) from
+    H_0 = 1, for every n: bit for bit numpy's Hermite-series evaluation
+    (the tests' referee) for n <= 2, and apart from it by at most
+    2.1e-15 of max |H_n e^(-x^2/2)| for 3 <= n <= 12.
     The family is orthonormal under the grid quadrature; n is capped at
     12, past which raw Hermite recursion is not worth trusting at desk
     scale.
@@ -185,12 +190,9 @@ def displaced_number_state(
     _check_resolution(grid, sigma, p_bar, units, reach=np.sqrt(2.0 * n + 1.0) + 5.0)
     p = grid.nodes
     x = sigma * (p - p_bar) / units.hbar
-    if n == 0:  # H_0 = 1, as hermval returns it, without importing numpy.polynomial
-        herm = np.ones_like(x)
-    else:
-        coeffs = np.zeros(n + 1)
-        coeffs[n] = 1.0
-        herm = np.polynomial.hermite.hermval(x, coeffs)
+    herm, previous = np.ones_like(x), np.zeros_like(x)
+    for k in range(n):
+        herm, previous = 2.0 * x * herm - 2.0 * k * previous, herm
     phi = herm * np.exp(
         -(sigma**2) * (p - p_bar) ** 2 / (2.0 * units.hbar**2)
         - 1j * q_bar * p / units.hbar
@@ -228,10 +230,10 @@ def rotator_coherent_state(
     n = np.arange(1, n_max + 1)
     f = deformation_f(n, model)
     # log-magnitude recursion keeps very large n_max stable
-    log_terms = np.log(abs(alpha) + (abs(alpha) == 0.0)) - 0.5 * np.log(n) - np.log(f)
+    # alpha = 0: log 0 = -inf makes every c_n past c_0 zero, also under the command line's divide="raise"
+    with np.errstate(divide="ignore"):
+        log_terms = np.log(abs(alpha)) - 0.5 * np.log(n) - np.log(f)
     log_mag = np.concatenate([[0.0], np.cumsum(log_terms)])
-    if alpha == 0:
-        log_mag[1:] = -np.inf
     phase = np.angle(complex(alpha)) * np.arange(n_max + 1)
     log_norm = 0.5 * np.log(np.sum(np.exp(2.0 * (log_mag - log_mag.max()))))
     c = np.exp(log_mag - log_mag.max() - log_norm) * np.exp(1j * phase)

@@ -14,7 +14,7 @@ one ``q,p,W`` row per grid point, or matrix form, a header of q nodes
 and then one row per p node.  Its cells are formatted by numpy, one
 block of momentum rows (8192 cells, sixteen rows at n = 512) at a time,
 with no Python object per cell and no new array per block: every stage
-writes into one scratch set (`_Scratch`, 138 bytes a cell) allocated
+writes into one scratch set (`_Scratch`, 137 bytes a cell) allocated
 once per file.  A larger block means fewer numpy calls a field (about
 300 a block), and with no fresh temporaries glibc's malloc has nothing
 to hand back to the kernel and fault in again on every block: after a
@@ -22,8 +22,8 @@ process's first two writes a write takes no page faults.  Memory sets
 the block size: scratch set, record and its NUL-free copy peak at about
 1.5 MB at n = 512, 1.55-1.8 MB on a process's first write, which also
 builds the tables in its first block (the high end is a field of powers
-of two, which builds their texts too, or of integers, whose digits all
-need their trailing zeros removed).
+of two, which builds their texts too, as an infinity does, or of
+integers, whose digits all need their trailing zeros removed).
 ``test_field_writer_memory_stays_linear`` clears the tables first, so
 each of its cases measures a first write, and bounds it at 2e6 bytes,
 which the next whole number of records, 10240 cells, would all but
@@ -52,14 +52,18 @@ slots, each byte kept or zeroed by a mask: exponent form (``1e-05``,
 ``-2.5e+300``) when the decimal exponent is below -4 or at least 16, its
 suffix from a table of ``e-324`` .. ``e+308`` (`_suffixes`), and
 positional form (``0.0001``, ``123.0``) otherwise, made from the
-exponent form's digits; ``0.0``, ``-0.0``, ``inf``, ``-inf`` and ``nan``
-are fixed texts.  A power of two above 2^-1022, whose interval is
-narrower below, takes its text whole from a table of ``repr``
-(`_power_texts`, about 2 ms), built only by a write that holds one.  A
-record's rows are its slots and separators side by side; deleting the
-zeroed bytes leaves the text ``csv.writer`` would write from ``repr`` of
-each cell.  The field, its nodes and their shapes are checked before the
-file is opened.
+exponent form's digits.  A float whose significand bits are all zero
+and whose biased exponent is 1..2047 takes its text whole from a table
+of ``repr`` by exponent (`_power_texts`, 4-8 ms), built only by a write
+that holds one: 2^-1022, the powers of two above it, whose interval is
+narrower below, and the infinities.  ``0.0``, ``-0.0`` and ``nan`` are
+fixed texts: a zero's, as the README's fields hold zeros and would
+otherwise build that table; NaN's, as ``repr`` drops its sign and a
+table by exponent cannot tell it from an infinity.  A record's rows are
+its slots and separators side by side; deleting the zeroed bytes leaves
+the text ``csv.writer`` would write from ``repr`` of each cell.  The
+field, its nodes and their shapes are checked before the file is
+opened.
 
 A JSON document has sorted keys, an indent of 2 and a trailing newline.
 """
@@ -85,7 +89,6 @@ _LENGTH_BELOW = np.array([len(str(2 ** (e - 1023))) - 1 if e >= 1023 else 0 for 
 # exponent-form slots 2..18, '.' and digits 2..17, are kept above this many significant digits
 _KEEP_ABOVE = np.array([1, *range(1, _DIGITS)], dtype=np.uint8)[:, None]
 _ROW = np.arange(_SLOT, dtype=np.uint8)[:, None]  # slot numbers, compared with a per-float slot
-_INF = np.frombuffer(b"inf".ljust(_SLOT - 1, b"\0"), dtype=np.uint8)  # slots 1..23; slot 0 keeps the sign
 _NAN = np.frombuffer(b"\0nan".ljust(_SLOT, b"\0"), dtype=np.uint8)  # repr(-nan) is 'nan'
 _ZERO = np.frombuffer(b"0.0".ljust(_SLOT - 1, b"\0"), dtype=np.uint8)  # slots 1..23; slot 0 keeps the sign
 _CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
@@ -151,12 +154,14 @@ def _dragonbox_tables():
 
 @functools.cache
 def _power_texts():
-    """`_texts` in 23 bytes of the float with bits b << 52 (2^(b - 1023) for b = 1..2046), by b: slots 1..23 of its repr.
+    """`_texts` in 23 bytes of the float with bits b << 52 (2^(b - 1023), inf for b = 2047), by b: slots 1..23 of its repr.
 
     A power of two above 2^-1022 has a rounding interval half as wide
     below, which the nearest path does not cover, so its text is read
-    from ``repr`` itself, on the first write that holds such a power;
-    slot 0 keeps the sign, as it does for a zero or an infinity.
+    from ``repr`` itself, on the first write that holds such a power or
+    an infinity (b = 1..2047); slot 0 keeps the sign, as it does for a
+    zero.  The zeros (b = 0) keep a fixed text, so that a field holding
+    one does not build this table.
     """
     return _texts((np.arange(2048, dtype=_U64) << _U64(52)).view(np.float64), _SLOT - 1)
 
@@ -172,21 +177,22 @@ class _Scratch:
     """The work arrays of `_repr_slots` for up to `size` floats a call, allocated once per file and reused by every block.
 
     `words` are 13 uint64 rows that the Dragonbox stages hand on to each
-    other and the layout stages then reuse, `flags` 7 bool rows, `exp10`
+    other and the layout stages then reuse, `flags` 6 bool rows, `exp10`
     and `significant` each float's decimal exponent and digit count, and
-    `slots` the text: 138 bytes a float in all.  numpy writes every stage
+    `slots` the text: 137 bytes a float in all.  numpy writes every stage
     into these arrays (``out=``), so formatting a block allocates only
     index arrays, and copies, of the floats that a rare case applies to:
     a remainder at the interval's width or at zero, a rounding that
-    lands on a multiple of 100, trailing zeros, a power of two, a zero,
-    an infinity or NaN; the positional floats' text is laid out in rows
-    of `words`, and a power of two's is copied whole from `_power_texts`.
+    lands on a multiple of 100, trailing zeros, a power of two or an
+    infinity, a zero or NaN; the positional floats' text is laid out in
+    rows of `words`, and a power of two's or an infinity's is copied
+    whole from `_power_texts`.
     """
 
     def __init__(self, size: int):
         self.size = size
         self.words = np.empty((13, size), dtype=_U64)
-        self.flags = np.empty((7, size), dtype=bool)
+        self.flags = np.empty((6, size), dtype=bool)
         self.exp10 = np.empty(size, dtype=np.int16)
         self.significant = np.empty(size, dtype=np.uint8)
         self.slots = np.empty((_SLOT, size), dtype=np.uint8)
@@ -255,20 +261,21 @@ def _shortest_decimal(s):
     the float is.  Where z's remainder is 0 or delta, or that nearest
     multiple lies halfway, a second product decides, on those floats
     alone.  A power of two above 2^-1022, whose interval is narrower
-    below, gets digits that mean nothing, as a zero does.  Returns the
-    row of ``s.words`` that holds the digits, every other row free
-    afterwards, and the columns of those powers with their biased
-    exponents, for `_repr_slots` to give their text from `_power_texts`.
+    below, gets digits that mean nothing, as an infinity and a zero do.
+    Returns the row of ``s.words`` that holds the digits, every other
+    row free afterwards, and the columns of those powers, 2^-1022 and
+    the infinities with their biased exponents, 1..2047, for
+    `_repr_slots` to give their text from `_power_texts`.
     """
     phi, beta, delta, exp10 = _dragonbox_tables()
     bits, index, fc, shift, u, *limbs, row, col, rest, z = s.words
     biased = index.view(np.intp)
-    shorter, f1 = s.flags[3:5]
+    shorter, f1 = s.flags[2:4]
     np.right_shift(bits, 52, out=index)
     np.bitwise_and(bits, 2**52 - 1, out=fc)
     np.equal(fc, 0, out=f1)
     powers = np.flatnonzero(f1)  # powers of two, zeros and infinities
-    powers = powers[(biased[powers] > 1) & (biased[powers] < 2047)]  # 2^-1022's interval is even
+    powers = powers[biased[powers] > 0]  # the zeros keep their fixed text
     np.not_equal(index, 0, out=f1)
     np.bitwise_or(fc, 1 << 52, out=fc, where=f1)
     np.take(beta, biased, out=shift, mode="clip")
@@ -385,9 +392,9 @@ def _repr_slots(x, s=None):
     of a positive float, the digits past the significant ones and a '.'
     with no digit after it.  A positional float (decimal exponent
     -4..15) gets the text `_positional` makes from its exponent form's
-    digits, and a zero, an infinity or a NaN a fixed text; a zero keeps
-    its sign, as a power of two above 2^-1022 does, whose text comes
-    last, from `_power_texts`, and only for a block that holds one.
+    digits, and a zero or a NaN a fixed text; a zero keeps its sign, as
+    2^-1022, a power of two above it or an infinity does, whose text
+    comes last, from `_power_texts`, and only for a block that holds one.
     `s` is a `_Scratch` of at least x.size floats (a new one by
     default); the result is a view of its slots, overwritten by the next
     call.
@@ -397,15 +404,14 @@ def _repr_slots(x, s=None):
     if s is None:
         s = _Scratch(n)
     words, slots, exp10, significant = s.words, s.slots, s.exp10, s.significant
-    nan, inf, zero = s.flags[:3]
-    f1, f2 = s.flags[5:]
+    nan, zero = s.flags[:2]
+    f1, f2 = s.flags[4:]
     values = words[0].view(np.float64)
     np.copyto(values[:n].reshape(x.shape), x)
     values[n:] = 0.0
     np.signbit(values, out=f1)
     np.multiply(f1.view(np.uint8), ord("-"), out=slots[0])
     np.isnan(values, out=nan)
-    np.isinf(values, out=inf)
     np.bitwise_and(words[0], 2**63 - 1, out=words[0])
     np.equal(words[0], 0, out=zero)
     digits, powers, biased = _shortest_decimal(s)
@@ -437,7 +443,6 @@ def _repr_slots(x, s=None):
     slots[2:19] *= keep.view(np.uint8)
 
     slots[:, positional] = text
-    slots[1:, inf] = _INF[:, None]
     slots[:, nan] = _NAN[:, None]
     slots[1:, zero] = _ZERO[:, None]
     if powers.size:

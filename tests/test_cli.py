@@ -266,6 +266,17 @@ class TestRotatorCommand:
         assert peaks["peaks"]
         assert peaks["peaks"][0]["frequency"] < 0.2 * peaks["omega"]
 
+    def test_ground_state(self, tmp_path, capsys):
+        # alpha = 0 takes log 0 = -inf under the command's divide="raise":
+        # the ground state has zero radius and no modulation peak
+        out = tmp_path / "orbit.csv"
+        code = main(["rotator", "--b", "0.5", "--alpha", "0", "--t-max", "100", "--dt", "1.0", "--out", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        assert capsys.readouterr().out == "no modulation peaks detected\n"
+        rows = [line.split(",") for line in out.read_text().splitlines()[4:]]
+        assert rows and all(float(r) == 0.0 for _, r, _, _ in rows)
+        assert json.loads((tmp_path / "orbit.csv.peaks.json").read_text())["peaks"] == []
+
 
 class TestEntangleCommand:
     def test_penalty_table(self, tmp_path):
@@ -1040,7 +1051,7 @@ _MEMORY_CASES = [pytest.param("fig1", False, id="long"), pytest.param("fig1", Tr
 @pytest.mark.parametrize("kind, matrix", _MEMORY_CASES)
 def test_field_writer_memory_stays_linear(tmp_path, kind, matrix):
     # the writer formats one block of momentum rows (8192 cells) at a time
-    # in one scratch set of 138 bytes a cell, ~1.13 MB, allocated per write,
+    # in one scratch set of 137 bytes a cell, ~1.12 MB, allocated per write,
     # and lays out 2048 cells at a time in one record, ~0.25 MB with its
     # NUL-free copy in long form. The values move the peak only by the
     # index arrays of the floats whose digits end in zeros: ~0.13 MB for a
@@ -1048,7 +1059,8 @@ def test_field_writer_memory_stays_linear(tmp_path, kind, matrix):
     # Every table is cleared first, so every case measures a process's
     # first write, which also builds Dragonbox's tables and the suffix
     # table (~0.13 MB kept) in its first block and, for a field holding a
-    # power of two (the integers and the powers), the power-of-two texts.
+    # power of two or an infinity (the integers, the mixed field and the
+    # powers), the power-of-two texts (~0.1 MB).
     # The whole n = 512 field as a list of Python floats alone takes ~8 MB
     w, ps, _ = run_wigner(8.0)
     if kind != "fig1":
@@ -1155,6 +1167,28 @@ def test_readme_names_every_sidecar():
             assert f"`{name}`" in formats, name
 
 
+@pytest.mark.filterwarnings("ignore::fvps.errors.ResolutionWarning")
+@pytest.mark.parametrize(
+    "argv, flag, suffix",
+    [
+        (["wigner", "--lambda", "1", "--n-points", "128"], "--moments-out", ".moments.json"),
+        (["rotator", "--b", "0.5", "--alpha", "3", "--t-max", "200", "--dt", "1.0"], "--peaks-out", ".peaks.json"),
+    ],
+    ids=["moments-out", "peaks-out"],
+)
+def test_sidecar_path_flag(tmp_path, argv, flag, suffix, capsys):
+    # the sidecar goes to the path given, with the bytes it has at its
+    # default path, and none goes to the default path; the provenance
+    # sidecar records the path
+    (tmp_path / "default").mkdir()
+    default, out, sidecar = tmp_path / "default" / "out.csv", tmp_path / "out.csv", tmp_path / "side.json"
+    assert main([*argv, "--out", str(default)]) == EXIT_OK
+    assert main([*argv, "--out", str(out), flag, str(sidecar)]) == EXIT_OK, capsys.readouterr().err
+    assert sidecar.read_bytes() == Path(str(default) + suffix).read_bytes()
+    assert not Path(str(out) + suffix).exists()
+    assert json.loads(Path(str(out) + ".json").read_text())["config"][flag[2:].replace("-", "_")] == str(sidecar)
+
+
 # The doubled-space matrix oracle referees the closed forms in the tests;
 # a documented command must get by without it.
 MATRIX_ORACLE = ("sign_operator", "even_part", "odd_part", "charge_invariant", "branch_vectors", "branch_reduce")
@@ -1239,9 +1273,9 @@ def test_command_line_properties(command, data):
                                     "fvps.rotator", "fvps.opmatrix", "fvps.wigner", "fvps.moyal"])
 def test_cli_import_leaves_module_unloaded(module):
     # scipy is not a runtime dependency and sweeps run in-process: a fresh
-    # `fvps` process must not pay for importing scipy or a process pool;
-    # numpy.polynomial is reached lazily, by `displaced_number_state` only.
-    # A command imports the fvps modules it runs when it runs
+    # `fvps` process must not pay for importing scipy or a process pool,
+    # and no fvps module reaches numpy.polynomial at all.  A command
+    # imports the fvps modules it runs when it runs
     code = f"import sys, fvps.cli; print(sorted(m for m in sys.modules if (m + '.').startswith({module!r} + '.')))"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)

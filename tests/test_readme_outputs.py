@@ -1,21 +1,22 @@
-"""The README commands' outputs, pinned in `tests/readme_outputs.txt`.
+"""The README commands' outputs, pinned part by part in `tests/readme_outputs.txt`.
 
-Each line of that file is `tools/readme_outputs.py`'s fingerprint of one
-README command: its exit code and a sha256 over its stdout, its stderr
-and every file it wrote.  `python tools/readme_outputs.py --write`
-rewrites the file, so a change that moves a README byte shows in its
-diff.
+For each README command that file holds its exit code and a sha256 of
+each part it leaves behind: its stdout, its stderr and each file it
+wrote.  `python tools/readme_outputs.py --write` rewrites the file, so a
+change that moves a README byte shows in its diff, file by file.
 
-The sha256 is asserted for `factors`, `evolve`, `coherent` and
-`entangle`, whose bytes were identical under three OpenBLAS kernels
-(the default SkylakeX, and `OPENBLAS_CORETYPE=Haswell` and
-`=Sandybridge`).  Both `wigner` commands and `rotator` gave three
-different fingerprints under those kernels (ROADMAP item 17): their
-last bits follow the BLAS kernel of the host.  For them only the exit
-code is asserted.
+Every part is asserted byte for byte except those the file marks
+`kernel-dependent`, for which the test asserts only that the command
+wrote them.  `--write` marks the parts that `--kernels` finds: those
+whose bytes under `OPENBLAS_CORETYPE=Haswell` or `=Sandybridge` differ
+from the default kernel's.  They are both `wigner` commands'
+`w.csv.moments.json`, whose marginal sums are BLAS dots, and `rotator`'s
+`orbit.csv` and `orbit.csv.peaks.json`, whose series is a BLAS product
+(ROADMAP item 17).  The field CSVs, every stdout and every `<out>.json`
+sidecar are the same under all three kernels, and the test passes under
+each.
 """
 
-import shlex
 import sys
 from pathlib import Path
 
@@ -28,27 +29,18 @@ try:
 finally:
     sys.path.remove(str(TOOLS))
 
-# Commands whose bytes follow the host's BLAS kernel.
-KERNEL_DEPENDENT = {"wigner", "rotator"}
-
-
-def _pinned() -> list:
-    """(exit code, sha256, argv) of each line of the pinned file."""
-    rows = []
-    for line in readme_outputs.PINNED.read_text().splitlines():
-        head, _, command = line.partition("  fvps ")
-        code, digest = head.split()
-        rows.append((int(code), digest, shlex.split(command)))
-    return rows
+PINNED = readme_outputs.parse(readme_outputs.PINNED.read_text())
 
 
 def test_pins_every_readme_command():
-    assert [argv for _, _, argv in _pinned()] == readme_outputs.readme_commands()
+    assert [argv for argv, _, _ in PINNED] == readme_outputs.readme_commands()
 
 
-@pytest.mark.parametrize("code, digest, argv", [pytest.param(*row, id=row[2][0]) for row in _pinned()])
-def test_readme_command_output(code, digest, argv):
-    got_code, got_digest = readme_outputs.fingerprint(argv)
+@pytest.mark.parametrize("argv, code, parts", [pytest.param(*record, id=record[0][0]) for record in PINNED])
+def test_readme_command_output(argv, code, parts):
+    got_code, got = readme_outputs.fingerprint(argv)
     assert got_code == code
-    if argv[0] not in KERNEL_DEPENDENT:
-        assert got_digest == digest
+    assert list(got) == list(parts)
+    for part, digest in parts.items():
+        if digest != readme_outputs.KERNEL_DEPENDENT:
+            assert got[part] == digest, part

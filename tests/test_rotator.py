@@ -261,6 +261,14 @@ class TestModulationSpectrum:
         ser = self._series(np.full(512, 1.7))
         assert modulation_spectrum(ser) == []
 
+    def test_series_within_threshold_has_no_peaks(self):
+        # the period-4 square wave puts the most an inner bin can hold,
+        # len(r) max |r - mean| / sqrt(2), into one bin; just under the
+        # threshold it has no peak, and just over the floor one
+        square = np.resize([1.0, 1.0, -1.0, -1.0], 512)
+        assert modulation_spectrum(self._series(1.7 + 0.99e-8 * 1.7 * square)) == []
+        assert len(modulation_spectrum(self._series(1.7 + 1.5e-8 * 1.7 * square))) == 1
+
     def test_short_window_warns(self):
         t = np.arange(256) * 1.0
         ser = self._series(1.0 + 0.5 * np.sin(2 * np.pi * t / 200.0))

@@ -37,10 +37,12 @@ from fvps.states import momentum_grid
 
 class TestGaussianState:
     def test_leaves_numpy_polynomial_unloaded(self):
-        # the packet is H_0 times a Gaussian: a fresh process that builds
-        # one must not pay for importing numpy.polynomial
+        # every number state is built by one recurrence: a fresh process
+        # that builds a packet and an n = 1 state (the one `entangle`
+        # builds) must not pay for importing numpy.polynomial
         code = (
-            "import sys; from fvps import MomentumGrid, gaussian_state; gaussian_state(MomentumGrid(256, 12.0), sigma=1.0); "
+            "import sys; from fvps import MomentumGrid, displaced_number_state, gaussian_state; "
+            "gaussian_state(MomentumGrid(256, 12.0), sigma=1.0); displaced_number_state(1, MomentumGrid(256, 12.0), 1.0); "
             "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(fvps.__file__).resolve().parents[1])}
@@ -48,15 +50,22 @@ class TestGaussianState:
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"
 
-    def test_ground_state_matches_hermval(self):
-        # n = 0 skips hermval; the packet is bit for bit the one built with it
-        grid = MomentumGrid(256, 12.0)
+    @pytest.mark.parametrize("n", range(13))
+    def test_number_state_matches_hermval(self, n):
+        # numpy's hermval referees the recurrence: the same bytes for
+        # n <= 2, where both do the same operations, and 1e-14 of the
+        # amplitude's peak above (2.1e-15 measured at n <= 12)
+        grid = MomentumGrid(512, 24.0)
         p = grid.nodes
-        want = np.polynomial.hermite.hermval(0.7 * (p - 0.4), [1.0]) * np.exp(
+        want = np.polynomial.hermite.hermval(0.7 * (p - 0.4), np.eye(n + 1)[n]) * np.exp(
             -(0.7**2) * (p - 0.4) ** 2 / 2.0 - 1j * -1.3 * p
         )
-        got = displaced_number_state(0, grid, 0.7, q_bar=-1.3, p_bar=0.4).phi_plus
-        assert got.tobytes() == (want / np.sqrt(quadrature(np.abs(want) ** 2, grid).real)).tobytes()
+        want /= np.sqrt(quadrature(np.abs(want) ** 2, grid).real)
+        got = displaced_number_state(n, grid, 0.7, q_bar=-1.3, p_bar=0.4).phi_plus
+        if n <= 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_lambda8_momentum_width(self):
         grid = MomentumGrid(512, 60.0)
