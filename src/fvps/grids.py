@@ -112,22 +112,27 @@ def half_step_lattice(grid: MomentumGrid, pad: int = 0) -> np.ndarray:
     return -grid.p_max + 0.5 * grid.spacing * np.arange(-pad, 2 * grid.n_points + pad)
 
 
-# Momentum rows in flight in the phase-space kernels (the transform,
-# even-field evolution and the purity criterion), one block per worker:
-# at most _ROWS_IN_FLIGHT rows and _BLOCK_CELLS cells of a kernel's
-# widest work array, which is 32 rows of the transform's (rows, 2 n)
-# complex array, 1 MB at n = 1024.  So the kernels' transient memory is
-# O(rows n) instead of O(n^2) for any number of workers.  On one thread
-# 16 to 64 rows time the same; on two, the purity criterion's kernels
-# took about a third longer with 16-row blocks than with 32.
-_ROWS_IN_FLIGHT = 64
-_BLOCK_CELLS = 32 * 2048
+# Cells of a kernel's widest work array in flight in the phase-space
+# kernels (the transform, even-field evolution and the purity
+# criterion), summed over the workers' blocks: 64 rows of the
+# transform's (rows, n) complex fold buffer at n = 1024, 1 MB.  So the
+# kernels' transient memory is a fixed budget (at least one row a
+# worker) instead of O(n^2), for any number of workers.  At n = 1024 on
+# a 2-core box (lam = 0.3 and 3, medians of 15 alternating rounds), two
+# workers ran each kernel 7-19 % faster with this budget split in two
+# than with half of it; one worker ran 0-6 % slower with the whole
+# budget than with half.
+_BLOCK_CELLS = 1 << 16
 # A kernel runs on the worker threads from this many cells of work (rows
-# times `row_cells`) up.  Below it the Python between its numpy calls
-# contends for the interpreter lock: on two cores the criterion's window
-# scan at n = 256 (33 K cells) took 10-42 % longer on two threads, and
-# its stencils on 48-52 K-cell boxes 4-5 % longer.
-_THREAD_MIN_CELLS = 1 << 17
+# times `row_cells`) up: the transform from n = 256, the evolution and the
+# criterion's window scan from n = 512, its stencils from 128 box rows at
+# n = 1024.  Below it the Python between its numpy calls contends for the
+# interpreter lock: on two cores the criterion's window scan at n = 256
+# (33 K cells) took 10-42 % longer on two threads, and its stencils on
+# 48-52 K-cell boxes 4-5 % longer.  Its stencils on 128-255-row boxes at
+# n = 1024 (66-131 K cells) timed within noise of one thread up to about
+# 150 rows and 4-17 % faster above.
+_THREAD_MIN_CELLS = 1 << 16
 # The worker count: the CPUs this process may run on, or 1 where the
 # affinity mask cannot be read.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -149,7 +154,10 @@ if hasattr(os, "register_at_fork"):
 def _run_row_blocks(kernel, n_rows: int, row_cells: int) -> list:
     """Results of kernel(stripe), in stripe order, for stripes of row blocks covering range(n_rows).
 
-    `row_cells` is the width of the kernel's widest work array.  Below
+    `row_cells` is the width of the kernel's widest work array.  On w
+    workers a block has `_BLOCK_CELLS // row_cells // w` rows (at least
+    one), so the blocks in flight hold at most `_BLOCK_CELLS` cells of
+    that array together, unless a single row is wider.  Below
     `_THREAD_MIN_CELLS` cells of work, with one worker or with one block,
     a single stripe of every block runs on the calling thread.  Otherwise
     worker i of w takes the interleaved stripe blocks[i::w]: the calling
@@ -163,7 +171,7 @@ def _run_row_blocks(kernel, n_rows: int, row_cells: int) -> list:
     """
     global _pool
     workers = _WORKERS if n_rows * row_cells >= _THREAD_MIN_CELLS else 1
-    size = max(min(_ROWS_IN_FLIGHT, _BLOCK_CELLS // row_cells) // workers, 1)
+    size = max(_BLOCK_CELLS // row_cells // workers, 1)
     blocks = [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
     stripes = [blocks[i::workers] for i in range(min(workers, len(blocks)))]
     if len(stripes) < 2:

@@ -302,9 +302,11 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
     phases z(2k + n_q/2 + m) conj(z(2k + n_q/2 - m)), m = 0 .. n_q/2 - 1,
     are read from two strided windows of the mode lattice, one of them
     running backwards; only the Nyquist column m = -n_q/2 is taken apart
-    from them.  A complex field raises ValueError (a cross-branch field
-    evolves with `evolve_odd`), and one whose shape is not the grid's
-    GridError.
+    from them.  A block's phases are formed in its rows of the output,
+    viewed as complex, which the inverse FFT then overwrites, so a
+    float64 field's block allocates only its spectrum.  A complex field
+    raises ValueError (a cross-branch field evolves with `evolve_odd`),
+    and one whose shape is not the grid's GridError.
 
     Exact, unitary and additive in t for fields without weight in the
     unpaired Nyquist column (kappa = -pi/dq).  That column has no partner
@@ -335,7 +337,10 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
     def evolve(blocks):
         for rows in blocks:
             wk = np.fft.rfft(w[rows], axis=1)
-            wk[:, :half] *= plus[rows] * minus[rows]
+            # the phases go in the block's output rows, which the inverse overwrites,
+            # unless a field of another float type leaves them no room
+            phases = out[rows].view(complex) if out.dtype == float else None
+            wk[:, :half] *= np.multiply(plus[rows], minus[rows], out=phases)
             wk[:, half] *= nyquist_plus[rows] * nyquist_minus[rows]
             np.fft.irfft(wk, psgrid.n_q, axis=1, out=out[rows])
 

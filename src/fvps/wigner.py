@@ -137,14 +137,18 @@ def _q_transform(psgrid: PhaseSpaceGrid, pair: tuple, minus_pair: tuple | None =
     pair products carry the sign (-1)^j (see `_lattice_amplitude`), so
     the offsets fold mod n and one length-n FFT along q finishes the sum.
     C is built, folded and transformed one block of momentum rows at a
-    time in buffers each worker reuses, and each block lands in the output.
+    time in two n-wide buffers each worker reuses, and each block lands
+    in the output.
 
     Row k of C vanishes outside the band |j| <= min(2k, 2n - 1 - 2k),
     where one of the two lattice indices 2k +- j leaves the lattice, so
     each block multiplies only the columns of its widest row's band J.
-    The fold then adds only where the band's two halves meet mod n
-    (2J >= n); below that it places j >= 0 in front of the j < 0 half,
-    which already sits at its folded columns, with zeros between.
+    Each band segment's product is written straight to its folded
+    columns of the fold buffer: offset j < 0 to column n + j, j >= 0 to
+    column j, with zeros between.  Where the band's two halves meet mod
+    n (2J >= n), the products of offsets n - J .. J go to the FFT's
+    output buffer first and are added to the j < 0 products at their
+    columns.
     """
     n = psgrid.n_q
     scale = psgrid.dp / (2.0 * np.pi * psgrid.hbar)
@@ -155,29 +159,34 @@ def _q_transform(psgrid: PhaseSpaceGrid, pair: tuple, minus_pair: tuple | None =
 
     def transform(blocks):
         size = blocks[0].stop - blocks[0].start
-        corr = np.empty((size, 2 * n), dtype=complex)
-        spectrum = np.empty((size, n), dtype=complex)
+        folds = np.empty((size, n), dtype=complex)
+        spectrum = np.empty_like(folds)
         if minus_pair:
-            minus_corr = np.empty_like(corr)
+            minus = np.empty_like(folds)
+
+        def product(rows, offsets, c):
+            """C on the lattice columns `offsets` (n + j for offset j) of `rows`, written to `c`."""
+            np.multiply(bra_rows[rows, offsets], ket_cols[rows, offsets], out=c)
+            if minus_pair:
+                c -= np.multiply(minus_rows[rows, offsets], minus_cols[rows, offsets], out=minus[: len(c), : c.shape[1]])
+                np.multiply(0.5, c, out=c)
+
         for rows in blocks:
             J = min(2 * (rows.stop - 1), 2 * n - 1 - 2 * rows.start, n - 1)
-            band = slice(n - J, n + J + 1)
-            c = corr[: rows.stop - rows.start]
-            band_c = c[:, band]
-            np.multiply(bra_rows[rows, band], ket_cols[rows, band], out=band_c)
-            if minus_pair:
-                band_c -= np.multiply(minus_rows[rows, band], minus_cols[rows, band], out=minus_corr[: len(c), band])
-                np.multiply(0.5, band_c, out=band_c)
-            alone = min(J + 1, n - J)
-            folded = c[:, :n]
-            folded[:, :alone] = c[:, n : n + alone]
+            folded, spec = folds[: rows.stop - rows.start], spectrum[: rows.stop - rows.start]
+            # offsets n - J .. J meet -J .. J - n mod n; the other j >= 0 stand alone
+            meet = max(2 * J + 1 - n, 0)
+            alone = J + 1 - meet
+            product(rows, slice(n, n + alone), folded[:, :alone])
             folded[:, alone : n - J] = 0
-            folded[:, n - J : J + 1] += c[:, 2 * n - J : n + J + 1]
-            f = np.fft.fft(folded, axis=1, out=spectrum[: len(c)])
+            product(rows, slice(n - J, n), folded[:, n - J :])
+            product(rows, slice(n + alone, n + J + 1), spec[:, :meet])
+            folded[:, n - J : n - J + meet] += spec[:, :meet]
+            f = np.fft.fft(folded, axis=1, out=spec)
             np.multiply(scale, f, out=f)
             out[rows] = f if minus_pair else f.real
 
-    _run_row_blocks(transform, n, 2 * n)
+    _run_row_blocks(transform, n, n)
     return out
 
 
@@ -390,18 +399,22 @@ def purity_check(
     block at a time.  Only the stencils centred at j >= 0 are evaluated,
     so only that half of the box, with the 8 columns of halo below j = 0
     they reach, is ever built.  The blocks run on worker threads, each
-    forming its own right-hand side through the private `_energy` and
-    handing back only its maxima and point count.  Each point at j > 0 also
-    stands for its mirror -j, by three rules that keep every report
-    field bit-identical to the whole window's: ln|K|, the window mask
-    and the left side are the same bits at -j (its sums only trade
-    operands); the right side at -j is the one at (p1, p2) swapped,
-    -c^4 p2 p1 / den, whose numerator may round apart from -c^4 p1 p2
-    when c != 1, so both are formed over one E1, E2 and den; and each
-    phasor at -j is the conjugate of its mirror image with j +- 2s
-    trading places, so the phase product there is (j- j+) conj(c+ c-),
-    in that operand order.  `window_points` counts each j > 0 point
-    twice.
+    forming its own right-hand side through the private `_energy`,
+    releasing each intermediate after its last use and handing back
+    only its maxima and point count.  The phase curvature's maximum is
+    taken over the j >= 0 points and over their mirrors apart and
+    divided by 4 (s dp)^2 once, which gives the bits of dividing each
+    point, since division by a positive constant rounds monotonically.
+    Each point at j > 0 also stands for its mirror -j, by three rules
+    that keep every report field bit-identical to the whole window's:
+    ln|K|, the window mask and the left side are the same bits at -j
+    (its sums only trade operands); the right side at -j is the one at
+    (p1, p2) swapped, -c^4 p2 p1 / den, whose numerator may round apart
+    from -c^4 p1 p2 when c != 1, so both are formed over one E1, E2 and
+    den; and each phasor at -j is the conjugate of its mirror image with
+    j +- 2s trading places, so the phase product there is
+    (j- j+) conj(c+ c-), in that operand order.  `window_points` counts
+    each j > 0 point twice.
     """
     if not 0.0 <= window_floor < np.inf:
         raise ValueError(f"window_floor must be finite and non-negative, got {window_floor}")
@@ -455,55 +468,69 @@ def purity_check(
         c_plus, c_minus, j_plus, j_minus, _ = stencil(logmag, step)
         return ((c_plus + c_minus) - (j_plus + j_minus)) / (4.0 * (step * dp) ** 2)
 
-    def windowed(blocks):
-        """Per block with a windowed stencil: max |lhs - rhs|, max |lhs|, max |rhs|, max phase curvature, points."""
-        found = []
-        for rows in blocks:
-            # the j >= 0 half of the box and the 2 edge columns of halo its
-            # stencils reach below j = 0; column c is offset j = c - 2 edge
-            spectrum = np.fft.rfft(w[box.start + rows.start : box.start + rows.stop + 2 * edge], axis=-1)
-            K = _kernel_modes(spectrum, -2 * edge, j_max, dq)
-            mag = np.abs(K)
-            # ln|K| only inside the window: outside it the value never reaches a
-            # windowed stencil, and exact zeros would put -inf into the arithmetic
-            good = mag > window_floor * peak
-            logmag = np.log(mag, out=np.zeros_like(mag), where=good)
-            mask = np.logical_and.reduce(stencil(good, s) + stencil(good, 2 * s))
-            if not mask.any():
-                continue
-            lhs = ((4.0 * mixed(logmag, s) - mixed(logmag, 2 * s)) / 3.0)[mask]
-            centres, cols = np.nonzero(mask)
-            centre = p_nodes[rows.start + centres]
-            half = 0.5 * cols * dp
+    def block_stats(rows):
+        """max |lhs - rhs|, max |lhs|, max |rhs|, max phase curvature and points of one block, or None.
 
-            # unit phasors of K inside the window: the stencil on arg K becomes the
-            # argument of a product, so no 2 pi branch cut (and no unwrapping
-            # through the noise outside the window) enters the differences
-            u = np.divide(K, mag, out=np.zeros_like(K), where=good)
-            c_plus, c_minus, j_plus, j_minus, _ = stencil(u, s)
-            midpoints = c_plus * c_minus
-            # conj(j) * c, in place: with fused multiply-adds a complex product
-            # is not bitwise commutative, and numpy's temporary elision turns
-            # `c * conj(j)` into this order on large arrays only; spelling it
-            # out keeps the result independent of the block's size
-            prod = np.conj(j_plus * j_minus)
-            prod *= midpoints
-            # at -j every phasor is the conjugate of its mirror image and j+-
-            # trade places, so the product is (j- j+) conj(c+ c-), in that order
-            mirror = j_minus[:, 1:] * j_plus[:, 1:]
-            mirror *= np.conj(midpoints[:, 1:])
-            phases = np.concatenate([prod[mask], mirror[mask[:, 1:]]])
-            phase_curv = np.abs(np.angle(phases) / (4.0 * (s * dp) ** 2))
-            # lhs and the window are symmetric in j, so each j > 0 point counts twice
-            points = mask.sum() + mask[:, 1:].sum()
-            # the right-hand side: purity_rhs at (p1, p2) for +j and at (p2, p1)
-            # for -j, whose numerators may round differently, over one E1, E2
-            # and denominator
-            p1, p2 = centre + half, centre - half
-            e1, e2 = _energy(p1, units), _energy(p2, units)
-            rhs = np.stack([-(units.c**4) * p1 * p2, -(units.c**4) * p2 * p1]) / (e1 * e2 * (e1 + e2) ** 2)
-            found.append((np.abs(lhs - rhs).max(), np.abs(lhs).max(), np.abs(rhs).max(), phase_curv.max(), points))
-        return found
+        Each intermediate is released after its last use, and the rest on return.
+        """
+        # the j >= 0 half of the box and the 2 edge columns of halo its
+        # stencils reach below j = 0; column c is offset j = c - 2 edge
+        spectrum = np.fft.rfft(w[box.start + rows.start : box.start + rows.stop + 2 * edge], axis=-1)
+        K = _kernel_modes(spectrum, -2 * edge, j_max, dq)
+        del spectrum
+        mag = np.abs(K)
+        # ln|K| only inside the window: outside it the value never reaches a
+        # windowed stencil, and exact zeros would put -inf into the arithmetic
+        good = mag > window_floor * peak
+        logmag = np.log(mag, out=np.zeros_like(mag), where=good)
+        mask = np.logical_and.reduce(stencil(good, s) + stencil(good, 2 * s))
+        if not mask.any():
+            return None
+        lhs = ((4.0 * mixed(logmag, s) - mixed(logmag, 2 * s)) / 3.0)[mask]
+        del logmag
+
+        # unit phasors of K inside the window: the stencil on arg K becomes the
+        # argument of a product, so no 2 pi branch cut (and no unwrapping
+        # through the noise outside the window) enters the differences
+        u = np.divide(K, mag, out=np.zeros_like(K), where=good)
+        del K, mag, good
+        c_plus, c_minus, j_plus, j_minus = stencil(u, s)[:4]
+        midpoints = c_plus * c_minus
+        # conj(j) * c, in place: with fused multiply-adds a complex product
+        # is not bitwise commutative, and numpy's temporary elision turns
+        # `c * conj(j)` into this order on large arrays only; spelling it
+        # out keeps the result independent of the block's size
+        prod = np.conj(j_plus * j_minus)
+        prod *= midpoints
+        curvature = np.abs(np.angle(prod[mask])).max()
+        del prod
+        # at -j every phasor is the conjugate of its mirror image and j+-
+        # trade places, so the product is (j- j+) conj(c+ c-), in that order
+        mirror = j_minus[:, 1:] * j_plus[:, 1:]
+        mirror *= np.conj(midpoints[:, 1:])
+        del u, midpoints, c_plus, c_minus, j_plus, j_minus
+        # the largest |arg| at +j and at -j, divided by 4 (s dp)^2 once: a division
+        # by a positive constant rounds monotonically, so it keeps the maximum
+        curvature = np.maximum(curvature, np.abs(np.angle(mirror[mask[:, 1:]])).max(initial=0.0))
+        del mirror
+        # lhs and the window are symmetric in j, so each j > 0 point counts twice
+        points = mask.sum() + mask[:, 1:].sum()
+        # the right-hand side: purity_rhs at (p1, p2) for +j and at (p2, p1)
+        # for -j, whose numerators may round differently, over one E1, E2
+        # and denominator
+        centres, cols = np.nonzero(mask)
+        centre, half = p_nodes[rows.start + centres], 0.5 * cols * dp
+        del centres, cols
+        p1, p2 = centre + half, centre - half
+        del centre, half
+        e1, e2 = _energy(p1, units), _energy(p2, units)
+        rhs = np.stack([-(units.c**4) * p1 * p2, -(units.c**4) * p2 * p1]) / (e1 * e2 * (e1 + e2) ** 2)
+        return (np.abs(lhs - rhs).max(), np.abs(lhs).max(), np.abs(rhs).max(),
+                curvature / (4.0 * (s * dp) ** 2), points)
+
+    def windowed(blocks):
+        """The statistics of each block with a windowed stencil."""
+        return [found for found in map(block_stats, blocks) if found is not None]
 
     # a box without an interior offset column has no stencil centre at all
     interior = box.stop - box.start - 2 * edge if j_max >= 2 * edge else 0

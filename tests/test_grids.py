@@ -237,6 +237,21 @@ class TestRunRowBlocks:
         stripes = grids._run_row_blocks(lambda stripe: stripe, self.ROWS, self.CELLS)
         assert stripes == [blocks[0::3], blocks[1::3], blocks[2::3]]
 
+    @settings(max_examples=200, deadline=None)
+    @given(workers=st.integers(1, 4), n_rows=st.integers(1, 3000), row_cells=st.integers(1, 1 << 18))
+    def test_blocks_share_one_cell_budget(self, workers, n_rows, row_cells):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grids, "_WORKERS", workers)
+            stripes = grids._run_row_blocks(lambda stripe: stripe, n_rows, row_cells)
+        rows = [row for stripe in stripes for block in stripe for row in range(block.start, block.stop)]
+        assert sorted(rows) == list(range(n_rows))
+        threaded = workers if n_rows * row_cells >= grids._THREAD_MIN_CELLS else 1
+        assert len(stripes) <= threaded
+        tallest = max(block.stop - block.start for stripe in stripes for block in stripe)
+        assert tallest == min(n_rows, max(1, grids._BLOCK_CELLS // row_cells // threaded))
+        # the blocks in flight together: one budget, or one row a worker
+        assert len(stripes) * tallest * row_cells <= max(grids._BLOCK_CELLS, len(stripes) * row_cells)
+
     def test_worker_overflow_raises_in_caller_after_every_stripe(self, monkeypatch):
         # numpy's error state is a context variable: a worker sees the
         # caller's "raise" only if it runs in a copy of the caller's context

@@ -209,6 +209,14 @@ class TestEvolveEven:
         with pytest.raises(GridError, match="does not match grid"):
             evolve_even(np.zeros((n_p + extra_rows, n_q + extra_cols)), energy, 1.0, ps)
 
+    def test_float32_field_keeps_its_type(self, packet):
+        # a float32 row has no room for the block's complex phases, which a
+        # float64 row holds; such a field still evolves, in single precision
+        _, ps, _, w0 = packet
+        w32 = evolve_even(w0.astype(np.float32), energy, 5.0, ps)
+        assert w32.dtype == np.float32
+        assert np.abs(w32 - evolve_even(w0, energy, 5.0, ps)).max() < 1e-6 * np.abs(w0).max()
+
     def test_composition(self, packet):
         _, ps, _, w0 = packet
         w_ab = evolve_even(evolve_even(w0, energy, 2.0, ps), energy, 3.0, ps)

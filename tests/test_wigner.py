@@ -346,14 +346,22 @@ class TestPurity:
 # tracemalloc peaks at n = 1024 (lam = 8, the largest purity window of the
 # benchmark's range), measured as 10.6, 9.5 and 13.8 MB with the whole-field
 # half spectrum kept (10.6, 10.1 and 8.8 MB on two workers without it);
-# each bound adds ~15 % margin.  The (n, n) float output alone is 8.4 MB.
+# each bound adds ~15 % margin.  With the blocks sized by one cell budget
+# for all workers, n-wide fold buffers and the stencils' intermediates
+# released early, one, two and three workers peak at 11.1, 11.5 and
+# 11.9 MB (wigner_even), 10.6 MB (evolve_even) and 4.6, 4.2-4.3 and
+# 3.8-4.1 MB (purity_check); three workers' transform is within 1 % of
+# its bound.  The (n, n) float output alone is 8.4 MB.
 # The whole-array versions peaked at 50.4, 42.1 and 55.0 MB: the (n, 2n)
 # pair product, the full (n, n/2 + 1) phase and index arrays, and the
 # whole window box of K.
 MEMORY_BOUNDS_MB = {"wigner_even": 12.0, "evolve_even": 11.0, "purity_check": 16.0}
 
 
-def test_phase_space_kernels_memory_stays_row_blocked():
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_phase_space_kernels_memory_stays_row_blocked(workers, monkeypatch):
+    monkeypatch.setattr(grids, "_WORKERS", workers)
+    grids._forget_pool()
     ps = PhaseSpaceGrid.conjugate(packet_grid(8.0, 0.3, 1024))
     st = gaussian_state(ps.momentum, lam=8.0, p_bar=0.3)
     w = wigner_even(st, +1, ps)
@@ -373,17 +381,21 @@ def test_phase_space_kernels_memory_stays_row_blocked():
     assert all(peaks[name] < bound for name, bound in MEMORY_BOUNDS_MB.items()), peaks
 
 
-# lam = 8 at n = 1024: the purity box has 409 interior rows, so its last
-# block is short for one worker (64 rows) and for three (21 rows), and
-# every kernel's work is above the threading threshold
-@pytest.fixture(scope="module")
-def packet1024():
-    ps = PhaseSpaceGrid.conjugate(packet_grid(8.0, 0.3, 1024))
+# lam = 8 at n = 512 and 1024: every kernel's work is above the threading
+# threshold, except the purity stencils at n = 512, and the last purity
+# block is short for one worker and for three
+def _packet(n):
+    ps = PhaseSpaceGrid.conjugate(packet_grid(8.0, 0.3, n))
     st = gaussian_state(ps.momentum, lam=8.0, p_bar=0.3)
     rng = np.random.default_rng(7)
     both = ChargeBranchState(ps.momentum, phi_plus=st.phi_plus,
-                             phi_minus=st.phi_plus * np.exp(0.1j * rng.normal(size=1024)))
+                             phi_minus=st.phi_plus * np.exp(0.1j * rng.normal(size=n)))
     return ps, st, both
+
+
+@pytest.fixture(scope="module")
+def packet1024():
+    return _packet(1024)
 
 
 def _kernel_outputs(ps, st, both):
@@ -396,13 +408,14 @@ def _kernel_outputs(ps, st, both):
     }
 
 
-def test_worker_count_leaves_every_output_unchanged(packet1024, monkeypatch):
-    ps, st, both = packet1024
+@pytest.mark.parametrize("n", [512, 1024])
+def test_worker_count_leaves_every_output_unchanged(n, monkeypatch):
+    ps, st, both = _packet(n)
     w = wigner_even(st, +1, ps)
     r = np.abs(np.fft.rfft(w, axis=1)[:, : ps.n_q // 2])
     rows = np.flatnonzero(r.max(axis=1) > 1e-6 * r.max())
     interior = rows[-1] + 1 - rows[0] - 8
-    assert interior % 64 and interior % 21
+    assert all(interior % (grids._BLOCK_CELLS // (ps.n_q // 2 + 1) // workers) for workers in (1, 3))
     outputs = {}
     for workers in (1, 3):
         monkeypatch.setattr(grids, "_WORKERS", workers)

@@ -23,6 +23,14 @@ form as a metric above.
 
     python tools/bench_pairs.py --parent ../parent --change . --fresh --pairs 11
 
+With --cpus N every process the tool starts runs on the first N CPUs of
+the tool's own affinity mask (`os.sched_setaffinity` in the child, before
+it runs Python), so a run's fvps row-block workers number N; the CPU set
+is printed with the results.
+
+    python tools/bench_pairs.py --parent ../parent --change . \\
+        --workload packet_analysis --pairs 10 --cpus 1
+
 Both checkouts must be in the same bytecode state: the tool refuses to
 run when the sets of sources whose cached `.pyc` this interpreter would
 load differ between them.  A copy made with `cp -r` carries `.pyc` files
@@ -54,11 +62,16 @@ OUTSIDE_SPANS = re.compile(r"([0-9.]+)% outside layer spans")
 COMMAND = "import sys; from fvps.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
+def pinned(cpus):
+    """A child-process hook that pins the child to `cpus`, or None to leave its affinity alone."""
+    return None if cpus is None else lambda: os.sched_setaffinity(0, cpus)
+
+
 def run_once(root: Path, args) -> dict:
     """One perfbench run in `root`: its JSON line plus the outside-spans share."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
            "--trace", str(args.trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, preexec_fn=pinned(args.cpu_set))
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: perfbench exited with {proc.returncode}:\n{proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -67,24 +80,25 @@ def run_once(root: Path, args) -> dict:
     return result
 
 
-def fresh_once(root: Path, argv) -> float:
+def fresh_once(root: Path, argv, cpus=None) -> float:
     """Wall seconds of one fresh process running `fvps argv` from `root`'s src/, in an empty directory."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     with tempfile.TemporaryDirectory() as tmp:
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", COMMAND, *argv], cwd=tmp, env=env, capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", COMMAND, *argv], cwd=tmp, env=env, capture_output=True,
+                              text=True, preexec_fn=pinned(cpus))
         seconds = time.perf_counter() - start
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: fvps {shlex.join(argv)} exited with {proc.returncode}:\n{proc.stderr[-2000:]}")
     return seconds
 
 
-def fresh_pair(sides: dict, order) -> dict:
+def fresh_pair(sides: dict, order, cpus=None) -> dict:
     """One fresh process per README command and side, in `order` for each command, as run_once-like records."""
     pair = {side: {"metrics": {}} for side in sides}
     for argv in readme_commands():
         for side in order:
-            pair[side]["metrics"][f"fvps {shlex.join(argv)}"] = {"value": fresh_once(sides[side], argv), "unit": "s"}
+            pair[side]["metrics"][f"fvps {shlex.join(argv)}"] = {"value": fresh_once(sides[side], argv, cpus), "unit": "s"}
     return pair
 
 
@@ -143,9 +157,16 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=20020206)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--cpus", type=int, help="run every process on this many CPUs of the tool's affinity mask")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    args.cpu_set = None
+    if args.cpus is not None:
+        mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+        if not 1 <= args.cpus <= len(mask):
+            parser.error(f"--cpus must be between 1 and the {len(mask)} CPUs of the affinity mask")
+        args.cpu_set = set(mask[: args.cpus])
     if (args.workload is None) == (not args.fresh):
         parser.error("give one of --workload and --fresh")
 
@@ -160,7 +181,7 @@ def main(argv=None):
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             if args.fresh:
-                runs.append(fresh_pair(sides, order))
+                runs.append(fresh_pair(sides, order, args.cpu_set))
                 print(f"pair {i + 1}/{args.pairs} ({order[0]} first)", file=sys.stderr, flush=True)
                 continue
             pair = {side: run_once(sides[side], args) for side in order}
@@ -175,6 +196,8 @@ def main(argv=None):
         print(f"bench_pairs: summarising the {len(runs)} complete pairs", file=sys.stderr)
 
     header = "fresh processes" if args.fresh else f"{args.workload} seed={args.seed} trace={args.trace}"
+    if args.cpu_set is not None:
+        header += f" cpus={sorted(args.cpu_set)}"
     print(f"{header} pairs={len(runs)}; parent median [quartiles] -> change median")
     for line in summarise(runs):
         print(line)
