@@ -5,21 +5,32 @@ matrix symbols of any size m, and multiply in the Fourier-kernel form:
 plane-wave modes multiply as W_v * W_w = exp(-(i hbar/2) omega(v, w))
 W_{v+w} with omega(v, w) = kappa_v lambda_w - lambda_v kappa_w the
 symplectic pairing of the mode frequencies.  The sum over all mode pairs
-is a twisted convolution (`_twisted_convolution`) taken over A's q-modes
-v one block at a time: each q-mode v of the block is shifted along p by
-hbar kappa_u / 2 for every output q-mode u in one batched FFT,
-multiplied by B's q-mode u - v and transformed along p, and the
-remaining phase is applied and summed over the block's v into one
-accumulator.  Matrix entries contract as A_ik B_kl in the same pass and
-a scalar field is a 1x1 symbol, so both take one code path.  Cost:
-O(m^2 n_p n_q^2 (m + log n_p)) time; the work buffers are reused from
-block to block and hold at most `_MODE_BLOCK_BYTES` each (three for a
-matrix symbol, one for a scalar), so the memory is O(m^2 n_p n_q) beyond
-them.  The product's hbar is its own parameter, not the grid's, and the
-grid need be neither conjugate nor square.  This is exact for
-band-limited periodic fields; products of modes beyond the grid band
-alias (the phase is taken at the wrapped output mode), so keep inputs
-band-limited to half the grid band.
+is a twisted convolution, taken by one of two paths.  On either path
+matrix entries contract as A_ik B_kl in the same pass and a scalar field
+is a 1x1 symbol, so scalar and matrix symbols share its code.
+
+On a square grid that `PhaseSpaceGrid.conjugate` built, at the grid's
+own hbar, every shift hbar kappa / 2 is a whole number of half steps of
+the momentum lattice (`_lattice_convolution`): each q-mode of A goes
+through one zero-padded inverse FFT onto the `half_step_lattice`, its
+shifted copies are strided views of it, and the products with B's
+q-modes are summed in p, in two parity classes of A's modes, each class
+transformed once.  Cost: O(m^3 n_q^2 n_p + m^2 n_q n_p log n_p) time and
+at most eight (m, m, n_p, n_q) complex arrays.
+
+Any other hbar or grid -- the product's hbar is its own parameter, and
+the grid need be neither conjugate nor square -- takes the general path
+(`_twisted_convolution`) over A's q-modes v one block at a time: each
+q-mode v of the block is shifted along p by hbar kappa_u / 2 for every
+output q-mode u in one batched FFT, multiplied by B's q-mode u - v and
+transformed along p, and the remaining phase is applied and summed over
+the block's v into one accumulator.  Cost: O(m^2 n_p n_q^2 (m + log n_p))
+time; its three work buffers, scalar or matrix, are reused from block to
+block and hold at most `_MODE_BLOCK_BYTES` each, so the memory is
+O(m^2 n_p n_q) beyond them.  Both paths are exact for band-limited
+periodic fields; products of modes beyond the grid band alias (the phase
+is taken at the wrapped output mode), so keep inputs band-limited to half
+the grid band.
 
 Evolution under a momentum-only Hamiltonian symbol never needs the
 general product: in the position-axis Fourier representation each mode
@@ -40,7 +51,7 @@ motion reads dW/dt = -(2i/hbar) [E, W].
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import GridError, StepSizeError
 from .grids import PhaseSpaceGrid, _run_row_blocks, half_step_lattice
@@ -74,15 +85,19 @@ def _symbol_stacks(a, b, psgrid: PhaseSpaceGrid):
     return a, b, scalar
 
 
-# Bytes of one work buffer of the sampled star product, which takes A's
-# q-modes a block at a time and reuses its (m, m, block, n_q, n_p) complex
-# buffers.  768 KiB is 12 modes of a scalar 64 x 64 field or of a 2 x 2
-# symbol on 32 x 32.  On a 2-core Xeon (numpy 2.4.6, one BLAS thread) 6 to
-# 24 modes per block time the same, 5.6-7.1 and 3.5-5.0 ms a product, 2
-# modes 5-20 % slower; the whole-array contraction took 17.8-19.9 and
-# 5.9-7.2 ms.  Not a power of two, so power-of-two grids can end on a
-# ragged block.
-_MODE_BLOCK_BYTES = 768 * 1024
+# Bytes of one of the three work buffers of the general path of the sampled
+# star product (`_twisted_convolution`; the lattice path has no mode
+# blocks), which takes A's q-modes a block at a time and reuses its (m, m,
+# block, n_q, n_p) complex buffers.  240 KiB is 3 modes of a scalar 64 x 64
+# field or of a 2 x 2 symbol on 32 x 32.  On a 2-core Xeon (numpy 2.4.6,
+# one BLAS thread, hbar = 0.5 on conjugate grids; p25 of 40 calls, three
+# alternating processes) 2 x 2 products on 32 x 32 and 64 x 64 and a 3 x 3
+# one on 32 x 32 took 2.8, 19.7 and 6.9 ms, against 3.1, 19.1 and 7.2 ms
+# with 768 KiB buffers, and a scalar 64 x 64 one 3.9 ms.  The whole-array
+# contraction took about 3 and 1.6 times as long as 768 KiB blocks for a
+# scalar 64 x 64 and a 2 x 2 product on 32 x 32.  Not a power of two, so
+# power-of-two grids can end on a ragged block.
+_MODE_BLOCK_BYTES = 240 * 1024
 
 
 def _q_mode_blocks(m: int, n_p: int, n_q: int) -> list[slice]:
@@ -115,8 +130,7 @@ def _twisted_convolution(a: np.ndarray, b: np.ndarray, psgrid: PhaseSpaceGrid, h
     columns = sliding_window_view(np.concatenate([cb, cb], axis=2), n_q, axis=2)[:, :, n_q:0:-1].swapaxes(-1, -2)
     blocks = _q_mode_blocks(m, n_p, n_q)
     shifted = np.empty((m, m, blocks[0].stop, n_q, n_p), dtype=complex)
-    # a scalar field multiplies in place; a matrix symbol sums its k terms into `conv`
-    conv, term = (shifted, None) if m == 1 else (np.empty_like(shifted), np.empty_like(shifted))
+    conv, term = np.empty_like(shifted), np.empty_like(shifted)
     out = np.zeros((m, m, n_q, n_p), dtype=complex)
     for vb in blocks:
         n = vb.stop - vb.start
@@ -124,31 +138,96 @@ def _twisted_convolution(a: np.ndarray, b: np.ndarray, psgrid: PhaseSpaceGrid, h
         # axes (i, k, v, u, p): a's q-mode v shifted by hbar kappa_u / 2
         np.multiply(ca[:, :, vb, None, :], twist, out=sh)
         np.fft.ifft(sh, axis=-1, out=sh)
-        if m == 1:  # sh itself: numpy copies an input that is the output through another view
-            np.multiply(sh, columns[:, :, vb], out=sh)
-        else:
-            np.multiply(sh[:, 0, None], columns[None, 0, :, vb], out=cv)
-            for k in range(1, m):
-                np.multiply(sh[:, k, None], columns[None, k, :, vb], out=term[:, :, :n])
-                cv += term[:, :, :n]
+        np.multiply(sh[:, 0, None], columns[None, 0, :, vb], out=cv)
+        for k in range(1, m):
+            np.multiply(sh[:, k, None], columns[None, k, :, vb], out=term[:, :, :n])
+            cv += term[:, :, :n]
         np.fft.fft(cv, axis=-1, out=cv)
         cv *= untwist[vb, None, :]
         out += cv.sum(axis=2)
     return np.fft.ifft2(out.swapaxes(-1, -2))
 
 
+def _lattice_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_twisted_convolution` on an n x n grid that `PhaseSpaceGrid.conjugate` built, at the grid's hbar.
+
+    There hbar kappa_u / 2 = u' dp / 2 for the signed mode index u', so a's
+    q-mode v shifted by hbar kappa_u / 2 is its value L_v at node 2p + u'
+    of the `half_step_lattice`, which one zero-padded inverse FFT of
+    length 2n gives for every u.  The untwist exp(-i pi v' k' / n) of mode
+    v' = 2t + c is a roll by t samples along p and, for odd v', the
+    half-sample phase exp(-i pi k' / n), so the sum over v is taken in p,
+    one parity class c at a time:
+
+        S_c[u, p] = sum_t L_v[2p + u' - 2t] b_{u - v}(p - t),
+
+    and the product's q-mode u is S_0 plus S_1 shifted by half a sample.
+    Row s of class c holds mode t = n/4 - 1 - s, its lattice values
+    rolled by 2t and B's modes written out so that both factors are
+    strided views over (s, u, p); one einsum (no BLAS) sums over s and k.
+    Beyond its operands it holds at most eight (m, m, n, n) complex arrays
+    at once.
+    """
+    m, _, n, _ = a.shape
+    half, quarter = n // 2, n // 4
+    t = quarter - 1 - np.arange(half)
+    modes = (2 * t + np.arange(2)[:, None]).ravel() % n  # a's q-modes, class by class
+    ca = np.fft.fft2(a, norm="forward")[..., modes]
+    lattice = np.zeros((m, m, n, 2 * n), dtype=complex)
+    lattice[..., :half] = ca[..., :half, :].swapaxes(-1, -2)
+    lattice[..., -half:] = ca[..., half:, :].swapaxes(-1, -2)
+    del ca
+    np.fft.ifft(lattice, axis=-1, norm="forward", out=lattice)
+    # row (c, s) at x = 2p + u' + n/2 holds L_v[2p + u' - 2t]
+    nodes = (np.arange(3 * n - 1) - half - 2 * t[:, None]) % (2 * n)
+    lat = np.take_along_axis(lattice.reshape(m, m, 2, half, 2 * n), nodes[None, None, None], axis=-1)
+    del lattice, nodes
+    # b's q-mode (r + 1) mod n at sample (y + 1 - n/4) mod n, so that class c
+    # reads mode u - v at row u' + n/2 + 2s + 1 - c and p - t at column p + s
+    cb = np.fft.fft(b, axis=-1).swapaxes(-1, -2)
+    cols = np.arange(1 - quarter, n + quarter) % n
+    bext = cb[..., (np.arange(2 * n - 1) + 1)[:, None] % n, cols]
+    del cb
+    li, lk, _, ls, lx = lat.strides
+    bk, bl, br, by = bext.strides
+    sums = np.empty((2, m, m, n, n), dtype=complex)  # (c, i, l, u' + n/2, p)
+    for c in range(2):
+        np.einsum("iksup,klsup->ilup",
+                  as_strided(lat[:, :, c], (m, m, half, n, n), (li, lk, ls, lx, 2 * lx)),
+                  as_strided(bext[:, :, 1 - c :], (m, m, half, n, n), (bk, bl, 2 * br + by, br, by)),
+                  out=sums[c])
+    del lat, bext
+    even, odd = sums
+    np.fft.fft(odd, axis=-1, out=odd)
+    odd *= np.exp(-1j * np.pi * np.fft.fftfreq(n))
+    np.fft.ifft(odd, axis=-1, out=odd)
+    even += odd
+    # q-modes in centred order: their inverse transform carries (-1)^q
+    out = np.fft.ifft(even.swapaxes(-1, -2), axis=-1)
+    out[..., 1::2] *= -1
+    return out
+
+
 def star_product(a, b, psgrid: PhaseSpaceGrid, hbar: float = 1.0):
     """Noncommutative symbol product replacing the pointwise one.
 
     Sampled fields, scalar (n_p, n_q) or matrix (m, m, n_p, n_q), use the
-    spectral kernel form.  In the hbar -> 0 limit the result tends to
-    the pointwise (matrix) product, which hbar = 0 gives; a non-finite
-    hbar raises ValueError.
+    spectral kernel form.  On a grid that `PhaseSpaceGrid.conjugate`
+    built, at hbar = psgrid.hbar, every twist is a whole number of half
+    steps of the momentum lattice and `_lattice_convolution` takes the
+    product, O(m^3 n_q^2 n_p + m^2 n_q n_p log n_p); any other hbar or
+    grid, one conjugate only within `is_conjugate`'s 1e-9 included, takes
+    `_twisted_convolution`, O(m^2 n_p n_q^2 (m + log n_p)).  In the
+    hbar -> 0 limit the result tends to the pointwise (matrix) product,
+    which hbar = 0 gives; a non-finite hbar raises ValueError.
     """
     if not np.isfinite(hbar):
         raise ValueError(f"hbar must be finite, got {hbar}")
     a, b, scalar = _symbol_stacks(a, b, psgrid)
-    out = _twisted_convolution(a, b, psgrid, hbar)
+    if hbar == psgrid.hbar and psgrid == PhaseSpaceGrid.conjugate(psgrid.momentum, psgrid.hbar):
+        out = _lattice_convolution(a, b)
+    else:
+        out = _twisted_convolution(a, b, psgrid, hbar)
     return out[0, 0] if scalar else out
 
 
@@ -207,7 +286,8 @@ def classical_limit_gap(a, b, psgrid: PhaseSpaceGrid, hbars) -> ClassicalLimitRe
     rate hbar^2; non-commuting ones diverge as 1/hbar because the matrix
     commutator term survives division by hbar -- the classical limit
     simply does not exist for them.  The scan needs at least two
-    distinct, finite, positive hbar values (ValueError otherwise).
+    distinct, finite, positive hbar values, and every gap must be finite
+    (ValueError otherwise).
     """
     hbars = tuple(hbars)
     if len(set(hbars)) < 2 or not all(np.isfinite(hb) and hb > 0 for hb in hbars):
@@ -218,6 +298,8 @@ def classical_limit_gap(a, b, psgrid: PhaseSpaceGrid, hbars) -> ClassicalLimitRe
         mb = moyal_bracket(a, b, psgrid, hbar=hb)
         gaps.append(float(np.abs(mb - pb).max()))
     gaps = tuple(gaps)
+    if not np.isfinite(gaps).all():
+        raise ValueError(f"the Moyal-Poisson gaps must be finite, got {gaps}")
     if max(gaps) < 1e-14:
         return ClassicalLimitReport(hbars, gaps, None)
     slope = np.polyfit(np.log(np.asarray(hbars, dtype=float)), np.log(np.asarray(gaps)), 1)[0]

@@ -298,7 +298,8 @@ class KernelRelationReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.even_deviation, self.odd_deviation) <= self.tolerance
+        # a NaN deviation fails; built-in max would drop one that comes second
+        return self.even_deviation <= self.tolerance and self.odd_deviation <= self.tolerance
 
 
 def kernel_relation_check(

@@ -13,7 +13,11 @@ entries), and the Poisson bracket by its per-entry loop, to 1e-13 of
 the reference's maximum on full-band random symbols.  The product takes
 A's q-modes in blocks; two more cases, a scalar field and a 3 x 3
 symbol, sit on grids where it takes at least three blocks, the last one
-shorter than the others.
+shorter than the others.  On grids that `PhaseSpaceGrid.conjugate`
+built, at the grid's own hbar, the product takes the half-step lattice
+path instead; it is refereed by the general twisted convolution and,
+where that loop stays cheap, by the mode loop, to 1e-13, for n = 8 to
+128, scalar fields and 2 x 2 and 3 x 3 symbols.
 
 The transform, the even-field evolution and the purity criterion run
 over blocks of momentum rows.  The first two are refereed by the
@@ -121,7 +125,7 @@ from fvps.cli import packet_grid, run_rotator
 from fvps.rotator import RotatorModel, SpectralPeak, _even_superdiagonal, orbit_series
 from fvps.spectrum import landau_energy
 from fvps.states import rotator_coherent_state
-from fvps.moyal import _q_mode_blocks, moyal_bracket, poisson_bracket, propagator_phases, star_product
+from fvps.moyal import _q_mode_blocks, _twisted_convolution, moyal_bracket, poisson_bracket, propagator_phases, star_product
 from fvps.grids import half_step_lattice
 from fvps.opmatrix import KernelRelationReport, OperatorMatrix, _branch_pairs, _mode_blocks, _require_sign_gap
 from fvps.spectrum import _energy as spectrum_energy
@@ -412,6 +416,27 @@ def test_blocked_star_product_matches_mode_loop(case, hbar):
     ab, ba = loop_star(a, b, ps, hbar), loop_star(b, a, ps, hbar)
     assert_close(star_product(a, b, ps, hbar), ab, 1e-13)
     assert_close(moyal_bracket(a, b, ps, hbar), (ab - ba) / (1j * hbar), 1e-13)
+
+
+# (hbar, p_max) of the conjugate grids on which the lattice path runs
+LATTICE_GRIDS = [(0.7, 7.5), (1.0, 2.0), (1.3, 4.0)]
+
+
+@pytest.mark.parametrize("size", [None, 2, 3])
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("hbar, p_max", LATTICE_GRIDS)
+def test_lattice_star_product_matches_twisted_convolution_and_mode_loop(n, size, hbar, p_max):
+    ps = PhaseSpaceGrid.conjugate(MomentumGrid(n, p_max), hbar=hbar)
+    shape = (n, n) if size is None else (size, size, n, n)
+    rng = np.random.default_rng(n + 7 * (size or 1))
+    a, b = full_band(rng, shape), full_band(rng, shape)
+    got = star_product(a, b, ps, hbar)
+    stacks = (a, b) if size else (a[None, None], b[None, None])
+    general = _twisted_convolution(*stacks, ps, hbar)
+    assert_close(got, general if size else general[0, 0], 1e-13)
+    # the mode loop costs m^3 n^4: scalars up to n = 64, matrices up to 32 and 16
+    if (size or 1) ** 3 * n**4 <= 64**4:
+        assert_close(got, loop_star(a, b, ps, hbar), 1e-13)
 
 
 def _pair_product(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:

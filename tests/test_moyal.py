@@ -27,6 +27,7 @@ from fvps import (
     wigner_even,
     wigner_odd,
 )
+from fvps import moyal as moyal_module
 from fvps.moyal import _bracket_multiplier, propagator_phases
 
 
@@ -132,6 +133,22 @@ class TestClassicalLimitGap:
         with pytest.raises(ValueError, match="at least two distinct finite positive"):
             classical_limit_gap(a, a.conj(), smallgrid, hbars)
 
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_nan_gap_raises_in_either_place(self, smallgrid, monkeypatch, nan_first):
+        # built-in max keeps its first argument against a NaN, so a NaN
+        # gap after a zero one used to report exponent=None ("closes")
+        a = band2d(1, 32)[None, None] * np.ones((2, 2, 1, 1))
+        hbars = [1e-2, 1e-3]
+        bad = hbars[0] if nan_first else hbars[1]
+
+        def bracket(a, b, psgrid, hbar):
+            pb = poisson_bracket(a, b, psgrid)
+            return np.full_like(pb, np.nan) if hbar == bad else pb
+
+        monkeypatch.setattr(moyal_module, "moyal_bracket", bracket)
+        with pytest.raises(ValueError, match="gaps must be finite"):
+            classical_limit_gap(a, a.conj(), smallgrid, hbars)
+
 
 class TestHbarArguments:
     @pytest.mark.parametrize("hbar", [np.nan, np.inf, -np.inf])
@@ -151,24 +168,34 @@ class TestHbarArguments:
         assert np.abs(anti_moyal_bracket(a, b, smallgrid, hbar=0.0) - a * b).max() < 1e-13
 
 
-# tracemalloc peaks of the sampled star product at the benchmark's sizes,
-# measured as 1.52 MB (a scalar 64 x 64 product) and 3.05 MB (the Moyal
-# bracket of two 2 x 2 symbols on 32 x 32, two products); each bound adds
-# ~15 % margin.  The whole-array contraction, five (m, m, n_q, n_q, n_p)
-# arrays, peaked at 16.9 and 8.5 MB.
-STAR_MEMORY_BOUNDS_MB = {"star-64": 1.75, "bracket-2x2-32": 3.5}
+# tracemalloc peaks of the sampled star product at the benchmark's sizes:
+# a scalar 64 x 64 product ("star-64") and the Moyal bracket of two 2 x 2
+# symbols on 32 x 32, two products ("bracket-2x2-32").  At hbar = 0.5 on
+# these hbar = 1 grids both take the general path; its bounds add ~15 %
+# to its peaks with 768 KiB buffers, 1.52 and 3.05 MB, and its three
+# 240 KiB buffers now peak at 1.32 and 1.42 MB.  At the grids' own hbar
+# both take the lattice path, which peaks at 0.59 and 0.65 MB, plus ~15 %.
+# The whole-array contraction, five (m, m, n_q, n_q, n_p) arrays, peaked
+# at 16.9 and 8.5 MB.
+STAR_MEMORY_BOUNDS_MB = {"star-64": 1.75, "bracket-2x2-32": 3.5, "lattice-star-64": 0.68, "lattice-bracket-2x2-32": 0.75}
 
 
-def test_star_product_memory_stays_below_bounds():
+def test_star_product_memory_stays_below_bounds(monkeypatch):
     ps64 = PhaseSpaceGrid.conjugate(MomentumGrid(64, 4.0))
     ps32 = PhaseSpaceGrid.conjugate(MomentumGrid(32, 4.0))
     a, b = band2d(1, 64), band2d(2, 64)
     sa = np.array([[band2d(10 + 2 * i + k, 32) for k in range(2)] for i in range(2)])
     sb = np.array([[band2d(20 + 2 * k + l, 32) for l in range(2)] for k in range(2)])
     products = {
-        "star-64": lambda: star_product(a, b, ps64),
-        "bracket-2x2-32": lambda: moyal_bracket(sa, sb, ps32),
+        "star-64": lambda: star_product(a, b, ps64, hbar=0.5),
+        "bracket-2x2-32": lambda: moyal_bracket(sa, sb, ps32, hbar=0.5),
+        "lattice-star-64": lambda: star_product(a, b, ps64),
+        "lattice-bracket-2x2-32": lambda: moyal_bracket(sa, sb, ps32),
     }
+    paths = []
+    for name in ("_twisted_convolution", "_lattice_convolution"):
+        path = getattr(moyal_module, name)
+        monkeypatch.setattr(moyal_module, name, lambda *args, name=name, path=path: paths.append(name) or path(*args))
     peaks = {}
     for name, product in products.items():
         tracemalloc.start()
@@ -177,7 +204,32 @@ def test_star_product_memory_stays_below_bounds():
             peaks[name] = tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
+    assert paths == ["_twisted_convolution"] * 3 + ["_lattice_convolution"] * 3
     assert all(peaks[name] < bound for name, bound in STAR_MEMORY_BOUNDS_MB.items()), peaks
+
+
+@pytest.mark.parametrize(
+    "grid, hbar, lattice",
+    [
+        (PhaseSpaceGrid.conjugate(MomentumGrid(32, 4.0), hbar=0.7), 0.7, True),
+        (PhaseSpaceGrid.conjugate(MomentumGrid(32, 4.0), hbar=0.7), 1.0, False),
+        # conjugate (dq dp n_q = 2 pi hbar) but not square
+        (PhaseSpaceGrid(MomentumGrid(32, 4.0), n_q=16, q_max=np.pi / 0.25), 1.0, False),
+        # conjugate only within is_conjugate's 1e-9
+        (PhaseSpaceGrid(MomentumGrid(32, 4.0), n_q=32, q_max=np.pi / 0.25 * (1 + 1e-10)), 1.0, False),
+    ],
+    ids=["own-hbar", "other-hbar", "non-square", "conjugate-within-1e-9"],
+)
+def test_star_product_takes_the_lattice_path_only_at_the_grids_own_hbar(monkeypatch, grid, hbar, lattice):
+    assert grid.is_conjugate
+    calls = []
+    general = moyal_module._twisted_convolution
+    monkeypatch.setattr(moyal_module, "_twisted_convolution", lambda *args: calls.append(args) or general(*args))
+    shape = (grid.momentum.n_points, grid.n_q)
+    a, b = band2d(1, 32)[: shape[0], : shape[1]], band2d(2, 32)[: shape[0], : shape[1]]
+    star_product(a, b, grid, hbar)
+    moyal_bracket(a, b, grid, hbar)
+    assert len(calls) == (0 if lattice else 3)
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,7 @@ from fvps import (
     quadrature,
     sign_operator,
 )
-from fvps.opmatrix import OperatorMatrix
+from fvps.opmatrix import KernelRelationReport, OperatorMatrix
 from test_dense_reference import charge_invariant_even, pseudo_hermiticity_defect
 
 
@@ -281,6 +281,12 @@ class TestKernelRelation:
         op[h.n_modes + 3, h.n_modes + 7] = np.nan
         with pytest.raises(ValueError, match="kernel has a non-finite entry"):
             kernel_relation_check(op, h)
+
+    @pytest.mark.parametrize("deviations", [(1e-15, np.nan), (np.nan, 1e-15), (np.nan, np.nan)])
+    def test_nan_deviation_fails_in_either_place(self, deviations):
+        # built-in max keeps its first argument against a NaN, so
+        # max(1e-15, nan) <= tolerance used to pass the report
+        assert not KernelRelationReport(*deviations, 1e-8).passed
 
     @pytest.mark.parametrize("tolerance", [np.nan, -1e-9])
     def test_nan_or_negative_tolerance_rejected(self, setup, tolerance):

@@ -31,6 +31,18 @@ is printed with the results.
     python tools/bench_pairs.py --parent ../parent --change . \\
         --workload packet_analysis --pairs 10 --cpus 1
 
+With --label L it also appends one record to the list in `BENCH_L.json`
+in the change checkout's root, so one file can hold several workloads
+and seeds: both checkouts' commits (for a checkout whose tracked files
+differ from its HEAD, `-dirty-` and a digest of that diff under `src/`
+and `perfbench/`; see `commit`), the workload, seed, pair count, CPU
+set, each side's perfbench `env` line (null for --fresh), and per metric
+the parent's median and quartiles, the change's median, the relative
+move and the pairs the change won.  Every record has the same keys.
+
+    python tools/bench_pairs.py --parent ../parent --change . \\
+        --workload operator_algebra --pairs 10 --label lattice-star
+
 Both checkouts must be in the same bytecode state: the tool refuses to
 run when the sets of sources whose cached `.pyc` this interpreter would
 load differ between them.  A copy made with `cp -r` carries `.pyc` files
@@ -44,6 +56,7 @@ compile those as well.
 """
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -77,6 +90,7 @@ def run_once(root: Path, args) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     match = OUTSIDE_SPANS.search(proc.stdout)
     result["outside_spans"] = float(match.group(1)) / 100.0 if match else None
+    result["env"] = next((line for line in proc.stdout.splitlines() if line.startswith("env ")), None)
     return result
 
 
@@ -131,21 +145,61 @@ def quartiles(values):
     return q1, q3
 
 
-def summarise(runs):
-    """One printable line per metric over the paired runs."""
-    lines = []
-    width = max(40, *map(len, runs[0]["parent"]["metrics"]))
+def compare(runs) -> dict:
+    """Per metric over the paired runs: the parent's median and quartiles, the change's median, move and wins."""
+    metrics = {}
     for name in runs[0]["parent"]["metrics"]:
         parent = [r["parent"]["metrics"][name]["value"] for r in runs]
         change = [r["change"]["metrics"][name]["value"] for r in runs]
-        unit = runs[0]["parent"]["metrics"][name]["unit"]
-        won = sum(c < p for p, c in zip(parent, change))
         p_med, c_med = statistics.median(parent), statistics.median(change)
-        q1, q3 = quartiles(parent)
-        move = f"{(c_med - p_med) / abs(p_med):+.1%}" if p_med else "n/a"
-        lines.append(f"{name:{width}s} {p_med:.4g} [{q1:.4g}, {q3:.4g}] -> {c_med:.4g} {unit}  "
-                     f"{move}  change won {won}/{len(runs)}")
-    return lines
+        metrics[name] = {"unit": runs[0]["parent"]["metrics"][name]["unit"], "parent_median": p_med,
+                         "parent_quartiles": list(quartiles(parent)), "change_median": c_med,
+                         "move": (c_med - p_med) / abs(p_med) if p_med else None,
+                         "change_won": sum(c < p for p, c in zip(parent, change))}
+    return metrics
+
+
+def summarise(metrics, pairs):
+    """One printable line per metric of `compare`."""
+    width = max(40, *map(len, metrics))
+    return [f"{name:{width}s} {m['parent_median']:.4g} [{m['parent_quartiles'][0]:.4g}, {m['parent_quartiles'][1]:.4g}]"
+            f" -> {m['change_median']:.4g} {m['unit']}  {'n/a' if m['move'] is None else format(m['move'], '+.1%')}"
+            f"  change won {m['change_won']}/{pairs}" for name, m in metrics.items()]
+
+
+# the code a perfbench run imports and runs, whose diff a dirty checkout's commit names
+RUN_PATHS = ("src", "perfbench")
+
+
+def commit(root: Path):
+    """HEAD of the git checkout at `root`, None outside git.
+
+    When tracked files differ from HEAD it reads `HEAD-dirty-` plus the
+    first 16 hex digits of the sha256 of that diff under `RUN_PATHS`, the
+    same digest as `git diff --binary --full-index P C -- src perfbench`
+    gives once the change is committed as C on parent P.
+    """
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
+    if head.returncode != 0:
+        return None
+    if subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=root).returncode == 0:
+        return head.stdout.strip()
+    diff = subprocess.run(["git", "diff", "--binary", "--full-index", "--no-color", "--no-ext-diff", "--no-textconv",
+                           "HEAD", "--", *RUN_PATHS], cwd=root, capture_output=True, check=True).stdout
+    return f"{head.stdout.strip()}-dirty-{hashlib.sha256(diff).hexdigest()[:16]}"
+
+
+def bench_record(args, sides, runs) -> dict:
+    """The BENCH_<label>.json record of one comparison; its keys do not depend on the runs."""
+    cpus = args.cpu_set if args.cpu_set is not None else (
+        os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set())
+    return {"commits": {side: commit(root) for side, root in sides.items()},
+            "workload": "fresh" if args.fresh else args.workload,
+            "seed": None if args.fresh else args.seed,
+            "pairs": len(runs),
+            "cpus": sorted(cpus),
+            "env": {side: runs[0][side].get("env") for side in sides},
+            "metrics": compare(runs)}
 
 
 def main(argv=None):
@@ -158,6 +212,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=20020206)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--cpus", type=int, help="run every process on this many CPUs of the tool's affinity mask")
+    parser.add_argument("--label", help="also append a record to BENCH_<label>.json in the change checkout's root")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -199,8 +254,13 @@ def main(argv=None):
     if args.cpu_set is not None:
         header += f" cpus={sorted(args.cpu_set)}"
     print(f"{header} pairs={len(runs)}; parent median [quartiles] -> change median")
-    for line in summarise(runs):
+    for line in summarise(compare(runs), len(runs)):
         print(line)
+    if args.label:
+        path = sides["change"] / f"BENCH_{args.label}.json"
+        records = json.loads(path.read_text()) if path.exists() else []
+        path.write_text(json.dumps([*records, bench_record(args, sides, runs)], indent=1) + "\n")
+        print(f"wrote {path}")
     for side in () if args.fresh else ("parent", "change"):  # a fresh process runs no counted ops
         print(f"{side}: failed ops per run {[r[side]['failed'] for r in runs]}, "
               f"correct {[r[side]['correct'] for r in runs]}")
