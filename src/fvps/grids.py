@@ -121,18 +121,14 @@ def half_step_lattice(grid: MomentumGrid, pad: int = 0) -> np.ndarray:
 # a 2-core box (lam = 0.3 and 3, medians of 15 alternating rounds), two
 # workers ran each kernel 7-19 % faster with this budget split in two
 # than with half of it; one worker ran 0-6 % slower with the whole
-# budget than with half.
+# budget than with half.  A kernel runs on the workers from one budget
+# of work (rows times `row_cells`) up: the transform from n = 256, the
+# evolution and the criterion's window scan from n = 512, its stencils
+# from 128 box rows at n = 1024.  Below it the Python between its numpy
+# calls contends for the interpreter lock: on two cores the criterion's
+# window scan at n = 256 (33 K cells) took 10-42 % longer on two
+# threads, and its stencils on 48-52 K-cell boxes 4-5 % longer.
 _BLOCK_CELLS = 1 << 16
-# A kernel runs on the worker threads from this many cells of work (rows
-# times `row_cells`) up: the transform from n = 256, the evolution and the
-# criterion's window scan from n = 512, its stencils from 128 box rows at
-# n = 1024.  Below it the Python between its numpy calls contends for the
-# interpreter lock: on two cores the criterion's window scan at n = 256
-# (33 K cells) took 10-42 % longer on two threads, and its stencils on
-# 48-52 K-cell boxes 4-5 % longer.  Its stencils on 128-255-row boxes at
-# n = 1024 (66-131 K cells) timed within noise of one thread up to about
-# 150 rows and 4-17 % faster above.
-_THREAD_MIN_CELLS = 1 << 16
 # The worker count: the CPUs this process may run on, or 1 where the
 # affinity mask cannot be read.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -157,20 +153,20 @@ def _run_row_blocks(kernel, n_rows: int, row_cells: int) -> list:
     `row_cells` is the width of the kernel's widest work array.  On w
     workers a block has `_BLOCK_CELLS // row_cells // w` rows (at least
     one), so the blocks in flight hold at most `_BLOCK_CELLS` cells of
-    that array together, unless a single row is wider.  Below
-    `_THREAD_MIN_CELLS` cells of work, with one worker or with one block,
-    a single stripe of every block runs on the calling thread.  Otherwise
-    worker i of w takes the interleaved stripe blocks[i::w]: the calling
-    thread runs the first, a thread pool started on first use the rest,
-    each in a copy of the caller's context, which holds numpy's error
-    state.  A kernel allocates its own work buffers, writes only its own
+    that array together, unless a single row is wider.  Below one such
+    budget of work (`n_rows * row_cells`), with one worker or with one
+    block, a single stripe of every block runs on the calling thread.
+    Otherwise worker i of w takes the interleaved stripe blocks[i::w]:
+    the calling thread runs the first, a thread pool started on first use
+    the rest, each in a copy of the caller's context, which holds numpy's
+    error state.  A kernel allocates its own work buffers, writes only its own
     rows and calls numpy and private helpers only.  The call returns, or
     raises, once every stripe has finished.  It is private so that a
     tracer wrapping the public functions neither takes the kernels' time
     as its own nor runs on a worker thread.
     """
     global _pool
-    workers = _WORKERS if n_rows * row_cells >= _THREAD_MIN_CELLS else 1
+    workers = _WORKERS if n_rows * row_cells >= _BLOCK_CELLS else 1
     size = max(_BLOCK_CELLS // row_cells // workers, 1)
     blocks = [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
     stripes = [blocks[i::workers] for i in range(min(workers, len(blocks)))]

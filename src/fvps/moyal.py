@@ -20,14 +20,12 @@ at most eight (m, m, n_p, n_q) complex arrays.
 
 Any other hbar or grid -- the product's hbar is its own parameter, and
 the grid need be neither conjugate nor square -- takes the general path
-(`_twisted_convolution`) over A's q-modes v one block at a time: each
-q-mode v of the block is shifted along p by hbar kappa_u / 2 for every
-output q-mode u in one batched FFT, multiplied by B's q-mode u - v and
-transformed along p, and the remaining phase is applied and summed over
-the block's v into one accumulator.  Cost: O(m^2 n_p n_q^2 (m + log n_p))
-time; its three work buffers, scalar or matrix, are reused from block to
-block and hold at most `_MODE_BLOCK_BYTES` each, so the memory is
-O(m^2 n_p n_q) beyond them.  Both paths are exact for band-limited
+(`_twisted_convolution`), one of A's q-modes v at a time: mode v is
+shifted along p by hbar kappa_u / 2 for every output q-mode u in one
+batched FFT, multiplied by B's q-mode u - v and transformed along p, and
+the remaining phase is applied before it is added to one accumulator.
+Cost: O(m^2 n_p n_q^2 (m + log n_p)) time and, beyond the operands,
+O(m^2 n_q n_p) memory.  Both paths are exact for band-limited
 periodic fields; products of modes beyond the grid band alias (the phase
 is taken at the wrapped output mode), so keep inputs band-limited to half
 the grid band.
@@ -85,66 +83,38 @@ def _symbol_stacks(a, b, psgrid: PhaseSpaceGrid):
     return a, b, scalar
 
 
-# Bytes of one of the three work buffers of the general path of the sampled
-# star product (`_twisted_convolution`; the lattice path has no mode
-# blocks), which takes A's q-modes a block at a time and reuses its (m, m,
-# block, n_q, n_p) complex buffers.  240 KiB is 3 modes of a scalar 64 x 64
-# field or of a 2 x 2 symbol on 32 x 32.  On a 2-core Xeon (numpy 2.4.6,
-# one BLAS thread, hbar = 0.5 on conjugate grids; p25 of 40 calls, three
-# alternating processes) 2 x 2 products on 32 x 32 and 64 x 64 and a 3 x 3
-# one on 32 x 32 took 2.8, 19.7 and 6.9 ms, against 3.1, 19.1 and 7.2 ms
-# with 768 KiB buffers, and a scalar 64 x 64 one 3.9 ms.  The whole-array
-# contraction took about 3 and 1.6 times as long as 768 KiB blocks for a
-# scalar 64 x 64 and a 2 x 2 product on 32 x 32.  Not a power of two, so
-# power-of-two grids can end on a ragged block.
-_MODE_BLOCK_BYTES = 240 * 1024
-
-
-def _q_mode_blocks(m: int, n_p: int, n_q: int) -> list[slice]:
-    """Consecutive slices of the n_q q-modes of an (m, m, n_p, n_q) symbol, sized to `_MODE_BLOCK_BYTES`."""
-    size = max(1, _MODE_BLOCK_BYTES // (16 * m * m * n_q * n_p))
-    return [slice(start, min(start + size, n_q)) for start in range(0, n_q, size)]
-
-
 def _twisted_convolution(a: np.ndarray, b: np.ndarray, psgrid: PhaseSpaceGrid, hbar: float) -> np.ndarray:
-    """sum_k A_ik * B_kl for (m, m, n_p, n_q) stacks, one block of A's q-modes at a time.
+    """sum_k A_ik * B_kl for (m, m, n_p, n_q) stacks, one of A's q-modes at a time.
 
     In mode space (A * B)_u = sum_v a_v b_{u-v} exp(-(i hbar/2) omega(v, u)),
     using omega(v, u - v) = omega(v, u), with omega taken at the output
     mode u after the cyclic wrap.  The lambda_v kappa_u half of the phase
     shifts a's q-mode v along p; the sum over p-modes is then a product
     in p, and the kappa_v lambda_u half is applied after the p-transform.
-    Each block of modes v (`_q_mode_blocks`) goes through these steps in
-    reused buffers and adds its sum over v to one (m, m, n_q, n_p)
-    accumulator, whose 2-D inverse transform is the product.
+    Each mode v goes through these steps and adds its term to one
+    (m, m, n_q, n_p) accumulator, whose 2-D inverse transform is the
+    product; beyond the operands the memory is O(m^2 n_q n_p).
     """
     m, _, n_p, n_q = a.shape
     lam, kap = _mode_frequencies(psgrid)
     twist = np.exp(0.5j * hbar * np.multiply.outer(kap, lam))
-    untwist = twist.conj()
     # axes (i, k, v, p): a's q-mode v as a function of p
-    ca = (np.fft.fft2(a) / n_q).swapaxes(-1, -2)
+    ca = np.fft.fft2(a).swapaxes(-1, -2)
+    ca /= n_q
     # axes (k, l, v, u, p): b's q-mode (u - v) mod n_q, a strided view into
     # its q-modes written twice over, in which row v starts at mode n_q - v
     cb = np.fft.fft(b, axis=-1).swapaxes(-1, -2)
-    columns = sliding_window_view(np.concatenate([cb, cb], axis=2), n_q, axis=2)[:, :, n_q:0:-1].swapaxes(-1, -2)
-    blocks = _q_mode_blocks(m, n_p, n_q)
-    shifted = np.empty((m, m, blocks[0].stop, n_q, n_p), dtype=complex)
-    conv, term = np.empty_like(shifted), np.empty_like(shifted)
+    cb = np.concatenate([cb, cb], axis=2)
+    columns = sliding_window_view(cb, n_q, axis=2)[:, :, n_q:0:-1].swapaxes(-1, -2)
     out = np.zeros((m, m, n_q, n_p), dtype=complex)
-    for vb in blocks:
-        n = vb.stop - vb.start
-        sh, cv = shifted[:, :, :n], conv[:, :, :n]
-        # axes (i, k, v, u, p): a's q-mode v shifted by hbar kappa_u / 2
-        np.multiply(ca[:, :, vb, None, :], twist, out=sh)
-        np.fft.ifft(sh, axis=-1, out=sh)
-        np.multiply(sh[:, 0, None], columns[None, 0, :, vb], out=cv)
-        for k in range(1, m):
-            np.multiply(sh[:, k, None], columns[None, k, :, vb], out=term[:, :, :n])
-            cv += term[:, :, :n]
-        np.fft.fft(cv, axis=-1, out=cv)
-        cv *= untwist[vb, None, :]
-        out += cv.sum(axis=2)
+    for v in range(n_q):
+        # axes (i, k, u, p): a's q-mode v shifted by hbar kappa_u / 2
+        shifted = ca[:, :, v, None, :] * twist
+        np.fft.ifft(shifted, axis=-1, out=shifted)
+        term = np.einsum("ikup,klup->ilup", shifted, columns[:, :, v])
+        np.fft.fft(term, axis=-1, out=term)
+        term *= twist[v].conj()
+        out += term
     return np.fft.ifft2(out.swapaxes(-1, -2))
 
 
@@ -338,10 +308,14 @@ def _mode_phase(energy_fn, t: float, psgrid: PhaseSpaceGrid):
 def _bracket_multiplier(energy_fn, psgrid: PhaseSpaceGrid, kind: str = "moyal") -> np.ndarray:
     """(n_p, n_q) mode multiplier of {E, W}: (E+ - E-) / (i hbar), or (E+ + E-) / 2 for kind="anti".
 
-    E+- = E(p +- hbar kappa/2), gathered from one E on the `_mode_lattice` nodes.
+    E+- = E(p +- hbar kappa/2), gathered from one E on the `_mode_lattice` nodes;
+    an E that is not finite on every node raises ValueError.
     """
     nodes, centre, m = _mode_lattice(psgrid)
     e = energy_fn(nodes)
+    if not np.isfinite(e).all():
+        raise ValueError(f"the {{E, W}} mode multiplier is not finite: energy_fn gave "
+                         f"{np.count_nonzero(~np.isfinite(e))} non-finite of {e.size} lattice values")
     if kind == "moyal":
         return (e[centre + m] - e[centre - m]) / (1j * psgrid.hbar)
     if kind == "anti":
@@ -459,7 +433,8 @@ def evolve_timestep_reference(w: np.ndarray, energy_fn, t: float, steps: int,
     y = dt * max|E(p + hbar kappa/2) - E(p - hbar kappa/2)| / hbar to stay
     below 1.  z is imaginary, so |R(z)|^2 = 1 + |z|^4 / 4 exactly and no
     mode grows by more than (1 + y^4/4)^(steps/2); both violations, y > 1
-    and a growth bound above 10, raise StepSizeError before any FFT.
+    and a growth bound above 10, raise StepSizeError before any FFT, as
+    an E that is not finite on the half-step lattice raises ValueError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

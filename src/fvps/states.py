@@ -208,7 +208,7 @@ class FockExpansion:
 
     def __post_init__(self):
         norm = np.sum(np.abs(self.coeffs) ** 2)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"coefficients not normalized: sum |c|^2 = {norm}")
 
 

@@ -125,7 +125,7 @@ from fvps.cli import packet_grid, run_rotator
 from fvps.rotator import RotatorModel, SpectralPeak, _even_superdiagonal, orbit_series
 from fvps.spectrum import landau_energy
 from fvps.states import rotator_coherent_state
-from fvps.moyal import _q_mode_blocks, _twisted_convolution, moyal_bracket, poisson_bracket, propagator_phases, star_product
+from fvps.moyal import _twisted_convolution, moyal_bracket, poisson_bracket, propagator_phases, star_product
 from fvps.grids import half_step_lattice
 from fvps.opmatrix import KernelRelationReport, OperatorMatrix, _branch_pairs, _mode_blocks, _require_sign_gap
 from fvps.spectrum import _energy as spectrum_energy
@@ -374,6 +374,8 @@ STAR_GRIDS = {
     "conjugate-16": PhaseSpaceGrid.conjugate(MomentumGrid(16, 2.5), hbar=0.7),
     "wide-32x16": PhaseSpaceGrid(MomentumGrid(32, 2.5), n_q=16, q_max=3.0),
     "tall-16x32": PhaseSpaceGrid(MomentumGrid(16, 4.0), n_q=32, q_max=5.0, hbar=1.3),
+    "tall-16x128": PhaseSpaceGrid(MomentumGrid(16, 4.0), n_q=128, q_max=5.0, hbar=1.3),
+    "tall-16x32-q3": PhaseSpaceGrid(MomentumGrid(16, 2.5), n_q=32, q_max=3.0),
 }
 
 
@@ -381,9 +383,18 @@ def full_band(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+# (grid, matrix size or None for a scalar field); the mode loop costs
+# m^3 n_p^2 n_q^2, so the long axis takes a scalar and the 3 x 3 symbol
+# a 16 x 32 grid
+STAR_CASES = [
+    *((name, size) for name in ("conjugate-16", "tall-16x32", "wide-32x16") for size in (None, 2)),
+    ("tall-16x128", None),
+    ("tall-16x32-q3", 3),
+]
+
+
 @pytest.mark.parametrize("hbar", [1e-3, 0.7, 1.0, 2.0])
-@pytest.mark.parametrize("size", [None, 2])
-@pytest.mark.parametrize("grid_name", sorted(STAR_GRIDS))
+@pytest.mark.parametrize("grid_name, size", STAR_CASES)
 def test_star_product_matches_mode_loop(grid_name, size, hbar):
     ps = STAR_GRIDS[grid_name]
     shape = (ps.momentum.n_points, ps.n_q) if size is None else (size, size, ps.momentum.n_points, ps.n_q)
@@ -393,29 +404,6 @@ def test_star_product_matches_mode_loop(grid_name, size, hbar):
     assert_close(star_product(a, b, ps, hbar), ab, 1e-13)
     assert_close(moyal_bracket(a, b, ps, hbar), (ab - ba) / (1j * hbar), 1e-13)
     assert_close(poisson_bracket(a, b, ps), loop_poisson(a, b, ps), 1e-13)
-
-
-# (grid, matrix size or None for a scalar field) on which the product's
-# q-mode blocks number at least three and the last one is ragged
-BLOCKED_STAR_CASES = {
-    "scalar-16x128": (PhaseSpaceGrid(MomentumGrid(16, 4.0), n_q=128, q_max=5.0, hbar=1.3), None),
-    "3x3-16x32": (PhaseSpaceGrid(MomentumGrid(16, 2.5), n_q=32, q_max=3.0), 3),
-}
-
-
-@pytest.mark.parametrize("hbar", [1e-3, 2.0])
-@pytest.mark.parametrize("case", sorted(BLOCKED_STAR_CASES))
-def test_blocked_star_product_matches_mode_loop(case, hbar):
-    ps, size = BLOCKED_STAR_CASES[case]
-    n_p, n_q = ps.momentum.n_points, ps.n_q
-    blocks = _q_mode_blocks(size or 1, n_p, n_q)
-    assert len(blocks) >= 3 and blocks[-1].stop - blocks[-1].start < blocks[0].stop - blocks[0].start
-    shape = (n_p, n_q) if size is None else (size, size, n_p, n_q)
-    rng = np.random.default_rng(29)
-    a, b = full_band(rng, shape), full_band(rng, shape)
-    ab, ba = loop_star(a, b, ps, hbar), loop_star(b, a, ps, hbar)
-    assert_close(star_product(a, b, ps, hbar), ab, 1e-13)
-    assert_close(moyal_bracket(a, b, ps, hbar), (ab - ba) / (1j * hbar), 1e-13)
 
 
 # (hbar, p_max) of the conjugate grids on which the lattice path runs

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvps import (
@@ -226,26 +226,28 @@ def test_field_of_another_shape_raises(packet_field, name, shape):
 class TestRunRowBlocks:
     """The row-block helper of the phase-space kernels, on more workers than this machine may have."""
 
-    # 96 rows of 2048 cells are above the threading threshold and make
-    # ten blocks of ten rows for three workers
+    # 96 rows of 2048 cells are more work than one cell budget, so they
+    # thread, and make ten blocks of ten rows for three workers
     ROWS, CELLS = 96, 2048
 
     def test_interleaved_stripes_cover_every_row_once(self, monkeypatch):
         monkeypatch.setattr(grids, "_WORKERS", 3)
-        assert self.ROWS * self.CELLS >= grids._THREAD_MIN_CELLS
+        assert self.ROWS * self.CELLS >= grids._BLOCK_CELLS
         blocks = [slice(start, min(start + 10, self.ROWS)) for start in range(0, self.ROWS, 10)]
         stripes = grids._run_row_blocks(lambda stripe: stripe, self.ROWS, self.CELLS)
         assert stripes == [blocks[0::3], blocks[1::3], blocks[2::3]]
 
     @settings(max_examples=200, deadline=None)
     @given(workers=st.integers(1, 4), n_rows=st.integers(1, 3000), row_cells=st.integers(1, 1 << 18))
+    @example(workers=3, n_rows=256, row_cells=256)  # work of exactly one budget: threaded
+    @example(workers=3, n_rows=255, row_cells=257)  # one cell below it: serial, one block
     def test_blocks_share_one_cell_budget(self, workers, n_rows, row_cells):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(grids, "_WORKERS", workers)
             stripes = grids._run_row_blocks(lambda stripe: stripe, n_rows, row_cells)
         rows = [row for stripe in stripes for block in stripe for row in range(block.start, block.stop)]
         assert sorted(rows) == list(range(n_rows))
-        threaded = workers if n_rows * row_cells >= grids._THREAD_MIN_CELLS else 1
+        threaded = workers if n_rows * row_cells >= grids._BLOCK_CELLS else 1
         assert len(stripes) <= threaded
         tallest = max(block.stop - block.start for stripe in stripes for block in stripe)
         assert tallest == min(n_rows, max(1, grids._BLOCK_CELLS // row_cells // threaded))

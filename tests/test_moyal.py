@@ -172,11 +172,11 @@ class TestHbarArguments:
 # a scalar 64 x 64 product ("star-64") and the Moyal bracket of two 2 x 2
 # symbols on 32 x 32, two products ("bracket-2x2-32").  At hbar = 0.5 on
 # these hbar = 1 grids both take the general path; its bounds add ~15 %
-# to its peaks with 768 KiB buffers, 1.52 and 3.05 MB, and its three
-# 240 KiB buffers now peak at 1.32 and 1.42 MB.  At the grids' own hbar
-# both take the lattice path, which peaks at 0.59 and 0.65 MB, plus ~15 %.
-# The whole-array contraction, five (m, m, n_q, n_q, n_p) arrays, peaked
-# at 16.9 and 8.5 MB.
+# to its peaks when it took q-modes in blocks of 768 KiB buffers, 1.52
+# and 3.05 MB, and one q-mode at a time it peaks at 0.60 and 0.68 MB.
+# At the grids' own hbar both take the lattice path, which peaks at 0.59
+# and 0.65 MB, plus ~15 %.  The whole-array contraction, five (m, m,
+# n_q, n_q, n_p) arrays, peaked at 16.9 and 8.5 MB.
 STAR_MEMORY_BOUNDS_MB = {"star-64": 1.75, "bracket-2x2-32": 3.5, "lattice-star-64": 0.68, "lattice-bracket-2x2-32": 0.75}
 
 
@@ -506,6 +506,34 @@ def test_timestep_reference_growth_bound(smallgrid, monkeypatch):
     monkeypatch.setattr(np.fft, "ifft", no_fft)
     with pytest.raises(StepSizeError, match="field grew by >10x"):
         evolve_timestep_reference(w, efn, 21 / max_omega, 21, smallgrid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("node", [40, 41])  # an even lattice node is also hit at kappa = 0
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda e, w, ps: evolve_timestep_reference(w, e, 0.1, 4, ps),
+        lambda e, w, ps: bracket_with_energy(e, w, ps),
+    ],
+    ids=["timestep_reference", "bracket_with_energy"],
+)
+def test_non_finite_generator_raises_before_any_fft(smallgrid, monkeypatch, run, node, bad):
+    # a NaN once passed the stepper's stability checks and came back as a
+    # field with NaN cells, and an inf overflowed its step-count hint
+    def efn(p):
+        e = p**2 / 2
+        e[node] = bad
+        return e
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT taken before the multiplier was checked")
+
+    w = band2d(3, 32)
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    monkeypatch.setattr(np.fft, "ifft", no_fft)
+    with pytest.raises(ValueError, match="mode multiplier is not finite"):
+        run(efn, w, smallgrid)
 
 
 def _counted(energy_fn):

@@ -13,6 +13,7 @@ from fvps import (
     ChargeBranchState,
     CoherentSpec,
     EnergyModel,
+    FockExpansion,
     MomentumGrid,
     PhaseSpaceGrid,
     ResolutionError,
@@ -310,6 +311,12 @@ class TestRotatorCoherent:
         with pytest.raises(TruncationError) as err:
             rotator_coherent_state(6.0, EnergyModel.landau(1.0), n_max=24)
         assert err.value.suggested_size > 24
+
+    @pytest.mark.parametrize("coeffs", [[np.nan, 0.0], [0.0, np.nan], [1.0, np.inf]])
+    def test_non_finite_coefficients_are_not_normalized(self, coeffs):
+        # abs(nan - 1) > 1e-10 is False, so the check once accepted a NaN
+        with pytest.raises(ValueError, match="not normalized"):
+            FockExpansion(np.array(coeffs))
 
 
 class TestSerialization:
