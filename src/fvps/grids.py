@@ -122,12 +122,15 @@ def half_step_lattice(grid: MomentumGrid, pad: int = 0) -> np.ndarray:
 # workers ran each kernel 7-19 % faster with this budget split in two
 # than with half of it; one worker ran 0-6 % slower with the whole
 # budget than with half.  A kernel runs on the workers from one budget
-# of work (rows times `row_cells`) up: the transform from n = 256, the
-# evolution and the criterion's window scan from n = 512, its stencils
-# from 128 box rows at n = 1024.  Below it the Python between its numpy
-# calls contends for the interpreter lock: on two cores the criterion's
-# window scan at n = 256 (33 K cells) took 10-42 % longer on two
-# threads, and its stencils on 48-52 K-cell boxes 4-5 % longer.
+# of work (rows times `row_cells`) up: the transform and the criterion's
+# row bounds from n = 256, the evolution from n = 512, the criterion's
+# window scan from 128 scanned rows at n = 1024 and its stencils from
+# 128 box rows there.  At n = 512 the scan's span is about 210 x 257 cells for the
+# widest packets, under one budget, so it runs serially.  Below it the
+# Python between its numpy calls contends for the interpreter lock: on
+# two cores the criterion's window scan at n = 256 (33 K cells) took
+# 10-42 % longer on two threads, and its stencils on 48-52 K-cell boxes
+# 4-5 % longer.
 _BLOCK_CELLS = 1 << 16
 # The worker count: the CPUs this process may run on, or 1 where the
 # affinity mask cannot be read.

@@ -308,19 +308,26 @@ def _mode_phase(energy_fn, t: float, psgrid: PhaseSpaceGrid):
 def _bracket_multiplier(energy_fn, psgrid: PhaseSpaceGrid, kind: str = "moyal") -> np.ndarray:
     """(n_p, n_q) mode multiplier of {E, W}: (E+ - E-) / (i hbar), or (E+ + E-) / 2 for kind="anti".
 
-    E+- = E(p +- hbar kappa/2), gathered from one E on the `_mode_lattice` nodes;
-    an E that is not finite on every node raises ValueError.
+    E+- = E(p +- hbar kappa/2), gathered from one E on the `_mode_lattice` nodes.
+    An E that is not finite on every node raises ValueError, and so does a
+    finite E whose multiplier overflows, without a warning first.
     """
+    if kind not in ("moyal", "anti"):
+        raise ValueError(f"kind must be 'moyal' or 'anti', got {kind!r}")
     nodes, centre, m = _mode_lattice(psgrid)
     e = energy_fn(nodes)
     if not np.isfinite(e).all():
         raise ValueError(f"the {{E, W}} mode multiplier is not finite: energy_fn gave "
                          f"{np.count_nonzero(~np.isfinite(e))} non-finite of {e.size} lattice values")
-    if kind == "moyal":
-        return (e[centre + m] - e[centre - m]) / (1j * psgrid.hbar)
-    if kind == "anti":
-        return 0.5 * (e[centre + m] + e[centre - m])
-    raise ValueError(f"kind must be 'moyal' or 'anti', got {kind!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "moyal":
+            mult = (e[centre + m] - e[centre - m]) / (1j * psgrid.hbar)
+        else:
+            mult = 0.5 * (e[centre + m] + e[centre - m])
+    if not np.isfinite(mult).all():
+        raise ValueError(f"the {{E, W}} mode multiplier is not finite: it overflows on "
+                         f"{np.count_nonzero(~np.isfinite(mult))} of {mult.size} modes")
+    return mult
 
 
 def _mode_multiply(w, mult: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
@@ -440,13 +447,15 @@ def evolve_timestep_reference(w: np.ndarray, energy_fn, t: float, steps: int,
         raise ValueError("steps must be >= 1")
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
+    # Python floats: a step hint past the float range reads inf, with no warning
+    t = float(t)
     dt = t / steps
     mult = _bracket_multiplier(energy_fn, psgrid)
     max_omega = float(np.abs(mult).max())
     y = abs(dt) * max_omega
     if y > 1.0:
         raise StepSizeError(f"dt*max|Delta E|/hbar = {y:.3g} > 1; "
-                            f"need at least {int(np.ceil(abs(t) * max_omega))} steps")
+                            f"need at least {np.ceil(abs(t) * max_omega):.0f} steps")
     if steps * np.log1p(y**4 / 4) / 2 > np.log(10.0):
         raise StepSizeError("field grew by >10x; time step unstable")
     z = dt * mult

@@ -24,11 +24,13 @@ is i^kappa times a plain zero-padded FFT.  Pair products of those plain
 and one length-n FFT per momentum row finishes the sum -- O(n^2 log n)
 time.  The rows are built, folded and transformed one block at a time,
 so the memory is the n x n output plus O(block n) transient.  The
-blocks of the transform and of the purity criterion run on the CPUs of
-the process's affinity mask (see `grids._run_row_blocks`); each block
-writes only its own rows and the criterion reduces only by maxima and
-integer sums, so every result is bit-identical for any number of
-workers.
+purity criterion transforms only the rows whose 1-norm bound can reach
+its window, once each, and keeps their half spectra for its stencils
+(see `purity_check`).  The blocks of the transform and of the
+criterion run on the CPUs of the process's affinity mask (see
+`grids._run_row_blocks`); each block writes only its own rows and the
+criterion reduces only by maxima and integer sums, so every result is
+bit-identical for any number of workers.
 
 The eps weight is never formed on momentum pairs.  With u = sqrt(E) phi
 and v = phi / sqrt(E) on the lattice, eps phi_a^* phi_b =
@@ -325,8 +327,11 @@ def reconstruct_kernel(w: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
     j < 0.
     """
     j_max = psgrid.n_q // 2 - 1
-    r = np.fft.rfft(_real_even_field(w, psgrid), axis=-1)
-    return _kernel_modes(r, -j_max, j_max, psgrid.dq)
+    K = _kernel_modes(np.fft.rfft(_real_even_field(w, psgrid), axis=-1), -j_max, j_max)
+    K *= psgrid.dq
+    # the centred grid's sign (-1)^j; column c is offset j = c - j_max
+    K[..., (1 - j_max) % 2 :: 2] *= -1
+    return K
 
 
 def _real_even_field(w, psgrid: PhaseSpaceGrid) -> np.ndarray:
@@ -338,16 +343,14 @@ def _real_even_field(w, psgrid: PhaseSpaceGrid) -> np.ndarray:
     return w
 
 
-def _kernel_modes(r: np.ndarray, j_lo: int, j_hi: int, dq: float) -> np.ndarray:
+def _kernel_modes(r: np.ndarray, j_lo: int, j_hi: int) -> np.ndarray:
     """Kernel columns for the offsets j_lo <= j <= j_hi, j_lo <= 0, from the half spectrum `r` along q.
 
     Column c holds offset j = j_lo + c: conj(r[j]) for j >= 0 and r[-j]
-    for j < 0, times dq, with the sign (-1)^j of the centred grid.
+    for j < 0, without the factor dq and the sign (-1)^j of the centred
+    grid.
     """
-    modes = np.concatenate([r[..., 1 : 1 - j_lo][..., ::-1], np.conj(r[..., : j_hi + 1])], axis=-1)
-    modes *= dq
-    modes[..., (j_lo + 1) % 2 :: 2] *= -1
-    return modes
+    return np.concatenate([r[..., 1 : 1 - j_lo][..., ::-1], np.conj(r[..., : j_hi + 1])], axis=-1)
 
 
 def _span(flags: np.ndarray) -> slice:
@@ -393,10 +396,18 @@ def purity_check(
     non-negative: a negative floor admits the exact zeros of K, a NaN
     one admits nothing.
 
-    The field's real FFT along q is never held whole: the window scan
-    transforms one block of rows at a time and keeps only row and column
-    maxima of |K|, and the stencils transform the box's rows again, one
-    block at a time.  Only the stencils centred at j >= 0 are evaluated,
+    The field's real FFT along q is taken once per row that can reach
+    the window.  |K[r, j]| <= dq sum_m |w[r, m]| (the triangle
+    inequality), so each row's 1-norm, widened by a margin for rounding,
+    bounds its kernel.  The row with the largest bound is transformed
+    first for a known maximum M0; a row whose bound is at most
+    window_floor M0 holds no window point and, for a floor below 1, no
+    value above M0, so only the span of the other rows (NaN and inf rows
+    among them) is scanned.  The scan keeps each row's dq-scaled half
+    spectrum, with the row and column maxima of |K|, and the stencils
+    read the box's rows from those spectra, the largest array the call
+    holds.  The bounds, the scan and the stencils each run one block of
+    rows at a time.  Only the stencils centred at j >= 0 are evaluated,
     so only that half of the box, with the 8 columns of halo below j = 0
     they reach, is ever built.  The blocks run on worker threads, each
     forming its own right-hand side through the private `_energy`,
@@ -420,37 +431,59 @@ def purity_check(
         raise ValueError(f"window_floor must be finite and non-negative, got {window_floor}")
     w = _real_even_field(w, psgrid)
     dp, dq, half_n = psgrid.dp, psgrid.dq, psgrid.n_q // 2
-    # |K| on the half spectrum, kept only as its row and column maxima:
-    # a row or an offset column holds a window point iff its maximum does
-    row_max = np.empty(len(w))
+    row_norm = np.empty(len(w))
+
+    def norms(blocks):
+        for rows in blocks:
+            row_norm[rows] = np.abs(w[rows]).sum(axis=1)
+
+    _run_row_blocks(norms, len(w), psgrid.n_q)
+    # the margin covers the transform's rounding (about log2(n) eps of the
+    # 1-norm) relatively and its subnormal steps by the smallest normal
+    bound = dq * row_norm * (1.0 + 1e-9) + np.finfo(float).tiny
+    top = np.argmax(bound)
+    top_max = np.abs(np.fft.rfft(w[top : top + 1], axis=-1)[:, :half_n] * dq).max()
+    # a row at or below the floor times that maximum holds no window point
+    # and no larger |K|; a NaN bound or maximum keeps the row (every row)
+    span = _span(~(bound <= window_floor * top_max))
+
+    # the span's dq-scaled half spectra, and |K| on the j < n/2 half of
+    # them as its row and column maxima: a row or an offset column holds
+    # a window point iff its maximum does
+    spectra = np.empty((span.stop - span.start, half_n + 1), dtype=complex)
+    row_max = np.empty(len(spectra))
 
     def scan(blocks):
         col_max = np.zeros(half_n)
         for rows in blocks:
-            half_mag = np.abs(np.fft.rfft(w[rows], axis=-1)[:, :half_n] * dq)
+            block = spectra[rows]
+            np.fft.rfft(w[span.start + rows.start : span.start + rows.stop], axis=-1, out=block)
+            block *= dq
+            half_mag = np.abs(block[:, :half_n])
             row_max[rows] = half_mag.max(axis=1)
             np.maximum(col_max, half_mag.max(axis=0), out=col_max)
         return col_max
 
-    col_max = np.maximum.reduce(_run_row_blocks(scan, len(w), half_n + 1))
-    peak = row_max.max()
+    col_max = np.maximum.reduce(_run_row_blocks(scan, len(spectra), half_n + 1))
+    # the top row is scanned too unless the floor is at least 1, which
+    # leaves the window empty whatever the peak
+    peak = row_max.max(initial=top_max)
     if peak <= 0:
         raise ValueError("kernel vanishes identically; log criterion undefined")
 
     # a stencil is taken only where every one of its points is in the
     # window, so all the arithmetic fits in the window's bounding box:
-    # the rows `box` and the offsets |j| <= j_max
+    # the rows `box` of the span and the offsets |j| <= j_max
     box = _span(row_max > window_floor * peak)
     j_max = _span(col_max > window_floor * peak).stop - 1
 
     # every stencil point lies within `edge` rows and 2 edge offset columns
     # of its centre, so all views are taken on the common interior that
-    # the step-2s stencil reaches; the box is transformed again and
-    # evaluated one block of interior rows at a time, each with `edge`
-    # rows of halo either side
+    # the step-2s stencil reaches; the box is evaluated one block of
+    # interior rows at a time, each with `edge` rows of halo either side
     s = 2
     edge = 2 * s
-    p_nodes = psgrid.p_nodes[box.start + edge :]
+    p_nodes = psgrid.p_nodes[span.start + box.start + edge :]
 
     def stencil(a, step):
         """Views c+, c-, j+, j- and the centre of `a`: midpoints +-step, offsets +-2 step."""
@@ -466,7 +499,10 @@ def purity_check(
         # (index step 2 step = physical step h per momentum)] / (4 h^2);
         # the -2 g(center) terms cancel between the two stencils.
         c_plus, c_minus, j_plus, j_minus, _ = stencil(logmag, step)
-        return ((c_plus + c_minus) - (j_plus + j_minus)) / (4.0 * (step * dp) ** 2)
+        out = c_plus + c_minus
+        out -= j_plus + j_minus
+        out /= 4.0 * (step * dp) ** 2
+        return out
 
     def block_stats(rows):
         """max |lhs - rhs|, max |lhs|, max |rhs|, max phase curvature and points of one block, or None.
@@ -474,10 +510,12 @@ def purity_check(
         Each intermediate is released after its last use, and the rest on return.
         """
         # the j >= 0 half of the box and the 2 edge columns of halo its
-        # stencils reach below j = 0; column c is offset j = c - 2 edge
-        spectrum = np.fft.rfft(w[box.start + rows.start : box.start + rows.stop + 2 * edge], axis=-1)
-        K = _kernel_modes(spectrum, -2 * edge, j_max, dq)
-        del spectrum
+        # stencils reach below j = 0; column c is offset j = c - 2 edge.
+        # This is reconstruct_kernel's K without the sign (-1)^j, and with
+        # dq taken before the conjugate, which can only flip the sign of a
+        # zero part: every product below pairs columns of one parity, so
+        # the signs cancel bit for bit, and |K| and |arg| ignore the zeros
+        K = _kernel_modes(spectra[box.start + rows.start : box.start + rows.stop + 2 * edge], -2 * edge, j_max)
         mag = np.abs(K)
         # ln|K| only inside the window: outside it the value never reaches a
         # windowed stencil, and exact zeros would put -inf into the arithmetic
@@ -486,7 +524,11 @@ def purity_check(
         mask = np.logical_and.reduce(stencil(good, s) + stencil(good, 2 * s))
         if not mask.any():
             return None
-        lhs = ((4.0 * mixed(logmag, s) - mixed(logmag, 2 * s)) / 3.0)[mask]
+        lhs = mixed(logmag, s)
+        lhs *= 4.0
+        lhs -= mixed(logmag, 2 * s)
+        lhs /= 3.0
+        lhs = lhs[mask]
         del logmag
 
         # unit phasors of K inside the window: the stencil on arg K becomes the
@@ -524,9 +566,11 @@ def purity_check(
         p1, p2 = centre + half, centre - half
         del centre, half
         e1, e2 = _energy(p1, units), _energy(p2, units)
-        rhs = np.stack([-(units.c**4) * p1 * p2, -(units.c**4) * p2 * p1]) / (e1 * e2 * (e1 + e2) ** 2)
-        return (np.abs(lhs - rhs).max(), np.abs(lhs).max(), np.abs(rhs).max(),
-                curvature / (4.0 * (s * dp) ** 2), points)
+        den = e1 * e2 * (e1 + e2) ** 2
+        del e1, e2
+        rhs, mirror_rhs = -(units.c**4) * p1 * p2 / den, -(units.c**4) * p2 * p1 / den
+        return (np.maximum(np.abs(lhs - rhs).max(), np.abs(lhs - mirror_rhs).max()), np.abs(lhs).max(),
+                np.maximum(np.abs(rhs).max(), np.abs(mirror_rhs).max()), curvature / (4.0 * (s * dp) ** 2), points)
 
     def windowed(blocks):
         """The statistics of each block with a windowed stencil."""

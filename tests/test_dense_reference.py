@@ -732,6 +732,66 @@ def test_purity_check_evaluates_the_energy_on_half_its_window(monkeypatch):
     assert report.window_points > 10 * ps.momentum.n_points
 
 
+def _packet_field(n, lam):
+    ps = PhaseSpaceGrid.conjugate(packet_grid(lam, n_points=n))
+    return ps, wigner_even(gaussian_state(ps.momentum, lam=lam, q_bar=0.3), +1, ps)
+
+
+def _edited_field(edit):
+    """The n = 256 packet field after `edit`, and its grid."""
+    ps, w = _packet_field(256, 1.0)
+    if edit == "nan-outside":
+        w[3, 5] = np.nan  # row 3's kernel is far below the window floor
+    elif edit == "inf-cell":
+        w[128, 40] = np.inf
+    elif edit == "tiny":
+        w *= 1e-300
+    elif edit == "huge":
+        w *= 1e300
+    elif edit == "zero-rows":
+        w[:40] = 0.0
+        w[128:131] = 0.0
+    return ps, w
+
+
+@pytest.mark.parametrize("window_floor", [0.0, 1e-6, 1.0, 2.0])
+@pytest.mark.parametrize("edit", ["none", "nan-outside", "inf-cell", "tiny", "huge", "zero-rows"])
+def test_pruned_scan_matches_full_array(edit, window_floor):
+    # the window scan transforms only the rows whose 1-norm bound can reach
+    # the window; NaN and inf rows, fields near either end of the float
+    # range, rows of exact zeros and floors at and past 1 must give the
+    # referee's report or its error (compared by repr, where nan equals nan)
+    ps, w = _edited_field(edit)
+    with np.errstate(all="ignore"):
+        want = purity_outcome(full_array_purity_check, w, ps, window_floor=window_floor)
+        assert repr(purity_outcome(purity_check, w, ps, window_floor=window_floor)) == repr(want)
+    if edit in ("none", "tiny", "huge", "zero-rows") and window_floor < 1:
+        assert want.window_points > 0
+
+
+def test_pruned_scan_transforms_each_window_row_once(monkeypatch):
+    # every row passed to the real FFT, as indices of the field: only the
+    # row that gives the known maximum is transformed twice, the rest form
+    # one span, and the stencils transform nothing
+    ps, w = _packet_field(1024, 8.0)
+    rfft = np.fft.rfft
+    transformed = []
+
+    def counted(a, *args, **kwargs):
+        start = (a.__array_interface__["data"][0] - w.__array_interface__["data"][0]) // w.strides[0]
+        transformed.extend(range(start, start + len(a)))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    report = purity_check(w, ps)
+    monkeypatch.undo()
+    assert report == full_array_purity_check(w, ps)
+    rows, counts = np.unique(transformed, return_counts=True)
+    assert (counts == 1).sum() == len(rows) - 1 and counts.max() == 2
+    assert rows[-1] + 1 - rows[0] == len(rows)
+    assert len(transformed) <= ps.n_q // 2
+
+
 def pseudo_hermiticity_defect(op: OperatorMatrix) -> float:
     """max |H^dag eta - eta H|; zero for a legitimate doubled-space observable."""
     eta = charge_metric(op.n_modes)

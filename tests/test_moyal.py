@@ -508,24 +508,40 @@ def test_timestep_reference_growth_bound(smallgrid, monkeypatch):
         evolve_timestep_reference(w, efn, 21 / max_omega, 21, smallgrid)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("node", [40, 41])  # an even lattice node is also hit at kappa = 0
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda e, w, ps: evolve_timestep_reference(w, e, 0.1, 4, ps),
-        lambda e, w, ps: bracket_with_energy(e, w, ps),
-    ],
-    ids=["timestep_reference", "bracket_with_energy"],
-)
-def test_non_finite_generator_raises_before_any_fft(smallgrid, monkeypatch, run, node, bad):
-    # a NaN once passed the stepper's stability checks and came back as a
-    # field with NaN cells, and an inf overflowed its step-count hint
+def _bad_node(node, bad):
+    """p^2 / 2 with `bad` at lattice node `node`."""
     def efn(p):
         e = p**2 / 2
         e[node] = bad
         return e
 
+    return efn
+
+
+@pytest.mark.parametrize(
+    "efn",
+    [
+        # an even lattice node is also hit at kappa = 0
+        *(pytest.param(_bad_node(node, bad), id=f"{node}-{bad}") for node in (40, 41) for bad in (np.nan, np.inf)),
+        # finite E whose differences (and, for p > 0, sums) overflow, which
+        # warned first
+        pytest.param(lambda p: 1e308 * np.sign(p), id="overflowing-difference"),
+    ],
+)
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda e, w, ps: evolve_timestep_reference(w, e, 0.1, 4, ps),
+        lambda e, w, ps: bracket_with_energy(e, w, ps),
+        lambda e, w, ps: bracket_with_energy(e, w, ps, "anti"),
+    ],
+    ids=["timestep_reference", "bracket_with_energy", "anti_bracket"],
+)
+def test_non_finite_generator_raises_before_any_fft(smallgrid, monkeypatch, run, efn):
+    # a NaN once passed the stepper's stability checks and came back as a
+    # field with NaN cells, an inf overflowed its step-count hint, and so
+    # did a finite E whose multiplier overflows; RuntimeWarnings are errors
+    # in this suite, so none of them may warn first
     def no_fft(*args, **kwargs):
         raise AssertionError("FFT taken before the multiplier was checked")
 
@@ -534,6 +550,13 @@ def test_non_finite_generator_raises_before_any_fft(smallgrid, monkeypatch, run,
     monkeypatch.setattr(np.fft, "ifft", no_fft)
     with pytest.raises(ValueError, match="mode multiplier is not finite"):
         run(efn, w, smallgrid)
+
+
+def test_step_hint_past_the_float_range_reads_inf(smallgrid):
+    # a finite multiplier times a long t overflows the step count; the hint
+    # reads inf instead of raising OverflowError, for a numpy t as well
+    with pytest.raises(StepSizeError, match="need at least inf steps"):
+        evolve_timestep_reference(band2d(3, 32), lambda p: 1e307 * np.sign(p), np.float64(1e3), 4, smallgrid)
 
 
 def _counted(energy_fn):

@@ -349,9 +349,13 @@ class TestPurity:
 # each bound adds ~15 % margin.  With the blocks sized by one cell budget
 # for all workers, n-wide fold buffers and the stencils' intermediates
 # released early, one, two and three workers peak at 11.1, 11.5 and
-# 11.9 MB (wigner_even), 10.6 MB (evolve_even) and 4.6, 4.2-4.3 and
-# 3.8-4.1 MB (purity_check); three workers' transform is within 1 % of
-# its bound.  The (n, n) float output alone is 8.4 MB.
+# 11.9 MB (wigner_even) and 10.6 MB (evolve_even); three workers'
+# transform is within 1 % of its bound.  The (n, n) float output alone
+# is 8.4 MB.  purity_check keeps the dq-scaled half spectra of the rows
+# its 1-norm bound cannot rule out (417 x 513 complex, 3.4 MB) for
+# its stencils, and peaks at 7.7, 7.2 and 7.4 MB on one, two and three
+# workers (4.6, 4.1 and 3.9 MB when its stencils transformed the box's
+# rows again).
 # The whole-array versions peaked at 50.4, 42.1 and 55.0 MB: the (n, 2n)
 # pair product, the full (n, n/2 + 1) phase and index arrays, and the
 # whole window box of K.
