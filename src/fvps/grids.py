@@ -121,16 +121,13 @@ def half_step_lattice(grid: MomentumGrid, pad: int = 0) -> np.ndarray:
 # a 2-core box (lam = 0.3 and 3, medians of 15 alternating rounds), two
 # workers ran each kernel 7-19 % faster with this budget split in two
 # than with half of it; one worker ran 0-6 % slower with the whole
-# budget than with half.  A kernel runs on the workers from one budget
-# of work (rows times `row_cells`) up: the transform and the criterion's
-# row bounds from n = 256, the evolution from n = 512, the criterion's
-# window scan from 128 scanned rows at n = 1024 and its stencils from
-# 128 box rows there.  At n = 512 the scan's span is about 210 x 257 cells for the
-# widest packets, under one budget, so it runs serially.  Below it the
-# Python between its numpy calls contends for the interpreter lock: on
-# two cores the criterion's window scan at n = 256 (33 K cells) took
-# 10-42 % longer on two threads, and its stencils on 48-52 K-cell boxes
-# 4-5 % longer.
+# budget than with half.  The same budget is the threading threshold:
+# a kernel runs on the workers from one budget of work (rows times
+# `row_cells`) up, and `_run_row_blocks` holds the one rule that cuts
+# and deals its blocks.  Below it the Python between its numpy calls
+# contends for the interpreter lock: on two cores the criterion's
+# window scan at n = 256 (33 K cells) took 10-42 % longer on two
+# threads, and its stencils on 48-52 K-cell boxes 4-5 % longer.
 _BLOCK_CELLS = 1 << 16
 # The worker count: the CPUs this process may run on, or 1 where the
 # affinity mask cannot be read.
@@ -151,42 +148,53 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_row_blocks(kernel, n_rows: int, row_cells: int) -> list:
-    """Results of kernel(stripe), in stripe order, for stripes of row blocks covering range(n_rows).
+    """[kernel(rows) for rows in blocks], for row blocks `rows` (slices) covering range(n_rows) in order.
 
-    `row_cells` is the width of the kernel's widest work array.  On w
-    workers a block has `_BLOCK_CELLS // row_cells // w` rows (at least
-    one), so the blocks in flight hold at most `_BLOCK_CELLS` cells of
-    that array together, unless a single row is wider.  Below one such
-    budget of work (`n_rows * row_cells`), with one worker or with one
-    block, a single stripe of every block runs on the calling thread.
-    Otherwise worker i of w takes the interleaved stripe blocks[i::w]:
-    the calling thread runs the first, a thread pool started on first use
-    the rest, each in a copy of the caller's context, which holds numpy's
-    error state.  A kernel allocates its own work buffers, writes only its own
-    rows and calls numpy and private helpers only.  The call returns, or
-    raises, once every stripe has finished.  It is private so that a
-    tracer wrapping the public functions neither takes the kernels' time
-    as its own nor runs on a worker thread.
+    The one rule for every row-blocked kernel.  `row_cells` is the width
+    of the kernel's widest work array.  Below one budget of work
+    (`n_rows * row_cells < _BLOCK_CELLS`) the kernel runs on one worker,
+    otherwise on w = `_WORKERS`, and a worker's share is
+    `_BLOCK_CELLS // row_cells // w` rows (at least one).  The blocks are
+    the fewest equal ones that come to a whole number per worker, each
+    no taller than the share: count = w ceil(n_rows / (w share)) blocks
+    of ceil(n_rows / count) rows, the last one shorter where the rows do
+    not divide (and fewer blocks where such blocks run out of rows
+    first).  So the blocks in flight hold at most `_BLOCK_CELLS` cells of
+    that array together, unless a single row a worker is wider; no rows
+    give no block.  Worker i of w runs blocks[i::w] in turn: the calling
+    thread the first stripe, a thread pool started on first use the
+    rest, each in a copy of the caller's context, which holds numpy's
+    error state.  A kernel allocates its own work buffers, writes only
+    its own rows and calls numpy and private helpers only.  The call
+    returns, or raises, once every stripe has finished.  It is private
+    so that a tracer wrapping the public functions neither takes the
+    kernels' time as its own nor runs on a worker thread.
     """
     global _pool
     workers = _WORKERS if n_rows * row_cells >= _BLOCK_CELLS else 1
-    size = max(_BLOCK_CELLS // row_cells // workers, 1)
+    share = max(_BLOCK_CELLS // row_cells // workers, 1)
+    count = workers * -(-n_rows // (workers * share))
+    size = -(-n_rows // count) if count else 1
     blocks = [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
-    stripes = [blocks[i::workers] for i in range(min(workers, len(blocks)))]
-    if len(stripes) < 2:
-        return [kernel(blocks)]
+    workers = min(workers, len(blocks))
+    if workers < 2:
+        return [kernel(rows) for rows in blocks]
     from concurrent.futures import ThreadPoolExecutor, wait
+
+    def stripe(i):
+        return [kernel(rows) for rows in blocks[i::workers]]
 
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="fvps-rows")
         pool = _pool
-    futures = [pool.submit(contextvars.copy_context().run, kernel, stripe) for stripe in stripes[1:]]
+    futures = [pool.submit(contextvars.copy_context().run, stripe, i) for i in range(1, workers)]
     try:
-        first = kernel(stripes[0])
+        stripes = [stripe(0)]
     finally:
         wait(futures)
-    return [first, *(future.result() for future in futures)]
+    stripes += [future.result() for future in futures]
+    return [stripes[k % workers][k // workers] for k in range(len(blocks))]
 
 
 @dataclass(frozen=True)

@@ -359,17 +359,17 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
     even phase of mode -kappa is the conjugate of that of mode kappa: one
     real FFT along q, the phases on its n_q/2 + 1 columns, and the inverse
     real FFT give the field, one block of momentum rows at a time, the
-    blocks shared among the CPUs of the process's affinity mask (see
-    `grids._run_row_blocks`); each block writes only its own rows, so
-    the field is bit-identical for any number of workers.  Row k's
-    phases z(2k + n_q/2 + m) conj(z(2k + n_q/2 - m)), m = 0 .. n_q/2 - 1,
-    are read from two strided windows of the mode lattice, one of them
-    running backwards; only the Nyquist column m = -n_q/2 is taken apart
-    from them.  A block's phases are formed in its rows of the output,
-    viewed as complex, which the inverse FFT then overwrites, so a
-    float64 field's block allocates only its spectrum.  A complex field
-    raises ValueError (a cross-branch field evolves with `evolve_odd`),
-    and one whose shape is not the grid's GridError.
+    blocks cut and dealt to the CPUs of the process's affinity mask by
+    the one rule of `grids._run_row_blocks`; each block writes only its
+    own rows, so the field is bit-identical for any number of workers.
+    Row k's phases z(2k + n_q/2 + m) conj(z(2k + n_q/2 - m)), m = 0 ..
+    n_q/2 - 1, are read from two strided windows of the mode lattice,
+    one of them running backwards; only the Nyquist column m = -n_q/2 is
+    taken apart from them.  A block's phases are formed in its rows of
+    the output, viewed as complex, which the inverse FFT then
+    overwrites, so a float64 field's block allocates only its spectrum.
+    A complex field raises ValueError (a cross-branch field evolves with
+    `evolve_odd`), and one whose shape is not the grid's GridError.
 
     Exact, unitary and additive in t for fields without weight in the
     unpaired Nyquist column (kappa = -pi/dq).  That column has no partner
@@ -397,15 +397,14 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
     nyquist_plus, nyquist_minus = z[: 2 * n_p : 2], z_conj[len(z) - 1 - psgrid.n_q :: -2]
     out = np.empty(w.shape, dtype=np.result_type(w, 1.0))
 
-    def evolve(blocks):
-        for rows in blocks:
-            wk = np.fft.rfft(w[rows], axis=1)
-            # the phases go in the block's output rows, which the inverse overwrites,
-            # unless a field of another float type leaves them no room
-            phases = out[rows].view(complex) if out.dtype == float else None
-            wk[:, :half] *= np.multiply(plus[rows], minus[rows], out=phases)
-            wk[:, half] *= nyquist_plus[rows] * nyquist_minus[rows]
-            np.fft.irfft(wk, psgrid.n_q, axis=1, out=out[rows])
+    def evolve(rows):
+        wk = np.fft.rfft(w[rows], axis=1)
+        # the phases go in the block's output rows, which the inverse overwrites,
+        # unless a field of another float type leaves them no room
+        phases = out[rows].view(complex) if out.dtype == float else None
+        wk[:, :half] *= np.multiply(plus[rows], minus[rows], out=phases)
+        wk[:, half] *= nyquist_plus[rows] * nyquist_minus[rows]
+        np.fft.irfft(wk, psgrid.n_q, axis=1, out=out[rows])
 
     _run_row_blocks(evolve, n_p, half + 1)
     return out

@@ -27,10 +27,10 @@ so the memory is the n x n output plus O(block n) transient.  The
 purity criterion transforms only the rows whose 1-norm bound can reach
 its window, once each, and keeps their half spectra for its stencils
 (see `purity_check`).  The blocks of the transform and of the
-criterion run on the CPUs of the process's affinity mask (see
-`grids._run_row_blocks`); each block writes only its own rows and the
-criterion reduces only by maxima and integer sums, so every result is
-bit-identical for any number of workers.
+criterion are cut and dealt to the CPUs of the process's affinity mask
+by the one rule of `grids._run_row_blocks`; each block writes only its
+own rows and the criterion reduces only by maxima and integer sums, so
+every result is bit-identical for any number of workers.
 
 The eps weight is never formed on momentum pairs.  With u = sqrt(E) phi
 and v = phi / sqrt(E) on the lattice, eps phi_a^* phi_b =
@@ -139,8 +139,9 @@ def _q_transform(psgrid: PhaseSpaceGrid, pair: tuple, minus_pair: tuple | None =
     pair products carry the sign (-1)^j (see `_lattice_amplitude`), so
     the offsets fold mod n and one length-n FFT along q finishes the sum.
     C is built, folded and transformed one block of momentum rows at a
-    time in two n-wide buffers each worker reuses, and each block lands
-    in the output.
+    time (see `grids._run_row_blocks`) in two n-wide buffers of the
+    block's own, three with a `minus_pair`, and each block lands in the
+    output.
 
     Row k of C vanishes outside the band |j| <= min(2k, 2n - 1 - 2k),
     where one of the two lattice indices 2k +- j leaves the lattice, so
@@ -159,34 +160,30 @@ def _q_transform(psgrid: PhaseSpaceGrid, pair: tuple, minus_pair: tuple | None =
         minus_rows, minus_cols = _pair_views(*minus_pair)
     out = np.empty((n, n), dtype=complex if minus_pair else float)
 
-    def transform(blocks):
-        size = blocks[0].stop - blocks[0].start
-        folds = np.empty((size, n), dtype=complex)
-        spectrum = np.empty_like(folds)
-        if minus_pair:
-            minus = np.empty_like(folds)
+    def transform(rows):
+        folded = np.empty((rows.stop - rows.start, n), dtype=complex)
+        spec = np.empty_like(folded)
+        minus = np.empty_like(folded) if minus_pair else None
 
-        def product(rows, offsets, c):
-            """C on the lattice columns `offsets` (n + j for offset j) of `rows`, written to `c`."""
+        def product(offsets, c):
+            """C on the lattice columns `offsets` (n + j for offset j) of the block, written to `c`."""
             np.multiply(bra_rows[rows, offsets], ket_cols[rows, offsets], out=c)
             if minus_pair:
-                c -= np.multiply(minus_rows[rows, offsets], minus_cols[rows, offsets], out=minus[: len(c), : c.shape[1]])
+                c -= np.multiply(minus_rows[rows, offsets], minus_cols[rows, offsets], out=minus[:, : c.shape[1]])
                 np.multiply(0.5, c, out=c)
 
-        for rows in blocks:
-            J = min(2 * (rows.stop - 1), 2 * n - 1 - 2 * rows.start, n - 1)
-            folded, spec = folds[: rows.stop - rows.start], spectrum[: rows.stop - rows.start]
-            # offsets n - J .. J meet -J .. J - n mod n; the other j >= 0 stand alone
-            meet = max(2 * J + 1 - n, 0)
-            alone = J + 1 - meet
-            product(rows, slice(n, n + alone), folded[:, :alone])
-            folded[:, alone : n - J] = 0
-            product(rows, slice(n - J, n), folded[:, n - J :])
-            product(rows, slice(n + alone, n + J + 1), spec[:, :meet])
-            folded[:, n - J : n - J + meet] += spec[:, :meet]
-            f = np.fft.fft(folded, axis=1, out=spec)
-            np.multiply(scale, f, out=f)
-            out[rows] = f if minus_pair else f.real
+        J = min(2 * (rows.stop - 1), 2 * n - 1 - 2 * rows.start, n - 1)
+        # offsets n - J .. J meet -J .. J - n mod n; the other j >= 0 stand alone
+        meet = max(2 * J + 1 - n, 0)
+        alone = J + 1 - meet
+        product(slice(n, n + alone), folded[:, :alone])
+        folded[:, alone : n - J] = 0
+        product(slice(n - J, n), folded[:, n - J :])
+        product(slice(n + alone, n + J + 1), spec[:, :meet])
+        folded[:, n - J : n - J + meet] += spec[:, :meet]
+        f = np.fft.fft(folded, axis=1, out=spec)
+        np.multiply(scale, f, out=f)
+        out[rows] = f if minus_pair else f.real
 
     _run_row_blocks(transform, n, n)
     return out
@@ -407,15 +404,16 @@ def purity_check(
     spectrum, with the row and column maxima of |K|, and the stencils
     read the box's rows from those spectra, the largest array the call
     holds.  The bounds, the scan and the stencils each run one block of
-    rows at a time.  Only the stencils centred at j >= 0 are evaluated,
-    so only that half of the box, with the 8 columns of halo below j = 0
-    they reach, is ever built.  The blocks run on worker threads, each
-    forming its own right-hand side through the private `_energy`,
-    releasing each intermediate after its last use and handing back
-    only its maxima and point count.  The phase curvature's maximum is
-    taken over the j >= 0 points and over their mirrors apart and
-    divided by 4 (s dp)^2 once, which gives the bits of dividing each
-    point, since division by a positive constant rounds monotonically.
+    rows at a time, on the workers of `grids._run_row_blocks`.  Only the
+    stencils centred at j >= 0 are evaluated, so only that half of the
+    box, with the 8 columns of halo below j = 0 they reach, is ever
+    built.  Each stencil block forms its own right-hand side through the
+    private `_energy`, releases each intermediate after its last use and
+    hands back only its maxima and point count.  The phase curvature's
+    maximum is taken over the j >= 0 points and over their mirrors apart
+    and divided by 4 (s dp)^2 once, which gives the bits of dividing
+    each point, since division by a positive constant rounds
+    monotonically.
     Each point at j > 0 also stands for its mirror -j, by three rules
     that keep every report field bit-identical to the whole window's:
     ln|K|, the window mask and the left side are the same bits at -j
@@ -431,13 +429,7 @@ def purity_check(
         raise ValueError(f"window_floor must be finite and non-negative, got {window_floor}")
     w = _real_even_field(w, psgrid)
     dp, dq, half_n = psgrid.dp, psgrid.dq, psgrid.n_q // 2
-    row_norm = np.empty(len(w))
-
-    def norms(blocks):
-        for rows in blocks:
-            row_norm[rows] = np.abs(w[rows]).sum(axis=1)
-
-    _run_row_blocks(norms, len(w), psgrid.n_q)
+    row_norm = np.concatenate(_run_row_blocks(lambda rows: np.abs(w[rows]).sum(axis=1), len(w), psgrid.n_q))
     # the margin covers the transform's rounding (about log2(n) eps of the
     # 1-norm) relatively and its subnormal steps by the smallest normal
     bound = dq * row_norm * (1.0 + 1e-9) + np.finfo(float).tiny
@@ -453,18 +445,15 @@ def purity_check(
     spectra = np.empty((span.stop - span.start, half_n + 1), dtype=complex)
     row_max = np.empty(len(spectra))
 
-    def scan(blocks):
-        col_max = np.zeros(half_n)
-        for rows in blocks:
-            block = spectra[rows]
-            np.fft.rfft(w[span.start + rows.start : span.start + rows.stop], axis=-1, out=block)
-            block *= dq
-            half_mag = np.abs(block[:, :half_n])
-            row_max[rows] = half_mag.max(axis=1)
-            np.maximum(col_max, half_mag.max(axis=0), out=col_max)
-        return col_max
+    def scan(rows):
+        block = spectra[rows]
+        np.fft.rfft(w[span.start + rows.start : span.start + rows.stop], axis=-1, out=block)
+        block *= dq
+        half_mag = np.abs(block[:, :half_n])
+        row_max[rows] = half_mag.max(axis=1)
+        return half_mag.max(axis=0)
 
-    col_max = np.maximum.reduce(_run_row_blocks(scan, len(spectra), half_n + 1))
+    col_max = np.maximum.reduce([np.zeros(half_n), *_run_row_blocks(scan, len(spectra), half_n + 1)])
     # the top row is scanned too unless the floor is at least 1, which
     # leaves the window empty whatever the peak
     peak = row_max.max(initial=top_max)
@@ -572,13 +561,9 @@ def purity_check(
         return (np.maximum(np.abs(lhs - rhs).max(), np.abs(lhs - mirror_rhs).max()), np.abs(lhs).max(),
                 np.maximum(np.abs(rhs).max(), np.abs(mirror_rhs).max()), curvature / (4.0 * (s * dp) ** 2), points)
 
-    def windowed(blocks):
-        """The statistics of each block with a windowed stencil."""
-        return [found for found in map(block_stats, blocks) if found is not None]
-
     # a box without an interior offset column has no stencil centre at all
     interior = box.stop - box.start - 2 * edge if j_max >= 2 * edge else 0
-    stats = [found for stripe in _run_row_blocks(windowed, max(interior, 0), half_n + 1) for found in stripe]
+    stats = [found for found in _run_row_blocks(block_stats, max(interior, 0), half_n + 1) if found is not None]
     if not stats:
         raise ValueError(
             "kernel magnitude below the window floor everywhere; "

@@ -14,10 +14,10 @@ finally:
     sys.path.remove(str(TOOLS))
 
 
-def record(monkeypatch, run_s, seed=20020206):
-    """A bench_pairs record of operator_algebra whose run_s pairs read (parent, change) = run_s[i]."""
+def record(monkeypatch, run_s, seed=20020206, cpus=frozenset({0})):
+    """A bench_pairs record of operator_algebra on `cpus` whose run_s pairs read (parent, change) = run_s[i]."""
     monkeypatch.setattr(bench_pairs, "commit", lambda root: None)
-    args = argparse.Namespace(fresh=False, workload="operator_algebra", seed=seed, cpu_set={0})
+    args = argparse.Namespace(fresh=False, workload="operator_algebra", seed=seed, cpu_set=set(cpus))
     runs = [{side: {"metrics": {"run_s": {"value": pair[j], "unit": "s"}}, "env": "env"}
              for j, side in enumerate(("parent", "change"))} for pair in run_s]
     return bench_pairs.bench_record(args, {"parent": Path("p"), "change": Path("c")}, runs)
@@ -30,14 +30,20 @@ def test_chain_of_two_records_in_label_order(tmp_path, monkeypatch, capsys):
     assert bench_history.main([str(tmp_path / "BENCH_pr10.json"), str(tmp_path / "BENCH_pr9.json")]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "operator_algebra run_s (s)",
-        "  pr9          seed=20020206 pairs=3  2.5 [2, 3] -> 1.5  -40.0%  change won 2/3",
-        "  pr10         seed=20020206 pairs=2  1 [1, 1] -> 0.75  -25.0%  change won 2/2",
-        "  net at seed=20020206: -55.0%",
+        "  pr9          seed=20020206 cpus=0 pairs=3  2.5 [2, 3] -> 1.5  -40.0%  change won 2/3",
+        "  pr10         seed=20020206 cpus=0 pairs=2  1 [1, 1] -> 0.75  -25.0%  change won 2/2",
     ]
 
 
-def test_seeds_compound_apart(tmp_path, monkeypatch):
-    records = [record(monkeypatch, [(1.0, 0.5)]), record(monkeypatch, [(1.0, 1.1)], seed=6050)]
-    (tmp_path / "BENCH_a.json").write_text(json.dumps(records))
-    lines = bench_history.history_lines([tmp_path / "BENCH_a.json"])
-    assert lines[-2:] == ["  net at seed=20020206: -50.0%", "  net at seed=6050: +10.0%"]
+def test_each_record_stands_alone_with_its_seed_and_cpus(tmp_path, monkeypatch):
+    # an A/A record, a one-CPU and a two-CPU run: no move is compounded
+    (tmp_path / "BENCH_aa.json").write_text(json.dumps([record(monkeypatch, [(1.0, 1.1)], cpus={0, 1})]))
+    (tmp_path / "BENCH_pr1.json").write_text(json.dumps([record(monkeypatch, [(1.0, 0.5)], seed=6050),
+                                                         record(monkeypatch, [(1.0, 0.8)], cpus={0, 1})]))
+    lines = bench_history.history_lines([tmp_path / "BENCH_pr1.json", tmp_path / "BENCH_aa.json"])
+    assert lines == [
+        "operator_algebra run_s (s)",
+        "  aa           seed=20020206 cpus=0,1 pairs=1  1 [1, 1] -> 1.1  +10.0%  change won 0/1",
+        "  pr1          seed=6050 cpus=0 pairs=1  1 [1, 1] -> 0.5  -50.0%  change won 1/1",
+        "  pr1          seed=20020206 cpus=0,1 pairs=1  1 [1, 1] -> 0.8  -20.0%  change won 1/1",
+    ]

@@ -224,57 +224,69 @@ def test_field_of_another_shape_raises(packet_field, name, shape):
 
 
 class TestRunRowBlocks:
-    """The row-block helper of the phase-space kernels, on more workers than this machine may have."""
+    """The row-block rule of the phase-space kernels, on more workers than this machine may have."""
 
     # 96 rows of 2048 cells are more work than one cell budget, so they
-    # thread, and make ten blocks of ten rows for three workers
-    ROWS, CELLS = 96, 2048
+    # thread; a worker's share on three workers is 10 rows, so they make
+    # twelve blocks of eight rows, four a worker
+    ROWS, CELLS, SIZE = 96, 2048, 8
 
-    def test_interleaved_stripes_cover_every_row_once(self, monkeypatch):
+    def test_blocks_run_in_order_each_worker_on_one_thread(self, monkeypatch):
         monkeypatch.setattr(grids, "_WORKERS", 3)
         assert self.ROWS * self.CELLS >= grids._BLOCK_CELLS
-        blocks = [slice(start, min(start + 10, self.ROWS)) for start in range(0, self.ROWS, 10)]
-        stripes = grids._run_row_blocks(lambda stripe: stripe, self.ROWS, self.CELLS)
-        assert stripes == [blocks[0::3], blocks[1::3], blocks[2::3]]
+        ran = grids._run_row_blocks(lambda rows: (rows, threading.current_thread()), self.ROWS, self.CELLS)
+        assert [rows for rows, _ in ran] == [slice(start, start + self.SIZE) for start in range(0, self.ROWS, self.SIZE)]
+        threads = [thread for _, thread in ran]
+        # worker i runs blocks[i::3] on one thread: the calling thread the first, the pool the others
+        assert [len(set(threads[i::3])) for i in range(3)] == [1, 1, 1]
+        assert threads[0] is threading.main_thread() and threading.main_thread() not in threads[1::3] + threads[2::3]
 
     @settings(max_examples=200, deadline=None)
-    @given(workers=st.integers(1, 4), n_rows=st.integers(1, 3000), row_cells=st.integers(1, 1 << 18))
+    @given(workers=st.integers(1, 4), n_rows=st.integers(0, 3000), row_cells=st.integers(1, 1 << 18))
     @example(workers=3, n_rows=256, row_cells=256)  # work of exactly one budget: threaded
     @example(workers=3, n_rows=255, row_cells=257)  # one cell below it: serial, one block
-    def test_blocks_share_one_cell_budget(self, workers, n_rows, row_cells):
+    @example(workers=2, n_rows=409, row_cells=513)  # the criterion's stencils at n = 1024: 8 blocks, 4 a worker
+    def test_fewest_equal_blocks_a_whole_number_per_worker(self, workers, n_rows, row_cells):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(grids, "_WORKERS", workers)
-            stripes = grids._run_row_blocks(lambda stripe: stripe, n_rows, row_cells)
-        rows = [row for stripe in stripes for block in stripe for row in range(block.start, block.stop)]
-        assert sorted(rows) == list(range(n_rows))
+            blocks = grids._run_row_blocks(lambda rows: rows, n_rows, row_cells)
+        assert [row for rows in blocks for row in range(rows.start, rows.stop)] == list(range(n_rows))
         threaded = workers if n_rows * row_cells >= grids._BLOCK_CELLS else 1
-        assert len(stripes) <= threaded
-        tallest = max(block.stop - block.start for stripe in stripes for block in stripe)
-        assert tallest == min(n_rows, max(1, grids._BLOCK_CELLS // row_cells // threaded))
+        share = max(1, grids._BLOCK_CELLS // row_cells // threaded)
+        heights = [rows.stop - rows.start for rows in blocks]
+        # no block taller than the share, every block but the last as tall as the first
+        assert max(heights, default=0) <= share and len(set(heights[:-1])) <= 1 and heights[-1:] <= heights[:1]
+        # a whole number of blocks per worker, unless that many equal blocks
+        # would run out of rows; with one block fewer a worker they would
+        # have to be taller than the share
+        per_worker = -(-len(blocks) // threaded)
+        assert len(blocks) % threaded == 0 or heights[0] * (threaded * per_worker - 1) >= n_rows
+        assert threaded * (per_worker - 1) * share < n_rows
         # the blocks in flight together: one budget, or one row a worker
-        assert len(stripes) * tallest * row_cells <= max(grids._BLOCK_CELLS, len(stripes) * row_cells)
+        assert min(threaded, len(blocks)) * max(heights, default=0) * row_cells <= max(grids._BLOCK_CELLS, threaded * row_cells)
 
-    def test_worker_overflow_raises_in_caller_after_every_stripe(self, monkeypatch):
+    def test_worker_overflow_raises_in_caller_after_every_other_block(self, monkeypatch):
         # numpy's error state is a context variable: a worker sees the
         # caller's "raise" only if it runs in a copy of the caller's context
         monkeypatch.setattr(grids, "_WORKERS", 3)
         out = np.zeros(self.ROWS)
         raised_on = []
+        failing = slice(10 * self.SIZE, 11 * self.SIZE)  # the second worker's last block, on a pool thread
 
-        def kernel(blocks):
-            if blocks[0].start == 10:  # the second stripe, on a pool thread
+        def kernel(rows):
+            if rows == failing:
                 raised_on.append(threading.current_thread())
                 np.multiply(np.full(4, 1e300), 1e300)
-            time.sleep(0.2 if blocks[0].start else 0.0)
-            for rows in blocks:
-                out[rows] = 1.0
+            time.sleep(0.05 if rows.start // self.SIZE % 3 == 2 else 0.0)  # the third worker is late
+            out[rows] = 1.0
 
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             grids._run_row_blocks(kernel, self.ROWS, self.CELLS)
         assert raised_on and raised_on[0] is not threading.main_thread()
-        # the call returned only after the other stripes had written their rows
-        written = np.array([row // 10 % 3 != 1 for row in range(self.ROWS)])
-        assert (out[written] == 1.0).all() and (out[~written] == 0.0).all()
+        # the call raised only after every other block had written its rows
+        written = np.ones(self.ROWS)
+        written[failing] = 0.0
+        assert (out == written).all()
 
     def test_forked_child_starts_its_own_pool(self, monkeypatch):
         import multiprocessing

@@ -386,8 +386,8 @@ def test_phase_space_kernels_memory_stays_row_blocked(workers, monkeypatch):
 
 
 # lam = 8 at n = 512 and 1024: every kernel's work is above the threading
-# threshold, except the purity stencils at n = 512, and the last purity
-# block is short for one worker and for three
+# threshold, except the purity scan and stencils at n = 512, and at
+# n = 1024 the last stencil block is short for one worker and for three
 def _packet(n):
     ps = PhaseSpaceGrid.conjugate(packet_grid(8.0, 0.3, n))
     st = gaussian_state(ps.momentum, lam=8.0, p_bar=0.3)
@@ -419,10 +419,12 @@ def test_worker_count_leaves_every_output_unchanged(n, monkeypatch):
     r = np.abs(np.fft.rfft(w, axis=1)[:, : ps.n_q // 2])
     rows = np.flatnonzero(r.max(axis=1) > 1e-6 * r.max())
     interior = rows[-1] + 1 - rows[0] - 8
-    assert all(interior % (grids._BLOCK_CELLS // (ps.n_q // 2 + 1) // workers) for workers in (1, 3))
     outputs = {}
     for workers in (1, 3):
         monkeypatch.setattr(grids, "_WORKERS", workers)
+        heights = grids._run_row_blocks(lambda rows: rows.stop - rows.start, interior, ps.n_q // 2 + 1)
+        # the stencils' blocks: one below a budget of work at n = 512, a short last one at n = 1024
+        assert heights == [interior] if n == 512 else heights[-1] < heights[0]
         outputs[workers] = _kernel_outputs(ps, st, both)
     assert outputs[1] == outputs[3]
 

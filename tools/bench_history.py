@@ -4,10 +4,11 @@ Each file is the JSON list of records that `tools/bench_pairs.py --label L`
 appends to `BENCH_L.json`.  The reader takes every `BENCH_*.json` in the
 repository root (or the files named on the command line) in the natural
 order of their labels (pr9 before pr10), and prints, per workload and
-metric, one line per record: the label, seed, pair count, the parent's
-median and quartiles, the change's median, the move and the pairs the
-change won.  Under each chain it prints, per seed, the moves compounded
-over the chain.  Standard library only.
+metric, one line per record: the label, seed, the CPUs the runs had,
+the pair count, the parent's median and quartiles, the change's median,
+the move and the pairs the change won.  Moves are not compounded: a
+chain mixes A/A records, repeated runs of one change and runs on
+different CPU sets, whose product means nothing.  Standard library only.
 
     python tools/bench_history.py
     python tools/bench_history.py BENCH_pr41.json BENCH_pr42.json
@@ -44,17 +45,13 @@ def history_lines(paths) -> list[str]:
     lines = []
     for (workload, name), steps in chains(paths).items():
         lines.append(f"{workload} {name} ({steps[0][2]['unit']})")
-        net = {}
         for lab, record, m in steps:
             q1, q3 = m["parent_quartiles"]
             move = "n/a" if m["move"] is None else format(m["move"], "+.1%")
-            lines.append(f"  {lab:12s} seed={record['seed']} pairs={record['pairs']}  {m['parent_median']:.4g} "
-                         f"[{q1:.4g}, {q3:.4g}] -> {m['change_median']:.4g}  {move}  "
+            cpus = ",".join(map(str, record["cpus"]))
+            lines.append(f"  {lab:12s} seed={record['seed']} cpus={cpus} pairs={record['pairs']}  "
+                         f"{m['parent_median']:.4g} [{q1:.4g}, {q3:.4g}] -> {m['change_median']:.4g}  {move}  "
                          f"change won {m['change_won']}/{record['pairs']}")
-            if m["move"] is not None:
-                net[record["seed"]] = net.get(record["seed"], 1.0) * (1.0 + m["move"])
-        for seed, factor in net.items():
-            lines.append(f"  net at seed={seed}: {factor - 1.0:+.1%}")
     return lines
 
 
