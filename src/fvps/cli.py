@@ -181,7 +181,9 @@ def effective_mass_ratio(lam: float, p_bar: float = 0.02, n_points: int | None =
     average no matter how small p_bar is, so the ratio grows with lam
     even at crawling speeds.  Without n_points the grid is the one
     `packet_grid` sizes by `states.momentum_grid`: 512 nodes up to
-    lam ~ 9.6, then as many as keep dp <= 0.34 mc.
+    lam ~ 9.6, then as many as `states._resolves` asks for.  A grid that
+    misses the rule, given as n_points or sized past 2^16 nodes, raises
+    ResolutionError.
     """
     if not 0.0 < abs(p_bar) < np.inf:
         raise ValueError(f"p_bar must be finite and nonzero, got {p_bar}")
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("wigner", help="phase-space field and moments of a Gaussian packet")
     w.add_argument("--lambda", dest="lam", type=float, help="localization parameter")
     w.add_argument("--preset", choices=["fig1"], help="fig1 = lambda 8")
-    w.add_argument("--n-points", type=int, default=512)
+    w.add_argument("--n-points", type=int, default=512, help="momentum nodes, a power of two that resolves the packet")
     w.add_argument("--eps-mode", choices=[EPS_RELATIVISTIC, EPS_UNITY], default=EPS_RELATIVISTIC)
     w.add_argument("--matrix", action="store_true", help="contour-ready matrix CSV layout")
     w.add_argument("--out", required=True)
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evolve", help="propagator vs amplitude-evolution cross-check")
     e.add_argument("--lambda", dest="lam", type=float, required=True)
     e.add_argument("--t", type=float, required=True)
-    e.add_argument("--n-points", type=int, default=512)
+    e.add_argument("--n-points", type=int, default=512, help="momentum nodes, a power of two that resolves the packet")
     e.add_argument("--check", action="store_true", help="exit 3 when deviation exceeds --tol")
     e.add_argument("--tol", type=float, default=1e-8)
     e.add_argument("--out", help="optional JSON output path")

@@ -90,8 +90,9 @@ def pair_energy(pair: PairState, model: str = "rel", units: UnitSystem = NATURAL
 
     The pair grid spans p_max = 12 hbar/sigma with the nodes
     `states.momentum_grid` asks for, at least 2048, so dp <= 0.012
-    hbar/sigma at every width and dp <= 0.34 mc up to its 2^16-node cap
-    (sigma down to about 1e-3 Compton lengths).  A quadrature on the
+    hbar/sigma at every width, and it meets `states._resolves` up to its
+    2^16-node cap (sigma down to about 1.074e-3 Compton lengths; below
+    that the packet builder raises ResolutionError).  A quadrature on the
     spacing dp reads the pair's densities at separation d as at
     d - 2 pi hbar/dp as well, so a separation that is not 12 sigma below
     that position window (about 536 sigma at 2048 nodes) raises

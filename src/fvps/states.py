@@ -65,39 +65,46 @@ class CoherentSpec:
         return q_bar, p_bar
 
 
-def _width_spacing(sigma: float, units: UnitSystem) -> float:
-    """hbar/(4 sigma), the bound a packet grid's spacing must stay below."""
-    return 0.25 * units.hbar / sigma
+def _resolves(grid: MomentumGrid, sigma: float, units: UnitSystem) -> bool:
+    """The one spacing rule of every packet grid: dp < hbar/(4 sigma) and dp <= 2 pi mc / ln(1e8).
+
+    The first bound is the sigma-packet's own.  The second, about
+    0.34 mc, is the eps weight's: the trapezoid rule's error on an
+    integrand analytic in a strip of half-width a falls as
+    exp(-2 pi a / dp) (Trefethen & Weideman, SIAM Rev. 56, 385, 2014),
+    and E(p) has branch points at p = +-i mc, so the grid's momentum sums
+    converge to about 1e-8 relative.
+    """
+    return grid.spacing < 0.25 * units.hbar / sigma and grid.spacing <= 2.0 * np.pi * units.mc / np.log(1e8)
 
 
 def momentum_grid(sigma: float, p_max: float, units: UnitSystem, n_min: int) -> MomentumGrid:
-    """The fewest nodes on [-p_max, p_max], a power of two >= n_min, that resolve a sigma-packet.
+    """The fewest nodes on [-p_max, p_max], a power of two >= n_min, that meet `_resolves`.
 
-    The spacing meets dp < hbar/(4 sigma), the packet's own bound, and
-    dp <= 2 pi mc / ln(1/tol) with tol = 1e-8, about 0.34 mc: the
-    trapezoid rule's error on an integrand analytic in a strip of
-    half-width a falls as exp(-2 pi a / dp) (Trefethen & Weideman, SIAM
-    Rev. 56, 385, 2014), and the eps weight's E(p) has branch points at
-    p = +-i mc.  The grid stops doubling at 2^16 nodes.  Past that it may
-    miss either bound: the state builders' `_check_resolution` refuses it
-    for a packet whose momentum width hbar/sigma is 4 dp or less, and
-    nothing yet refuses it for the mc bound.
+    The grid stops doubling at 2^16 nodes, where it may still miss the
+    rule; the state builders' `_check_resolution` then refuses it.
     """
-    width, compton = _width_spacing(sigma, units), 2.0 * np.pi * units.mc / np.log(1e8)
     grid = MomentumGrid(n_min, p_max)
-    while grid.n_points < 2**16 and (grid.spacing >= width or grid.spacing > compton):
+    while grid.n_points < 2**16 and not _resolves(grid, sigma, units):
         grid = MomentumGrid(2 * grid.n_points, p_max)
     return grid
 
 
 def _check_resolution(grid: MomentumGrid, sigma: float, p_bar: float, units: UnitSystem, reach: float):
-    """Require dp < hbar/(4 sigma) and p_max > |p_bar| + reach hbar/sigma."""
-    width, limit = units.hbar / sigma, _width_spacing(sigma, units)
-    if grid.spacing >= limit:
+    """Require `_resolves(grid, sigma, units)` and p_max > |p_bar| + reach hbar/sigma.
+
+    The spacing is checked first.  Its error names the nodes that
+    `momentum_grid` gives the grid's p_max, or says that no grid of up to
+    2^16 nodes resolves the packet there.
+    """
+    if not _resolves(grid, sigma, units):
+        sized = momentum_grid(sigma, grid.p_max, units, grid.n_points)
+        need = f"use {sized.n_points} nodes" if _resolves(sized, sigma, units) else "no grid of up to 2^16 nodes does"
         raise ResolutionError(
-            f"grid spacing {grid.spacing:.4g} too coarse for packet of momentum "
-            f"width {width:.4g}; need dp < hbar/(4 sigma) = {limit:.4g}"
+            f"{grid.n_points} nodes on p_max {grid.p_max:.4g} (dp = {grid.spacing:.4g}) do not resolve a packet of "
+            f"width sigma = {sigma:.4g}, which needs dp < hbar/(4 sigma) and dp <= 2 pi mc/ln(1e8): {need}"
         )
+    width = units.hbar / sigma
     if grid.p_max <= abs(p_bar) + reach * width:
         raise ResolutionError(
             f"p_max {grid.p_max:.4g} cannot hold packet support; need "

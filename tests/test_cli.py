@@ -114,7 +114,7 @@ class TestFactorsCommand:
 class TestWignerCommand:
     def test_fig1_preset(self, tmp_path, capsys):
         out = tmp_path / "w.csv"
-        code = main(["wigner", "--preset", "fig1", "--n-points", "256", "--out", str(out)])
+        code = main(["wigner", "--preset", "fig1", "--out", str(out)])
         assert code == EXIT_OK
         text = out.read_text()
         assert text.startswith("# lambda=8\n")
@@ -298,14 +298,14 @@ class TestEntangleCommand:
             assert nonrel == pytest.approx(1.0 / (2.0 * sigma**2), rel=1e-12)
 
     @pytest.mark.parametrize("sigma", ["1e-160", "1e-300"])
-    def test_overflow_exits_3_and_writes_nothing(self, tmp_path, sigma, capsys):
+    def test_overflow_exits_2_and_writes_nothing(self, tmp_path, sigma, capsys):
         # from sigma ~ 1e-154 the square of the packet's momenta (p ~ 1/sigma)
-        # overflows; without the floating-point policy the table reads nan
-        # and the command exits 0
+        # would overflow; no grid of up to 2^16 nodes resolves mc at these
+        # widths, so the spacing rule refuses the packet before any arithmetic
         out = tmp_path / "x.csv"
-        assert main(["entangle", "--sigmas", sigma, "--out", str(out)]) == EXIT_TOLERANCE
+        assert main(["entangle", "--sigmas", sigma, "--out", str(out)]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "numerical error: overflow encountered" in captured.err and "Traceback" not in captured.err
+        assert "validation error" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -515,6 +515,45 @@ class TestValidationPropagation:
         code = main(["wigner", "--lambda", "0.001", "--n-points", "128", "--out", str(tmp_path / "w.csv")])
         assert code == EXIT_CONFIG
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, nodes",
+        [
+            (["wigner", "--lambda", "8", "--n-points", "128"], 512),
+            (["wigner", "--lambda", "16", "--n-points", "128"], 1024),
+            (["evolve", "--lambda", "8", "--t", "1", "--n-points", "128"], 512),
+        ],
+        ids=["wigner_lambda_8", "wigner_lambda_16", "evolve_lambda_8"],
+    )
+    def test_n_points_below_the_compton_bound_exits_2(self, tmp_path, argv, nodes, capsys):
+        # dp = 1.13 and 2.26 mc meet hbar/(4 sigma) but not 2 pi mc / ln(1e8);
+        # at lambda = 8 such a grid gives var_q = -0.0119798 against a converged -0.01322
+        out = tmp_path / ("e.json" if argv[0] == "evolve" else "w.csv")
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"use {nodes} nodes" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        lam = float(argv[argv.index("--lambda") + 1])
+        assert gaussian_state(packet_grid(lam, n_points=nodes), lam=lam).grid.n_points == nodes
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["coherent", "--lambdas", "1200"], EXIT_OK),
+            (["coherent", "--lambdas", "1300"], EXIT_CONFIG),
+            (["entangle", "--sigmas", "1.1e-3"], EXIT_OK),
+            (["entangle", "--sigmas", "1e-3"], EXIT_CONFIG),
+        ],
+        ids=["coherent_1200", "coherent_1300", "entangle_1.1e-3", "entangle_1e-3"],
+    )
+    def test_sized_grids_refused_past_the_cap(self, tmp_path, argv, code, capsys):
+        # the grids coherent and entangle size stop at 2^16 nodes, which
+        # meet 2 pi mc / ln(1e8) up to lambda ~ 1241.8 and down to sigma ~ 1.074e-3
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert ("no grid of up to 2^16 nodes" in err) == (code == EXIT_CONFIG) and "Traceback" not in err
+        assert out.exists() == (code == EXIT_OK)
 
     @pytest.mark.parametrize(
         "argv",

@@ -124,7 +124,7 @@ from fvps import (
 from fvps.cli import packet_grid, run_rotator
 from fvps.rotator import RotatorModel, SpectralPeak, _even_superdiagonal, orbit_series
 from fvps.spectrum import landau_energy
-from fvps.states import rotator_coherent_state
+from fvps.states import momentum_grid, rotator_coherent_state
 from fvps.moyal import _twisted_convolution, moyal_bracket, poisson_bracket, propagator_phases, star_product
 from fvps.grids import half_step_lattice
 from fvps.opmatrix import KernelRelationReport, OperatorMatrix, _branch_pairs, _mode_blocks, _require_sign_gap
@@ -263,6 +263,11 @@ def expectation_moments(w, psgrid):
     return Moments(mean_q=mean_q, mean_p=mean_p, var_q=var_q, var_p=var_p)
 
 
+def resolved_grid(lam, p_bar, n):
+    """`packet_grid`'s window on the fewest nodes from n up that meet the spacing rule."""
+    return momentum_grid(1.0 / lam, packet_grid(lam, p_bar, n).p_max, NATURAL, n)
+
+
 class TestAgainstComplexFFT:
     @pytest.mark.parametrize("eps_mode", ["relativistic", EPS_UNITY])
     @pytest.mark.parametrize("t", [-2.5, 0.7, 5.0])
@@ -274,7 +279,7 @@ class TestAgainstComplexFFT:
 
     @pytest.mark.parametrize("lam, p_bar, q_bar", [(0.5, 0.3, -1.2), (2.0, -0.4, 0.7), (8.0, 0.2, 0.1)])
     def test_moments(self, lam, p_bar, q_bar):
-        ps = PhaseSpaceGrid.conjugate(packet_grid(lam, p_bar, n_points=256))
+        ps = PhaseSpaceGrid.conjugate(resolved_grid(lam, p_bar, 256))
         w = wigner_even(gaussian_state(ps.momentum, lam=lam, p_bar=p_bar, q_bar=q_bar), +1, ps)
         got, want = moments(w, ps), expectation_moments(w, ps)
         scale = {"mean_q": ps.q_max, "var_q": ps.q_max**2,
@@ -296,12 +301,12 @@ def test_complex_field_is_rejected(case, transform, message):
         transform(wigner_even(state, +1, ps).astype(complex), ps)
 
 
-# packet_grid at n = 128 resolves the packet (dp < hbar / 4 sigma) for
-# lam > (|p_bar| + 0.5) / 7, hence the lower end of the lam range
+# from n = 128 up: 128 nodes meet the spacing rule for lam from 0.15 to
+# about 2.3, 256 nodes to about 4.7 and 512 nodes beyond
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(lam=st.floats(0.15, 8.0), p_bar=st.floats(-0.5, 0.5))
 def test_normalisation_and_momentum_marginal(lam, p_bar):
-    grid = packet_grid(lam, p_bar, n_points=128)
+    grid = resolved_grid(lam, p_bar, 128)
     ps = PhaseSpaceGrid.conjugate(grid)
     state = gaussian_state(grid, lam=lam, p_bar=p_bar)
     w = wigner_even(state, +1, ps)
@@ -631,8 +636,9 @@ def test_purity_check_matches_full_array(n, lam):
     # from n = 256 up numpy's temporary elision evaluates the reference's
     # `c_part * np.conj(j_part)` as conj(j) * c, the order purity_check
     # spells out; at n <= 128 it does not, and phase_curvature_max (a
-    # ~1e-10 rounding residue there) differs at ~1e-6 relative
-    ps = PhaseSpaceGrid.conjugate(packet_grid(lam, n_points=n))
+    # ~1e-10 rounding residue there) differs at ~1e-6 relative; lam = 8
+    # needs 512 nodes, so at n = 256 it runs on 512
+    ps = PhaseSpaceGrid.conjugate(resolved_grid(lam, 0.0, n))
     w = wigner_even(gaussian_state(ps.momentum, lam=lam, q_bar=0.3), +1, ps)
     assert purity_check(w, ps) == full_array_purity_check(w, ps)
 

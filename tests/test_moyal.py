@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvps import (
+    NATURAL,
     ChargeBranchState,
     GridError,
     MomentumGrid,
@@ -29,6 +30,7 @@ from fvps import (
 )
 from fvps import moyal as moyal_module
 from fvps.moyal import _bracket_multiplier, propagator_phases
+from fvps.states import momentum_grid
 
 
 def band1d(seed, n, kmax=3):
@@ -324,14 +326,15 @@ class TestEvolveEven:
 
 # a momentum window of 12 hbar / sigma + |p_bar| + 0.5 leaves the Nyquist
 # column at roundoff (packet_grid's 9 hbar / sigma leaves ~1e-9 of the
-# spectrum there, and composition then holds to ~4e-11 of max |W|); at
-# n = 256 it resolves the packet (dp < hbar / 4 sigma) for lam > 0.05
+# spectrum there, and composition then holds to ~4e-11 of max |W|); the
+# grid takes the fewest nodes from 256 up that meet the spacing rule, 512
+# from lam ~ 3.5 on
 packets = dict(lam=st.floats(0.15, 8.0), p_bar=st.floats(-0.5, 0.5), q_bar=st.floats(-1.0, 1.0))
 times = st.floats(-5.0, 5.0)
 
 
 def resolved_packet(lam, p_bar, q_bar):
-    ps = PhaseSpaceGrid.conjugate(MomentumGrid(256, 12.0 * lam + abs(p_bar) + 0.5))
+    ps = PhaseSpaceGrid.conjugate(momentum_grid(1.0 / lam, 12.0 * lam + abs(p_bar) + 0.5, NATURAL, 256))
     return ps, wigner_even(gaussian_state(ps.momentum, lam=lam, p_bar=p_bar, q_bar=q_bar), +1, ps)
 
 

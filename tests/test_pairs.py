@@ -7,6 +7,7 @@ from fvps import (
     NATURAL,
     MomentumGrid,
     PairState,
+    ResolutionError,
     displaced_number_state,
     energy,
     overlap_penalty,
@@ -183,9 +184,10 @@ class TestPenaltyCurve:
             penalty_curve([1.0, -0.5])
 
     def test_width_past_overflow_raises_not_nan(self):
-        # outside the command line no floating-point policy raises; the
-        # packet's vanishing norm must still not come back as nan
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite and positive"):
+        # outside the command line no floating-point policy raises; no
+        # grid of up to 2^16 nodes resolves mc at this width, so the
+        # spacing rule refuses the packet before its norm could come back as nan
+        with np.errstate(all="ignore"), pytest.raises(ResolutionError, match="no grid of up to 2\\^16 nodes"):
             penalty_curve([1e-160])
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +34,7 @@ from fvps import (
     sign_operator,
 )
 from fvps.rotator import RotatorModel
-from fvps.states import momentum_grid
+from fvps.states import _as_state, _check_resolution, momentum_grid
 
 
 class TestGaussianState:
@@ -110,6 +111,8 @@ class TestGaussianState:
             gaussian_state(MomentumGrid(32, 2.0), sigma=3.0)  # dp too coarse
         with pytest.raises(ResolutionError):
             gaussian_state(MomentumGrid(512, 2.0), sigma=1.0)  # support exceeds window
+        with pytest.raises(ResolutionError, match="use 512 nodes"):
+            gaussian_state(MomentumGrid(128, 72.5), lam=8)  # dp = 1.13 meets hbar/(4 sigma) = 2, not 2 pi mc / ln(1e8)
 
     def test_sigma_lam_exclusive(self):
         grid = MomentumGrid(256, 12.0)
@@ -126,29 +129,66 @@ class TestGaussianState:
             gaussian_state(MomentumGrid(256, 12.0), lam=lam)
 
 
+def resolves(grid, sigma, units):
+    # dp < hbar/(4 sigma) resolves the packet, dp <= 2 pi mc / ln(1e8)
+    # the eps weight's branch points at +-i mc
+    return grid.spacing < units.hbar / (4.0 * sigma) and grid.spacing <= 2.0 * np.pi * units.mc / np.log(1e8)
+
+
+grid_draws = given(
+    sigma=st.floats(1e-4, 1e4),
+    p_max=st.floats(1e-3, 1e4),
+    units=st.sampled_from([UnitSystem(), UnitSystem(m=1.3, c=0.8, hbar=0.7), UnitSystem(m=2.0, c=3.0)]),
+    n_min=st.sampled_from([2**k for k in range(3, 17)]),
+)
+# spacings exactly at each bound: 0.25 = hbar/(4 sigma) at 128 nodes
+# is too coarse, 2 pi mc / ln(1e8) at 64 nodes is fine
+at_width_bound = example(sigma=1.0, p_max=16.0, units=UnitSystem(), n_min=8)
+at_compton_bound = example(sigma=0.5, p_max=32 * (2.0 * np.pi / np.log(1e8)), units=UnitSystem(), n_min=8)
+
+
 class TestMomentumGrid:
     @settings(max_examples=200, deadline=None)
-    @given(
-        sigma=st.floats(1e-4, 1e4),
-        p_max=st.floats(1e-3, 1e4),
-        units=st.sampled_from([UnitSystem(), UnitSystem(m=1.3, c=0.8, hbar=0.7), UnitSystem(m=2.0, c=3.0)]),
-        n_min=st.sampled_from([2**k for k in range(3, 17)]),
-    )
-    # spacings exactly at each bound: 0.25 = hbar/(4 sigma) at 128 nodes
-    # is too coarse, 2 pi mc / ln(1e8) at 64 nodes is fine
-    @example(sigma=1.0, p_max=16.0, units=UnitSystem(), n_min=8)
-    @example(sigma=0.5, p_max=32 * (2.0 * np.pi / np.log(1e8)), units=UnitSystem(), n_min=8)
+    @grid_draws
+    @at_width_bound
+    @at_compton_bound
     def test_fewest_nodes_that_resolve(self, sigma, p_max, units, n_min):
-        # dp < hbar/(4 sigma) resolves the packet, dp <= 2 pi mc / ln(1e8)
-        # the eps weight's branch points at +-i mc; the grid stops at 2^16
-        def resolves(grid):
-            return grid.spacing < units.hbar / (4.0 * sigma) and grid.spacing <= 2.0 * np.pi * units.mc / np.log(1e8)
-
+        # the grid stops at 2^16
         grid = momentum_grid(sigma, p_max, units, n_min=n_min)
         assert grid.p_max == p_max and grid.n_points >= n_min
-        assert resolves(grid) or grid.n_points == 2**16
+        assert resolves(grid, sigma, units) or grid.n_points == 2**16
         if grid.n_points > n_min:
-            assert not resolves(MomentumGrid(grid.n_points // 2, p_max))
+            assert not resolves(MomentumGrid(grid.n_points // 2, p_max), sigma, units)
+
+    @settings(max_examples=200, deadline=None)
+    @grid_draws
+    @at_width_bound
+    @at_compton_bound
+    def test_builders_hold_every_grid_to_the_sizing_rule(self, sigma, p_max, units, n_min):
+        # _check_resolution accepts a grid exactly when it resolves, which is
+        # when momentum_grid keeps its n; a refused grid rebuilt at the n the
+        # error names (the fewest that resolve) is accepted.  The reach is
+        # half the window, so only the spacing can refuse.
+        def accepts(grid):
+            try:
+                _check_resolution(grid, sigma, 0.0, units, reach=0.5 * p_max * sigma / units.hbar)
+            except ResolutionError as exc:
+                return str(exc)
+            return True
+
+        grid, sized = MomentumGrid(n_min, p_max), momentum_grid(sigma, p_max, units, n_min)
+        outcome = accepts(grid)
+        kept = sized.n_points == n_min and resolves(sized, sigma, units)
+        assert (outcome is True) == resolves(grid, sigma, units) == kept
+        if outcome is not True:
+            named = re.search(r"use (\d+) nodes", outcome)
+            assert (named is None) == (not resolves(sized, sigma, units))
+            if named is None:
+                assert "no grid of up to 2^16 nodes" in outcome
+            else:
+                n = int(named.group(1))
+                assert n <= 2**16 and not resolves(MomentumGrid(n // 2, p_max), sigma, units)
+                assert accepts(MomentumGrid(n, p_max)) is True
 
 
 class TestCoherentState:
@@ -272,12 +312,18 @@ class TestDisplacedNumber:
             displaced_number_state(0, self.grid, **kwargs)
 
     def test_rejects_a_packet_whose_norm_underflows(self):
-        # p^2 overflows on every node but p = 0, where the odd Hermite
-        # factor vanishes: the packet is 0 on the grid, and normalising it
-        # would give nan
+        # p^2 would overflow on every node but p = 0, where the odd Hermite
+        # factor vanishes, and the packet would be 0 on the grid; no grid
+        # resolves mc at this width, so the spacing rule refuses it first
         grid = MomentumGrid(2048, 1.2e161)
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite and positive"):
+        with np.errstate(all="ignore"), pytest.raises(ResolutionError, match="no grid of up to 2\\^16 nodes"):
             displaced_number_state(3, grid, sigma=1e-160)
+
+    def test_a_zero_amplitude_is_not_normalised(self):
+        # no builder's resolved packet reaches this guard; normalising a
+        # packet that is 0 on the grid would give nan
+        with pytest.raises(ValueError, match="not finite and positive"):
+            _as_state(MomentumGrid(8, 1.0), np.zeros(8), +1, UnitSystem())
 
 
 class TestRotatorCoherent:

@@ -270,7 +270,7 @@ class TestExpectationMoments:
 
         signs = []
         for lam in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0):
-            _, _, m = run_wigner(lam, 256)
+            _, _, m = run_wigner(lam, 512)
             signs.append(np.sign(m.var_q))
         flips = np.abs(np.diff(signs)).sum() / 2
         assert flips == 1

@@ -1,7 +1,8 @@
 """Fingerprint the phase-space kernels' outputs, packet by packet and worker count by worker count.
 
-For each Gaussian packet on its `cli.packet_grid` (n = 256 and 1024,
-lam = 0.3 and 8, p_bar = 0 and 0.45) and each row-block worker count
+For each Gaussian packet on its `cli.packet_grid` (lam = 0.3 at n = 256,
+lam = 8 at n = 512, both at n = 1024, each at p_bar = 0 and 0.45: grids
+that resolve each packet) and each row-block worker count
 (1 and 3, set through `grids._WORKERS`), prints one sha256 per kernel
 output: the bytes of `wigner_even` on the positive branch, of
 `wigner_odd` between the packet and a copy of it with a random phase,
@@ -22,7 +23,7 @@ import sys
 from reach import ROOT
 
 PINNED = ROOT / "tests" / "kernel_outputs.txt"
-PACKETS = [(n, lam, p_bar) for n in (256, 1024) for lam in (0.3, 8.0) for p_bar in (0.0, 0.45)]
+PACKETS = [(n, lam, p_bar) for n, lam in ((256, 0.3), (512, 8.0), (1024, 0.3), (1024, 8.0)) for p_bar in (0.0, 0.45)]
 WORKERS = (1, 3)
 
 
