@@ -27,8 +27,11 @@ the sign operator of a block, Lambda_j = V_j sign(D_j) V_j^-1, is +1 and
 -1 on its two branch 2-vectors.  So the even and odd parts of a
 charge-invariant kernel, reduced onto the charge branches, are K times
 eta products of per-mode 2-vectors: O(M^2) work, with the conditioning
-rule of `sign_operator` kept.  The dense split (`sign_operator`,
-`even_part`, `branch_reduce`) is its referee in the tests.
+rule of `sign_operator` kept.  The 2-vectors and energies come from
+each block's eigenpairs in closed form (`_closed_form_pairs`), not from
+LAPACK; `branch_vectors` keeps LAPACK's per-block eig and is the closed
+form's referee in the tests, as the dense split (`sign_operator`,
+`even_part`, `branch_reduce`) is the check's.
 
 The operators fed to it are built in closed form too.  The position
 matrix F^-1 diag(q) F on a conjugate grid is a circulant Toeplitz matrix
@@ -52,7 +55,7 @@ import numpy as np
 
 from .errors import ConditioningError, GridError, ResolutionError
 from .grids import NATURAL, MomentumGrid, PhaseSpaceGrid, UnitSystem, centred_dft_size
-from .spectrum import EnergyModel, chi_from_energies, energy, eps_from_energies
+from .spectrum import EnergyModel, energy
 
 MAX_DOUBLED_DIM = 2048
 _CHECK_ROWS = 32  # kernel rows per block of `kernel_relation_check`'s elementwise stage
@@ -250,7 +253,9 @@ def branch_vectors(h: OperatorMatrix):
     charge block.  Returns (u_plus, u_minus, energies) where the columns
     of u_plus (2M, M) satisfy H u = +E u, u^dag eta u = +1, first charge
     component real positive, and u_minus mirrors it on the negative
-    branch (eta-norm -1, second component real positive).
+    branch (eta-norm -1, second component real positive).  Each block
+    goes through LAPACK's eig; raises ConditioningError as
+    `kernel_relation_check` does.
     """
     m = h.n_modes
     vecs, w = _branch_pairs(_mode_blocks(h))
@@ -262,22 +267,56 @@ def branch_vectors(h: OperatorMatrix):
 
 
 def _branch_pairs(blocks: np.ndarray):
-    """The charge 2-vectors of `branch_vectors`, (2, M, 2), and their eigenvalues, (2, M).
+    """The charge 2-vectors of `branch_vectors`, (2, M, 2), and their eigenvalues, (2, M), by LAPACK.
 
     Axes (branch, mode, charge component); branch 0 is +, branch 1 is -.
+    The referee of `_closed_form_pairs` in the tests.
     """
     w, v = np.linalg.eig(blocks)
     order = np.argsort(w.real, axis=1)
     idx = np.arange(blocks.shape[0])
     vecs = np.stack([v[idx, :, order[:, 1]], v[idx, :, order[:, 0]]])
+    return _normalised_pairs(vecs, np.stack([w[idx, order[:, 1]], w[idx, order[:, 0]]]))
+
+
+def _closed_form_pairs(blocks: np.ndarray):
+    """`_branch_pairs` in closed form, vectorised over the modes.
+
+    A block s [[a, b], [c, d]], s the power of two just above its largest
+    |entry| (an exact scaling, which keeps every intermediate of a finite
+    block finite), has eigenvalues s (mean +- disc), + on the larger real
+    part, with mean = (a + d)/2, half = (a - d)/2 and disc^2 = half^2 + b c,
+    taken as (half - r)(half + r) with r = sqrt(-b c): on a free or Landau
+    block [[e, K], [-K, -e]] the factors are (e -+ K)/s, so disc carries
+    no cancellation beyond the rounding of e = mc^2 + K.  The eigenvector
+    of mean + sign disc is (sign disc + half, c) or (b, sign disc - half),
+    whichever is longer.
+    """
+    scale = np.ldexp(1.0, np.frexp(np.abs(blocks).max(axis=(1, 2)))[1])
+    (a, b), (c, d) = np.moveaxis(blocks / scale[:, None, None], 0, -1)
+    half, r = 0.5 * (a - d), np.sqrt(-b * c)
+    root = np.array([[1.0], [-1.0]]) * np.sqrt((half - r) * (half + r))
+    first = np.stack(np.broadcast_arrays(root + half, c), axis=-1)
+    second = np.stack(np.broadcast_arrays(b, root - half), axis=-1)
+    longer = np.linalg.norm(first, axis=-1) >= np.linalg.norm(second, axis=-1)
+    return _normalised_pairs(np.where(longer[..., None], first, second), scale * (0.5 * (a + d) + root))
+
+
+def _normalised_pairs(vecs: np.ndarray, w: np.ndarray):
+    """Branch 2-vectors with eta-norm +1 and -1, each anchored real positive, and their eigenvalues.
+
+    Raises ConditioningError naming the first mode whose + vector has no
+    positive or whose - vector no negative charge norm, and, as
+    `sign_operator` does, for an eigenvalue near zero.
+    """
     norm2 = np.abs(vecs[..., 0]) ** 2 - np.abs(vecs[..., 1]) ** 2
     wrong = np.flatnonzero((norm2[0] <= 0) | (norm2[1] >= 0))
     if wrong.size:
         raise ConditioningError(f"mode {wrong[0]}: charge norm of branch eigenvector has wrong sign")
+    _require_sign_gap(w)
     vecs = vecs / np.sqrt(np.abs(norm2))[..., None]
     anchor = np.stack([vecs[0, :, 0], vecs[1, :, 1]])
-    vecs = vecs * (np.abs(anchor) / anchor)[..., None]
-    return vecs, np.stack([w[idx, order[:, 1]], w[idx, order[:, 0]]])
+    return vecs * (np.abs(anchor) / anchor)[..., None], w
 
 
 def branch_reduce(op: OperatorMatrix, u_left: np.ndarray, u_right: np.ndarray) -> np.ndarray:
@@ -314,10 +353,14 @@ def kernel_relation_check(
     independent objects.  The check works per 2x2 charge block of the
     mode-diagonal H in O(M^2): Lambda_j is +1 and -1 on each block's
     branch 2-vectors, so the reductions are K times products of those
-    2-vectors.  The dense (2M)^2 split is its referee in the tests.
-    Raises ConditioningError, as `sign_operator` does, when an eigenvalue
-    of H sits within 1e-12 of zero relative to the spectral radius, and
-    ValueError for a non-finite kernel or a negative or NaN tolerance.
+    2-vectors.  It solves each block in closed form, vectorised over the
+    modes (`_closed_form_pairs`), refereed by `branch_vectors`' LAPACK
+    eigensolve; the dense (2M)^2 split is the check's referee in the
+    tests.  Raises ConditioningError, as `sign_operator` does, when an
+    eigenvalue of H sits within 1e-12 of zero relative to the spectral
+    radius or a branch 2-vector has the wrong charge norm (naming the
+    first such mode), and ValueError for a non-finite kernel or a
+    negative or NaN tolerance.
     """
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be a non-negative number, got {tolerance}")
@@ -333,8 +376,7 @@ def kernel_relation_check(
     elif kernel.shape != (m, m):
         raise GridError(f"kernel shape {kernel.shape} incompatible with {m} modes")
 
-    vecs, w = _branch_pairs(_mode_blocks(h))
-    _require_sign_gap(w)
+    vecs, w = _closed_form_pairs(_mode_blocks(h))
     energies = w[0].real
 
     # O = 1 (x) K has the (j, k) charge block K_jk, and Lambda_j is +1 on
@@ -350,10 +392,11 @@ def kernel_relation_check(
     for start in range(0, m, _CHECK_ROWS):
         rows = slice(start, start + _CHECK_ROWS)
         k, e = kernel[rows], energies[rows, None]
+        root = 2.0 * np.sqrt(e * energies)  # shared: the bits of `eps_from_energies`, `chi_from_energies`
         even_red, odd_red = k * products[:, rows]
         devs.append((
-            np.abs(even_red - eps_from_energies(e, energies) * k).max(),
-            np.abs(odd_red - chi_from_energies(e, energies) * k).max(),
+            np.abs(even_red - (e + energies) / root * k).max(),
+            np.abs(odd_red - (e - energies) / root * k).max(),
         ))
     even_dev, odd_dev = np.max(devs, axis=0)
     return KernelRelationReport(float(even_dev), float(odd_dev), tolerance)

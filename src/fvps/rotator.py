@@ -149,13 +149,18 @@ def orbit_series(
     k = i B + j the phase splits as exp(-i g t_iB) exp(-i g t_j): one
     (ceil(T/B), N-1) table of block starts, weights folded in, times the
     transpose of one (B, N-1) table of offsets gives every amplitude,
-    row-major.  That is about 2 sqrt(T) (N-1) exponentials and one matrix
-    product instead of T (N-1) exponentials, and beyond the outputs it
+    row-major.  Row i of each table is its row 0 times the i-th power of
+    one phase step, exp(-i g B dt) or exp(-i g dt), formed by a running
+    product down the table.  That is 2(N-1) exponentials, two running
+    products of about sqrt(T) rows and one matrix product, where the
+    direct sum takes T (N-1) exponentials, and beyond the outputs it
     holds O(sqrt(T) N) memory.  Its rounding is that of the direct sum
-    exp(-i g t_k) @ w (the referee in the tests): each lies within a small
-    multiple of eps (N-1 + max g t_max) sum |w_n| of the exact sum
-    (summation, then phase), and on criterion 8's 108 226-sample series
-    the two differ by 1.2e-11 of max |<A>|.
+    exp(-i g t_k) @ w (the referee in the tests): each lies within a
+    small multiple of eps (N-1 + max g t_max) sum |w_n| of the exact sum
+    (summation, then phase; a running product's phase drifts by about
+    eps per row and eps g B dt per start row, which that bound covers),
+    and on criterion 8's 108 226-sample series the two differ by 1.2e-11
+    of max |<A>|.
     """
     if not 0.0 < dt < t_max < np.inf:
         raise ValueError(f"need finite 0 < dt < t_max, got dt={dt}, t_max={t_max}")
@@ -179,8 +184,12 @@ def orbit_series(
     gaps = (energies[1:] - energies[:-1]) / u.hbar
     weights = np.conj(c[:-1]) * c[1:] * super_diag
     block = math.isqrt(len(times) - 1) + 1
-    starts = weights * np.exp(-1j * np.outer(times[::block], gaps))
-    offsets = np.exp(-1j * np.outer(times[:block], gaps))
+    starts = np.empty((-(-len(times) // block), len(gaps)), dtype=complex)
+    offsets = np.empty((block, len(gaps)), dtype=complex)
+    starts[0], starts[1:] = weights, np.exp(-1j * (block * dt * gaps))
+    offsets[0], offsets[1:] = 1.0, np.exp(-1j * (dt * gaps))
+    np.multiply.accumulate(starts, out=starts)
+    np.multiply.accumulate(offsets, out=offsets)
     amp = (starts @ offsets.T).ravel()[: len(times)]
     del starts, offsets  # freed first, so the outputs do not stack on the tables
     scale = np.sqrt(2.0) * model.ladder_length

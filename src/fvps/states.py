@@ -94,21 +94,26 @@ def _check_resolution(grid: MomentumGrid, sigma: float, p_bar: float, units: Uni
     """Require `_resolves(grid, sigma, units)` and p_max > |p_bar| + reach hbar/sigma.
 
     The spacing is checked first.  Its error names the nodes that
-    `momentum_grid` gives the grid's p_max, or says that no grid of up to
-    2^16 nodes resolves the packet there.
+    `momentum_grid` gives the grid's p_max, or, when that p_max cannot
+    hold the support either, gives a 4-digit p_max past the support bound
+    and the nodes at that p_max; or it says that no grid of up to 2^16
+    nodes resolves the packet there.
     """
+    support = abs(p_bar) + reach * (units.hbar / sigma)
     if not _resolves(grid, sigma, units):
-        sized = momentum_grid(sigma, grid.p_max, units, grid.n_points)
+        p_max = grid.p_max if grid.p_max > support else float(f"{1.001 * support:.4g}")
+        sized = momentum_grid(sigma, min(p_max, np.finfo(float).max), units, grid.n_points)
         need = f"use {sized.n_points} nodes" if _resolves(sized, sigma, units) else "no grid of up to 2^16 nodes does"
+        if p_max != grid.p_max:
+            need += f" on p_max {p_max:.4g}, past the support bound |p_bar| + {reach:.4g} hbar/sigma = {support:.4g}"
         raise ResolutionError(
             f"{grid.n_points} nodes on p_max {grid.p_max:.4g} (dp = {grid.spacing:.4g}) do not resolve a packet of "
             f"width sigma = {sigma:.4g}, which needs dp < hbar/(4 sigma) and dp <= 2 pi mc/ln(1e8): {need}"
         )
-    width = units.hbar / sigma
-    if grid.p_max <= abs(p_bar) + reach * width:
+    if grid.p_max <= support:
         raise ResolutionError(
             f"p_max {grid.p_max:.4g} cannot hold packet support; need "
-            f"p_max > |p_bar| + {reach:.4g} hbar/sigma = {abs(p_bar) + reach * width:.4g}"
+            f"p_max > |p_bar| + {reach:.4g} hbar/sigma = {support:.4g}"
         )
 
 

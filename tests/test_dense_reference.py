@@ -61,7 +61,16 @@ refereed by the dense (2M)^2 path it replaced (`dense_kernel_relation`:
 on free and magnetic Hamiltonians and on a shifted one where the check
 fails, both deviations must agree to 1e-12 absolute.  Its elementwise
 stage runs on blocks of kernel rows, refereed bit for bit by the same
-formula on whole (M, M) arrays (`whole_array_kernel_relation`).
+formula on whole (M, M) arrays (`whole_array_kernel_relation`, which
+takes the check's own eigensolve).  That eigensolve, each 2x2 charge
+block's eigenpairs in closed form (`_closed_form_pairs`), is refereed by
+the LAPACK eigensolve of `branch_vectors` (`_branch_pairs`) on free
+grids, Landau spectra with and without p_z, and H + 0.3: its residual
+and its + energies' distance from the spectrum must be no larger than
+LAPACK's, and its vectors within 8 eps s^2 of LAPACK's (s = |v|^2);
+blocks scaled by 1e200 and 1e-200 must give LAPACK's pairs, and the
+wrong-sign, zero-block and near-singular Hamiltonians the same
+ConditioningError.
 
 `position_kernel`, which lays out the circulant Toeplitz matrix of one
 real FFT of the q nodes, is refereed by the dense F^-1 diag(q) F product
@@ -78,7 +87,9 @@ offset and sums <A(t)> by one product of two phase tables, is refereed by
 the direct sum it replaced, exp(-1j * outer(times, gaps)) @ weights over
 equal blocks of at most 1024 times: x + iy and r must agree to twice the
 rounding bound of either sum, eps (N - 1 + max g t_max) sum |w_n| for
-N - 1 terms (summation, then phase).
+N - 1 terms (summation, then phase).  Its phase tables are running
+products of one step each, so it evaluates 2 (N - 1) exponentials for
+any T.
 """
 
 import numpy as np
@@ -91,6 +102,7 @@ from fvps import (
     EPS_UNITY,
     NATURAL,
     ChargeBranchState,
+    ConditioningError,
     EnergyModel,
     GridError,
     MomentumGrid,
@@ -127,7 +139,14 @@ from fvps.spectrum import landau_energy
 from fvps.states import momentum_grid, rotator_coherent_state
 from fvps.moyal import _twisted_convolution, moyal_bracket, poisson_bracket, propagator_phases, star_product
 from fvps.grids import half_step_lattice
-from fvps.opmatrix import KernelRelationReport, OperatorMatrix, _branch_pairs, _mode_blocks, _require_sign_gap
+from fvps.opmatrix import (
+    KernelRelationReport,
+    OperatorMatrix,
+    _branch_pairs,
+    _closed_form_pairs,
+    _mode_blocks,
+    _require_sign_gap,
+)
 from fvps.spectrum import _energy as spectrum_energy
 from fvps.spectrum import chi_from_energies, eps_from_energies
 from fvps import grids as grids_module
@@ -899,7 +918,7 @@ def test_kernel_relation_check_fails_on_shifted_energies():
 
 def whole_array_kernel_relation(kernel: np.ndarray, h: OperatorMatrix) -> KernelRelationReport:
     """`kernel_relation_check` on (M, M) arrays whole: eps, chi, both reductions and deviations at once."""
-    vecs, w = _branch_pairs(_mode_blocks(h))
+    vecs, w = _closed_form_pairs(_mode_blocks(h))
     _require_sign_gap(w)
     energies = w[0].real
     eps = eps_from_energies(energies[:, None], energies[None, :])
@@ -938,6 +957,112 @@ def test_kernel_relation_check_matches_whole_arrays_bit_for_bit(build, args):
             ]
     assert np.isnan(blocked.even_deviation) and np.isnan(blocked.odd_deviation)
     assert not blocked.passed
+
+
+def eigensolve_case(model, shift, **grids):
+    """H + shift for `model` on `grids`, and the + branch energies it must have."""
+    h = build_hamiltonian(model, **grids)
+    if model.kind == "free":
+        expected = energy(grids["grid"].nodes)
+    else:
+        pz = grids.get("pz_grid")
+        levels = np.arange(grids["n_levels"])[:, None]
+        expected = landau_energy(levels, 0.0 if pz is None else pz.nodes, model).ravel()
+    return OperatorMatrix(h.mat + shift * np.eye(h.mat.shape[0]), h.basis), expected + shift
+
+
+EIGENSOLVE_CASES = {
+    **{
+        f"free-n{n}-pmax{p_max:g}-shift{shift:g}": (EnergyModel.free(), shift, {"grid": MomentumGrid(n, p_max)})
+        for n, p_max in ((64, 5.0), (256, 20.0), (1024, 77.7), (1024, 200.0))
+        for shift in (0.0, 0.3)
+    },
+    **{
+        f"landau-b{b:g}-shift{shift:g}": (EnergyModel.landau(b), shift, {"n_levels": 256})
+        for b in (1e-8, 1e-4, 1.0)
+        for shift in (0.0, 0.3)
+    },
+    **{
+        f"landau-b{b:g}-pz16": (EnergyModel.landau(b), 0.0, {"n_levels": 64, "pz_grid": MomentumGrid(16, 3.0)})
+        for b in (1e-8, 0.5)
+    },
+}
+
+
+def pair_residual(blocks, vecs, w):
+    """max |B v - lambda v| over the modes and both branches."""
+    return np.abs(np.einsum("mij,bmj->bmi", blocks, vecs) - w[..., None] * vecs).max()
+
+
+@pytest.mark.parametrize("name", EIGENSOLVE_CASES)
+def test_closed_form_eigensolve_against_lapack(name):
+    # measured: the closed form's residual 0.2-0.4 of LAPACK's, its +
+    # energies within 66 eps relative of E(p) (LAPACK's within 8045 eps;
+    # half^2 + b c unfactored reads 540 eps at p_max 77.7), and its vectors
+    # within 2.0 eps s^2 of LAPACK's, s = |v|^2 the squared length of the
+    # eta-normalised vector (up to 50 at p = 200)
+    model, shift, grids = EIGENSOLVE_CASES[name]
+    h, expected = eigensolve_case(model, shift, **grids)
+    blocks = _mode_blocks(h)
+    vecs, w = _closed_form_pairs(blocks)
+    ref_vecs, ref_w = _branch_pairs(blocks)
+    assert pair_residual(blocks, vecs, w) <= pair_residual(blocks, ref_vecs, ref_w)
+    assert np.abs(w[0].real - expected).max() <= np.abs(ref_w[0].real - expected).max()
+    assert np.abs(w[0].real / expected - 1.0).max() <= 128 * np.finfo(float).eps
+    assert np.abs(w[1].real - shift + expected).max() <= np.abs(ref_w[1].real - shift + expected).max()
+    s = (np.abs(ref_vecs) ** 2).sum(axis=-1)
+    assert (np.abs(vecs - ref_vecs).max(axis=-1) <= 8 * np.finfo(float).eps * s**2).all()
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e-200])
+def test_closed_form_eigensolve_scales_each_block(factor):
+    # half^2 + b c would overflow to inf (or underflow to 0) on blocks
+    # this large (or small); scaled by a power of two per block, the
+    # pairs are finite and LAPACK's, which scales too
+    h, _ = eigensolve_case(EnergyModel.free(), 0.3, grid=MomentumGrid(64, 20.0))
+    blocks = factor * _mode_blocks(h)
+    vecs, w = _closed_form_pairs(blocks)
+    ref_vecs, ref_w = _branch_pairs(blocks)
+    assert np.isfinite(vecs).all() and np.isfinite(w).all()
+    assert np.abs(w - ref_w).max() <= 1e-13 * np.abs(ref_w).max()
+    assert np.abs(vecs - ref_vecs).max() <= 1e-13
+
+
+def wrong_sign_hamiltonian():
+    """Free energies on 16 modes with + and - swapped in modes 3 and 9."""
+    e = energy(MomentumGrid(16, 5.0).nodes)
+    upper, lower = e.copy(), -e
+    for j in (3, 9):
+        upper[j], lower[j] = lower[j], upper[j]
+    return OperatorMatrix(np.diag(np.concatenate([upper, lower])).astype(complex), "test:16")
+
+
+def zero_block_hamiltonian():
+    """A free H on 8 modes whose mode 5 block is zero."""
+    h = build_hamiltonian(EnergyModel.free(), grid=MomentumGrid(8, 5.0))
+    mat = h.mat.copy()
+    mat[5::8, 5::8] = 0.0
+    return OperatorMatrix(mat, h.basis)
+
+
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        (wrong_sign_hamiltonian(), "mode 3: charge norm"),
+        (zero_block_hamiltonian(), "mode 5: charge norm"),
+        (OperatorMatrix(np.diag([1.0, 1e-15, -1.0, -1e-15]).astype(complex), "test:2"), "near-zero eigenvalue"),
+    ],
+    ids=["wrong-sign", "zero-block", "near-singular"],
+)
+def test_closed_form_eigensolve_refuses_as_lapack(h, message):
+    # the wrong-sign blocks of test_wrong_sign_names_first_offending_mode,
+    # a zero block and the near-singular H of test_near_singular_raises
+    # raise the same ConditioningError through both eigensolves and the check
+    for solve in (_branch_pairs, _closed_form_pairs):
+        with pytest.raises(ConditioningError, match=message):
+            solve(_mode_blocks(h))
+    with pytest.raises(ConditioningError, match=message):
+        kernel_relation_check(np.eye(h.n_modes), h)
 
 
 def dense_position_kernel(psgrid: PhaseSpaceGrid) -> np.ndarray:
@@ -1070,11 +1195,16 @@ ORBIT_CASES = [
 ] + [
     pytest.param(RotatorModel(b=0.5, n_max=64), 3.0, 64, 85000.0, 1.0, True, id="linear-T85000"),
     pytest.param(*weak_field_case(), id="weak-T108226"),
+    # 64 samples a cyclotron period, and twice criterion 8's window: the
+    # phase tables' running products are longest on these two
+    pytest.param(RotatorModel(b=0.5, n_max=64), 3.0, 64, 65536 * np.pi / 16, np.pi / 16, False,
+                 id="oversampled-T65536"),
+    pytest.param(*weak_field_case()[:3], 1.7e9, *weak_field_case()[4:], id="weak-T216451"),
 ]
 
 
-# measured: 0.33 of the bound on the weak-field series, at most 0.05 on
-# every other case
+# measured: 0.33 and 0.34 of the bound on the two weak-field series, 0.08
+# on the oversampled one, at most 0.05 on every other case
 @pytest.mark.parametrize("model, alpha, n_levels, t_max, dt, linear", ORBIT_CASES)
 def test_orbit_series_matches_direct_sum(model, alpha, n_levels, t_max, dt, linear):
     state = rotator_coherent_state(alpha, model.energy_model, n_max=n_levels)
@@ -1087,3 +1217,23 @@ def test_orbit_series_matches_direct_sum(model, alpha, n_levels, t_max, dt, line
     bound = 2 * rounding * scale * np.abs(weights).sum()
     assert np.abs(series.x + 1j * series.y - ref).max() <= bound
     assert np.abs(series.radius - np.abs(ref)).max() <= bound
+
+
+@pytest.mark.parametrize("t_max", [2.0, 3.0, 1025.0, 85000.0])
+@pytest.mark.parametrize("n_levels, alpha", [(8, 0.1), (63, 3.0), (255, 8.0)])
+def test_orbit_series_evaluates_two_exponentials_a_gap(monkeypatch, n_levels, alpha, t_max):
+    # one phase step a sample and one a block for each of the N - 1 gaps
+    # between the state's N levels; every other phase is a running
+    # product of them, for any T
+    model = RotatorModel(b=0.5, n_max=n_levels)
+    state = rotator_coherent_state(alpha, model.energy_model, n_max=n_levels)
+    evaluated = []
+
+    def counted_exp(x, *args, **kwargs):
+        evaluated.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", counted_exp)
+    orbit_series(state, model, t_max=t_max, dt=1.0)
+    assert sum(evaluated) == 2 * (len(state.coeffs) - 1)

@@ -15,6 +15,10 @@ from the default kernel's.  They are both `wigner` commands'
 (ROADMAP item 17).  The field CSVs, every stdout and every `<out>.json`
 sidecar are the same under all three kernels, and the test passes under
 each.
+
+The tool's numeric diff, `deviation` (how many numbers of a part moved,
+and by how much relative to its largest magnitude), and `compare`, which
+applies it to two `--keep` directories, are checked on small inputs.
 """
 
 import sys
@@ -44,3 +48,23 @@ def test_readme_command_output(argv, code, parts):
     for part, digest in parts.items():
         if digest != readme_outputs.KERNEL_DEPENDENT:
             assert got[part] == digest, part
+
+
+def test_deviation_counts_moved_numbers_against_the_largest_magnitude():
+    # a NaN equals a NaN, words and version strings hold no numbers, and
+    # the largest |change| is relative to the first file's largest finite magnitude
+    ref = b'{"t": 1300.0, "r": 6.25, "x": nan, "v": "0.1.0", "s": "a8c1126"}\n-inf,2e-3\n'
+    other = b'{"t": 1300.0, "r": 6.5, "x": nan, "v": "0.2.0", "s": "a8c1127"}\n-inf,2.5e-3\n'
+    assert readme_outputs.deviation(ref, ref) == "0 of 5 numbers differ, max |change| 0 of max |x|"
+    assert readme_outputs.deviation(ref, other) == f"2 of 5 numbers differ, max |change| {0.25 / 1300:.2g} of max |x|"
+    assert readme_outputs.deviation(ref, b"1300.0") == "5 numbers against 1"
+
+
+def test_compare_names_each_part_that_moved(tmp_path):
+    argv = ["rotator", "--b", "0.5"]
+    parts = {"stdout": b"peak 0.1\n", "file orbit.csv": b"t,r\n0.0,6.0\n1.0,6.5\n"}
+    readme_outputs.keep(tmp_path / "a", [(argv, 0, parts)])
+    readme_outputs.keep(tmp_path / "b", [(argv, 0, {**parts, "file orbit.csv": b"t,r\n0.0,6.0\n1.0,6.25\n"})])
+    assert readme_outputs.compare(tmp_path / "a", tmp_path / "b") == [
+        "file orbit.csv  fvps rotator --b 0.5  1 of 4 numbers differ, max |change| 0.038 of max |x|\n"
+    ]

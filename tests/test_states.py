@@ -114,6 +114,26 @@ class TestGaussianState:
         with pytest.raises(ResolutionError, match="use 512 nodes"):
             gaussian_state(MomentumGrid(128, 72.5), lam=8)  # dp = 1.13 meets hbar/(4 sigma) = 2, not 2 pi mc / ln(1e8)
 
+    @pytest.mark.parametrize(
+        "build, grid, kwargs",
+        [
+            (gaussian_state, MomentumGrid(8, 1.0), {"sigma": 1.0}),
+            (gaussian_state, MomentumGrid(8, 2.0), {"sigma": 0.5, "p_bar": 3.0}),
+            (gaussian_state, MomentumGrid(64, 40.0), {"lam": 8.0}),
+            (displaced_number_state, MomentumGrid(8, 1.0), {"n": 4, "sigma": 1.0}),
+        ],
+        ids=["sigma-1", "p_bar-3", "lam-8", "number-4"],
+    )
+    def test_a_refusal_on_both_clauses_names_a_grid_that_builds(self, build, grid, kwargs):
+        # the window misses the support as well as the spacing rule, so the
+        # spacing refusal names a p_max past the support bound and the nodes
+        # that p_max needs; rebuilt from those two numbers, the grid builds
+        with pytest.raises(ResolutionError, match="past the support bound") as refused:
+            build(grid=grid, **kwargs)
+        named = re.search(r"use (\d+) nodes on p_max (\S+),", str(refused.value))
+        rebuilt = MomentumGrid(int(named.group(1)), float(named.group(2)))
+        assert build(grid=rebuilt, **kwargs).grid == rebuilt
+
     def test_sigma_lam_exclusive(self):
         grid = MomentumGrid(256, 12.0)
         with pytest.raises(ValueError):
@@ -189,6 +209,37 @@ class TestMomentumGrid:
                 n = int(named.group(1))
                 assert n <= 2**16 and not resolves(MomentumGrid(n // 2, p_max), sigma, units)
                 assert accepts(MomentumGrid(n, p_max)) is True
+
+
+    def test_a_support_bound_past_the_largest_float_is_refused_for_resolution(self):
+        # hbar/sigma overflows at a subnormal sigma, so the window named past
+        # the support bound is inf: it is sized at the largest float, where
+        # no grid resolves the packet, not handed to MomentumGrid
+        with np.errstate(all="ignore"), pytest.raises(ResolutionError, match="no grid of up to 2\\^16 nodes"):
+            gaussian_state(MomentumGrid(8, 10.0), sigma=1e-310)
+
+    @settings(max_examples=200, deadline=None)
+    @grid_draws
+    def test_a_refusal_on_both_clauses_names_a_grid_that_is_accepted(self, sigma, p_max, units, n_min):
+        # the reach puts the support bound at twice p_max, so every grid
+        # misses it; a spacing refusal names a p_max past it, with the
+        # fewest nodes that resolve there (or the cap), and that grid is accepted
+        reach = 2.0 * p_max * sigma / units.hbar
+        grid = MomentumGrid(n_min, p_max)
+        with pytest.raises(ResolutionError) as refused:
+            _check_resolution(grid, sigma, 0.0, units, reach)
+        outcome = str(refused.value)
+        assert ("cannot hold packet support" in outcome) == resolves(grid, sigma, units)
+        if resolves(grid, sigma, units):
+            return
+        named = re.search(r": (?:use (\d+) nodes|no grid of up to 2\^16 nodes does) on p_max (\S+), past the support", outcome)
+        wide = float(named.group(2))
+        assert wide > 2.0 * p_max
+        sized = momentum_grid(sigma, wide, units, n_min)
+        assert (named.group(1) is None) == (not resolves(sized, sigma, units))
+        if named.group(1) is not None:
+            assert int(named.group(1)) == sized.n_points
+            _check_resolution(MomentumGrid(sized.n_points, wide), sigma, 0.0, units, reach)
 
 
 class TestCoherentState:

@@ -9,17 +9,28 @@ it wrote, by relative name.  A warning counts as one stderr line,
 and are left out.  Run it on two checkouts and diff the outputs: an
 empty diff means the same files, sidecars, output and exit codes.
 
+`--keep DIR` also writes each command's parts to `DIR/<i>/<part>`, i
+its place in the README, with its command line in `DIR/<i>/command`.
+`--compare A B` reads two such directories (say, one written in a
+parent checkout and one in a change) and prints, for each part whose
+bytes differ, how far its numbers moved (`deviation`): how many of
+them differ, and the largest |change| relative to the largest
+magnitude in A's part.
+
 `--kernels` runs the commands again, in one subprocess per OpenBLAS
 kernel (the default, and `OPENBLAS_CORETYPE=Haswell` and
-`=Sandybridge`), and prints each part whose sha256 under another kernel
-differs from the default's.  It changes no machine setting: the
-variable holds for the subprocess alone.  `--write` writes the default
-kernel's lines to `tests/readme_outputs.txt`, the file
-`tests/test_readme_outputs.py` checks the commands against, with the
-parts `--kernels` finds marked `kernel-dependent` in place of their
-sha256.
+`=Sandybridge`), and prints, for each other kernel, each part whose
+bytes differ from the default kernel's, with its `deviation` (the
+`--compare` lines of the two kernels' `--keep` directories).  It
+changes no machine setting: the variable holds for the subprocess
+alone.  `--write` writes the default kernel's lines to
+`tests/readme_outputs.txt`, the file `tests/test_readme_outputs.py`
+checks the commands against, with the parts `--kernels` finds marked
+`kernel-dependent` in place of their sha256.
 
     python tools/readme_outputs.py > outputs.txt
+    python tools/readme_outputs.py --keep ../parent-parts   # run in each checkout
+    python tools/readme_outputs.py --compare ../parent-parts ../change-parts
     python tools/readme_outputs.py --kernels
     python tools/readme_outputs.py --write
 """
@@ -29,6 +40,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -43,8 +55,8 @@ KERNELS = ("Haswell", "Sandybridge")  # OPENBLAS_CORETYPE values compared with t
 KERNEL_DEPENDENT = "kernel-dependent"  # stands in the pinned file for the sha256 of a part that follows the kernel
 
 
-def fingerprint(argv) -> tuple:
-    """(exit code, {part: sha256 hex digest}) of `cli.main(argv)` run in a fresh directory.
+def run_parts(argv) -> tuple:
+    """(exit code, {part: bytes}) of `cli.main(argv)` run in a fresh directory.
 
     The parts are 'stdout', 'stderr' and 'file <name>' for each file
     written, in the order of their names.
@@ -61,7 +73,58 @@ def fingerprint(argv) -> tuple:
         parts = {"stdout": out.getvalue().encode(), "stderr": err.getvalue().encode()}
         for path in sorted(p for p in Path().rglob("*") if p.is_file()):
             parts[f"file {path}"] = path.read_bytes()
-    return code, {part: hashlib.sha256(data).hexdigest() for part, data in parts.items()}
+    return code, parts
+
+
+def digests(parts: dict) -> dict:
+    """{part: sha256 hex digest} of {part: bytes}."""
+    return {part: hashlib.sha256(data).hexdigest() for part, data in parts.items()}
+
+
+def fingerprint(argv) -> tuple:
+    """(exit code, {part: sha256 hex digest}) of `run_parts(argv)`."""
+    code, parts = run_parts(argv)
+    return code, digests(parts)
+
+
+def keep(directory: Path, records) -> None:
+    """Write the (argv, exit code, {part: bytes}) `records` as `--keep` lays them out."""
+    for i, (argv, _, parts) in enumerate(records):
+        for part, data in [("command", shlex.join(argv).encode()), *parts.items()]:
+            path = directory / str(i) / part
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+
+
+NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|Infinity|nan|NaN)(?![\w.])")
+
+
+def deviation(ref: bytes, other: bytes) -> str:
+    """How far the numbers in `other` moved from those in `ref`, in one line.
+
+    How many differ (a NaN equals a NaN), and the largest |change|
+    relative to the largest finite magnitude in `ref`.
+    """
+    a, b = ([float(x) for x in NUMBER.findall(data)] for data in (ref, other))
+    if len(a) != len(b):
+        return f"{len(a)} numbers against {len(b)}"
+    moved = [abs(x - y) for x, y in zip(a, b) if x != y and not (x != x and y != y)]
+    largest = max((abs(x) for x in a if abs(x) < float("inf")), default=0.0)
+    worst = max(moved, default=0.0) / largest if largest else float("nan")
+    return f"{len(moved)} of {len(a)} numbers differ, max |change| {worst:.2g} of max |x|"
+
+
+def compare(ref_dir: Path, other_dir: Path) -> list:
+    """A line per part that differs between two `--keep` directories: part, command and `deviation`."""
+    lines = []
+    for run in sorted((p for p in ref_dir.iterdir() if p.is_dir()), key=lambda p: int(p.name)):
+        command = (run / "command").read_text()
+        for path in sorted(run.iterdir()):
+            other = other_dir / run.name / path.name
+            if path.name != "command" and (not other.is_file() or other.read_bytes() != path.read_bytes()):
+                moved = deviation(path.read_bytes(), other.read_bytes()) if other.is_file() else "missing"
+                lines.append(f"{path.name}  fvps {command}  {moved}\n")
+    return lines
 
 
 def format_records(records, dependent=frozenset()) -> str:
@@ -89,14 +152,18 @@ def parse(text: str) -> list:
     return records
 
 
-def kernel_runs() -> dict:
-    """{kernel: records} of the README commands run in one subprocess per kernel; None is the default kernel."""
+def kernel_runs(directory: Path) -> dict:
+    """{kernel: records} of the README commands run in one subprocess per kernel; None is the default kernel.
+
+    Each kernel's parts are kept in `directory / <kernel>` (`--keep`).
+    """
     runs = {}
     for kernel in (None, *KERNELS):
         env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
         if kernel is not None:
             env["OPENBLAS_CORETYPE"] = kernel
-        run = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True, check=True)
+        argv = [sys.executable, __file__, "--keep", str(directory / str(kernel))]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         runs[kernel] = parse(run.stdout)
     return runs
 
@@ -116,14 +183,23 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Fingerprint what each README command leaves behind, part by part.")
     parser.add_argument("--kernels", action="store_true", help="print the parts whose sha256 follows the OpenBLAS kernel")
     parser.add_argument("--write", action="store_true", help=f"write the lines to {PINNED.relative_to(ROOT)}")
+    parser.add_argument("--keep", type=Path, help="also write each command's parts under this directory")
+    parser.add_argument("--compare", type=Path, nargs=2, help="print how far the parts of two --keep directories moved")
     args = parser.parse_args()
     sys.path.insert(0, str(ROOT / "src"))
-    if args.kernels or args.write:
-        runs = kernel_runs()
-        dependent = kernel_dependent(runs)
-        if args.kernels:
-            sys.stdout.writelines(f"{part}  fvps {command}\n" for command, part in sorted(dependent))
+    if args.compare:
+        sys.stdout.writelines(compare(*args.compare))
+    elif args.kernels or args.write:
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = kernel_runs(Path(tmp))
+            dependent = kernel_dependent(runs)
+            if args.kernels:
+                for kernel in KERNELS:
+                    sys.stdout.writelines(f"{kernel}  {line}" for line in compare(Path(tmp) / "None", Path(tmp) / kernel))
         if args.write:
             PINNED.write_text(format_records(runs[None], dependent))
     else:
-        sys.stdout.write(format_records((argv, *fingerprint(argv)) for argv in readme_commands()))
+        records = [(argv, *run_parts(argv)) for argv in readme_commands()]
+        if args.keep:
+            keep(args.keep, records)
+        sys.stdout.write(format_records((argv, code, digests(parts)) for argv, code, parts in records))
