@@ -114,8 +114,9 @@ def half_step_lattice(grid: MomentumGrid, pad: int = 0) -> np.ndarray:
 
 # Cells of a kernel's widest work array in flight in the phase-space
 # kernels (the transform, even-field evolution and the purity
-# criterion), summed over the workers' blocks: 64 rows of the
-# transform's (rows, n) complex fold buffer at n = 1024, 1 MB.  So the
+# criterion), summed over the workers' blocks: 64 of the transform's
+# n-wide output rows at n = 1024, whose two (rows, n/2 + 1) complex
+# work buffers take 1 MB.  So the
 # kernels' transient memory is a fixed budget (at least one row a
 # worker) instead of O(n^2), for any number of workers.  At n = 1024 on
 # a 2-core box (lam = 0.3 and 3, medians of 15 alternating rounds), two

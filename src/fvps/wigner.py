@@ -20,10 +20,12 @@ position axis.  On the centred conjugate grid (see `grids`) every phase
 the grid's offset contributes is a sign: exp(-i P_j q_m / hbar) =
 (-1)^j exp(-2 pi i j m / n), and the half-step amplitude at node kappa
 is i^kappa times a plain zero-padded FFT.  Pair products of those plain
-"lattice amplitudes" already carry the (-1)^j, the offsets fold mod n,
-and one length-n FFT per momentum row finishes the sum -- O(n^2 log n)
-time.  The rows are built, folded and transformed one block at a time,
-so the memory is the n x n output plus O(block n) transient.  The
+"lattice amplitudes" already carry the (-1)^j and the offsets fold mod
+n.  An even field is the real part of that sum, the FFT of the row's
+Hermitian part, so one inverse real FFT of each momentum row's Hermitian
+half, built straight from the pair products, finishes it -- O(n^2 log n)
+time.  The rows are built and transformed one block at a time, so the
+memory is the n x n output plus O(block n) transient.  The
 purity criterion transforms only the rows whose 1-norm bound can reach
 its window, once each, and keeps their half spectra for its stencils
 (see `purity_check`).  The blocks of the transform and of the
@@ -70,6 +72,9 @@ from .states import ChargeBranchState
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
+# Rows of the field that `moments` reads at a time: 256 KB of float64 at
+# n = 1024, which stays in a core's cache between the row and the column sums.
+_MOMENT_ROWS = 32
 
 
 def fine_amplitude(phi: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
@@ -128,62 +133,70 @@ def _pair_views(bra: np.ndarray, ket: np.ndarray):
     return rows, cols
 
 
-def _q_transform(psgrid: PhaseSpaceGrid, pair: tuple, minus_pair: tuple | None = None) -> np.ndarray:
-    """W[k, m] = (dp / 2 pi hbar) sum_j C[k, j] exp(-i j dp q_m / hbar), signs already in C.
+def _q_transform(psgrid: PhaseSpaceGrid, pair: tuple, minus_pair: tuple | None = None, out=None) -> np.ndarray:
+    """W[k, m] = Re (dp / 2 pi hbar) sum_j C[k, j] exp(-i j dp q_m / hbar), signs already in C.
 
-    C is the pair product of the (bra, ket) `pair`, and the field is
-    real: Re W.  With a `minus_pair`, C is half the pair product of `pair`
-    less that of `minus_pair`, and the field is complex.  With q_m = q_0 + m dq
-    and dp dq n = 2 pi hbar the kernel is (-1)^j omega^(j m),
-    omega = exp(-2 pi i / n); C is built from lattice amplitudes, whose
-    pair products carry the sign (-1)^j (see `_lattice_amplitude`), so
-    the offsets fold mod n and one length-n FFT along q finishes the sum.
-    C is built, folded and transformed one block of momentum rows at a
-    time (see `grids._run_row_blocks`) in two n-wide buffers of the
-    block's own, three with a `minus_pair`, and each block lands in the
-    output.
+    C is the pair product of the (bra, ket) `pair`, or, with a
+    `minus_pair`, half the pair product of `pair` less that of
+    `minus_pair`.  With q_m = q_0 + m dq and dp dq n = 2 pi hbar the
+    kernel is (-1)^j omega^(j m), omega = exp(-2 pi i / n); C is built
+    from lattice amplitudes, whose pair products carry the sign (-1)^j
+    (see `_lattice_amplitude`), so the offsets fold mod n.  The real part
+    of a length-n FFT is the FFT of its input's Hermitian part, so each
+    row is (scale / 2) times the unnormalised inverse real FFT of the
+    Hermitian half X_m = conj C_m + C_-m + C_(n-m) + conj C_(m-n),
+    m = 0 .. n/2.  conj C is the pair product of (conj bra, conj ket), so
+    every term is one product of strided views (`_pair_views`).  X is
+    built and transformed one block of momentum rows at a time (see
+    `grids._run_row_blocks`) in two (n/2 + 1)-wide buffers of the block's
+    own, three with a `minus_pair`, and the inverse transform writes the
+    block's rows of the output: `out`, a real (n, n) array or view, if
+    given.
 
     Row k of C vanishes outside the band |j| <= min(2k, 2n - 1 - 2k),
     where one of the two lattice indices 2k +- j leaves the lattice, so
-    each block multiplies only the columns of its widest row's band J.
-    Each band segment's product is written straight to its folded
-    columns of the fold buffer: offset j < 0 to column n + j, j >= 0 to
-    column j, with zeros between.  Where the band's two halves meet mod
-    n (2J >= n), the products of offsets n - J .. J go to the FFT's
-    output buffer first and are added to the j < 0 products at their
-    columns.
+    each block multiplies only the columns of its widest row's band J:
+    the first two terms up to m = min(J, n/2), with zeros above, and the
+    last two only where the band's halves meet mod n, from m = n - J.
     """
-    n = psgrid.n_q
-    scale = psgrid.dp / (2.0 * np.pi * psgrid.hbar)
-    bra_rows, ket_cols = _pair_views(*pair)
-    if minus_pair:
-        minus_rows, minus_cols = _pair_views(*minus_pair)
-    out = np.empty((n, n), dtype=complex if minus_pair else float)
+    n, half = psgrid.n_q, psgrid.n_q // 2
+    scale = 0.5 * psgrid.dp / (2.0 * np.pi * psgrid.hbar)
+    # per pair, the views whose products are C and conj C
+    pairs = [pair] if minus_pair is None else [pair, minus_pair]
+    views = [(_pair_views(bra, ket), _pair_views(np.conj(bra), np.conj(ket))) for bra, ket in pairs]
+    out = np.empty((n, n)) if out is None else out
 
     def transform(rows):
-        folded = np.empty((rows.stop - rows.start, n), dtype=complex)
-        spec = np.empty_like(folded)
-        minus = np.empty_like(folded) if minus_pair else None
+        x = np.empty((rows.stop - rows.start, half + 1), dtype=complex)
+        term = np.empty_like(x)
+        minus = np.empty_like(x) if minus_pair else None
 
-        def product(offsets, c):
-            """C on the lattice columns `offsets` (n + j for offset j) of the block, written to `c`."""
-            np.multiply(bra_rows[rows, offsets], ket_cols[rows, offsets], out=c)
+        def product(conj, cols, c):
+            """C (conj C if `conj`) on the lattice columns `cols` (n + j for offset j) of the block, written to `c`."""
+            bra_rows, ket_cols = views[0][conj]
+            np.multiply(bra_rows[rows, cols], ket_cols[rows, cols], out=c)
             if minus_pair:
-                c -= np.multiply(minus_rows[rows, offsets], minus_cols[rows, offsets], out=minus[:, : c.shape[1]])
+                minus_rows, minus_cols = views[1][conj]
+                c -= np.multiply(minus_rows[rows, cols], minus_cols[rows, cols], out=minus[:, : c.shape[1]])
                 np.multiply(0.5, c, out=c)
 
         J = min(2 * (rows.stop - 1), 2 * n - 1 - 2 * rows.start, n - 1)
-        # offsets n - J .. J meet -J .. J - n mod n; the other j >= 0 stand alone
-        meet = max(2 * J + 1 - n, 0)
-        alone = J + 1 - meet
-        product(slice(n, n + alone), folded[:, :alone])
-        folded[:, alone : n - J] = 0
-        product(slice(n - J, n), folded[:, n - J :])
-        product(slice(n + alone, n + J + 1), spec[:, :meet])
-        folded[:, n - J : n - J + meet] += spec[:, :meet]
-        f = np.fft.fft(folded, axis=1, out=spec)
-        np.multiply(scale, f, out=f)
-        out[rows] = f if minus_pair else f.real
+        # conj C_m + C_-m on lattice columns n + m and n - m
+        width = min(J, half) + 1
+        product(True, slice(n, n + width), x[:, :width])
+        product(False, slice(n, n - width, -1), term[:, :width])
+        x[:, :width] += term[:, :width]
+        x[:, width:] = 0
+        if 2 * J >= n:
+            # C_(n-m) + conj C_(m-n) on lattice columns 2n - m and m, m = n - J .. n/2
+            meet = slice(n - J, half + 1)
+            c = term[:, : J + 1 - half]
+            product(False, slice(n + J, n + half - 1, -1), c)
+            x[:, meet] += c
+            product(True, meet, c)
+            x[:, meet] += c
+        block = np.fft.irfft(x, n, axis=1, norm="forward", out=out[rows])
+        np.multiply(scale, block, out=block)
 
     _run_row_blocks(transform, n, n)
     return out
@@ -239,7 +252,9 @@ def wigner_odd(
     """Cross-branch component (complex); identically zero for physical states.
 
     ordering=+1 pairs phi_+^* with phi_-; ordering=-1 the reverse.  The
-    two orderings are related by W_- = -conj(W_+).
+    two orderings are related by W_- = -conj(W_+).  The real and the
+    imaginary part are each one real transform (`_q_transform`), written
+    into the two halves of the complex output.
     """
     _require_state_grid(state, psgrid)
     if state.phi_plus is None or state.phi_minus is None:
@@ -249,7 +264,13 @@ def wigner_odd(
     ket = _lattice_amplitude(state.phi_minus if ordering > 0 else state.phi_plus, psgrid)
     # chi = (sqrt(E1/E2) - sqrt(E2/E1)) / 2
     root_e = _root_energy(psgrid, state.units)
-    return _q_transform(psgrid, (root_e * bra, ket / root_e), (bra / root_e, root_e * ket))
+    pair, minus_pair = (root_e * bra, ket / root_e), (bra / root_e, root_e * ket)
+    # the imaginary part is the real part of -i W, whose pair products are
+    # those of (i bra, ket)
+    out = np.empty((psgrid.n_q, psgrid.n_q), dtype=complex)
+    _q_transform(psgrid, pair, minus_pair, out.real)
+    _q_transform(psgrid, *((1j * b, k) for b, k in (pair, minus_pair)), out.imag)
+    return out
 
 
 def expectation(symbol, w, psgrid: PhaseSpaceGrid):
@@ -289,17 +310,27 @@ def moments(w, psgrid: PhaseSpaceGrid) -> Moments:
     Each of these symbols depends on q or on p alone, so the moments
     come from the field's two marginals by length-n dot products; the
     quadrature weight dp dq cancels in each ratio to the norm.  `w` is
-    an (n_p, n_q) field, as in `expectation`.
+    an (n_p, n_q) field, as in `expectation`.  One pass reads the field
+    in chunks of `_MOMENT_ROWS` rows, whose row sums are the p-marginal's
+    entries and whose column sums add up to the q-marginal, so each
+    chunk is read twice while it is in cache.  The dot products are
+    numpy products and sums, not BLAS calls, so the moments' bits depend
+    on neither the BLAS kernel nor the number of workers.
     """
     w = psgrid.require_field(w)
-    p_marginal = w.sum(axis=1)
-    q_marginal = w.sum(axis=0)
+    dtype = np.result_type(w, float)
+    p_marginal = np.empty(len(w), dtype=dtype)
+    q_marginal = np.zeros(w.shape[1], dtype=dtype)
+    for start in range(0, len(w), _MOMENT_ROWS):
+        chunk = w[start : start + _MOMENT_ROWS]
+        chunk.sum(axis=1, out=p_marginal[start : start + _MOMENT_ROWS])
+        q_marginal += chunk.sum(axis=0)
     p, q = psgrid.p_nodes, psgrid.q_nodes
     norm = p_marginal.sum().real
-    mean_q = (q_marginal @ q).real / norm
-    mean_p = (p_marginal @ p).real / norm
-    var_q = (q_marginal @ q**2).real / norm - mean_q**2
-    var_p = (p_marginal @ p**2).real / norm - mean_p**2
+    mean_q = (q_marginal * q).sum().real / norm
+    mean_p = (p_marginal * p).sum().real / norm
+    var_q = (q_marginal * q**2).sum().real / norm - mean_q**2
+    var_p = (p_marginal * p**2).sum().real / norm - mean_p**2
     return Moments(mean_q=mean_q, mean_p=mean_p, var_q=var_q, var_p=var_p)
 
 

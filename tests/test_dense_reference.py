@@ -21,13 +21,16 @@ where that loop stays cheap, by the mode loop, to 1e-13, for n = 8 to
 
 The transform, the even-field evolution and the purity criterion run
 over blocks of momentum rows.  The first two are refereed by the
-whole-array passes they replaced (one (n, 2n) pair product folded and
-transformed at once; one real FFT of the whole field times the full
-phase array), on grids smaller than, equal to and larger than one row
-block: the fields must be bit-identical.  The transform multiplies each
-block's pair product on its nonzero band only and folds it by placement
-where the band's halves do not meet; the evolution reads its phases
-from strided windows of the mode lattice.  Two more grids, n = 64 (one
+whole-array passes they replaced (the Hermitian halves of all rows from
+one (n, 2n) pair product and its conjugate's, inverse-transformed at
+once; one real FFT of the whole field times the full phase array), on
+grids smaller than, equal to and larger than one row block: the fields
+must be bit-identical.  The transform multiplies each block's pair
+products on its nonzero band only and adds the terms where the band's
+halves meet mod n only where they do; the evolution reads its phases
+from strided windows of the mode lattice.  On random two-branch
+amplitudes, whose correlation is large where the band's halves meet,
+the transforms are also refereed by the dense quadrature at n = 8 to 64.  Two more grids, n = 64 (one
 block with narrow and overlapping bands) and n = 2048 (many narrow edge
 blocks, phase windows reaching both ends of the lattice), must match
 the whole-array passes byte for byte, signed zeros included.  The
@@ -473,41 +476,57 @@ def _pair_product(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
     return rows * cols
 
 
-def _q_transform(corr: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
-    """W[k, m] = (dp / 2 pi hbar) sum_j C[k, j] exp(-i j dp q_m / hbar), signs already in C.
+def _q_transform(psgrid: PhaseSpaceGrid, pair: tuple, minus_pair: tuple | None = None) -> np.ndarray:
+    """W[k, m] = Re (dp / 2 pi hbar) sum_j C[k, j] exp(-i j dp q_m / hbar), signs already in C.
 
-    With q_m = q_0 + m dq and dp dq n = 2 pi hbar the kernel is
-    (-1)^j omega^(j m), omega = exp(-2 pi i / n); C is built from lattice
-    amplitudes, whose pair products carry the sign (-1)^j (see
-    `_lattice_amplitude`), so the offsets fold mod n and one length-n
-    FFT along q finishes the sum.  The fold goes into C's first n
-    columns, overwriting C, so the transform allocates one (n_p, n)
-    complex array fewer.
+    C is the pair product of `pair`, or half its difference from that of
+    `minus_pair`.  With q_m = q_0 + m dq and dp dq n = 2 pi hbar the
+    kernel is (-1)^j omega^(j m), omega = exp(-2 pi i / n); C is built
+    from lattice amplitudes, whose pair products carry the sign (-1)^j
+    (see `_lattice_amplitude`), so the offsets fold mod n.  The real part
+    of the FFT is the FFT of the input's Hermitian part: one unnormalised
+    inverse real FFT of X_m = conj C_m + C_-m + C_(n-m) + conj C_(m-n),
+    m = 0 .. n/2, taken from the whole (n, 2n) products C and conj C (the
+    pair product of the conjugates) at once.  C_n lies off the array and
+    is zero.
     """
-    n = psgrid.n_q
-    folded = corr[:, :n]
-    folded += corr[:, n:]
-    return (psgrid.dp / (2.0 * np.pi * psgrid.hbar)) * np.fft.fft(folded, axis=1)
+    n, half = psgrid.n_q, psgrid.n_q // 2
+
+    def products(bra, ket):
+        """C and conj C, half the differences with `minus_pair`."""
+        plain, conj = _pair_product(bra, ket), _pair_product(np.conj(bra), np.conj(ket))
+        if minus_pair:
+            plain = 0.5 * (plain - _pair_product(*minus_pair))
+            conj = 0.5 * (conj - _pair_product(*(np.conj(x) for x in minus_pair)))
+        return plain, conj
+
+    corr, conj_corr = products(*pair)
+    x = conj_corr[:, n : n + half + 1] + corr[:, n - half : n + 1][:, ::-1]
+    x[:, 1:] += corr[:, 2 * n - half :][:, ::-1]
+    x[:, 1:] += conj_corr[:, 1 : half + 1]
+    return (0.5 * psgrid.dp / (2.0 * np.pi * psgrid.hbar)) * np.fft.irfft(x, n, axis=1, norm="forward")
 
 
 def full_array_wigner_even(state, psgrid, eps_mode):
-    """The + branch's even field from one (n, 2n) pair product."""
+    """The + branch's even field from one (n, 2n) pair product and its conjugate's."""
     f = _lattice_amplitude(state.phi_plus, psgrid)
     if eps_mode == EPS_UNITY:
         bra = ket = f
     else:
         root_e = _root_energy(psgrid, state.units)
         bra, ket = root_e * f, f / root_e
-    return _q_transform(_pair_product(bra, ket), psgrid).real
+    return _q_transform(psgrid, (bra, ket))
 
 
 def full_array_wigner_odd(state, ordering, psgrid):
-    """The cross-branch field from the difference of two (n, 2n) pair products."""
+    """The cross-branch field from the differences of (n, 2n) pair products: W, and -i W for its imaginary part."""
     bra = _lattice_amplitude(state.phi_plus if ordering > 0 else state.phi_minus, psgrid)
     ket = _lattice_amplitude(state.phi_minus if ordering > 0 else state.phi_plus, psgrid)
     root_e = _root_energy(psgrid, state.units)
-    corr = _pair_product(root_e * bra, ket / root_e) - _pair_product(bra / root_e, root_e * ket)
-    return _q_transform(0.5 * corr, psgrid)
+    pair, minus_pair = (root_e * bra, ket / root_e), (bra / root_e, root_e * ket)
+    out = _q_transform(psgrid, pair, minus_pair).astype(complex)
+    out.imag = _q_transform(psgrid, (1j * pair[0], pair[1]), (1j * minus_pair[0], minus_pair[1]))
+    return out
 
 
 def full_array_shifted_energies(energy_fn, psgrid, n_modes=None):
@@ -540,6 +559,37 @@ def two_branch_state(n):
     envelope = np.exp(-(grid.nodes**2) / 2)
     phi_plus, phi_minus = envelope * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
     return ChargeBranchState(grid, phi_plus=phi_plus, phi_minus=phi_minus, units=UNITS)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_transforms_match_dense_quadrature_where_the_band_folds(n):
+    # the Gaussian packets of TestAgainstDenseQuadrature correlate about
+    # nothing at offsets near n/2, where the band's two halves meet mod n;
+    # random amplitudes do, and one call holds rows whose band J is below,
+    # at and above n/2, so the terms C_(n-m) and conj C_(m-n) of the
+    # transform's Hermitian half carry weight here
+    state = two_branch_state(n)
+    ps = PhaseSpaceGrid.conjugate(state.grid, hbar=UNITS.hbar)
+    phi = state.phi_plus
+    assert_close(wigner_even(state, +1, ps), dense_transform(ps, phi, phi, "eps", UNITS).real)
+    assert_close(wigner_even(state, +1, ps, EPS_UNITY), dense_transform(ps, phi, phi, None, UNITS).real)
+    for ordering in (+1, -1):
+        bra, ket = (state.phi_plus, state.phi_minus)[::ordering]
+        assert_close(wigner_odd(state, ordering, ps), dense_transform(ps, bra, ket, "chi", UNITS))
+
+
+def test_wigner_takes_no_complex_fft(monkeypatch):
+    # the transform ends in inverse real FFTs; the only complex FFTs left
+    # are the half-step interpolations of `_lattice_amplitude`, one per branch amplitude
+    calls = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kwargs: calls.append(args) or fft(*args, **kwargs))
+    state = two_branch_state(64)
+    ps = PhaseSpaceGrid.conjugate(state.grid, hbar=UNITS.hbar)
+    wigner_even(state, +1, ps)
+    assert len(calls) == 1
+    wigner_odd(state, +1, ps)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512, 1024])

@@ -3,8 +3,8 @@
 For each packet (lam = 0.3 at n = 256, lam = 8 at n = 512, both at
 n = 1024, each at p_bar = 0 and 0.45) and row-block worker count (1 and
 3), that file holds a sha256 of the bytes of `wigner_even`, `wigner_odd`
-and `evolve_even` and of the `repr` of `purity_check`'s report (see
-`tools/kernel_outputs.py`).
+and `evolve_even` and of the `repr` of `purity_check`'s report and of
+`moments` (see `tools/kernel_outputs.py`).
 `python tools/kernel_outputs.py --write` rewrites it, so a change that
 moves an output bit on any packet or worker count shows in its diff.
 """

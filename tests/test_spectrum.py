@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,25 @@ from fvps import (
 )
 
 finite_momenta = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+
+
+# |p| log-spaced from 1e-300 to 1e308 with both signs, 0, and the
+# neighbours of 2^27, above which 1 + (p / m c)^2 rounds to its square in
+# natural units, and of sqrt(DBL_MAX) ~ 1.34e154, where the square overflows
+_EDGES = [x for edge in (2.0**27, np.sqrt(np.finfo(float).max))
+          for x in (np.nextafter(edge, 0), edge, np.nextafter(edge, np.inf))]
+_MAGNITUDES = np.concatenate([np.geomspace(1e-300, 1e308, 2001), _EDGES])
+WIDE_MOMENTA = np.concatenate([[0.0], _MAGNITUDES, -_MAGNITUDES])
+
+
+def ulp_errors(p, units):
+    """|energy(p) - E| in ulps of energy(p), E = sqrt(m^2 c^4 + c^2 p^2) to 50 digits from the float m, c and p."""
+    got = energy(p, units)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        m, c = Decimal(units.m), Decimal(units.c)
+        return np.array([float(abs(Decimal(float(e)) - (m * m * c**4 + c * c * Decimal(float(x)) ** 2).sqrt())
+                               / Decimal(float(np.spacing(e)))) for x, e in zip(p, got)])
 
 
 class TestEnergy:
@@ -37,6 +58,25 @@ class TestEnergy:
     def test_units_scale(self):
         u = UnitSystem(m=2.0, c=3.0)
         assert energy(0.0, u) == pytest.approx(18.0)
+
+    def test_within_one_ulp_of_exact_in_natural_units(self):
+        # measured 0.69 ulp; np.hypot, which it replaced, 0.50
+        assert ulp_errors(WIDE_MOMENTA, UnitSystem()).max() <= 1.0
+
+    def test_within_three_ulps_of_exact_in_scaled_units(self):
+        # measured 2.38 ulp (np.hypot 1.06): p / m c, m c and m c^2 each round once more
+        assert ulp_errors(WIDE_MOMENTA, UnitSystem(m=1.3, c=0.8, hbar=0.7)).max() <= 3.0
+
+    @pytest.mark.parametrize("units", [UnitSystem(), UnitSystem(m=2.0, c=3.0), UnitSystem(m=1e-3, c=7.0)],
+                             ids=["natural", "c>1", "mc<1"])
+    def test_finite_wherever_hypot_is_without_a_warning(self, units):
+        p = np.concatenate([WIDE_MOMENTA, [np.inf, -np.inf, np.nan]])
+        with np.errstate(all="raise"):
+            e = energy(p, units)
+        with np.errstate(all="ignore"):
+            reference = np.hypot(units.mc2, units.c * p)
+        assert np.array_equal(np.isfinite(e), np.isfinite(reference))
+        assert np.array_equal(np.isnan(e), np.isnan(p))
 
 
 class TestEpsChi:

@@ -39,7 +39,7 @@ import fvps
 from fvps import grids, spectrum, wigner
 from fvps.cli import packet_grid
 from fvps.wigner import _lattice_amplitude, _root_energy
-from test_dense_reference import _pair_product, _q_transform
+from test_dense_reference import _q_transform
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +118,7 @@ class TestWignerEven:
             bra, ket = root_e * f, f / root_e
         assert w.base is None
         assert w.flags.c_contiguous
-        assert np.array_equal(w, _q_transform(_pair_product(bra, ket), ps).real)
+        assert np.array_equal(w, _q_transform(ps, (bra, ket)))
 
 
 class TestFineAmplitude:
@@ -264,6 +264,30 @@ class TestExpectationMoments:
         q_neg = np.abs(ps.q_nodes[neg > 0.1 * neg.max()]).max()
         assert q_neg < 1.0  # ripples inside one Compton length
 
+    def test_moments_do_not_follow_the_blas_kernel(self):
+        # the dot products are numpy products and sums, not BLAS calls, so the
+        # bits are the same under every OpenBLAS kernel
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+            pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE picks no kernel")
+        code = (
+            "import numpy as np\n"
+            "from fvps import PhaseSpaceGrid, gaussian_state, moments, wigner_even\n"
+            "from fvps.cli import packet_grid\n"
+            "ps = PhaseSpaceGrid.conjugate(packet_grid(3.0, 0.3, 512))\n"
+            "w = wigner_even(gaussian_state(ps.momentum, lam=3.0, p_bar=0.3), +1, ps)\n"
+            "w += np.random.default_rng(5).standard_normal(w.shape)\n"
+            "print(repr(moments(w, ps)))\n"
+        )
+        outputs = []
+        for kernel in ("Haswell", "Sandybridge"):
+            env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+                   "PYTHONPATH": str(Path(fvps.__file__).resolve().parents[1])}
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_variance_sign_crossover_once(self):
         # var_q(lam) changes sign exactly once on the scanned range
         from fvps.cli import run_wigner
@@ -349,9 +373,10 @@ class TestPurity:
 # each bound adds ~15 % margin.  With the blocks sized by one cell budget
 # for all workers, n-wide fold buffers and the stencils' intermediates
 # released early, one, two and three workers peak at 11.1, 11.5 and
-# 11.9 MB (wigner_even) and 10.6 MB (evolve_even); three workers'
-# transform is within 1 % of its bound.  The (n, n) float output alone
-# is 8.4 MB.  purity_check keeps the dq-scaled half spectra of the rows
+# 11.9 MB (wigner_even) and 10.6 MB (evolve_even); with each row's
+# Hermitian half built in (n/2 + 1)-wide buffers in place of the n-wide
+# complex fold, the transform peaks at 10.2, 10.5-10.6 and 10.5-11.0 MB.
+# The (n, n) float output alone is 8.4 MB.  purity_check keeps the dq-scaled half spectra of the rows
 # its 1-norm bound cannot rule out (417 x 513 complex, 3.4 MB) for
 # its stencils, and peaks at 7.7, 7.2 and 7.4 MB on one, two and three
 # workers (4.6, 4.1 and 3.9 MB when its stencils transformed the box's
