@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConjugacyError, GridError
 
@@ -110,6 +111,21 @@ def half_step_lattice(grid: MomentumGrid, pad: int = 0) -> np.ndarray:
     extends the lattice past either end by as many half steps.
     """
     return -grid.p_max + 0.5 * grid.spacing * np.arange(-pad, 2 * grid.n_points + pad)
+
+
+def _lattice_pairs(ahead: np.ndarray, behind: np.ndarray, rows: int, width: int):
+    """Views F, B with F[k, c] = ahead[2k + c] and B[k, c] = behind[::-1][2k + width - c], k < rows, c = 0 .. width.
+
+    The one rule by which a pair product reads two vectors on a
+    (padded) `half_step_lattice` at the nodes 2k + width/2 +- j, j = c -
+    width/2, either side of row k's centre: the transform's phi(p +- P/2)
+    and a propagator's E(p +- hbar kappa / 2).  `behind` comes reversed,
+    so that B, like F, runs forwards through a contiguous vector along c.
+    F and B are (rows, width + 1) strided views, so nothing is copied.
+    Both vectors need at least 2 rows + width - 1 entries.
+    """
+    # B's row 0 is the last window of the reversed vector
+    return sliding_window_view(ahead, width + 1)[: 2 * rows : 2], sliding_window_view(behind, width + 1)[::-2][:rows]
 
 
 # Cells of a kernel's widest work array in flight in the phase-space

@@ -52,7 +52,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import GridError, StepSizeError
-from .grids import PhaseSpaceGrid, _run_row_blocks, half_step_lattice
+from .grids import PhaseSpaceGrid, _lattice_pairs, _run_row_blocks, half_step_lattice
 
 # ---------------------------------------------------------------------------
 # Sampled fields: Fourier-kernel star product
@@ -281,49 +281,73 @@ def classical_limit_gap(a, b, psgrid: PhaseSpaceGrid, hbars) -> ClassicalLimitRe
 # ---------------------------------------------------------------------------
 
 
-def _mode_lattice(psgrid: PhaseSpaceGrid):
-    """(nodes, centre, m): p_k +- hbar kappa_m / 2 is nodes[centre[k] +- m].
+def _mode_lattice(psgrid: PhaseSpaceGrid) -> np.ndarray:
+    """The nodes on which E is evaluated once for every p_k +- hbar kappa_m / 2.
 
     On a conjugate grid hbar kappa_m / 2 = m dp / 2 for the FFT mode index
     m, so p_k +- hbar kappa_m / 2 = p_0 + (2k +- m) dp / 2: every shifted
     momentum is a node of `half_step_lattice` padded by n_q / 2 half steps
-    at either end, and E is evaluated once per node instead of on
-    2 n_p n_q pairs.  centre is an (n_p, 1) column and m holds the n_q
-    FFT-ordered mode indices.
+    at either end, index 2k + n_q/2 +- m, and E is evaluated once per node
+    instead of on 2 n_p n_q pairs.  `_mode_pairs` reads the pairs.
     """
     psgrid.require_conjugate()
+    return half_step_lattice(psgrid.momentum, psgrid.n_q // 2)
+
+
+def _mode_pairs(op, ahead: np.ndarray, behind: np.ndarray, psgrid: PhaseSpaceGrid) -> np.ndarray:
+    """(n_p, n_q) op(X+, X-) in FFT mode order, X+ read from `ahead` and X- from `behind` (reversed).
+
+    X+- = X(p_k +- hbar kappa_m / 2) on the `_mode_lattice` nodes 2k +
+    n_q/2 +- m: the `grids._lattice_pairs` views of width n_q hold mode m
+    = c - n_q/2 in column c, so their columns n_q/2 .. n_q - 1 (modes 0 ..
+    n_q/2 - 1) and 0 .. n_q/2 - 1 (the negative modes) are written to the
+    two halves of the output in turn, which is the ifftshift.
+    """
     n_p, n_q = psgrid.momentum.n_points, psgrid.n_q
-    m = np.fft.ifftshift(np.arange(-(n_q // 2), n_q // 2))  # fftfreq order
-    return half_step_lattice(psgrid.momentum, n_q // 2), 2 * np.arange(n_p)[:, None] + n_q // 2, m
+    half = n_q // 2
+    plus, minus = _lattice_pairs(ahead, behind, n_p, n_q)
+    out = np.empty((n_p, n_q), dtype=np.result_type(ahead, behind))
+    op(plus[:, half:n_q], minus[:, half:n_q], out=out[:, :half])
+    op(plus[:, :half], minus[:, :half], out=out[:, half:])
+    return out
 
 
-def _mode_phase(energy_fn, t: float, psgrid: PhaseSpaceGrid):
-    """(z, centre, m): z = exp(-i E t / hbar) on the `_mode_lattice` nodes, gathered as z[centre +- m]."""
+def _mode_phase(energy_fn, t: float, psgrid: PhaseSpaceGrid) -> np.ndarray:
+    """z = exp(-i E t / hbar) on the `_mode_lattice` nodes.
+
+    A t that is not finite raises ValueError, and so does a phase
+    argument -i E t / hbar that is not finite on every node (a non-finite
+    E, or a finite one whose product with t overflows), without a
+    warning first and before any FFT.
+    """
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    nodes, centre, m = _mode_lattice(psgrid)
-    return np.exp(-1j * energy_fn(nodes) * t / psgrid.hbar), centre, m
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = -1j * energy_fn(_mode_lattice(psgrid)) * t / psgrid.hbar
+    if not np.isfinite(arg).all():
+        raise ValueError(f"the mode phase is not finite: -i E t / hbar is non-finite on "
+                         f"{np.count_nonzero(~np.isfinite(arg))} of {arg.size} lattice nodes")
+    return np.exp(arg)
 
 
 def _bracket_multiplier(energy_fn, psgrid: PhaseSpaceGrid, kind: str = "moyal") -> np.ndarray:
     """(n_p, n_q) mode multiplier of {E, W}: (E+ - E-) / (i hbar), or (E+ + E-) / 2 for kind="anti".
 
-    E+- = E(p +- hbar kappa/2), gathered from one E on the `_mode_lattice` nodes.
-    An E that is not finite on every node raises ValueError, and so does a
-    finite E whose multiplier overflows, without a warning first.
+    E+- = E(p +- hbar kappa/2), read by `_mode_pairs` from one E on the
+    `_mode_lattice` nodes; the real difference or sum is put in FFT order
+    before the division by i hbar.  An E that is not finite on every node
+    raises ValueError, and so does a finite E whose multiplier overflows,
+    without a warning first.
     """
     if kind not in ("moyal", "anti"):
         raise ValueError(f"kind must be 'moyal' or 'anti', got {kind!r}")
-    nodes, centre, m = _mode_lattice(psgrid)
-    e = energy_fn(nodes)
+    e = energy_fn(_mode_lattice(psgrid))
     if not np.isfinite(e).all():
         raise ValueError(f"the {{E, W}} mode multiplier is not finite: energy_fn gave "
                          f"{np.count_nonzero(~np.isfinite(e))} non-finite of {e.size} lattice values")
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind == "moyal":
-            mult = (e[centre + m] - e[centre - m]) / (1j * psgrid.hbar)
-        else:
-            mult = 0.5 * (e[centre + m] + e[centre - m])
+        mult = _mode_pairs(np.subtract if kind == "moyal" else np.add, e, e[::-1], psgrid)
+        mult = mult / (1j * psgrid.hbar) if kind == "moyal" else 0.5 * mult
     if not np.isfinite(mult).all():
         raise ValueError(f"the {{E, W}} mode multiplier is not finite: it overflows on "
                          f"{np.count_nonzero(~np.isfinite(mult))} of {mult.size} modes")
@@ -341,15 +365,14 @@ def propagator_phases(energy_fn, t: float, psgrid: PhaseSpaceGrid, parity: str =
     The propagator itself never sees which theory supplied the initial
     field; the difference between the full and the non-local theory
     lives entirely in the admissible initial data.  Both parities are
-    products of two gathers from one vector exp(-i E t / hbar) on the
-    half-step lattice.
+    products of the two `_mode_pairs` views of one vector
+    exp(-i E t / hbar) on the half-step lattice, the second conjugated
+    for the even parity.
     """
-    z, centre, m = _mode_phase(energy_fn, t, psgrid)
-    if parity == "even":
-        return z[centre + m] * np.conj(z[centre - m])
-    if parity == "odd":
-        return z[centre + m] * z[centre - m]
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    z = _mode_phase(energy_fn, t, psgrid)
+    return _mode_pairs(np.multiply, z, np.conj(z[::-1]) if parity == "even" else z[::-1], psgrid)
 
 
 def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> np.ndarray:
@@ -362,14 +385,16 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
     blocks cut and dealt to the CPUs of the process's affinity mask by
     the one rule of `grids._run_row_blocks`; each block writes only its
     own rows, so the field is bit-identical for any number of workers.
-    Row k's phases z(2k + n_q/2 + m) conj(z(2k + n_q/2 - m)), m = 0 ..
-    n_q/2 - 1, are read from two strided windows of the mode lattice,
-    one of them running backwards; only the Nyquist column m = -n_q/2 is
-    taken apart from them.  A block's phases are formed in its rows of
-    the output, viewed as complex, which the inverse FFT then
-    overwrites, so a float64 field's block allocates only its spectrum.
-    A complex field raises ValueError (a cross-branch field evolves with
-    `evolve_odd`), and one whose shape is not the grid's GridError.
+    Row k's phases z(2k + n_q/2 + m) conj(z(2k + n_q/2 - m)) are products
+    of the two `grids._lattice_pairs` views that `propagator_phases`
+    reads: modes m = 0 .. n_q/2 - 1 are their columns n_q/2 onwards, and
+    the Nyquist mode m = -n_q/2 their column 0.  A block's phases are
+    formed in its rows of the output, viewed as complex, which the
+    inverse FFT then overwrites, so a float64 field's block allocates
+    only its spectrum.  A complex field raises ValueError (a cross-branch
+    field evolves with `evolve_odd`), and one whose shape is not the
+    grid's GridError; so does a mode phase that is not finite
+    (`_mode_phase`), before any FFT.
 
     Exact, unitary and additive in t for fields without weight in the
     unpaired Nyquist column (kappa = -pi/dq).  That column has no partner
@@ -386,15 +411,9 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
     if np.iscomplexobj(w):
         raise ValueError("evolve_even takes a real charge-diagonal field; "
                          "evolve a complex (cross-branch) field with evolve_odd")
-    z = _mode_phase(energy_fn, t, psgrid)[0]
+    z = _mode_phase(energy_fn, t, psgrid)
     n_p, half = psgrid.momentum.n_points, psgrid.n_q // 2
-    # row k's modes m = 0 .. half - 1 read z at 2k + half + m and conj(z) at
-    # 2k + half - m: one window of z and one of conj(z) read backwards
-    z_conj = np.conj(z[::-1])
-    plus = sliding_window_view(z, half)[half::2]
-    minus = sliding_window_view(z_conj, half)[len(z) - 1 - half :: -2]
-    # the Nyquist column m = -half: z at 2k times conj(z) at 2k + n_q
-    nyquist_plus, nyquist_minus = z[: 2 * n_p : 2], z_conj[len(z) - 1 - psgrid.n_q :: -2]
+    plus, minus = _lattice_pairs(z, np.conj(z[::-1]), n_p, psgrid.n_q)
     out = np.empty(w.shape, dtype=np.result_type(w, 1.0))
 
     def evolve(rows):
@@ -402,8 +421,8 @@ def evolve_even(w: np.ndarray, energy_fn, t: float, psgrid: PhaseSpaceGrid) -> n
         # the phases go in the block's output rows, which the inverse overwrites,
         # unless a field of another float type leaves them no room
         phases = out[rows].view(complex) if out.dtype == float else None
-        wk[:, :half] *= np.multiply(plus[rows], minus[rows], out=phases)
-        wk[:, half] *= nyquist_plus[rows] * nyquist_minus[rows]
+        wk[:, :half] *= np.multiply(plus[rows, half:-1], minus[rows, half:-1], out=phases)
+        wk[:, half] *= plus[rows, 0] * minus[rows, 0]
         np.fft.irfft(wk, psgrid.n_q, axis=1, out=out[rows])
 
     _run_row_blocks(evolve, n_p, half + 1)

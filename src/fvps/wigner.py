@@ -55,13 +55,13 @@ localization and is reported as-is with a warning flag, never clipped.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridError
 from .grids import (
     NATURAL,
     PhaseSpaceGrid,
     UnitSystem,
+    _lattice_pairs,
     _run_row_blocks,
     centred_dft_size,
     half_step_lattice,
@@ -112,25 +112,15 @@ def _root_energy(psgrid: PhaseSpaceGrid, units: UnitSystem) -> np.ndarray:
 
 
 def _pair_views(bra: np.ndarray, ket: np.ndarray):
-    """Views R, S with R[k, j + n] S[k, j + n] = conj(bra[2k + j]) ket[2k - j], j in [-n, n).
+    """Views R, S with R[k, j + n] S[k, j + n] = conj(bra[2k + j]) ket[2k - j], j in [-n, n].
 
     bra and ket live on the 2n-node half-step lattice; entries off the
     lattice are zero.  Since 2j = (2k + j) - (2k - j), every nonzero
-    offset has |j| <= n - 1.  Both are (n, 2n) strided views of padded
-    4n-node copies, so no (n, 2n) array is allocated.
+    offset has |j| <= n - 1.  Both are the (n, 2n + 1) `_lattice_pairs`
+    views of zero-padded 4n-node copies, so no (n, 2n) array is allocated.
     """
     n = bra.size // 2
-
-    def padded(x):
-        out = np.zeros(4 * n, dtype=complex)
-        out[n : 3 * n] = x
-        return out
-
-    # row k of the bra view starts at padded index 2k; the ket is reversed,
-    # so its row k starts at 2n - 1 - 2k and runs backwards through ket
-    rows = sliding_window_view(padded(np.conj(bra)), 2 * n)[: 2 * n : 2]
-    cols = sliding_window_view(padded(ket[::-1]), 2 * n)[2 * n - 1 :: -2]
-    return rows, cols
+    return _lattice_pairs(np.pad(np.conj(bra), n), np.pad(ket[::-1], n), n, 2 * n)
 
 
 def _q_transform(psgrid: PhaseSpaceGrid, pair: tuple, minus_pair: tuple | None = None, out=None) -> np.ndarray:

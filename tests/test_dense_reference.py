@@ -33,7 +33,10 @@ amplitudes, whose correlation is large where the band's halves meet,
 the transforms are also refereed by the dense quadrature at n = 8 to 64.  Two more grids, n = 64 (one
 block with narrow and overlapping bands) and n = 2048 (many narrow edge
 blocks, phase windows reaching both ends of the lattice), must match
-the whole-array passes byte for byte, signed zeros included.  The
+the whole-array passes byte for byte, signed zeros included; there and
+on three conjugate grids with n_p != n_q, the propagator phases of both
+parities, both bracket multipliers and the evolution must match the
+gathers through full (n_p, n_q) index arrays that they replaced.  The
 purity criterion, which finds the bounding box of the kernel window on
 the half spectrum, builds and evaluates its stencils on the j >= 0 half
 of that box only and mirrors them to -j, is refereed by the full-array
@@ -140,7 +143,7 @@ from fvps.cli import packet_grid, run_rotator
 from fvps.rotator import RotatorModel, SpectralPeak, _even_superdiagonal, orbit_series
 from fvps.spectrum import landau_energy
 from fvps.states import momentum_grid, rotator_coherent_state
-from fvps.moyal import _twisted_convolution, moyal_bracket, poisson_bracket, propagator_phases, star_product
+from fvps.moyal import _bracket_multiplier, _twisted_convolution, moyal_bracket, poisson_bracket, propagator_phases, star_product
 from fvps.grids import half_step_lattice
 from fvps.opmatrix import (
     KernelRelationReport,
@@ -538,6 +541,26 @@ def full_array_shifted_energies(energy_fn, psgrid, n_modes=None):
     return energy_fn(half_step_lattice(psgrid.momentum, n_q // 2)), centre + m, centre - m
 
 
+def full_array_propagator_phases(energy_fn, t, psgrid, parity):
+    """Both parities' phases as products of two gathers through the full index arrays."""
+    e, plus, minus = full_array_shifted_energies(energy_fn, psgrid)
+    z = np.exp(-1j * e * t / psgrid.hbar)
+    return z[plus] * (np.conj(z[minus]) if parity == "even" else z[minus])
+
+
+def full_array_bracket_multiplier(energy_fn, psgrid, kind):
+    """{E, W}'s mode multiplier from E gathered through the full index arrays."""
+    e, plus, minus = full_array_shifted_energies(energy_fn, psgrid)
+    return (e[plus] - e[minus]) / (1j * psgrid.hbar) if kind == "moyal" else 0.5 * (e[plus] + e[minus])
+
+
+def conjugate_grid(n_p, n_q):
+    """A grid conjugate for UNITS.hbar with n_q position nodes on an n_p-node momentum grid."""
+    momentum = MomentumGrid(n_p, 4.0)
+    dq = 2.0 * np.pi * UNITS.hbar / (momentum.spacing * n_q)
+    return PhaseSpaceGrid(momentum, n_q, 0.5 * n_q * dq, UNITS.hbar)
+
+
 def full_array_evolve_even(w, energy_fn, t, psgrid):
     """One real FFT of the whole field, the full phase array, one inverse."""
     e, plus, minus = full_array_shifted_energies(energy_fn, psgrid, psgrid.n_q // 2 + 1)
@@ -606,25 +629,42 @@ def test_row_blocked_transforms_match_full_array(n):
         assert np.array_equal(wigner_odd(state, ordering, ps), full_array_wigner_odd(state, ordering, ps))
 
 
-@pytest.mark.parametrize("n", [64, 2048])
-def test_pair_bands_and_phase_views_match_full_array_to_the_byte(n):
+@pytest.mark.parametrize(
+    "n_p, n_q",
+    [pytest.param(n, n, id=str(n)) for n in (64, 2048)]
+    + [pytest.param(n_p, n_q, id=f"{n_p}x{n_q}") for n_p, n_q in ((32, 16), (16, 32), (8, 64))],
+)
+def test_pair_bands_and_phase_views_match_full_array_to_the_byte(n_p, n_q):
     # the transform multiplies each block's pair band only and folds by
-    # placement where the band's halves do not meet mod n; evolve_even
-    # reads its phases from windows of the padded lattice.  At n = 64 the
-    # first 32-row block holds rows whose band is narrower than n/2 beside
-    # rows whose halves overlap; at n = 2048 most blocks are edge blocks
-    # with narrow bands, and the last row's windows reach both ends of the
-    # lattice.  Bytes also compare the signs of zeros
-    state = two_branch_state(n)
-    ps = PhaseSpaceGrid.conjugate(state.grid, hbar=UNITS.hbar)
+    # placement where the band's halves do not meet mod n; the propagators
+    # read their phases and multipliers from the two lattice windows of
+    # `grids._lattice_pairs`.  At n = 64 the first 32-row block holds rows
+    # whose band is narrower than n/2 beside rows whose halves overlap; at
+    # n = 2048 most blocks are edge blocks with narrow bands, and the last
+    # row's windows reach both ends of the lattice.  The conjugate grids
+    # with n_p != n_q pin each window's row count and width (the transform
+    # takes square grids only).  Bytes also compare the signs of zeros
     energy_fn = lambda p: energy(p, UNITS)
-    for eps_mode in ("relativistic", EPS_UNITY):
-        w = wigner_even(state, +1, ps, eps_mode)
-        assert w.tobytes() == full_array_wigner_even(state, ps, eps_mode).tobytes()
-        for t in (-2.5, 0.7):
+    if n_p == n_q:
+        state = two_branch_state(n_p)
+        ps = PhaseSpaceGrid.conjugate(state.grid, hbar=UNITS.hbar)
+        fields = [wigner_even(state, +1, ps, eps_mode) for eps_mode in ("relativistic", EPS_UNITY)]
+        for w, eps_mode in zip(fields, ("relativistic", EPS_UNITY)):
+            assert w.tobytes() == full_array_wigner_even(state, ps, eps_mode).tobytes()
+        for ordering in (+1, -1):
+            assert wigner_odd(state, ordering, ps).tobytes() == full_array_wigner_odd(state, ordering, ps).tobytes()
+    else:
+        ps = conjugate_grid(n_p, n_q)
+        fields = [np.random.default_rng(n_q).standard_normal((n_p, n_q))]
+    for t in (-2.5, 0.7):
+        for w in fields:
             assert evolve_even(w, energy_fn, t, ps).tobytes() == full_array_evolve_even(w, energy_fn, t, ps).tobytes()
-    for ordering in (+1, -1):
-        assert wigner_odd(state, ordering, ps).tobytes() == full_array_wigner_odd(state, ordering, ps).tobytes()
+        for parity in ("even", "odd"):
+            want = full_array_propagator_phases(energy_fn, t, ps, parity)
+            assert propagator_phases(energy_fn, t, ps, parity).tobytes() == want.tobytes()
+    for kind in ("moyal", "anti"):
+        want = full_array_bracket_multiplier(energy_fn, ps, kind)
+        assert _bracket_multiplier(energy_fn, ps, kind).tobytes() == want.tobytes()
 
 
 def full_array_purity_check(w, psgrid, units=NATURAL, window_floor=1e-6):

@@ -521,16 +521,16 @@ def _bad_node(node, bad):
     return efn
 
 
-@pytest.mark.parametrize(
-    "efn",
-    [
-        # an even lattice node is also hit at kappa = 0
-        *(pytest.param(_bad_node(node, bad), id=f"{node}-{bad}") for node in (40, 41) for bad in (np.nan, np.inf)),
-        # finite E whose differences (and, for p > 0, sums) overflow, which
-        # warned first
-        pytest.param(lambda p: 1e308 * np.sign(p), id="overflowing-difference"),
-    ],
-)
+NON_FINITE_GENERATORS = [
+    # an even lattice node is also hit at kappa = 0
+    *(pytest.param(_bad_node(node, bad), id=f"{node}-{bad}") for node in (40, 41) for bad in (np.nan, np.inf)),
+    # finite E whose differences (and, for p > 0, sums) overflow, which
+    # warned first
+    pytest.param(lambda p: 1e308 * np.sign(p), id="overflowing-difference"),
+]
+
+
+@pytest.mark.parametrize("efn", NON_FINITE_GENERATORS)
 @pytest.mark.parametrize(
     "run",
     [
@@ -598,6 +598,23 @@ def test_energy_is_evaluated_once_per_call(smallgrid, run):
     w = band2d(3, 32) + 1j * band2d(4, 32)
     run(counted, w, 0.01, smallgrid)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("efn", NON_FINITE_GENERATORS)
+@pytest.mark.parametrize("run", EXACT_PROPAGATOR_CALLS.values(), ids=list(EXACT_PROPAGATOR_CALLS))
+def test_non_finite_mode_phase_raises_before_any_fft(smallgrid, monkeypatch, run, efn):
+    # a NaN or inf at one lattice node once came back from the exact
+    # propagators as a field or phase array with NaN cells, and E t / hbar
+    # past the float range (1e308 at t = 10) as well, after an overflow
+    # warning; the stepper refuses its multiplier first
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT taken before the mode phase was checked")
+
+    w = band2d(3, 32) + 1j * band2d(4, 32)
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, no_fft)
+    with pytest.raises(ValueError, match="mode (phase|multiplier) is not finite"):
+        run(efn, w, 10.0, smallgrid)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])

@@ -9,10 +9,10 @@ Every part is asserted byte for byte except those the file marks
 `kernel-dependent`, for which the test asserts only that the command
 wrote them.  `--write` marks the parts that `--kernels` finds: those
 whose bytes under `OPENBLAS_CORETYPE=Haswell` or `=Sandybridge` differ
-from the default kernel's.  They are both `wigner` commands'
-`w.csv.moments.json`, whose marginal sums are BLAS dots, and `rotator`'s
-`orbit.csv` and `orbit.csv.peaks.json`, whose series is a BLAS product
-(ROADMAP item 17).  The field CSVs, every stdout and every `<out>.json`
+from the default kernel's.  They are `rotator`'s `orbit.csv` and
+`orbit.csv.peaks.json`, whose series is a BLAS product (ROADMAP item
+17); the `wigner` commands' `w.csv.moments.json` no longer are, since
+`moments` sums its marginals in one pass off BLAS.  The field CSVs, every stdout and every `<out>.json`
 sidecar are the same under all three kernels, and the test passes under
 each.
 
@@ -61,10 +61,10 @@ def test_deviation_counts_moved_numbers_against_the_largest_magnitude():
 
 
 def test_compare_names_each_part_that_moved(tmp_path):
-    argv = ["rotator", "--b", "0.5"]
+    head = "fvps rotator --b 0.5"
     parts = {"stdout": b"peak 0.1\n", "file orbit.csv": b"t,r\n0.0,6.0\n1.0,6.5\n"}
-    readme_outputs.keep(tmp_path / "a", [(argv, 0, parts)])
-    readme_outputs.keep(tmp_path / "b", [(argv, 0, {**parts, "file orbit.csv": b"t,r\n0.0,6.0\n1.0,6.25\n"})])
+    readme_outputs.keep(tmp_path / "a", 0, head, parts)
+    readme_outputs.keep(tmp_path / "b", 0, head, {**parts, "file orbit.csv": b"t,r\n0.0,6.0\n1.0,6.25\n"})
     assert readme_outputs.compare(tmp_path / "a", tmp_path / "b") == [
         "file orbit.csv  fvps rotator --b 0.5  1 of 4 numbers differ, max |change| 0.038 of max |x|\n"
     ]

@@ -13,7 +13,7 @@ writes the lines to `tests/kernel_outputs.txt`, the file
 `tests/test_kernel_outputs.py` checks the kernels against.
 
 `--keep DIR` also writes each output as text to `DIR/<i>/<kernel>`, i
-the record's place in the output, with its header in `DIR/<i>/header`:
+the record's place in the output, with its header in `DIR/<i>/head`:
 a field as the `repr` of each of its floats (a complex field's real and
 imaginary parts in turn), a report as its `repr`.  `--compare A B` reads
 two such directories (say, one written in a parent checkout and one in a
@@ -28,12 +28,11 @@ the largest |change| relative to the largest magnitude in A's output.
 """
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 
 from reach import ROOT
-from readme_outputs import deviation
+from readme_outputs import compare, digests, keep
 
 PINNED = ROOT / "tests" / "kernel_outputs.txt"
 PACKETS = [(n, lam, p_bar) for n, lam in ((256, 0.3), (512, 8.0), (1024, 0.3), (1024, 8.0)) for p_bar in (0.0, 0.45)]
@@ -78,18 +77,13 @@ def keep_text(value) -> bytes:
     return " ".join(map(repr, value.view(float).ravel().tolist())).encode()
 
 
-def digests(values: dict) -> dict:
-    """{kernel: sha256 hex digest} of {kernel: output}."""
-    return {kernel: hashlib.sha256(pinned_bytes(value)).hexdigest() for kernel, value in values.items()}
-
-
 def fingerprints(n: int, lam: float, p_bar: float) -> dict:
     """{kernel: sha256 hex digest} of each kernel's output on the (n, lam, p_bar) packet, on the current workers."""
-    return digests(outputs(n, lam, p_bar))
+    return digests({kernel: pinned_bytes(value) for kernel, value in outputs(n, lam, p_bar).items()})
 
 
-def records(keep: Path | None = None) -> dict:
-    """{header: fingerprints} for every worker count and packet, in that order; with `keep`, each output's text too."""
+def records(keep_dir: Path | None = None) -> dict:
+    """{header: fingerprints} for every worker count and packet, in that order; with `keep_dir`, each output's text too."""
     from fvps import grids
 
     before, out = grids._WORKERS, {}
@@ -98,29 +92,12 @@ def records(keep: Path | None = None) -> dict:
             grids._WORKERS = workers
             for packet in PACKETS:
                 head, values = header(*packet, workers), outputs(*packet)
-                out[head] = digests(values)
-                if keep:
-                    directory = keep / str(len(out) - 1)
-                    directory.mkdir(parents=True, exist_ok=True)
-                    (directory / "header").write_text(head)
-                    for kernel, value in values.items():
-                        (directory / kernel).write_bytes(keep_text(value))
+                out[head] = digests({kernel: pinned_bytes(value) for kernel, value in values.items()})
+                if keep_dir:
+                    keep(keep_dir, len(out) - 1, head, {kernel: keep_text(value) for kernel, value in values.items()})
     finally:
         grids._WORKERS = before
     return out
-
-
-def compare(ref_dir: Path, other_dir: Path) -> list:
-    """A line per output whose text differs between two `--keep` directories: kernel, header and `deviation`."""
-    lines = []
-    for record in sorted((p for p in ref_dir.iterdir() if p.is_dir()), key=lambda p: int(p.name)):
-        head = (record / "header").read_text()
-        for path in sorted(record.iterdir()):
-            other = other_dir / record.name / path.name
-            if path.name != "header" and (not other.is_file() or other.read_bytes() != path.read_bytes()):
-                moved = deviation(path.read_bytes(), other.read_bytes()) if other.is_file() else "missing"
-                lines.append(f"{path.name}  {head}  {moved}\n")
-    return lines
 
 
 def format_records(records: dict) -> str:

@@ -10,7 +10,7 @@ and are left out.  Run it on two checkouts and diff the outputs: an
 empty diff means the same files, sidecars, output and exit codes.
 
 `--keep DIR` also writes each command's parts to `DIR/<i>/<part>`, i
-its place in the README, with its command line in `DIR/<i>/command`.
+its place in the README, with its command line in `DIR/<i>/head`.
 `--compare A B` reads two such directories (say, one written in a
 parent checkout and one in a change) and prints, for each part whose
 bytes differ, how far its numbers moved (`deviation`): how many of
@@ -87,13 +87,12 @@ def fingerprint(argv) -> tuple:
     return code, digests(parts)
 
 
-def keep(directory: Path, records) -> None:
-    """Write the (argv, exit code, {part: bytes}) `records` as `--keep` lays them out."""
-    for i, (argv, _, parts) in enumerate(records):
-        for part, data in [("command", shlex.join(argv).encode()), *parts.items()]:
-            path = directory / str(i) / part
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(data)
+def keep(directory: Path, index: int, head: str, parts: dict) -> None:
+    """Write one record's {part: bytes} as `--keep` lays them out: `directory/<index>/<part>`, with `head` in `head`."""
+    for part, data in [("head", head.encode()), *parts.items()]:
+        path = directory / str(index) / part
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
 
 
 NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|Infinity|nan|NaN)(?![\w.])")
@@ -115,15 +114,15 @@ def deviation(ref: bytes, other: bytes) -> str:
 
 
 def compare(ref_dir: Path, other_dir: Path) -> list:
-    """A line per part that differs between two `--keep` directories: part, command and `deviation`."""
+    """A line per part that differs between two `--keep` directories: part, head and `deviation`."""
     lines = []
     for run in sorted((p for p in ref_dir.iterdir() if p.is_dir()), key=lambda p: int(p.name)):
-        command = (run / "command").read_text()
+        head = (run / "head").read_text()
         for path in sorted(run.iterdir()):
             other = other_dir / run.name / path.name
-            if path.name != "command" and (not other.is_file() or other.read_bytes() != path.read_bytes()):
+            if path.name != "head" and (not other.is_file() or other.read_bytes() != path.read_bytes()):
                 moved = deviation(path.read_bytes(), other.read_bytes()) if other.is_file() else "missing"
-                lines.append(f"{path.name}  fvps {command}  {moved}\n")
+                lines.append(f"{path.name}  {head}  {moved}\n")
     return lines
 
 
@@ -201,5 +200,6 @@ if __name__ == "__main__":
     else:
         records = [(argv, *run_parts(argv)) for argv in readme_commands()]
         if args.keep:
-            keep(args.keep, records)
+            for i, (argv, _, parts) in enumerate(records):
+                keep(args.keep, i, f"fvps {shlex.join(argv)}", parts)
         sys.stdout.write(format_records((argv, code, digests(parts)) for argv, code, parts in records))
